@@ -18,6 +18,7 @@ output, plus the same-quadrature correlations between the two stages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -150,9 +151,11 @@ class NoiseBudget:
     c_YmYr: float = 0.0
 
     def __post_init__(self):
-        v = (self.v_Xm, self.v_Ym, self.v_Xr, self.v_Yr)
-        if not all(np.isfinite(v)) or any(x < 0.0 for x in v):
-            raise ValidityError("budget variances must be finite and >= 0")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValidityError(f"budget entry {name} must be finite, got {value}")
+            if name.startswith("v_") and value < 0.0:
+                raise ValidityError(f"budget variance {name} must be >= 0, got {value}")
         if not (self.v_Xm == 0.0 and self.v_Ym == 0.0):
             if self.v_Xm * self.v_Ym < 1.0 - VALIDITY_TOL:
                 raise ValidityError(
@@ -165,15 +168,15 @@ class NoiseBudget:
                     "reconstruction noise product v_Xr*v_Yr >= 1 violated: "
                     f"{self.v_Xr * self.v_Yr:.6g} < 1"
                 )
-        if self.c_XmXr**2 > self.v_Xm * self.v_Xr + VALIDITY_TOL:
+        if self.c_XmXr * self.c_XmXr > self.v_Xm * self.v_Xr + VALIDITY_TOL:
             raise ValidityError(
                 f"correlation bound c_XmXr^2 <= v_Xm*v_Xr violated: "
-                f"{self.c_XmXr**2:.6g} > {self.v_Xm * self.v_Xr:.6g}"
+                f"{self.c_XmXr * self.c_XmXr:.6g} > {self.v_Xm * self.v_Xr:.6g}"
             )
-        if self.c_YmYr**2 > self.v_Ym * self.v_Yr + VALIDITY_TOL:
+        if self.c_YmYr * self.c_YmYr > self.v_Ym * self.v_Yr + VALIDITY_TOL:
             raise ValidityError(
                 f"correlation bound c_YmYr^2 <= v_Ym*v_Yr violated: "
-                f"{self.c_YmYr**2:.6g} > {self.v_Ym * self.v_Yr:.6g}"
+                f"{self.c_YmYr * self.c_YmYr:.6g} > {self.v_Ym * self.v_Yr:.6g}"
             )
 
     def state(self) -> GaussianVector:
@@ -195,9 +198,10 @@ class NoiseBudget:
         return GaussianVector(BUDGET_LABELS, np.zeros(4), cov)
 
 
-def _clamp_edge(c: float, bound_sq: float) -> float:
-    edge = float(np.sqrt(max(bound_sq, 0.0)))
-    return float(np.clip(c, -edge, edge))
+def _clamp_edge(c, bound_sq):
+    """Clip a correlation onto its Cauchy-Schwarz edge; scalars or arrays."""
+    edge = np.sqrt(np.maximum(bound_sq, 0.0))
+    return np.minimum(np.maximum(c, -edge), edge)
 
 
 def shot_noise_budget() -> NoiseBudget:
@@ -348,9 +352,15 @@ def equivalent_output_noise(b: NoiseBudget) -> tuple[float, float]:
     The correlation term is what an entangled resource exploits; with
     perfect anticorrelation the total can reach zero.
     """
-    n_x = b.v_Xm + b.v_Xr + 2.0 * b.c_XmXr
-    n_y = b.v_Ym + b.v_Yr + 2.0 * b.c_YmYr
-    return max(n_x, 0.0), max(n_y, 0.0)
+    return (
+        float(_output_noise(b.v_Xm, b.v_Xr, b.c_XmXr)),
+        float(_output_noise(b.v_Ym, b.v_Yr, b.c_YmYr)),
+    )
+
+
+def _output_noise(v_m, v_r, c):
+    """``v_m + v_r + 2c`` floored at 0; scalars or equal-length arrays."""
+    return np.maximum(v_m + v_r + 2.0 * c, 0.0)
 
 
 def budget_to_channel(b: NoiseBudget, inp: InputState | None = None) -> ChannelConfig:

@@ -111,11 +111,6 @@ def _load_config(path: str):
 def _as_channel(config):
     """Realize a scenario config as an explicit unity-gain channel."""
     if isinstance(config, EprScenario):
-        if config.s == 0.0:
-            raise ConfigError(
-                "perfect squeezing (s = 0) has no finite noise realization; "
-                "use the sweep command for the s = 0 limit"
-            )
         return budget_to_channel(to_noise_budget(config))
     return config
 
@@ -130,6 +125,8 @@ def _cmd_report(args) -> int:
 def _grid(lo: float, hi: float, steps: int, name: str, domain) -> np.ndarray:
     if steps < 1:
         raise ConfigError(f"{name}-steps must be >= 1, got {steps}")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigError(f"{name} grid bounds must be finite, got [{lo}, {hi}]")
     if hi < lo:
         raise ConfigError(f"{name}-max must be >= {name}-min")
     d_lo, d_hi = domain
@@ -190,11 +187,6 @@ def _cmd_mc(args) -> int:
     if args.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     config = _load_config(args.config)
-    if isinstance(config, EprScenario) and config.s == 0.0:
-        raise ConfigError(
-            "perfect squeezing (s = 0) has no finite noise realization; "
-            "Monte Carlo needs s > 0"
-        )
     run = McRunConfig(channel=config, samples=args.samples, seed=args.seed)
     report = simulate_protocol(run)
     payload = mc_report_to_dict(report)

@@ -14,9 +14,15 @@ pair is a conjugate pair, so the products of conditional variances (in both
 conditioning directions) are bounded below by 1 for any separable noise
 model.  A product below 1 is the entanglement signature.
 
-The verifier rechecks, budget by budget, the algebraic chain that links the
-no-violation condition to the noise-product bound, including the exact
-factorization identity it relies on.
+Both products and the chain terms below are closed expressions in the six
+budget scalars ``(v_Xm, v_Ym, v_Xr, v_Yr, c_XmXr, c_YmYr)``; one private
+kernel evaluates them on floats or on equal-length arrays, and every
+caller (single budgets, the sweep, the verifier, the Monte Carlo analytic
+side) goes through it.
+
+The verifier rechecks the algebraic chain that links the no-violation
+condition to the noise-product bound, including the exact factorization
+identity it relies on, on whole batches of random budgets at a time.
 """
 
 from __future__ import annotations
@@ -29,13 +35,13 @@ from .channel import (
     ChannelConfig,
     NoiseBudget,
     _clamp_edge,
+    _output_noise,
     equivalent_output_noise,
     shot_noise_budget,
     to_unity_gain_budget,
     transfer_coefficients,
 )
-from .errors import VerificationError
-from .gaussian import conditional_variance, term
+from .errors import DegenerateConditioningError, VerificationError
 
 # Strict-verdict margin: a bound counts as beaten only beyond this.
 VERDICT_MARGIN = 1e-9
@@ -75,6 +81,75 @@ def fidelity_mc_integrand(x, y, x_a: float, y_a: float):
     return np.exp(-((x - x_a) ** 2) / 4.0 - ((y - y_a) ** 2) / 4.0)
 
 
+def _conditional(v_a, v_b, c):
+    """Conditional variance ``v_a - c**2 / v_b`` clamped at 0; floats or arrays.
+
+    A zero ``v_b`` leaves ``v_a``; with a nonzero ``c`` that cannot come
+    from a consistent covariance and raises DegenerateConditioningError.
+    """
+    flat = np.equal(v_b, 0.0)
+    if (flat & np.not_equal(c, 0.0)).any():
+        raise DegenerateConditioningError(
+            "conditioning variable has zero variance but nonzero covariance"
+        )
+    v = v_a - c * c / np.where(flat, 1.0, v_b)
+    return np.where(v > 0.0, v, 0.0)
+
+
+def _cv_products(v_xm, v_ym, v_xr, v_yr, c_x, c_y):
+    """Both conditional-variance products: r given m, then m given r.
+
+    Floats or equal-length arrays; each correlation is first clamped onto
+    its Cauchy-Schwarz edge.  X and Y go through side by side.
+    """
+    v_m, v_r = np.array([v_xm, v_ym]), np.array([v_xr, v_yr])
+    with np.errstate(all="ignore"):
+        c = _clamp_edge(np.array([c_x, c_y]), v_m * v_r)
+        r_given_m, m_given_r = _conditional(v_r, v_m, c), _conditional(v_m, v_r, c)
+        return r_given_m[0] * r_given_m[1], m_given_r[0] * m_given_r[1]
+
+
+def _violates(p_r_given_m, p_m_given_r):
+    """The strict verdict: either product below 1 by more than the margin."""
+    return (p_r_given_m < 1.0 - VERDICT_MARGIN) | (p_m_given_r < 1.0 - VERDICT_MARGIN)
+
+
+def _chain_terms(v_xm, v_ym, v_xr, v_yr, c_x, c_y):
+    """The chain's terms from the six budget scalars, floats or arrays.
+
+    Returns ``(v_Cx, v_Cy, cv_product, identity_rel_error, n_value,
+    n_product)``.  The factorization identity is checked in floating point;
+    its relative error is measured against the largest term of the
+    expansion, since the expansion cancels almost completely for
+    near-singular budgets.
+    """
+    with np.errstate(all="ignore"):
+        v_cx = v_xm * v_xr - c_x * c_x
+        v_cy = v_ym * v_yr - c_y * c_y
+        lhs = v_cx * v_cy
+        p, d = v_xr + v_xm, v_xr - v_xm
+        q, e = v_yr + v_ym, v_yr - v_ym
+        t1 = (p + 2 * c_x) * (p - 2 * c_x) * (q + 2 * c_y) * (q - 2 * c_y) / 16.0
+        t2 = d * d * v_cy / 4.0
+        t3 = e * e * v_cx / 4.0
+        t4 = d * d * e * e / 16.0
+        rhs = t1 - t2 - t3 - t4
+        scale = np.maximum.reduce([abs(lhs), abs(t1), abs(t2), abs(t3), abs(t4)])
+        rel_err = abs(lhs - rhs) / np.where(scale > 0.0, scale, np.inf)
+        de = (v_xm - v_xr) * (v_ym - v_yr)
+        n_product = _output_noise(v_xm, v_xr, c_x) * _output_noise(v_ym, v_yr, c_y)
+    return v_cx, v_cy, lhs, rel_err, de + 2.0 * abs(de), n_product
+
+
+def _chain_fails(rel_err, n_value, n_product):
+    """The chain's failure predicate, on scalars or arrays of its terms."""
+    return (rel_err > IDENTITY_RTOL) | (n_value < 0.0) | (n_product < 1.0 - VERDICT_MARGIN)
+
+
+def _fields(b: NoiseBudget) -> tuple[float, ...]:
+    return (b.v_Xm, b.v_Ym, b.v_Xr, b.v_Yr, b.c_XmXr, b.c_YmYr)
+
+
 @dataclass(frozen=True)
 class InequalityTrace:
     """Intermediate quantities of the criterion chain for one budget.
@@ -98,29 +173,8 @@ class InequalityTrace:
 
 
 def inequality_trace(b: NoiseBudget) -> InequalityTrace:
-    """Evaluate the chain's intermediate quantities from the budget scalars.
-
-    The factorization identity is checked in floating point; its relative
-    error is measured against the largest term of the expansion, since the
-    expansion cancels almost completely for near-singular budgets.
-    """
-    cx, cy = b.c_XmXr, b.c_YmYr
-    v_cx = b.v_Xm * b.v_Xr - cx * cx
-    v_cy = b.v_Ym * b.v_Yr - cy * cy
-    lhs = v_cx * v_cy
-
-    p, d = b.v_Xr + b.v_Xm, b.v_Xr - b.v_Xm
-    q, e = b.v_Yr + b.v_Ym, b.v_Yr - b.v_Ym
-    t1 = (p + 2 * cx) * (p - 2 * cx) * (q + 2 * cy) * (q - 2 * cy) / 16.0
-    t2 = d * d * v_cy / 4.0
-    t3 = e * e * v_cx / 4.0
-    t4 = d * d * e * e / 16.0
-    rhs = t1 - t2 - t3 - t4
-    scale = max(abs(lhs), abs(t1), abs(t2), abs(t3), abs(t4))
-    rel_err = abs(lhs - rhs) / scale if scale > 0.0 else 0.0
-
-    de = (b.v_Xm - b.v_Xr) * (b.v_Ym - b.v_Yr)
-    n_x, n_y = equivalent_output_noise(b)
+    """Evaluate the chain's intermediate quantities from the budget scalars."""
+    v_cx, v_cy, lhs, rel_err, n_value, n_product = map(float, _chain_terms(*_fields(b)))
     return InequalityTrace(
         budget=b,
         v_Cx=v_cx,
@@ -129,8 +183,8 @@ def inequality_trace(b: NoiseBudget) -> InequalityTrace:
         measurement_product=b.v_Xm * b.v_Ym,
         reconstruction_product=b.v_Xr * b.v_Yr,
         identity_rel_error=rel_err,
-        n_value=de + 2.0 * abs(de),
-        n_product=n_x * n_y,
+        n_value=n_value,
+        n_product=n_product,
     )
 
 
@@ -142,68 +196,19 @@ class EprCriterionResult:
 
 
 def epr_criterion(b: NoiseBudget) -> EprCriterionResult:
-    """Conditional-variance entanglement test on the budget's implied state.
+    """Conditional-variance entanglement test on the budget scalars.
 
-    Conditional variances are computed through the Gaussian state algebra on
-    the four-variable state (X_m, X_r, Y_m, Y_r).  ``products`` holds the
-    reconstruction-given-measurement product first, then the reverse
-    direction; ``violated`` is true when either drops below 1 by more than
-    the verdict margin.
+    ``products`` holds the reconstruction-given-measurement product first,
+    then the reverse direction; ``violated`` is true when either drops
+    below 1 by more than the verdict margin.  The Gaussian state algebra on
+    :meth:`NoiseBudget.state` is the independent oracle for the products.
     """
-    state = b.state()
-    x_m, x_r, y_m, y_r = (term(lbl) for lbl in ("X_m", "X_r", "Y_m", "Y_r"))
-    p_r_given_m = conditional_variance(x_r, x_m, state) * conditional_variance(
-        y_r, y_m, state
-    )
-    p_m_given_r = conditional_variance(x_m, x_r, state) * conditional_variance(
-        y_m, y_r, state
-    )
-    violated = (
-        p_r_given_m < 1.0 - VERDICT_MARGIN or p_m_given_r < 1.0 - VERDICT_MARGIN
-    )
+    p_r_given_m, p_m_given_r = _cv_products(*_fields(b))
     return EprCriterionResult(
-        products=(p_r_given_m, p_m_given_r),
-        violated=violated,
+        products=(float(p_r_given_m), float(p_m_given_r)),
+        violated=bool(_violates(p_r_given_m, p_m_given_r)),
         trace=inequality_trace(b),
     )
-
-
-def _budget_products(b: NoiseBudget) -> tuple[float, float]:
-    """Scalar fast path for the criterion products.
-
-    Evaluates the same expressions as the state-algebra route, term for
-    term, so the two agree bitwise; used where budgets are screened in bulk.
-    """
-    cx = _clamp_edge(b.c_XmXr, b.v_Xm * b.v_Xr)
-    cy = _clamp_edge(b.c_YmYr, b.v_Ym * b.v_Yr)
-
-    def cond(v_a: float, v_b: float, c: float) -> float:
-        if v_b == 0.0:
-            return v_a
-        v = v_a - c * c / v_b
-        return v if v > 0.0 else 0.0
-
-    return (
-        cond(b.v_Xr, b.v_Xm, cx) * cond(b.v_Yr, b.v_Ym, cy),
-        cond(b.v_Xm, b.v_Xr, cx) * cond(b.v_Ym, b.v_Yr, cy),
-    )
-
-
-def _check_chain(trace: InequalityTrace) -> None:
-    if trace.identity_rel_error > IDENTITY_RTOL:
-        raise VerificationError(
-            f"factorization identity off by {trace.identity_rel_error:.3e} relative",
-            trace=trace,
-        )
-    if trace.n_value < 0.0:
-        raise VerificationError(
-            f"minimized slack term is negative: {trace.n_value:.3e}", trace=trace
-        )
-    if trace.n_product < 1.0 - VERDICT_MARGIN:
-        raise VerificationError(
-            f"noise product {trace.n_product:.12g} below 1 for a non-violating budget",
-            trace=trace,
-        )
 
 
 def verify_inequality_chain(b: NoiseBudget) -> InequalityTrace:
@@ -219,8 +224,14 @@ def verify_inequality_chain(b: NoiseBudget) -> InequalityTrace:
         raise ValueError(
             "inequality chain applies only to budgets without a conditional-variance violation"
         )
-    _check_chain(result.trace)
-    return result.trace
+    t = result.trace
+    if _chain_fails(t.identity_rel_error, t.n_value, t.n_product):
+        raise VerificationError(
+            f"inequality chain fails: identity off by {t.identity_rel_error:.3e} relative, "
+            f"slack term {t.n_value:.3e}, noise product {t.n_product:.12g}",
+            trace=t,
+        )
+    return t
 
 
 @dataclass(frozen=True)
@@ -274,29 +285,31 @@ def full_report(config: ChannelConfig) -> CriteriaReport:
     )
 
 
-def random_budgets(count: int, seed) -> list[NoiseBudget]:
-    """Draw valid random budgets, reproducibly for a fixed seed.
+def _draw_budgets(count: int, seed) -> np.ndarray:
+    """Random valid budgets as a ``(count, 6)`` array in field order.
 
     Variances are log-uniform over [1e-2, 1e2]; draws whose noise pairs sit
     below the uncertainty products are rejected.  Correlations are uniform
     over the full range allowed by Cauchy-Schwarz.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
-    out: list[NoiseBudget] = []
-    while len(out) < count:
-        chunk = max(1024, 2 * (count - len(out)))
+    parts, have = [np.empty((0, 6))], 0
+    while have < count:
+        chunk = max(1024, 2 * (count - have))
         v = 10.0 ** rng.uniform(-2.0, 2.0, size=(chunk, 4))
-        keep = (v[:, 0] * v[:, 1] >= 1.0) & (v[:, 2] * v[:, 3] >= 1.0)
-        v = v[keep]
+        v = v[(v[:, 0] * v[:, 1] >= 1.0) & (v[:, 2] * v[:, 3] >= 1.0)]
         c_x = rng.uniform(-1.0, 1.0, size=len(v)) * np.sqrt(v[:, 0] * v[:, 2])
         c_y = rng.uniform(-1.0, 1.0, size=len(v)) * np.sqrt(v[:, 1] * v[:, 3])
-        for row, cx, cy in zip(v, c_x, c_y):
-            out.append(NoiseBudget(row[0], row[1], row[2], row[3], cx, cy))
-            if len(out) == count:
-                break
-    return out
+        parts.append(np.column_stack([v, c_x, c_y]))
+        have += len(v)
+    return np.concatenate(parts)[:count]
+
+
+def random_budgets(count: int, seed) -> list[NoiseBudget]:
+    """Draw valid random budgets, reproducibly for a fixed seed."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    return [NoiseBudget(*row) for row in _draw_budgets(count, seed)]
 
 
 @dataclass(frozen=True)
@@ -318,7 +331,8 @@ def run_chain_verification(trials: int, seed: int) -> VerificationSummary:
     The first trial is always the shot-noise budget (a fixed smoke test with
     noise product 4); the rest are random draws, skipping budgets that
     violate the conditional-variance criterion since the chain does not
-    apply to them.  Returns the worst identity error and the worst margin
+    apply to them.  Draws are screened and checked a batch at a time, as
+    arrays.  Returns the worst identity error and the worst margin
     ``n_product - 1`` seen.
     """
     if trials < 1:
@@ -328,46 +342,34 @@ def run_chain_verification(trials: int, seed: int) -> VerificationSummary:
     violations = 0
     first_failure = None
     accepted = 0
-    drawn = 0
-
-    def check(b: NoiseBudget) -> None:
-        nonlocal max_rel, worst_margin, violations, first_failure, accepted
-        trace = inequality_trace(b)
-        max_rel = max(max_rel, trace.identity_rel_error)
-        worst_margin = min(worst_margin, trace.n_product - 1.0)
-        bad = (
-            trace.identity_rel_error > IDENTITY_RTOL
-            or trace.n_value < 0.0
-            or trace.n_product < 1.0 - VERDICT_MARGIN
-        )
-        if bad:
-            violations += 1
-            if first_failure is None:
-                first_failure = trace
-        accepted += 1
-
-    check(shot_noise_budget())
-    drawn += 1
+    drawn = 1
     batch = 0
-    while accepted < trials:
-        budgets = random_budgets(
-            min(4096, 2 * (trials - accepted)), seed=np.random.SeedSequence([seed, batch])
+    rows = np.array([_fields(shot_noise_budget())])
+    while True:
+        _, _, _, rel_err, n_value, n_product = _chain_terms(*rows.T)
+        max_rel = float(rel_err.max(initial=max_rel))
+        worst_margin = float((n_product - 1.0).min(initial=worst_margin))
+        bad = np.flatnonzero(_chain_fails(rel_err, n_value, n_product))
+        violations += len(bad)
+        if first_failure is None and len(bad):
+            first_failure = inequality_trace(NoiseBudget(*rows[bad[0]]))
+        accepted += len(rows)
+        if accepted >= trials:
+            break
+        need = trials - accepted
+        drawn_rows = _draw_budgets(
+            min(4096, 2 * need), seed=np.random.SeedSequence([seed, batch])
         )
         batch += 1
-        for b in budgets:
-            drawn += 1
-            p1, p2 = _budget_products(b)
-            if p1 < 1.0 - VERDICT_MARGIN or p2 < 1.0 - VERDICT_MARGIN:
-                continue
-            check(b)
-            if accepted == trials:
-                break
+        keep = np.flatnonzero(~_violates(*_cv_products(*drawn_rows.T)))[:need]
+        drawn += int(keep[-1]) + 1 if len(keep) == need else len(drawn_rows)
+        rows = drawn_rows[keep]
     return VerificationSummary(
         trials=accepted,
         seed=seed,
         identity_max_rel_error=max_rel,
         bound_violations=violations,
-        worst_margin=float(worst_margin),
+        worst_margin=worst_margin,
         budgets_drawn=drawn,
         first_failure=first_failure,
     )

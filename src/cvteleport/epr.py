@@ -26,8 +26,11 @@ criterion is implied by ``N_out < 1`` but does not imply it (at
 ``eta = 1, s = 0.75`` the products are ``0.96**2`` while ``N_out = 1.5``).
 Perfect squeezing (s = 0) is supported by the closed forms but has no
 finite budget: the individual EPR beams diverge while only their sums stay
-quiet, so budget-based paths reject s = 0 and the sweep falls back to the
-analytic limit of the criterion there.
+quiet, so budget-based paths reject s = 0.  The sweep evaluates the whole
+grid as arrays, the verdict through the criteria kernel on ``(v, c)``.
+Where ``v**2`` overflows (s = 0, or s extremely small or large) it takes
+the limit of ``cond`` instead: ``2*(1 - eta)`` for eta > 0, and 1 at
+eta = 0, where ``cond = 1`` for every s.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channel import NoiseBudget, equivalent_output_noise
-from .criteria import VERDICT_MARGIN, epr_criterion
+from .criteria import _cv_products, _violates
+from .errors import ConfigError
 
 # Column schema of the sweep CSV artifact, in order.
 SWEEP_CSV_COLUMNS = (
@@ -61,6 +65,17 @@ def default_s_grid() -> np.ndarray:
     return np.linspace(0.0, 1.0, 11)
 
 
+def _check_domain(eta, s) -> None:
+    """Reject any eta outside [0, 1] or s below 0 (NaN and inf included)."""
+    eta, s = np.atleast_1d(eta), np.atleast_1d(s)
+    bad = eta[~(np.isfinite(eta) & (eta >= 0.0) & (eta <= 1.0))]
+    if bad.size:
+        raise ValueError(f"eta must lie in [0, 1], got {bad[0]}")
+    bad = s[~(np.isfinite(s) & (s >= 0.0))]
+    if bad.size:
+        raise ValueError(f"s must be >= 0, got {bad[0]}")
+
+
 @dataclass(frozen=True)
 class EprScenario:
     """Channel efficiency ``eta`` and squeezed-quadrature variance ``s``.
@@ -74,10 +89,7 @@ class EprScenario:
     s: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.eta) and 0.0 <= self.eta <= 1.0):
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not (np.isfinite(self.s) and self.s >= 0.0):
-            raise ValueError(f"s must be >= 0, got {self.s}")
+        _check_domain(self.eta, self.s)
 
     @property
     def is_anti_squeezed(self) -> bool:
@@ -100,22 +112,19 @@ class SweepPoint:
     F: float
     epr_violated: bool
 
-    @property
-    def squeezing_db(self) -> float:
-        return float(np.inf) if self.s == 0.0 else float(-10.0 * np.log10(self.s))
+    squeezing_db = EprScenario.squeezing_db
 
 
 def closed_form(sc: EprScenario) -> SweepPoint:
     """Evaluate all closed forms, plus the conditional-variance verdict."""
-    reduced = 1.0 - sc.eta + sc.eta * sc.s
-    return SweepPoint(
-        eta=sc.eta,
-        s=sc.s,
-        N_out=2.0 * reduced,
-        T_sum=2.0 / (1.0 + 2.0 * reduced),
-        F=1.0 / (1.0 + reduced),
-        epr_violated=_criterion_verdict(sc),
-    )
+    return sweep([sc.eta], [sc.s])[0]
+
+
+def _epr_moments(eta, s):
+    """Budget variance ``v`` and correlation ``c`` of the scenario; floats or arrays."""
+    v = eta * (s + 1.0 / s) / 2.0 + (1.0 - eta)
+    c = eta * (s - 1.0 / s) / 2.0
+    return v, c
 
 
 def to_noise_budget(sc: EprScenario) -> NoiseBudget:
@@ -126,12 +135,11 @@ def to_noise_budget(sc: EprScenario) -> NoiseBudget:
     the total is a near-complete cancellation for strong squeezing.
     """
     if sc.s == 0.0:
-        raise ValueError(
-            "perfect squeezing has no finite noise budget "
-            "(beam variances diverge); use closed_form or sweep"
+        raise ConfigError(
+            "perfect squeezing (s = 0) has no finite noise budget "
+            "(beam variances diverge); use the sweep for the s = 0 limit"
         )
-    v = sc.eta * (sc.s + 1.0 / sc.s) / 2.0 + (1.0 - sc.eta)
-    c = sc.eta * (sc.s - 1.0 / sc.s) / 2.0
+    v, c = _epr_moments(sc.eta, sc.s)
     budget = NoiseBudget(v_Xm=v, v_Ym=v, v_Xr=v, v_Yr=v, c_XmXr=c, c_YmYr=c)
     n_budget = equivalent_output_noise(budget)
     n_closed = 2.0 * (1.0 - sc.eta + sc.eta * sc.s)
@@ -143,19 +151,6 @@ def to_noise_budget(sc: EprScenario) -> NoiseBudget:
     return budget
 
 
-def _criterion_verdict(sc: EprScenario) -> bool:
-    """Conditional-variance verdict, with the analytic limit at s = 0.
-
-    For s > 0 this is the criterion evaluated on the noise budget.  At
-    s = 0 each conditional variance tends to ``2*(1 - eta)`` even though
-    the budget entries diverge, so the verdict is taken on that limit.
-    """
-    if sc.s == 0.0:
-        limit = 2.0 * (1.0 - sc.eta)
-        return limit * limit < 1.0 - VERDICT_MARGIN
-    return epr_criterion(to_noise_budget(sc)).violated
-
-
 def sweep(
     eta_grid: Sequence[float] | Iterable[float] | None = None,
     s_grid: Sequence[float] | Iterable[float] | None = None,
@@ -163,10 +158,20 @@ def sweep(
     """Closed forms over the (eta, s) grid, eta varying slowest.
 
     Defaults to 101 efficiency points over [0, 1] and squeezing values
-    {0, 0.1, ..., 1.0}.
+    {0, 0.1, ..., 1.0}.  The grid is validated once and evaluated as arrays.
     """
-    etas = default_eta_grid() if eta_grid is None else list(eta_grid)
-    esses = default_s_grid() if s_grid is None else list(s_grid)
-    return [
-        closed_form(EprScenario(float(eta), float(s))) for eta in etas for s in esses
-    ]
+    etas = default_eta_grid() if eta_grid is None else np.array(list(eta_grid), float)
+    esses = default_s_grid() if s_grid is None else np.array(list(s_grid), float)
+    _check_domain(etas, esses)
+    eta, s = (g.ravel() for g in np.meshgrid(etas, esses, indexing="ij"))
+    with np.errstate(all="ignore"):
+        reduced = 1.0 - eta + eta * s
+        v, c = _epr_moments(eta, s)
+        at_limit = ~np.isfinite(v * v)
+        limit = np.where(eta > 0.0, 2.0 * (1.0 - eta), 1.0)
+        v, c = np.where(at_limit, 1.0, v), np.where(at_limit, 0.0, c)
+        products = _cv_products(v, v, v, v, c, c)
+        violated = _violates(*(np.where(at_limit, limit * limit, p) for p in products))
+        t_sum, f = 2.0 / (1.0 + 2.0 * reduced), 1.0 / (1.0 + reduced)
+        columns = (eta, s, 2.0 * reduced, t_sum, f, violated)
+    return [SweepPoint(*row) for row in zip(*(col.tolist() for col in columns))]

@@ -13,7 +13,7 @@ bounded below by 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -212,11 +212,3 @@ def apply_form(form: LinearForm, state: GaussianVector, samples: np.ndarray) -> 
     """Evaluate a linear form on an array of samples (rows match state labels)."""
     return np.asarray(samples) @ _coefficients(form, state) + form.constant
 
-
-def labels_of(forms: Iterable[LinearForm]) -> tuple[str, ...]:
-    """All labels referenced by the given forms, in first-seen order."""
-    seen: dict[str, None] = {}
-    for f in forms:
-        for k in f.terms:
-            seen.setdefault(k)
-    return tuple(seen)

@@ -22,15 +22,21 @@ import numpy as np
 from .channel import (
     ChannelConfig,
     InputState,
+    _output_noise,
     budget_to_channel,
     compose,
     equivalent_output_noise,
     to_unity_gain_budget,
     vacuum_input,
 )
-from .criteria import epr_criterion, fidelity_general, fidelity_mc_integrand
+from .criteria import (
+    _conditional,
+    epr_criterion,
+    fidelity_general,
+    fidelity_mc_integrand,
+)
 from .epr import EprScenario, to_noise_budget
-from .errors import ConfigError, DegenerateConditioningError
+from .errors import ConfigError
 from .gaussian import apply_form, sample, term
 
 JACKKNIFE_BLOCKS = 100
@@ -109,17 +115,6 @@ def _moments(s1: float, s2: float, n: float) -> float:
     return v if v > 0.0 else 0.0
 
 
-def _sample_conditional(v_a: float, v_b: float, c: float) -> float:
-    if v_b == 0.0:
-        if c != 0.0:
-            raise DegenerateConditioningError(
-                "constant conditioning samples with nonzero sample covariance"
-            )
-        return v_a
-    v = v_a - c * c / v_b
-    return v if v > 0.0 else 0.0
-
-
 def estimate_conditional_variance(
     samples_a: np.ndarray, samples_b: np.ndarray
 ) -> float:
@@ -142,7 +137,7 @@ def estimate_conditional_variance(
     v_a = float(ac @ ac) / n
     v_b = float(bc @ bc) / n
     c = float(ac @ bc) / n
-    return _sample_conditional(v_a, v_b, c)
+    return float(_conditional(v_a, v_b, c))
 
 
 # Per-block sufficient statistics, in column order.
@@ -155,22 +150,19 @@ _STAT_COLUMNS = (
 
 def _estimates_from_sums(sums: np.ndarray, n: float) -> dict[str, float]:
     (sxm, sxm2, sxr, sxr2, sxmxr, sym, sym2, syr, syr2, symyr, sw) = sums
-    v_xm = _moments(sxm, sxm2, n)
-    v_xr = _moments(sxr, sxr2, n)
-    v_ym = _moments(sym, sym2, n)
-    v_yr = _moments(syr, syr2, n)
-    c_x = sxmxr / n - (sxm / n) * (sxr / n)
-    c_y = symyr / n - (sym / n) * (syr / n)
-    n_x = v_xm + v_xr + 2.0 * c_x
-    n_y = v_ym + v_yr + 2.0 * c_y
+    # X and Y side by side: measurement and reconstruction variances and
+    # their same-quadrature covariance
+    v_m = np.array([_moments(sxm, sxm2, n), _moments(sym, sym2, n)])
+    v_r = np.array([_moments(sxr, sxr2, n), _moments(syr, syr2, n)])
+    c = np.array([sxmxr / n - (sxm / n) * (sxr / n), symyr / n - (sym / n) * (syr / n)])
+    n_x, n_y = _output_noise(v_m, v_r, c)
+    r_given_m, m_given_r = _conditional(v_r, v_m, c), _conditional(v_m, v_r, c)
     return {
-        "N_X": n_x if n_x > 0.0 else 0.0,
-        "N_Y": n_y if n_y > 0.0 else 0.0,
+        "N_X": n_x,
+        "N_Y": n_y,
         "fidelity": sw / n,
-        "cv_product_r_given_m": _sample_conditional(v_xr, v_xm, c_x)
-        * _sample_conditional(v_yr, v_ym, c_y),
-        "cv_product_m_given_r": _sample_conditional(v_xm, v_xr, c_x)
-        * _sample_conditional(v_ym, v_yr, c_y),
+        "cv_product_r_given_m": r_given_m[0] * r_given_m[1],
+        "cv_product_m_given_r": m_given_r[0] * m_given_r[1],
     }
 
 

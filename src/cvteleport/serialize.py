@@ -14,6 +14,7 @@ output files are byte-stable for fixed inputs.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable, Sequence
 from typing import Any
 
@@ -218,10 +219,27 @@ def config_from_dict(d: dict) -> ChannelConfig | EprScenario:
     )
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config: non-finite number {text} is not allowed")
+    return value
+
+
 def config_from_json(text: str) -> ChannelConfig | EprScenario:
-    """Parse config JSON text, reporting the location of syntax errors."""
+    """Parse config JSON text, reporting the location of syntax errors.
+
+    Every number is read as a float; ``NaN``, ``Infinity`` and
+    ``-Infinity`` tokens, and numbers too large for a float, are rejected
+    as config errors.
+    """
     try:
-        payload = json.loads(text)
+        payload = json.loads(
+            text,
+            parse_constant=_finite_float,
+            parse_float=_finite_float,
+            parse_int=_finite_float,
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config is not valid JSON: {exc.msg} at line {exc.lineno} "
@@ -271,20 +289,6 @@ VERDICT_KEYS = (
     "epr_violation",
 )
 
-REPORT_CSV_HEADER = ",".join(
-    (
-        "N_X_out",
-        "N_Y_out",
-        "T_X_out",
-        "T_Y_out",
-        "fidelity",
-        "cv_product_r_given_m",
-        "cv_product_m_given_r",
-    )
-    + VERDICT_KEYS
-)
-
-
 def report_to_dict(report: CriteriaReport) -> dict:
     return {
         "N_X_out": report.N_X_out,
@@ -300,21 +304,6 @@ def report_to_dict(report: CriteriaReport) -> dict:
 
 def _csv_bool(flag: bool) -> str:
     return "true" if flag else "false"
-
-
-def report_csv_row(report: CriteriaReport) -> str:
-    values = [
-        report.N_X_out,
-        report.N_Y_out,
-        report.T_X_out,
-        report.T_Y_out,
-        report.fidelity,
-        report.cv_products[0],
-        report.cv_products[1],
-    ]
-    cells = [format_number(v) for v in values]
-    cells += [_csv_bool(report.verdicts[k]) for k in VERDICT_KEYS]
-    return ",".join(cells)
 
 
 def sweep_to_csv(points: Iterable[SweepPoint]) -> str:

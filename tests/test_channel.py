@@ -340,10 +340,17 @@ class TestNoiseBudget:
     def test_correlation_bound(self):
         with pytest.raises(ValidityError, match="c_XmXr"):
             NoiseBudget(1.0, 1.0, 1.0, 1.0, 1.5, 0.0)
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidityError, match="c_XmXr"):
+                NoiseBudget(1.0, 1.0, 1.0, 1.0, value, 0.0)
+            with pytest.raises(ValidityError, match="c_YmYr"):
+                NoiseBudget(1.0, 1.0, 1.0, 1.0, 0.0, value)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValidityError):
             NoiseBudget(-1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValidityError, match="v_Yr must be finite"):
+            NoiseBudget(1.0, 1.0, 1.0, np.nan)
 
     def test_ideal_budget_is_admitted(self):
         b = ideal_budget()

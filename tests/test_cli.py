@@ -82,6 +82,10 @@ class TestSweepCommand:
         assert "eta grid" in capsys.readouterr().err
         assert cli.main(["sweep", "--s-min", "-0.5"]) == 1
         assert "s grid" in capsys.readouterr().err
+        assert cli.main(["sweep", "--eta-min", "nan"]) == 1
+        assert "eta grid bounds must be finite" in capsys.readouterr().err
+        assert cli.main(["sweep", "--s-max", "inf", "--s-steps", "2"]) == 1
+        assert "s grid bounds must be finite" in capsys.readouterr().err
 
     def test_degenerate_bounds_rejected(self, capsys):
         assert cli.main(["sweep", "--eta-steps", "0"]) == 1
@@ -186,6 +190,27 @@ class TestErrorChannels:
         path = tmp_path / "domain.json"
         path.write_text('{"type": "epr", "eta": 1.5, "s": 0.3}\n')
         assert cli.main(["report", "--config", str(path)]) == 1
+        # non-finite numbers are config errors too, for report and mc alike
+        nan_gain = channel_to_dict(budget_to_channel(shot_noise_budget()))
+        nan_gain["measurement"]["g_X"] = float("nan")
+        nan_noise = channel_to_dict(budget_to_channel(shot_noise_budget()))
+        nan_noise["measurement"]["noise_B"]["cov"][0][0] = float("nan")
+        cases = [
+            ("NaN", json.dumps(nan_gain)),
+            ("NaN", json.dumps(nan_noise)),
+            ("Infinity", '{"type": "epr", "eta": 0.7, "s": Infinity}'),
+            ("-Infinity", '{"type": "epr", "eta": -Infinity, "s": 0.3}'),
+            ("1e999", '{"type": "epr", "eta": 0.7, "s": 1e999}'),
+            ("9" * 400, '{"type": "epr", "eta": 0.7, "s": %s}' % ("9" * 400)),
+        ]
+        for i, (token, text) in enumerate(cases):
+            path = tmp_path / f"non_finite{i}.json"
+            path.write_text(text)
+            for args in (["report"], ["mc", "--samples", "1000"]):
+                assert cli.main([*args, "--config", str(path)]) == 1
+                err = capsys.readouterr().err
+                assert "Traceback" not in err
+                assert f"non-finite number {token}" in err
 
     def test_physics_violation_exits_two(self, tmp_path, capsys):
         config = channel_to_dict(budget_to_channel(shot_noise_budget()))

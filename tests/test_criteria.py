@@ -13,7 +13,8 @@ from cvteleport.channel import (
     vacuum_input,
 )
 from cvteleport.criteria import (
-    _budget_products,
+    _chain_terms,
+    _cv_products,
     epr_criterion,
     fidelity_general,
     fidelity_mc_integrand,
@@ -25,6 +26,7 @@ from cvteleport.criteria import (
 )
 from cvteleport.epr import EprScenario, to_noise_budget
 from cvteleport.errors import VerificationError
+from cvteleport.gaussian import conditional_variance, term
 
 
 class TestFidelityClosedForm:
@@ -127,8 +129,39 @@ class TestEprCriterion:
                 assert not epr_criterion(to_noise_budget(EprScenario(eta, s))).violated
 
     def test_products_match_scalar_route_bitwise(self):
+        # the kernel against the independent Gaussian state algebra on the
+        # budget's four-variable state
+        x_m, x_r, y_m, y_r = (term(lbl) for lbl in ("X_m", "X_r", "Y_m", "Y_r"))
         for b in random_budgets(1000, seed=99):
-            assert epr_criterion(b).products == _budget_products(b)
+            state = b.state()
+            want = (
+                conditional_variance(x_r, x_m, state)
+                * conditional_variance(y_r, y_m, state),
+                conditional_variance(x_m, x_r, state)
+                * conditional_variance(y_m, y_r, state),
+            )
+            assert epr_criterion(b).products == want
+
+    def test_array_kernel_matches_scalar_calls_bitwise(self):
+        # edge budgets first: noiseless stages (zero conditioning variance)
+        # and correlations just beyond the Cauchy-Schwarz edge
+        budgets = [
+            ideal_budget(),
+            shot_noise_budget(),
+            NoiseBudget(0.0, 0.0, 1.0, 1.0, 0.0, 0.0),
+            NoiseBudget(1.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+            NoiseBudget(1.0, 1.0, 1.0, 1.0, 1.0 + 1e-10, -1.0 - 1e-10),
+        ] + random_budgets(1000, seed=31)
+        columns = np.array(
+            [[b.v_Xm, b.v_Ym, b.v_Xr, b.v_Yr, b.c_XmXr, b.c_YmYr] for b in budgets]
+        ).T
+        products = _cv_products(*columns)
+        terms = _chain_terms(*columns)
+        for i, b in enumerate(budgets):
+            assert epr_criterion(b).products == tuple(p[i] for p in products), b
+            t = inequality_trace(b)
+            got = (t.v_Cx, t.v_Cy, t.cv_product, t.identity_rel_error, t.n_value, t.n_product)
+            assert got == tuple(term[i] for term in terms), b
 
     def test_boundary_products_need_margin_to_violate(self):
         # products exactly 1: inside the verdict margin, not a violation
@@ -153,7 +186,7 @@ class TestInequalityChain:
         # exactly at 1: the tightest non-violating budgets
         c = sign * np.sqrt(v * v - v)
         b = NoiseBudget(v, v, v, v, c, c)
-        p1, p2 = _budget_products(b)
+        p1, p2 = epr_criterion(b).products
         assert p1 == pytest.approx(1.0, abs=1e-9)
         assert p2 == pytest.approx(1.0, abs=1e-9)
         trace = verify_inequality_chain(b)
@@ -174,7 +207,7 @@ class TestInequalityChain:
     def test_chain_on_random_nonviolating_budgets(self):
         checked = 0
         for b in random_budgets(10000, seed=77):
-            p1, p2 = _budget_products(b)
+            p1, p2 = epr_criterion(b).products
             if p1 < 1.0 - 1e-9 or p2 < 1.0 - 1e-9:
                 continue
             verify_inequality_chain(b)
@@ -188,7 +221,7 @@ class TestInequalityChain:
         for b in random_budgets(100000, seed=2024):
             trace = inequality_trace(b)
             if trace.n_product < 1.0 - 1e-9:
-                p1, p2 = _budget_products(b)
+                p1, p2 = epr_criterion(b).products
                 assert p1 < 1.0 - 1e-9 or p2 < 1.0 - 1e-9, b
                 found += 1
         assert found > 100
@@ -217,6 +250,26 @@ class TestRunChainVerification:
         assert summary.identity_max_rel_error <= 1e-9
         assert summary.worst_margin >= -1e-9
         assert summary.budgets_drawn >= summary.trials
+
+    def test_batches_match_a_per_budget_loop(self):
+        # reference: screen and check the same draws one budget at a time
+        trials, seed = 3000, 21
+        traces, drawn, batch = [inequality_trace(shot_noise_budget())], 1, 0
+        while len(traces) < trials:
+            count = min(4096, 2 * (trials - len(traces)))
+            for b in random_budgets(count, seed=np.random.SeedSequence([seed, batch])):
+                drawn += 1
+                if not epr_criterion(b).violated:
+                    traces.append(inequality_trace(b))
+                    if len(traces) == trials:
+                        break
+            batch += 1
+        assert batch > 1
+        summary = run_chain_verification(trials, seed)
+        assert summary.budgets_drawn == drawn
+        assert summary.identity_max_rel_error == max(t.identity_rel_error for t in traces)
+        assert summary.worst_margin == min(t.n_product - 1.0 for t in traces)
+        assert summary.bound_violations == 0
 
     def test_deterministic_for_fixed_seed(self):
         a = run_chain_verification(trials=500, seed=8)

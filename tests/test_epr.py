@@ -166,6 +166,18 @@ class TestCriterionRegion:
             at_zero = closed_form(EprScenario(float(eta), 0.0)).epr_violated
             nearby = closed_form(EprScenario(float(eta), 1e-7)).epr_violated
             assert at_zero == nearby, eta
+        # at eta = 0 each conditional variance is 1 for every s: the s -> 0
+        # limit 2*(1 - eta) holds for eta > 0 only
+        assert not closed_form(EprScenario(0.0, 0.0)).epr_violated
+        assert not closed_form(EprScenario(0.0, 1e-6)).epr_violated
+        products = epr_criterion(to_noise_budget(EprScenario(0.0, 1e-6))).products
+        assert products == (1.0, 1.0)
+        # where the budget's moments overflow (1/s at subnormal s, v**2 at
+        # s = 1e200) the sweep takes the same limit
+        points = sweep([0.0, 0.3, 0.8, 1.0], [5e-324, 1e200])
+        assert [p.epr_violated for p in points] == [
+            False, False, False, False, True, True, True, True
+        ]
 
     def test_budget_and_closed_form_verdicts_agree(self):
         for eta in np.linspace(0.0, 1.0, 11):

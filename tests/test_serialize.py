@@ -20,7 +20,6 @@ from cvteleport.errors import ConfigError
 from cvteleport.gaussian import GaussianVector
 from cvteleport.montecarlo import McRunConfig, simulate_protocol
 from cvteleport.serialize import (
-    REPORT_CSV_HEADER,
     VERDICT_KEYS,
     channel_to_dict,
     config_from_dict,
@@ -30,7 +29,6 @@ from cvteleport.serialize import (
     gaussian_from_dict,
     gaussian_to_dict,
     mc_report_to_dict,
-    report_csv_row,
     report_to_dict,
     sweep_to_csv,
     to_json,
@@ -223,21 +221,6 @@ class TestConfigParsing:
 
 
 class TestReportRendering:
-    def test_header_and_row_cell_counts_match(self):
-        report = full_report(_shot_noise_channel())
-        header = REPORT_CSV_HEADER.split(",")
-        row = report_csv_row(report).split(",")
-        assert len(header) == len(row) == 7 + len(VERDICT_KEYS)
-
-    def test_shot_noise_row_values(self):
-        report = full_report(_shot_noise_channel())
-        row = report_csv_row(report).split(",")
-        cells = dict(zip(REPORT_CSV_HEADER.split(","), row))
-        assert cells["N_X_out"] == "2"
-        assert cells["fidelity"] == "0.5"
-        assert cells["n_product_below_one"] == "false"
-        assert cells["epr_violation"] == "false"
-
     def test_dict_mirrors_report_fields(self):
         budget = NoiseBudget(
             v_Xm=1.2, v_Ym=1.2, v_Xr=1.1, v_Yr=1.1, c_XmXr=-0.9, c_YmYr=-0.9
