@@ -26,10 +26,16 @@ criterion is implied by ``N_out < 1`` but does not imply it (at
 ``eta = 1, s = 0.75`` the products are ``0.96**2`` while ``N_out = 1.5``).
 Perfect squeezing (s = 0) is supported by the closed forms but has no
 finite budget: the individual EPR beams diverge while only their sums stay
-quiet, so budget-based paths reject s = 0.  The sweep evaluates the whole
-grid as arrays, the verdict through the criteria kernel on ``(v, c)``.
-Where ``v**2`` overflows (s = 0, or s extremely small or large) it takes
-the limit of ``cond`` instead: ``2*(1 - eta)`` for eta > 0, and 1 at
+quiet, so budget-based paths reject s = 0.  Near that limit a finite
+budget stops resolving ``cond``: ``v`` and ``c`` carry rounding errors of
+about ``eps * v`` while ``cond = v - c**2/v`` is of order one, so beyond
+:data:`MAX_RESOLVED_VARIANCE` (s below ~1e-8 or above ~1e8) fewer than
+half of its digits survive, and far beyond none do (at eta = 0.3 and
+s = 1e-17 both products come out 0).  :func:`to_noise_budget` rejects
+those scenarios as it rejects s = 0.  The sweep evaluates the whole grid
+as arrays, the verdict through the criteria kernel on ``(v, c)``; where
+``v`` exceeds that bound (s = 0 included) it takes the limit of ``cond``,
+the same for s -> 0 and s -> inf: ``2*(1 - eta)`` for eta > 0, and 1 at
 eta = 0, where ``cond = 1`` for every s.
 """
 
@@ -43,6 +49,11 @@ import numpy as np
 from .channel import NoiseBudget, equivalent_output_noise
 from .criteria import _cv_products, _violates
 from .errors import ConfigError
+
+# Largest budget variance ``v`` whose conditional variances keep at least
+# half of their digits: their rounding error ``eps * v`` stays below
+# ``sqrt(eps)`` up to here.
+MAX_RESOLVED_VARIANCE = 1.0 / np.sqrt(np.finfo(float).eps)
 
 # Column schema of the sweep CSV artifact, in order.
 SWEEP_CSV_COLUMNS = (
@@ -130,6 +141,8 @@ def _epr_moments(eta, s):
 def to_noise_budget(sc: EprScenario) -> NoiseBudget:
     """The scenario's added-noise budget (requires s > 0).
 
+    Rejects s = 0, and any s whose budget variance exceeds
+    :data:`MAX_RESOLVED_VARIANCE`, with a :class:`ConfigError`.
     Internally cross-checks that the budget reproduces the closed-form
     output noise; the comparison is scaled by the budget variance because
     the total is a near-complete cancellation for strong squeezing.
@@ -140,6 +153,12 @@ def to_noise_budget(sc: EprScenario) -> NoiseBudget:
             "(beam variances diverge); use the sweep for the s = 0 limit"
         )
     v, c = _epr_moments(sc.eta, sc.s)
+    if v > MAX_RESOLVED_VARIANCE:
+        raise ConfigError(
+            f"s = {sc.s:.6g} has no noise budget that resolves the criteria "
+            f"(beam variance {v:.3g} > {MAX_RESOLVED_VARIANCE:.3g}); "
+            "use the sweep for its limit"
+        )
     budget = NoiseBudget(v_Xm=v, v_Ym=v, v_Xr=v, v_Yr=v, c_XmXr=c, c_YmYr=c)
     n_budget = equivalent_output_noise(budget)
     n_closed = 2.0 * (1.0 - sc.eta + sc.eta * sc.s)
@@ -167,7 +186,7 @@ def sweep(
     with np.errstate(all="ignore"):
         reduced = 1.0 - eta + eta * s
         v, c = _epr_moments(eta, s)
-        at_limit = ~np.isfinite(v * v)
+        at_limit = ~(v <= MAX_RESOLVED_VARIANCE)
         limit = np.where(eta > 0.0, 2.0 * (1.0 - eta), 1.0)
         v, c = np.where(at_limit, 1.0, v), np.where(at_limit, 0.0, c)
         products = _cv_products(v, v, v, v, c, c)

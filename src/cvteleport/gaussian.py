@@ -189,22 +189,23 @@ def sample(state: GaussianVector, n: int, seed) -> np.ndarray:
     Zero-variance coordinates come out exactly equal to their means.  The
     remaining block is Cholesky-factorized; if that fails on a singular but
     valid covariance, a one-time jitter of ``1e-12`` on the diagonal is
-    applied before retrying.
+    applied before retrying.  The factor is scattered into a ``dim x live``
+    matrix whose rows for zero-variance coordinates are zero, so one matrix
+    product places every coordinate.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
     rng = np.random.default_rng(seed)
-    out = np.tile(state.mean, (n, 1))
     live = np.flatnonzero(np.diag(state.cov) > 0.0)
-    if live.size == 0:
-        return out
     sub = state.cov[np.ix_(live, live)]
     try:
         chol = np.linalg.cholesky(sub)
     except np.linalg.LinAlgError:
         chol = np.linalg.cholesky(sub + _SAMPLE_JITTER * np.eye(live.size))
-    z = rng.standard_normal((n, live.size))
-    out[:, live] += z @ chol.T
+    scatter = np.zeros((state.dim, live.size))
+    scatter[live] = chol
+    out = rng.standard_normal((n, live.size)) @ scatter.T
+    out += state.mean
     return out
 
 

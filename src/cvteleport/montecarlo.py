@@ -1,9 +1,13 @@
 """Monte Carlo cross-check of the closed-form criteria.
 
-The simulator draws per-sample noise realizations from the channel's joint
-Gaussian and rebuilds every figure of merit from samples alone: output
-noise variances from the added-noise samples, the fidelity as the sample
-mean of the overlap kernel (never through the closed form), and the
+The simulator draws the four stage noises ``(B_X, B_Y, C_X, C_Y)``, the
+noise marginal of the channel's joint Gaussian, and rebuilds every figure
+of merit from samples alone.  The input quadratures are not drawn: the
+input is uncorrelated with both noises and at unity gain only its mean
+enters, through the fidelity kernel.  Per sample the measured noise is
+``h*B`` and the reconstruction noise ``C``, per quadrature; from them come
+the output noise variances, the fidelity as the sample mean of the
+overlap kernel (never through the closed form), and the
 conditional-variance products through sample regression.  Estimates come
 with jackknife standard errors over 100 equal blocks, and each is compared
 to its analytic counterpart through a z-score.
@@ -24,7 +28,6 @@ from .channel import (
     InputState,
     _output_noise,
     budget_to_channel,
-    compose,
     equivalent_output_noise,
     to_unity_gain_budget,
     vacuum_input,
@@ -37,7 +40,7 @@ from .criteria import (
 )
 from .epr import EprScenario, to_noise_budget
 from .errors import ConfigError
-from .gaussian import apply_form, sample, term
+from .gaussian import GaussianVector, sample
 
 JACKKNIFE_BLOCKS = 100
 MIN_SAMPLES = 1000
@@ -110,9 +113,10 @@ class McReport:
         return max(abs(c.z_score) for c in self.comparisons.values())
 
 
-def _moments(s1: float, s2: float, n: float) -> float:
+def _moments(s1, s2, n):
+    """Variance from a sum and a sum of squares, clamped at 0; floats or arrays."""
     v = s2 / n - (s1 / n) ** 2
-    return v if v > 0.0 else 0.0
+    return np.where(v > 0.0, v, 0.0)
 
 
 def estimate_conditional_variance(
@@ -148,7 +152,12 @@ _STAT_COLUMNS = (
 )
 
 
-def _estimates_from_sums(sums: np.ndarray, n: float) -> dict[str, float]:
+def _estimates_from_sums(sums: np.ndarray, n) -> dict:
+    """The five estimates from the sufficient statistics, in column order.
+
+    ``sums`` holds one statistic per row: shape ``(11,)`` for one sample or
+    ``(11, k)`` for ``k`` samples at once, with ``n`` a float or length ``k``.
+    """
     (sxm, sxm2, sxr, sxr2, sxmxr, sym, sym2, syr, syr2, symyr, sw) = sums
     # X and Y side by side: measurement and reconstruction variances and
     # their same-quadrature covariance
@@ -167,19 +176,16 @@ def _estimates_from_sums(sums: np.ndarray, n: float) -> dict[str, float]:
 
 
 def _jackknife(block_stats: np.ndarray, block_n: int) -> tuple[dict, dict]:
-    """Full-sample estimates plus delete-one-block jackknife stderr."""
+    """Full-sample estimates plus delete-one-block jackknife stderr.
+
+    All leave-one-block-out estimates come from one array call.
+    """
     totals = block_stats.sum(axis=0)
-    n_total = block_n * len(block_stats)
-    estimates = _estimates_from_sums(totals, n_total)
-    loo = np.array(
-        [
-            list(
-                _estimates_from_sums(totals - row, n_total - block_n).values()
-            )
-            for row in block_stats
-        ]
-    )
     nb = len(block_stats)
+    n_total = block_n * nb
+    estimates = _estimates_from_sums(totals, n_total)
+    loo = _estimates_from_sums((totals - block_stats).T, n_total - block_n)
+    loo = np.stack(list(loo.values()), axis=1)
     stderr_vec = np.sqrt((nb - 1) / nb * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
     stderrs = dict(zip(estimates.keys(), stderr_vec.tolist()))
     return estimates, stderrs
@@ -222,20 +228,19 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
         "cv_product_m_given_r": crit.products[1],
     }
 
-    composed = compose(channel)
+    # The joint state is (X_in, Y_in, B_X, B_Y, C_X, C_Y); only the noise
+    # marginal is drawn (see the module docstring).
+    joint = channel.joint_state()
+    noise = GaussianVector(joint.labels[2:], joint.mean[2:], joint.cov[2:, 2:])
     h_x, h_y = channel.reconstruction.h_X, channel.reconstruction.h_Y
-    form_xm, form_ym = term("B_X", h_x), term("B_Y", h_y)
-    form_xr, form_yr = term("C_X"), term("C_Y")
     x_a, y_a = channel.input.mean_x, channel.input.mean_y
 
     block_n = cfg.samples // JACKKNIFE_BLOCKS
     block_stats = np.zeros((JACKKNIFE_BLOCKS, len(_STAT_COLUMNS)))
     for b in range(JACKKNIFE_BLOCKS):
-        rows = sample(composed.state, block_n, np.random.SeedSequence([cfg.seed, b]))
-        xm = apply_form(form_xm, composed.state, rows)
-        xr = apply_form(form_xr, composed.state, rows)
-        ym = apply_form(form_ym, composed.state, rows)
-        yr = apply_form(form_yr, composed.state, rows)
+        rows = sample(noise, block_n, np.random.SeedSequence([cfg.seed, b]))
+        b_x, b_y, xr, yr = rows.T
+        xm, ym = h_x * b_x, h_y * b_y
         w = fidelity_mc_integrand(x_a + xm + xr, y_a + ym + yr, x_a, y_a)
         block_stats[b] = (
             xm.sum(), (xm * xm).sum(), xr.sum(), (xr * xr).sum(), (xm * xr).sum(),

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -212,6 +213,24 @@ class TestErrorChannels:
                 assert "Traceback" not in err
                 assert f"non-finite number {token}" in err
 
+    def test_extreme_squeezing_is_a_config_error(self, tmp_path, capsys):
+        # s this far from 1 has no budget that resolves the criteria; the
+        # sweep reports the limit verdict instead (eta <= 1/2: no violation)
+        for s in ("1e-17", "1e17"):
+            path = tmp_path / f"extreme_{s}.json"
+            path.write_text('{"type": "epr", "eta": 0.3, "s": %s}\n' % s)
+            for args in (["report"], ["mc", "--samples", "1000"]):
+                assert cli.main([*args, "--config", str(path)]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "Traceback" not in captured.err
+                assert "no noise budget that resolves the criteria" in captured.err
+            grid = ["--eta-min", "0.3", "--eta-max", "0.3", "--eta-steps", "1"]
+            grid += ["--s-min", s, "--s-max", s, "--s-steps", "1"]
+            assert cli.main(["sweep", *grid]) == 0
+            row = capsys.readouterr().out.splitlines()[1]
+            assert row.startswith("0.3,") and row.endswith(",false")
+
     def test_physics_violation_exits_two(self, tmp_path, capsys):
         config = channel_to_dict(budget_to_channel(shot_noise_budget()))
         config["measurement"]["noise_B"]["cov"] = [[0.5, 0.0], [0.0, 0.5]]
@@ -244,3 +263,35 @@ class TestErrorChannels:
             cli.main(["--help"])
         assert exc.value.code == 0
         assert "report" in capsys.readouterr().out
+
+
+class TestStdoutHashes:
+    """sha256 of stdout for reference runs; any byte of drift fails.
+
+    The ``mc`` hash pins the sampled stream (the four stage noises, seeded
+    per block) as well as the rendering.
+    """
+
+    CASES = {
+        "sweep": (
+            ["sweep"],
+            "2bd0d76d59eb7445cd2d37579531f737389b4aa16deadb8b64a580681c5728e3",
+        ),
+        "verify": (
+            ["verify", "--trials", "10000"],
+            "c0a040e19190125663b778bb53287c55e4ca9444014bda1986525983662a38bb",
+        ),
+        "mc": (
+            ["mc", "--samples", "100000", "--seed", "1234"],
+            "f1871c8a7ce1b6b96e63f8bfe6d4c9b2e5708d1c64476b8fcc9b06b1458addb6",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_stdout_hash(self, name, epr_config, capsys):
+        args, digest = self.CASES[name]
+        if name == "mc":
+            args = [*args, "--config", epr_config]
+        assert cli.main(args) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -10,6 +10,7 @@ from cvteleport.channel import (
 )
 from cvteleport.criteria import epr_criterion, fidelity_general
 from cvteleport.epr import (
+    MAX_RESOLVED_VARIANCE,
     EprScenario,
     closed_form,
     default_eta_grid,
@@ -17,6 +18,7 @@ from cvteleport.epr import (
     sweep,
     to_noise_budget,
 )
+from cvteleport.errors import ConfigError
 from cvteleport.serialize import sweep_to_csv
 
 
@@ -178,6 +180,22 @@ class TestCriterionRegion:
         assert [p.epr_violated for p in points] == [
             False, False, False, False, True, True, True, True
         ]
+
+    def test_extreme_s_takes_the_limit_and_has_no_budget(self):
+        # here v ~ 1.5e16: its rounding swamps v - c**2/v, which can read 0
+        for s in (1e-17, 1e17):
+            assert not closed_form(EprScenario(0.3, s)).epr_violated
+            assert closed_form(EprScenario(0.8, s)).epr_violated
+            with pytest.raises(ConfigError, match="resolves the criteria"):
+                to_noise_budget(EprScenario(0.3, s))
+        # at eta = 0, v = 1 for every s: the budget stays resolved
+        assert epr_criterion(to_noise_budget(EprScenario(0.0, 1e-17))).products == (1.0, 1.0)
+        # just inside the bound the budget verdict still matches the sweep
+        for eta in (0.45, 0.55):
+            s = 1.01 * eta / (2.0 * MAX_RESOLVED_VARIANCE)
+            assert to_noise_budget(EprScenario(eta, s)).v_Xm <= MAX_RESOLVED_VARIANCE
+            verdict = epr_criterion(to_noise_budget(EprScenario(eta, s))).violated
+            assert verdict == closed_form(EprScenario(eta, s)).epr_violated == (eta > 0.5)
 
     def test_budget_and_closed_form_verdicts_agree(self):
         for eta in np.linspace(0.0, 1.0, 11):

@@ -209,6 +209,15 @@ class TestSampling:
         s = state_2d(cov, mean=(0.0, 4.5))
         draws = sample(s, 5000, seed=1)
         assert np.all(draws[:, 1] == 4.5)
+        # a dead coordinate between two correlated live ones, nonzero means
+        cov = np.array([[2.0, 0.0, 0.6], [0.0, 0.0, 0.0], [0.6, 0.0, 0.5]])
+        mid = GaussianVector(("U", "D", "W"), np.array([1.0, -3.25, 2.0]), cov)
+        draws = sample(mid, 5000, seed=1)
+        assert np.all(draws[:, 1] == -3.25)
+        assert draws[:, 0].std() > 1.0 and draws[:, 2].std() > 0.5
+        # the live columns are the draws of the live block alone
+        live = GaussianVector(("U", "W"), np.array([1.0, 2.0]), cov[np.ix_([0, 2], [0, 2])])
+        assert np.allclose(draws[:, [0, 2]], sample(live, 5000, seed=1), rtol=1e-14, atol=0)
 
     def test_singular_but_correlated_covariance_samples(self):
         # perfectly correlated pair: Cholesky needs the jitter fallback

@@ -3,12 +3,22 @@
 import numpy as np
 import pytest
 
-from cvteleport.channel import budget_to_channel, ideal_budget, shot_noise_budget
+from cvteleport.channel import (
+    ChannelConfig,
+    InputState,
+    NoiseBudget,
+    budget_to_channel,
+    ideal_budget,
+    shot_noise_budget,
+)
 from cvteleport.epr import EprScenario
 from cvteleport.errors import ConfigError, DegenerateConditioningError
+from cvteleport import montecarlo
 from cvteleport.gaussian import GaussianVector, sample
 from cvteleport.montecarlo import (
     McRunConfig,
+    _estimates_from_sums,
+    _jackknife,
     estimate_conditional_variance,
     simulate_protocol,
 )
@@ -136,3 +146,61 @@ class TestSimulateProtocol:
         report = simulate_protocol(run)
         for comparison in report.comparisons.values():
             assert comparison.stderr > 0.0
+
+    def test_input_is_not_drawn(self, monkeypatch):
+        drawn = []
+
+        def recording_sample(state, n, seed):
+            drawn.append(state.labels)
+            return sample(state, n, seed)
+
+        monkeypatch.setattr(montecarlo, "sample", recording_sample)
+        # channels differing only in input variance see the same noise draws
+        base = budget_to_channel(NoiseBudget(1.2, 1.3, 1.1, 1.4, -0.9, -0.8))
+        thermal = ChannelConfig(
+            measurement=base.measurement,
+            reconstruction=base.reconstruction,
+            input=InputState(3.0, 2.5),
+            cross_cov_BC=base.cross_cov_BC,
+        )
+        a, b = (
+            simulate_protocol(McRunConfig(channel=c, samples=20000, seed=8))
+            for c in (base, thermal)
+        )
+        for key in ("N_X", "N_Y", "cv_product_r_given_m", "cv_product_m_given_r"):
+            assert a.comparisons[key] == b.comparisons[key], key
+        assert a == b
+        assert set(drawn) == {("B_X", "B_Y", "C_X", "C_Y")}
+
+
+class TestJackknife:
+    def test_array_call_matches_a_per_row_loop(self):
+        rng = np.random.default_rng(17)
+        block_n = 500
+        # plausible block sums: correlated pairs with means and variances
+        blocks = []
+        for _ in range(100):
+            xm, xr, ym, yr = rng.normal(size=(4, block_n)) * np.array([[1.3], [1.1], [0.9], [1.6]])
+            xr, yr = xr - 0.6 * xm, yr + 0.4 * ym
+            w = np.exp(-((xm + xr) ** 2 + (ym + yr) ** 2) / 4.0)
+            blocks.append(
+                [xm.sum(), xm @ xm, xr.sum(), xr @ xr, xm @ xr,
+                 ym.sum(), ym @ ym, yr.sum(), yr @ yr, ym @ yr, w.sum()]
+            )
+        block_stats = np.array(blocks)
+        estimates, stderrs = _jackknife(block_stats, block_n)
+
+        totals = block_stats.sum(axis=0)
+        n_loo = block_n * (len(block_stats) - 1)
+        loo = np.array(
+            [
+                [float(v) for v in _estimates_from_sums(totals - row, n_loo).values()]
+                for row in block_stats
+            ]
+        )
+        nb = len(block_stats)
+        want = np.sqrt((nb - 1) / nb * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+        assert list(stderrs) == list(estimates)
+        for key, ref in zip(stderrs, want):
+            assert ref > 0.0
+            assert abs(stderrs[key] - ref) <= 1e-12 * ref, key
