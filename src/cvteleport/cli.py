@@ -104,7 +104,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _load_config(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"config file is not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from None
     return config_from_json(text)
 
 

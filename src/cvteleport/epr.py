@@ -42,7 +42,7 @@ eta = 0, where ``cond = 1`` for every s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,6 +87,12 @@ def _check_domain(eta, s) -> None:
         raise ValueError(f"s must be >= 0, got {bad[0]}")
 
 
+def _squeezing_db(s):
+    """Squeezing ``-10*log10(s)`` in decibels, infinite at s = 0; float or array."""
+    with np.errstate(divide="ignore"):
+        return -10.0 * np.log10(s)
+
+
 @dataclass(frozen=True)
 class EprScenario:
     """Channel efficiency ``eta`` and squeezed-quadrature variance ``s``.
@@ -109,7 +115,7 @@ class EprScenario:
     @property
     def squeezing_db(self) -> float:
         """Squeezing in decibels; infinite in the s = 0 limit."""
-        return float(np.inf) if self.s == 0.0 else float(-10.0 * np.log10(self.s))
+        return float(_squeezing_db(self.s))
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,37 @@ class SweepPoint:
     epr_violated: bool
 
     squeezing_db = EprScenario.squeezing_db
+
+
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """Closed-form figures of merit over a grid, one equal-length array per column.
+
+    ``len()``, indexing and iteration give :class:`SweepPoint` rows.
+    """
+
+    eta: np.ndarray
+    s: np.ndarray
+    N_out: np.ndarray
+    T_sum: np.ndarray
+    F: np.ndarray
+    epr_violated: np.ndarray
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.eta, self.s, self.N_out, self.T_sum, self.F, self.epr_violated)
+
+    def __len__(self) -> int:
+        return len(self.eta)
+
+    def __getitem__(self, i: int) -> SweepPoint:
+        return SweepPoint(*(col[i].item() for col in self._columns()))
+
+    def __iter__(self) -> Iterator[SweepPoint]:
+        return (SweepPoint(*row) for row in zip(*(c.tolist() for c in self._columns())))
+
+    @property
+    def squeezing_db(self) -> np.ndarray:
+        return _squeezing_db(self.s)
 
 
 def closed_form(sc: EprScenario) -> SweepPoint:
@@ -173,7 +210,7 @@ def to_noise_budget(sc: EprScenario) -> NoiseBudget:
 def sweep(
     eta_grid: Sequence[float] | Iterable[float] | None = None,
     s_grid: Sequence[float] | Iterable[float] | None = None,
-) -> list[SweepPoint]:
+) -> SweepTable:
     """Closed forms over the (eta, s) grid, eta varying slowest.
 
     Defaults to 101 efficiency points over [0, 1] and squeezing values
@@ -192,5 +229,4 @@ def sweep(
         products = _cv_products(v, v, v, v, c, c)
         violated = _violates(*(np.where(at_limit, limit * limit, p) for p in products))
         t_sum, f = 2.0 / (1.0 + 2.0 * reduced), 1.0 / (1.0 + reduced)
-        columns = (eta, s, 2.0 * reduced, t_sum, f, violated)
-    return [SweepPoint(*row) for row in zip(*(col.tolist() for col in columns))]
+    return SweepTable(eta, s, 2.0 * reduced, t_sum, f, violated)

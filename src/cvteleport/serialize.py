@@ -27,18 +27,20 @@ from .channel import (
     ReconstructionStage,
 )
 from .criteria import CriteriaReport, VerificationSummary
-from .epr import SWEEP_CSV_COLUMNS, EprScenario, SweepPoint
+from .epr import SWEEP_CSV_COLUMNS, EprScenario, SweepTable
 from .errors import ConfigError
 from .gaussian import GaussianVector
 from .montecarlo import Comparison, McReport
 
 SIGNIFICANT_DIGITS = 12
+# Every emitted number goes through this template; adding 0.0 first turns
+# negative zero into zero (the only float it would render as "-0").
+NUMBER_FORMAT = f"%.{SIGNIFICANT_DIGITS}g"
 
 
 def format_number(x: float) -> str:
     """Render a float with 12 significant digits; negative zero drops its sign."""
-    s = f"{float(x):.{SIGNIFICANT_DIGITS}g}"
-    return "0" if s == "-0" else s
+    return NUMBER_FORMAT % (float(x) + 0.0)
 
 
 def _round_tree(value: Any) -> Any:
@@ -226,16 +228,26 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config: duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def config_from_json(text: str) -> ChannelConfig | EprScenario:
     """Parse config JSON text, reporting the location of syntax errors.
 
     Every number is read as a float; ``NaN``, ``Infinity`` and
-    ``-Infinity`` tokens, and numbers too large for a float, are rejected
-    as config errors.
+    ``-Infinity`` tokens, numbers too large for a float, and a key repeated
+    within one object are rejected as config errors.
     """
     try:
         payload = json.loads(
             text,
+            object_pairs_hook=_unique_keys,
             parse_constant=_finite_float,
             parse_float=_finite_float,
             parse_int=_finite_float,
@@ -302,29 +314,33 @@ def report_to_dict(report: CriteriaReport) -> dict:
     }
 
 
-def _csv_bool(flag: bool) -> str:
-    return "true" if flag else "false"
+_SWEEP_ROW = ",".join([NUMBER_FORMAT] * (len(SWEEP_CSV_COLUMNS) - 1) + ["%s"])
+# Rows are rendered and joined a block at a time, so only one block's cells
+# and row strings exist as Python objects at once.
+_SWEEP_BLOCK_ROWS = 1024
 
 
-def sweep_to_csv(points: Iterable[SweepPoint]) -> str:
-    """Render sweep points as CSV text (header plus one row per point)."""
-    lines = [",".join(SWEEP_CSV_COLUMNS)]
-    for p in points:
-        lines.append(
-            ",".join(
-                (
-                    format_number(p.eta),
-                    format_number(p.s),
-                    format_number(p.squeezing_db),
-                    format_number(p.N_out),
-                    format_number(p.N_out * p.N_out),
-                    format_number(p.T_sum),
-                    format_number(p.F),
-                    _csv_bool(p.epr_violated),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+def sweep_to_csv(table: SweepTable) -> str:
+    """Render a sweep table as CSV text (header plus one row per grid point)."""
+    with np.errstate(over="ignore"):
+        n_product = table.N_out * table.N_out
+    columns = (
+        table.eta,
+        table.s,
+        table.squeezing_db,
+        table.N_out,
+        n_product,
+        table.T_sum,
+        table.F,
+    )
+    numbers = np.stack(columns) + 0.0  # no negative zeros, as in format_number
+    verdicts = np.where(table.epr_violated, "true", "false")
+    parts = [",".join(SWEEP_CSV_COLUMNS)]
+    for start in range(0, len(table), _SWEEP_BLOCK_ROWS):
+        block = slice(start, start + _SWEEP_BLOCK_ROWS)
+        cells = zip(*numbers[:, block].tolist(), verdicts[block].tolist())
+        parts.append("\n".join([_SWEEP_ROW % row for row in cells]))
+    return "\n".join(parts) + "\n"
 
 
 def _comparison_to_dict(c: Comparison) -> dict:

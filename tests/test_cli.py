@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,34 @@ class TestErrorChannels:
                 assert "Traceback" not in err
                 assert f"non-finite number {token}" in err
 
+    def test_unreadable_or_ambiguous_config_is_a_config_error(self, tmp_path, capsys):
+        channel = to_json(channel_to_dict(budget_to_channel(shot_noise_budget())))
+        cases = [
+            ("not UTF-8", b'\xff\xfe{"type": "epr", "eta": 0.7, "s": 0.3}'),
+            ("not UTF-8", '{"type": "epr", "eta": 0.7, "s": 0.3}'.encode("utf-16")),
+            (
+                "duplicate key 'eta'",
+                b'{"type": "epr", "eta": 0.5, "s": 0.5, "eta": 0.9}',
+            ),
+            (
+                "duplicate key 'g_X'",
+                channel.replace('"g_X": 1', '"g_X": 1, "g_X": 1', 1).encode(),
+            ),
+            (
+                "duplicate key 'cov'",
+                channel.replace('"cov": [', '"cov": [[1, 0], [0, 1]], "cov": [', 1).encode(),
+            ),
+        ]
+        for i, (message, data) in enumerate(cases):
+            path = tmp_path / f"config{i}.json"
+            path.write_bytes(data)
+            for args in (["report"], ["mc", "--samples", "1000"]):
+                assert cli.main([*args, "--config", str(path)]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "Traceback" not in captured.err
+                assert captured.err.startswith("config error") and message in captured.err
+
     def test_extreme_squeezing_is_a_config_error(self, tmp_path, capsys):
         # s this far from 1 has no budget that resolves the criteria; the
         # sweep reports the limit verdict instead (eta <= 1/2: no violation)
@@ -295,3 +324,27 @@ class TestStdoutHashes:
         assert cli.main(args) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    # the 101 x 101 default-range grid, and a grid with negative zero, s = 0
+    # (infinite squeezing_db) and s up to 1e200 (N_out**2 overflows to inf)
+    SWEEP_CASES = {
+        "101x101": (
+            ["sweep", "--s-steps", "101"],
+            "23862273c6c28f2b0225e4ed3d499cb07399013be5d3bdab0b45a9409eab16e3",
+        ),
+        "extremes": (
+            ["sweep", "--eta-min", "-0.0", "--eta-max", "1", "--eta-steps", "7"]
+            + ["--s-min", "0", "--s-max", "1e200", "--s-steps", "9"],
+            "bf809701fc64cce23f64c542668ee2050e57efd72118c5db5c07fa42cfe3f1b5",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+    def test_sweep_stdout_hash_without_warnings(self, name, capsys):
+        args, digest = self.SWEEP_CASES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest

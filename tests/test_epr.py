@@ -11,7 +11,10 @@ from cvteleport.channel import (
 from cvteleport.criteria import epr_criterion, fidelity_general
 from cvteleport.epr import (
     MAX_RESOLVED_VARIANCE,
+    SWEEP_CSV_COLUMNS,
     EprScenario,
+    SweepPoint,
+    SweepTable,
     closed_form,
     default_eta_grid,
     default_s_grid,
@@ -19,7 +22,7 @@ from cvteleport.epr import (
     to_noise_budget,
 )
 from cvteleport.errors import ConfigError
-from cvteleport.serialize import sweep_to_csv
+from cvteleport.serialize import format_number, sweep_to_csv
 
 
 class TestScenarioValidation:
@@ -207,7 +210,46 @@ class TestCriterionRegion:
                 )
 
 
+# negative zero, the s = 0 and subnormal-s limits, s on both sides of 1, and
+# s = 1e200, where N_out**2 overflows
+MIXED_ETA = [-0.0, 0.3, 0.5, 0.55, 0.8, 1.0]
+MIXED_S = [0.0, 5e-324, 1e-9, 0.3, 0.75, 1.0, 1.7, 1e8, 1e200]
+
+
+def reference_csv(points) -> str:
+    """The sweep CSV rendered one point and one cell at a time."""
+    lines = [",".join(SWEEP_CSV_COLUMNS)]
+    for p in points:
+        cells = [p.eta, p.s, p.squeezing_db, p.N_out, p.N_out * p.N_out, p.T_sum, p.F]
+        verdict = "true" if p.epr_violated else "false"
+        lines.append(",".join([*map(format_number, cells), verdict]))
+    return "\n".join(lines) + "\n"
+
+
 class TestSweep:
+    def test_columns_match_the_per_point_oracle(self):
+        table = sweep(MIXED_ETA, MIXED_S)
+        assert isinstance(table, SweepTable)
+        assert len(table) == len(MIXED_ETA) * len(MIXED_S)
+        expected = [
+            closed_form(EprScenario(eta, s)) for eta in MIXED_ETA for s in MIXED_S
+        ]
+        assert [table[i] for i in range(len(table))] == expected
+        assert list(table) == expected
+        for point in table:
+            assert isinstance(point, SweepPoint)
+            assert all(type(x) is float for x in (point.eta, point.s, point.N_out))
+            assert type(point.epr_violated) is bool
+
+    def test_csv_matches_the_per_row_rendering(self):
+        table = sweep(MIXED_ETA, MIXED_S)
+        text = sweep_to_csv(table)
+        assert text == reference_csv(table)
+        assert "-0," not in text and ",inf," in text
+        # more rows than one rendering block
+        table = sweep(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 3.0, 31))
+        assert sweep_to_csv(table) == reference_csv(table)
+
     def test_default_grid_shape(self):
         points = sweep()
         assert len(points) == 101 * 11
