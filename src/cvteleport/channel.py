@@ -337,8 +337,8 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
                 f"total gain on {quad} is {gain:.12g}, unity gain required"
             )
     return NoiseBudget(
-        v_Xm=r.h_X**2 * float(m.noise_B.cov[0, 0]),
-        v_Ym=r.h_Y**2 * float(m.noise_B.cov[1, 1]),
+        v_Xm=r.h_X * r.h_X * float(m.noise_B.cov[0, 0]),
+        v_Ym=r.h_Y * r.h_Y * float(m.noise_B.cov[1, 1]),
         v_Xr=float(r.noise_C.cov[0, 0]),
         v_Yr=float(r.noise_C.cov[1, 1]),
         c_XmXr=r.h_X * float(config.cross_cov_BC[0, 0]),

@@ -19,9 +19,8 @@ import sys
 
 import numpy as np
 
-from .channel import budget_to_channel
 from .criteria import full_report, run_chain_verification
-from .epr import EprScenario, sweep, to_noise_budget
+from .epr import EprScenario, scenario_report, sweep
 from .errors import ConfigError, ValidityError
 from .montecarlo import McRunConfig, simulate_protocol
 from .serialize import (
@@ -113,16 +112,12 @@ def _load_config(path: str):
     return config_from_json(text)
 
 
-def _as_channel(config):
-    """Realize a scenario config as an explicit unity-gain channel."""
-    if isinstance(config, EprScenario):
-        return budget_to_channel(to_noise_budget(config))
-    return config
-
-
 def _cmd_report(args) -> int:
-    config = _as_channel(_load_config(args.config))
-    report = full_report(config)
+    config = _load_config(args.config)
+    if isinstance(config, EprScenario):
+        report = scenario_report(config)
+    else:
+        report = full_report(config)
     _emit(to_json(report_to_dict(report)), args.out)
     return EXIT_OK
 

@@ -17,8 +17,10 @@ model.  A product below 1 is the entanglement signature.
 Both products and the chain terms below are closed expressions in the six
 budget scalars ``(v_Xm, v_Ym, v_Xr, v_Yr, c_XmXr, c_YmYr)``; one private
 kernel evaluates them on floats or on equal-length arrays, and every
-caller (single budgets, the sweep, the verifier, the Monte Carlo analytic
-side) goes through it.
+caller (single budgets, the verifier, the Monte Carlo analytic side) goes
+through it.  The EPR scenario's figures have exact closed forms of their
+own in :mod:`cvteleport.epr`; :func:`_criteria_report` assembles a report
+from either source.
 
 The verifier rechecks the algebraic chain that links the no-violation
 condition to the noise-product bound, including the exact factorization
@@ -33,6 +35,7 @@ import numpy as np
 
 from .channel import (
     ChannelConfig,
+    InputState,
     NoiseBudget,
     _clamp_edge,
     _output_noise,
@@ -255,23 +258,21 @@ class CriteriaReport:
     t_sum_applicable: bool
 
 
-def full_report(config: ChannelConfig) -> CriteriaReport:
-    """Evaluate every criterion for a unity-gain channel configuration.
+def _criteria_report(n_x, n_y, cv_products, inp: InputState) -> CriteriaReport:
+    """The report from both output noises, both cv products and the input.
 
-    Verdicts are strict: a bound counts as beaten only when cleared by more
-    than the verdict margin.
+    Transfer coefficients and fidelity follow from the noises.  Verdicts are
+    strict: a bound counts as beaten only when cleared by more than the
+    verdict margin.
     """
-    budget = to_unity_gain_budget(config)
-    n_x, n_y = equivalent_output_noise(budget)
-    t_x, t_y = transfer_coefficients(n_x, n_y, config.input)
+    t_x, t_y = transfer_coefficients(n_x, n_y, inp)
     fid = fidelity_general(n_x, n_y)
-    crit = epr_criterion(budget)
     verdicts = {
         "fidelity_above_half": fid > FIDELITY_CLASSICAL_BOUND + VERDICT_MARGIN,
         "fidelity_above_two_thirds": fid > FIDELITY_CV_BOUND + VERDICT_MARGIN,
         "n_product_below_one": n_x * n_y < 1.0 - VERDICT_MARGIN,
         "t_sum_above_one": t_x + t_y > 1.0 + VERDICT_MARGIN,
-        "epr_violation": crit.violated,
+        "epr_violation": bool(_violates(*cv_products)),
     }
     return CriteriaReport(
         N_X_out=n_x,
@@ -279,10 +280,17 @@ def full_report(config: ChannelConfig) -> CriteriaReport:
         T_X_out=t_x,
         T_Y_out=t_y,
         fidelity=fid,
-        cv_products=crit.products,
+        cv_products=cv_products,
         verdicts=verdicts,
-        t_sum_applicable=config.input.is_minimum_uncertainty,
+        t_sum_applicable=inp.is_minimum_uncertainty,
     )
+
+
+def full_report(config: ChannelConfig) -> CriteriaReport:
+    """Evaluate every criterion for a unity-gain channel configuration."""
+    budget = to_unity_gain_budget(config)
+    n_x, n_y = equivalent_output_noise(budget)
+    return _criteria_report(n_x, n_y, epr_criterion(budget).products, config.input)
 
 
 def _draw_budgets(count: int, seed) -> np.ndarray:

@@ -8,35 +8,34 @@ form in (eta, s):
 
 * ``N_out = 2*(1 - eta + eta*s)`` per quadrature,
 * ``T_sum = 2 / (3 - 2*eta + 2*eta*s)`` for a coherent input,
-* ``F = 1 / (2 - eta + eta*s)``.
+* ``F = 1 / (2 - eta + eta*s)``,
+* each conditional variance (either beam given the other, either
+  quadrature), with ``t = min(s, 1/s)`` and
+  ``D = eta*(1 + t**2)/2 + (1 - eta)*t``:
+  ``cond = (1 - eta + eta*t) * ((1 - eta)*t + eta) / D``, and 1 where
+  ``D = 0`` (eta = 0 and s = 0).
+
+Every term of ``cond`` is nonnegative, so it is evaluated to a few ulp
+for any s, s = 0 and s -> inf included, and it is symmetric under
+``s -> 1/s``.  Since ``1 - cond = eta*(eta - 1/2)*(1 - t)**2 / D``, both
+conditional-variance products ``cond**2`` fall below 1 exactly on
+``{eta > 1/2, s != 1}``.  That region strictly contains ``N_out < 1``: the
+criterion is implied by ``N_out < 1`` but does not imply it (at
+``eta = 1, s = 0.75`` the products are ``0.96**2`` while ``N_out = 1.5``).
+:func:`sweep` and :func:`scenario_report` take every figure from these
+closed forms.
 
 The same scenario maps onto a :class:`~cvteleport.channel.NoiseBudget`:
 each EPR beam is attenuated by ``sqrt(eta)`` and padded with vacuum, which
 gives measurement and reconstruction noises of equal variance
-``eta*(s + 1/s)/2 + (1 - eta)`` with correlation ``eta*(s - 1/s)/2``.
-Writing ``v`` for that variance, each conditional variance (either beam
-given the other, either quadrature) is
-
-* ``cond = (1 - eta + eta*s) * (1 - eta + eta/s) / v``, with
-* ``1 - cond = eta*(eta - 1/2)*(s + 1/s - 2) / v``,
-
-so both conditional-variance products ``cond**2`` fall below 1 exactly on
-``{eta > 1/2, s != 1}``.  That region strictly contains ``N_out < 1``: the
-criterion is implied by ``N_out < 1`` but does not imply it (at
-``eta = 1, s = 0.75`` the products are ``0.96**2`` while ``N_out = 1.5``).
-Perfect squeezing (s = 0) is supported by the closed forms but has no
-finite budget: the individual EPR beams diverge while only their sums stay
-quiet, so budget-based paths reject s = 0.  Near that limit a finite
-budget stops resolving ``cond``: ``v`` and ``c`` carry rounding errors of
-about ``eps * v`` while ``cond = v - c**2/v`` is of order one, so beyond
-:data:`MAX_RESOLVED_VARIANCE` (s below ~1e-8 or above ~1e8) fewer than
-half of its digits survive, and far beyond none do (at eta = 0.3 and
-s = 1e-17 both products come out 0).  :func:`to_noise_budget` rejects
-those scenarios as it rejects s = 0.  The sweep evaluates the whole grid
-as arrays, the verdict through the criteria kernel on ``(v, c)``; where
-``v`` exceeds that bound (s = 0 included) it takes the limit of ``cond``,
-the same for s -> 0 and s -> inf: ``2*(1 - eta)`` for eta > 0, and 1 at
-eta = 0, where ``cond = 1`` for every s.
+``v = eta*(s + 1/s)/2 + (1 - eta)`` with correlation ``eta*(s - 1/s)/2``.
+Perfect squeezing (s = 0) has no finite budget: the individual EPR beams
+diverge while only their sums stay quiet.  A float budget also carries
+rounding errors of about ``eps * v`` into ``cond = v - c**2/v``, which is
+of order one, so beyond :data:`MAX_RESOLVED_VARIANCE` (s below ~1e-8 or
+above ~1e8) fewer than half of its digits survive.  :func:`to_noise_budget`
+rejects those scenarios as it rejects s = 0, and :func:`scenario_report`
+accepts exactly the scenarios it accepts.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .channel import NoiseBudget, equivalent_output_noise
-from .criteria import _cv_products, _violates
+from .channel import NoiseBudget, equivalent_output_noise, vacuum_input
+from .criteria import CriteriaReport, _criteria_report, _violates
 from .errors import ConfigError
 
 # Largest budget variance ``v`` whose conditional variances keep at least
@@ -168,11 +167,41 @@ def closed_form(sc: EprScenario) -> SweepPoint:
     return sweep([sc.eta], [sc.s])[0]
 
 
-def _epr_moments(eta, s):
-    """Budget variance ``v`` and correlation ``c`` of the scenario; floats or arrays."""
-    v = eta * (s + 1.0 / s) / 2.0 + (1.0 - eta)
-    c = eta * (s - 1.0 / s) / 2.0
-    return v, c
+def _figures(eta, s):
+    """``(N_out, T_sum, F, cond)`` at (eta, s); floats (s > 0) or arrays.
+
+    ``cond`` is each conditional variance, in the closed form of the module
+    docstring.
+    """
+    with np.errstate(all="ignore"):
+        reduced = 1.0 - eta + eta * s
+        t = np.minimum(s, 1.0 / s)
+        d = eta * (1.0 + t * t) / 2.0 + (1.0 - eta) * t
+        num = (1.0 - eta + eta * t) * ((1.0 - eta) * t + eta)
+        cond = np.where(d > 0.0, num / d, 1.0)
+        return 2.0 * reduced, 2.0 / (1.0 + 2.0 * reduced), 1.0 / (1.0 + reduced), cond
+
+
+def _budget_variance(sc: EprScenario) -> float:
+    """The beam variance ``v`` of the scenario's budget.
+
+    Raises :class:`ConfigError` for s = 0 and for ``v`` above
+    :data:`MAX_RESOLVED_VARIANCE`: the scenarios with no budget that
+    resolves the criteria.
+    """
+    if sc.s == 0.0:
+        raise ConfigError(
+            "perfect squeezing (s = 0) has no finite noise budget "
+            "(beam variances diverge); use the sweep for the s = 0 limit"
+        )
+    v = sc.eta * (sc.s + 1.0 / sc.s) / 2.0 + (1.0 - sc.eta)
+    if v > MAX_RESOLVED_VARIANCE:
+        raise ConfigError(
+            f"s = {sc.s:.6g} has no noise budget that resolves the criteria "
+            f"(beam variance {v:.3g} > {MAX_RESOLVED_VARIANCE:.3g}); "
+            "use the sweep for its limit"
+        )
+    return v
 
 
 def to_noise_budget(sc: EprScenario) -> NoiseBudget:
@@ -184,27 +213,28 @@ def to_noise_budget(sc: EprScenario) -> NoiseBudget:
     output noise; the comparison is scaled by the budget variance because
     the total is a near-complete cancellation for strong squeezing.
     """
-    if sc.s == 0.0:
-        raise ConfigError(
-            "perfect squeezing (s = 0) has no finite noise budget "
-            "(beam variances diverge); use the sweep for the s = 0 limit"
-        )
-    v, c = _epr_moments(sc.eta, sc.s)
-    if v > MAX_RESOLVED_VARIANCE:
-        raise ConfigError(
-            f"s = {sc.s:.6g} has no noise budget that resolves the criteria "
-            f"(beam variance {v:.3g} > {MAX_RESOLVED_VARIANCE:.3g}); "
-            "use the sweep for its limit"
-        )
+    v = _budget_variance(sc)
+    c = sc.eta * (sc.s - 1.0 / sc.s) / 2.0
     budget = NoiseBudget(v_Xm=v, v_Ym=v, v_Xr=v, v_Yr=v, c_XmXr=c, c_YmYr=c)
     n_budget = equivalent_output_noise(budget)
-    n_closed = 2.0 * (1.0 - sc.eta + sc.eta * sc.s)
+    n_closed = float(_figures(sc.eta, sc.s)[0])
     tol = 1e-12 * max(1.0, v)
     if abs(n_budget[0] - n_closed) > tol or abs(n_budget[1] - n_closed) > tol:
         raise AssertionError(
             f"budget output noise {n_budget} does not match closed form {n_closed}"
         )
     return budget
+
+
+def scenario_report(sc: EprScenario) -> CriteriaReport:
+    """Every criterion for the scenario with a vacuum input, from the closed forms.
+
+    Accepts exactly the scenarios :func:`to_noise_budget` accepts, and
+    rejects the others with the same :class:`ConfigError`.
+    """
+    _budget_variance(sc)
+    n_out, _, _, cond = map(float, _figures(sc.eta, sc.s))
+    return _criteria_report(n_out, n_out, (cond * cond, cond * cond), vacuum_input())
 
 
 def sweep(
@@ -220,13 +250,6 @@ def sweep(
     esses = default_s_grid() if s_grid is None else np.array(list(s_grid), float)
     _check_domain(etas, esses)
     eta, s = (g.ravel() for g in np.meshgrid(etas, esses, indexing="ij"))
-    with np.errstate(all="ignore"):
-        reduced = 1.0 - eta + eta * s
-        v, c = _epr_moments(eta, s)
-        at_limit = ~(v <= MAX_RESOLVED_VARIANCE)
-        limit = np.where(eta > 0.0, 2.0 * (1.0 - eta), 1.0)
-        v, c = np.where(at_limit, 1.0, v), np.where(at_limit, 0.0, c)
-        products = _cv_products(v, v, v, v, c, c)
-        violated = _violates(*(np.where(at_limit, limit * limit, p) for p in products))
-        t_sum, f = 2.0 / (1.0 + 2.0 * reduced), 1.0 / (1.0 + reduced)
-    return SweepTable(eta, s, 2.0 * reduced, t_sum, f, violated)
+    n_out, t_sum, f, cond = _figures(eta, s)
+    product = cond * cond
+    return SweepTable(eta, s, n_out, t_sum, f, _violates(product, product))

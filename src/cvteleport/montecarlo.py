@@ -23,21 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    ChannelConfig,
-    InputState,
-    _output_noise,
-    budget_to_channel,
-    equivalent_output_noise,
-    to_unity_gain_budget,
-    vacuum_input,
-)
-from .criteria import (
-    _conditional,
-    epr_criterion,
-    fidelity_general,
-    fidelity_mc_integrand,
-)
+from .channel import ChannelConfig, _output_noise, budget_to_channel
+from .criteria import _conditional, fidelity_mc_integrand, full_report
 from .epr import EprScenario, to_noise_budget
 from .errors import ConfigError
 from .gaussian import GaussianVector, sample
@@ -48,19 +35,16 @@ MIN_SAMPLES = 1000
 
 @dataclass(frozen=True)
 class McRunConfig:
-    """One simulation run: channel, sample count, seed, input amplitude.
+    """One simulation run: channel, sample count, seed.
 
     ``samples`` must be at least 1000 and divisible by the jackknife block
-    count.  ``input_amplitude`` sets the coherent amplitude when the channel
-    is given as an :class:`EprScenario`; for an explicit
-    :class:`ChannelConfig` it overrides the configured input means when
-    provided.
+    count.  An :class:`EprScenario` runs on its budget's channel with a
+    vacuum input.
     """
 
     channel: ChannelConfig | EprScenario
     samples: int
     seed: int
-    input_amplitude: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not isinstance(self.samples, (int, np.integer)) or isinstance(
@@ -191,42 +175,20 @@ def _jackknife(block_stats: np.ndarray, block_n: int) -> tuple[dict, dict]:
     return estimates, stderrs
 
 
-def _resolve_channel(cfg: McRunConfig) -> ChannelConfig:
-    if isinstance(cfg.channel, EprScenario):
-        x_a, y_a = cfg.input_amplitude or (0.0, 0.0)
-        return budget_to_channel(to_noise_budget(cfg.channel), vacuum_input(x_a, y_a))
-    channel = cfg.channel
-    if cfg.input_amplitude is not None:
-        x_a, y_a = cfg.input_amplitude
-        inp = channel.input
-        channel = ChannelConfig(
-            measurement=channel.measurement,
-            reconstruction=channel.reconstruction,
-            input=InputState(inp.var_X, inp.var_Y, x_a, y_a),
-            cross_cov_BC=channel.cross_cov_BC,
-        )
-    return channel
-
-
 def simulate_protocol(cfg: McRunConfig) -> McReport:
     """Simulate the channel sample by sample and compare against closed forms.
 
     Requires unity gain.  The reconstructed amplitude for each sample is the
     input amplitude displaced by that sample's added noise; its overlap with
     the target is averaged for the fidelity estimate, and the added-noise
-    samples feed the variance and regression estimates.
+    samples feed the variance and regression estimates.  The analytic side
+    is :func:`full_report` of the channel that is sampled.
     """
-    channel = _resolve_channel(cfg)
-    budget = to_unity_gain_budget(channel)
-    n_x, n_y = equivalent_output_noise(budget)
-    crit = epr_criterion(budget)
-    analytic = {
-        "N_X": n_x,
-        "N_Y": n_y,
-        "fidelity": fidelity_general(n_x, n_y),
-        "cv_product_r_given_m": crit.products[0],
-        "cv_product_m_given_r": crit.products[1],
-    }
+    channel = cfg.channel
+    if isinstance(channel, EprScenario):
+        channel = budget_to_channel(to_noise_budget(channel))
+    report = full_report(channel)
+    analytic = (report.N_X_out, report.N_Y_out, report.fidelity, *report.cv_products)
 
     # The joint state is (X_in, Y_in, B_X, B_Y, C_X, C_Y); only the noise
     # marginal is drawn (see the module docstring).
@@ -250,8 +212,8 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
 
     estimates, stderrs = _jackknife(block_stats, block_n)
     comparisons = {}
-    for key, est in estimates.items():
-        se, ref = stderrs[key], analytic[key]
+    for (key, est), ref in zip(estimates.items(), analytic):
+        se = stderrs[key]
         if se == 0.0:
             z = 0.0 if est == ref else float(np.copysign(np.inf, est - ref))
         else:

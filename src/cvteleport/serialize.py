@@ -241,8 +241,9 @@ def config_from_json(text: str) -> ChannelConfig | EprScenario:
     """Parse config JSON text, reporting the location of syntax errors.
 
     Every number is read as a float; ``NaN``, ``Infinity`` and
-    ``-Infinity`` tokens, numbers too large for a float, and a key repeated
-    within one object are rejected as config errors.
+    ``-Infinity`` tokens, numbers too large for a float, a key repeated
+    within one object, and nesting too deep to parse are rejected as config
+    errors.
     """
     try:
         payload = json.loads(
@@ -257,6 +258,8 @@ def config_from_json(text: str) -> ChannelConfig | EprScenario:
             f"config is not valid JSON: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno}"
         ) from None
+    except RecursionError:
+        raise ConfigError("config is nested too deeply to parse") from None
     return config_from_dict(payload)
 
 

@@ -260,6 +260,33 @@ class TestErrorChannels:
             row = capsys.readouterr().out.splitlines()[1]
             assert row.startswith("0.3,") and row.endswith(",false")
 
+    def test_deep_nesting_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        for args in (["report"], ["mc", "--samples", "1000"]):
+            assert cli.main([*args, "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "Traceback" not in captured.err
+            assert captured.err.startswith("config error") and "nested" in captured.err
+
+    def test_overflowing_gain_square_is_a_validity_error(self, tmp_path, capsys):
+        # unity total gain from 1e-200 * 1e200: h_X squared overflows a float
+        config = channel_to_dict(budget_to_channel(shot_noise_budget()))
+        config["measurement"].update(g_X=1e-200, g_Y=1e-200)
+        config["measurement"]["noise_B"]["cov"] = [[1e-300, 0.0], [0.0, 1e-300]]
+        config["reconstruction"].update(h_X=1e200, h_Y=1e200)
+        path = tmp_path / "huge_gain.json"
+        path.write_text(to_json(config))
+        for args in (["report"], ["mc", "--samples", "1000"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main([*args, "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "Traceback" not in captured.err and "Warning" not in captured.err
+            assert "budget entry v_Xm must be finite" in captured.err
+
     def test_physics_violation_exits_two(self, tmp_path, capsys):
         config = channel_to_dict(budget_to_channel(shot_noise_budget()))
         config["measurement"]["noise_B"]["cov"] = [[0.5, 0.0], [0.0, 0.5]]
@@ -301,6 +328,8 @@ class TestStdoutHashes:
     per block) as well as the rendering.
     """
 
+    # "epr" and "channel" stand for the README EPR config and the shot-noise
+    # channel config
     CASES = {
         "sweep": (
             ["sweep"],
@@ -311,16 +340,24 @@ class TestStdoutHashes:
             "c0a040e19190125663b778bb53287c55e4ca9444014bda1986525983662a38bb",
         ),
         "mc": (
-            ["mc", "--samples", "100000", "--seed", "1234"],
+            ["mc", "--samples", "100000", "--seed", "1234", "--config", "epr"],
             "f1871c8a7ce1b6b96e63f8bfe6d4c9b2e5708d1c64476b8fcc9b06b1458addb6",
+        ),
+        "report-epr": (
+            ["report", "--config", "epr"],
+            "b9b4c9335b0d362d15f52918688faacefeaff77d3a98789d3211fa745381d17c",
+        ),
+        "report-channel": (
+            ["report", "--config", "channel"],
+            "25620b97ab7d65926d00bad3799cb20fe51243382b26a3c113612e637458dccc",
         ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_stdout_hash(self, name, epr_config, capsys):
+    def test_stdout_hash(self, name, epr_config, channel_config, capsys):
         args, digest = self.CASES[name]
-        if name == "mc":
-            args = [*args, "--config", epr_config]
+        configs = {"epr": epr_config, "channel": channel_config}
+        args = [configs.get(a, a) for a in args]
         assert cli.main(args) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

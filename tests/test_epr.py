@@ -1,28 +1,46 @@
 """Closed forms and budget mapping for the shared-EPR scenario."""
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
+
+import cvteleport.cli as cli
 
 from cvteleport.channel import (
     equivalent_output_noise,
     transfer_coefficients,
     vacuum_input,
 )
-from cvteleport.criteria import epr_criterion, fidelity_general
+from cvteleport.criteria import (
+    FIDELITY_CLASSICAL_BOUND,
+    FIDELITY_CV_BOUND,
+    VERDICT_MARGIN,
+    epr_criterion,
+    fidelity_general,
+)
 from cvteleport.epr import (
     MAX_RESOLVED_VARIANCE,
     SWEEP_CSV_COLUMNS,
     EprScenario,
     SweepPoint,
     SweepTable,
+    _figures,
     closed_form,
     default_eta_grid,
     default_s_grid,
+    scenario_report,
     sweep,
     to_noise_budget,
 )
 from cvteleport.errors import ConfigError
-from cvteleport.serialize import format_number, sweep_to_csv
+from cvteleport.serialize import (
+    format_number,
+    report_to_dict,
+    sweep_to_csv,
+    to_json,
+)
 
 
 class TestScenarioValidation:
@@ -177,8 +195,8 @@ class TestCriterionRegion:
         assert not closed_form(EprScenario(0.0, 1e-6)).epr_violated
         products = epr_criterion(to_noise_budget(EprScenario(0.0, 1e-6))).products
         assert products == (1.0, 1.0)
-        # where the budget's moments overflow (1/s at subnormal s, v**2 at
-        # s = 1e200) the sweep takes the same limit
+        # where the budget's moments would overflow (1/s at subnormal s,
+        # v**2 at s = 1e200) the closed form gives the same limit verdicts
         points = sweep([0.0, 0.3, 0.8, 1.0], [5e-324, 1e200])
         assert [p.epr_violated for p in points] == [
             False, False, False, False, True, True, True, True
@@ -208,6 +226,108 @@ class TestCriterionRegion:
                     closed_form(sc).epr_violated
                     == epr_criterion(to_noise_budget(sc)).violated
                 )
+
+
+def exact_figures(eta: float, s: float) -> dict:
+    """The scenario's figures at float (eta, s), exactly, from the budget.
+
+    ``cond`` is the budget's ``v - c**2/v``, not the closed form under test.
+    """
+    e, s = Fraction(eta), Fraction(s)
+    reduced = 1 - e + e * s
+    v = e * (s + 1 / s) / 2 + 1 - e
+    c = e * (s - 1 / s) / 2
+    cond = v - c * c / v
+    return {
+        "N_X_out": 2 * reduced,
+        "T_X_out": 1 / (1 + 2 * reduced),
+        "fidelity": 1 / (1 + reduced),
+        "cv_product": cond * cond,
+    }
+
+
+def exact_verdicts(x: dict) -> dict:
+    """The strict verdicts on exact figures, against the code's float bounds."""
+    below = Fraction(1.0 - VERDICT_MARGIN)
+    return {
+        "fidelity_above_half": x["fidelity"]
+        > Fraction(FIDELITY_CLASSICAL_BOUND + VERDICT_MARGIN),
+        "fidelity_above_two_thirds": x["fidelity"]
+        > Fraction(FIDELITY_CV_BOUND + VERDICT_MARGIN),
+        "n_product_below_one": x["N_X_out"] ** 2 < below,
+        "t_sum_above_one": 2 * x["T_X_out"] > Fraction(1.0 + VERDICT_MARGIN),
+        "epr_violation": x["cv_product"] < below,
+    }
+
+
+def rendered(q: Fraction) -> float:
+    """The exact value's 12-digit rendering, as the JSON output reads it.
+
+    The exact value is rounded to the nearest double first: the inputs here
+    put some exact values within an ulp of a 12-digit tie, where no double
+    output can render like the exact value itself.
+    """
+    return float(format_number(float(q)))
+
+
+# rational eta, and s from 1e-7 to 1e7, all inside report's accepted domain
+ORACLE_ETA = [k / 64 for k in range(65)]
+ORACLE_S = sorted({10.0**k for k in range(-7, 8)} | {3.0**k for k in range(-14, 15)})
+
+
+class TestExactFigures:
+    def test_report_matches_the_exact_values(self, tmp_path, capsys):
+        path = tmp_path / "epr.json"
+        for eta in ORACLE_ETA:
+            for s in ORACLE_S:
+                exact = exact_figures(eta, s)
+                report = scenario_report(EprScenario(eta, s))
+                got = {
+                    "N_X_out": report.N_X_out,
+                    "T_X_out": report.T_X_out,
+                    "fidelity": report.fidelity,
+                    "cv_product": report.cv_products[0],
+                }
+                for key, value in got.items():
+                    err = abs(Fraction(value) - exact[key])
+                    assert err <= Fraction(1e-15) * exact[key], (eta, s, key)
+                text = to_json(report_to_dict(report))
+                if eta * 8 == int(eta * 8):  # the CLI prints the same bytes
+                    path.write_text(json.dumps({"type": "epr", "eta": eta, "s": s}))
+                    assert cli.main(["report", "--config", str(path)]) == 0
+                    assert capsys.readouterr().out == text
+                payload = json.loads(text)
+                for key in ("N_X_out", "N_Y_out"):
+                    assert payload[key] == rendered(exact["N_X_out"]), (eta, s, key)
+                for key in ("T_X_out", "T_Y_out"):
+                    assert payload[key] == rendered(exact["T_X_out"]), (eta, s, key)
+                assert payload["fidelity"] == rendered(exact["fidelity"]), (eta, s)
+                want = rendered(exact["cv_product"])
+                assert payload["cv_products"] == [want, want], (eta, s)
+                assert payload["verdicts"] == exact_verdicts(exact), (eta, s)
+
+    def test_sweep_verdicts_match_the_exact_verdict_near_half(self):
+        # eta = 1/2 exactly is where the budget route misjudged tiny s
+        etas = np.linspace(0.5 - 1e-5, 0.5 + 1e-5, 41)
+        esses = np.geomspace(1e-10, 1e-5, 501)
+        got = sweep(etas, esses).epr_violated
+        below = Fraction(1.0 - VERDICT_MARGIN)
+        want = [
+            exact_figures(float(eta), float(s))["cv_product"] < below
+            for eta in etas
+            for s in esses
+        ]
+        assert got.tolist() == want
+
+    def test_symmetric_under_reciprocal_s(self):
+        eta = np.linspace(0.0, 1.0, 101)
+        esses = np.concatenate([np.geomspace(1e-300, 0.9, 301), np.linspace(0.9, 1.0, 51)])
+        cond = _figures(eta[:, None], esses)[3]
+        mirrored = _figures(eta[:, None], 1.0 / esses)[3]
+        assert (abs(cond - mirrored) <= 4 * np.spacing(np.maximum(cond, mirrored))).all()
+        assert np.array_equal(
+            sweep(eta, esses).epr_violated, sweep(eta, 1.0 / esses).epr_violated
+        )
 
 
 # negative zero, the s = 0 and subnormal-s limits, s on both sides of 1, and

@@ -10,8 +10,9 @@ from cvteleport.channel import (
     budget_to_channel,
     ideal_budget,
     shot_noise_budget,
+    vacuum_input,
 )
-from cvteleport.epr import EprScenario
+from cvteleport.epr import EprScenario, to_noise_budget
 from cvteleport.errors import ConfigError, DegenerateConditioningError
 from cvteleport import montecarlo
 from cvteleport.gaussian import GaussianVector, sample
@@ -81,10 +82,9 @@ class TestConditionalVarianceEstimator:
 class TestSimulateProtocol:
     def test_ideal_channel_estimates_exactly(self):
         run = McRunConfig(
-            channel=budget_to_channel(ideal_budget()),
+            channel=budget_to_channel(ideal_budget(), vacuum_input(2.5, -1.0)),
             samples=100000,
             seed=4,
-            input_amplitude=(2.5, -1.0),
         )
         report = simulate_protocol(run)
         assert report.fidelity.estimate == 1.0
@@ -122,10 +122,11 @@ class TestSimulateProtocol:
         # unity gain: the overlap depends only on the added noise
         base = McRunConfig(channel=EprScenario(0.7, 0.3), samples=50000, seed=9)
         moved = McRunConfig(
-            channel=EprScenario(0.7, 0.3),
+            channel=budget_to_channel(
+                to_noise_budget(EprScenario(0.7, 0.3)), vacuum_input(4.0, 4.0)
+            ),
             samples=50000,
             seed=9,
-            input_amplitude=(4.0, 4.0),
         )
         f0 = simulate_protocol(base).fidelity.estimate
         f1 = simulate_protocol(moved).fidelity.estimate
