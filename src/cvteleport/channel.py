@@ -71,7 +71,8 @@ class MeasurementStage:
     def __post_init__(self):
         _check_noise_pair(self.noise_B, MEASUREMENT_NOISE_LABELS)
         if self.f_X == 0.0 and self.f_Y == 0.0 and not _is_noiseless(self.noise_B):
-            product = float(np.sqrt(self.noise_B.cov[0, 0] * self.noise_B.cov[1, 1]))
+            with np.errstate(over="ignore"):  # an infinite product passes the bound
+                product = float(np.sqrt(self.noise_B.cov[0, 0] * self.noise_B.cov[1, 1]))
             bound = abs(self.g_X * self.g_Y)
             if product < bound - VALIDITY_TOL:
                 raise ValidityError(
@@ -91,7 +92,8 @@ class ReconstructionStage:
     def __post_init__(self):
         _check_noise_pair(self.noise_C, RECONSTRUCTION_NOISE_LABELS)
         if not _is_noiseless(self.noise_C):
-            product = float(np.sqrt(self.noise_C.cov[0, 0] * self.noise_C.cov[1, 1]))
+            with np.errstate(over="ignore"):  # an infinite product passes the bound
+                product = float(np.sqrt(self.noise_C.cov[0, 0] * self.noise_C.cov[1, 1]))
             if product < 1.0 - VALIDITY_TOL:
                 raise ValidityError(
                     f"reconstruction noise bound dC_X*dC_Y >= 1 violated: {product:.6g} < 1"
@@ -267,19 +269,23 @@ def equivalent_measurement_noise(m: MeasurementStage) -> tuple[float, float]:
     """Added measurement noise referred to the input, per quadrature.
 
     Dividing the noise variances by the squared gains expresses the
-    measurement record in input units.  Requires nonzero gains and no
-    quadrature mixing.  The referred product must respect the dual
-    measurement bound (N_X * N_Y >= 1) unless the stage is the noiseless
-    reference.
+    measurement record in input units.  Requires gains whose squares are
+    nonzero and finite, and no quadrature mixing.  The referred product
+    must respect the dual measurement bound (N_X * N_Y >= 1) unless the
+    stage is the noiseless reference.
     """
     if m.f_X != 0.0 or m.f_Y != 0.0:
         raise UnsupportedRotationError(
             "equivalent noise referral needs f_X = f_Y = 0 (no quadrature mixing)"
         )
-    if m.g_X == 0.0 or m.g_Y == 0.0:
-        raise GainError("cannot refer noise to the input through a zero gain")
-    n_x = float(m.noise_B.cov[0, 0]) / m.g_X**2
-    n_y = float(m.noise_B.cov[1, 1]) / m.g_Y**2
+    g2_x, g2_y = m.g_X * m.g_X, m.g_Y * m.g_Y
+    if not (0.0 < g2_x < math.inf and 0.0 < g2_y < math.inf):
+        raise GainError(
+            "cannot refer noise to the input through gains "
+            f"g_X = {m.g_X:.6g}, g_Y = {m.g_Y:.6g}: the squared gain is 0 or infinite"
+        )
+    n_x = float(m.noise_B.cov[0, 0]) / g2_x
+    n_y = float(m.noise_B.cov[1, 1]) / g2_y
     if not _is_noiseless(m.noise_B) and n_x * n_y < 1.0 - VALIDITY_TOL:
         raise ValidityError(
             f"equivalent measurement noise product N_X*N_Y >= 1 violated: {n_x * n_y:.6g} < 1"

@@ -6,6 +6,10 @@ config, ``sweep`` tabulates the shared-entanglement scenario over an
 random budgets, and ``mc`` runs the Monte Carlo cross-check.  Reports go
 to stdout unless ``--out`` is given.
 
+``sweep`` streams: it evaluates and writes the grid one block of rows at
+a time, so its memory does not grow with the grid.  Only the two axes
+do, at 8 bytes per step, and :data:`MAX_GRID_STEPS` caps each of them.
+
 Exit codes separate error classes: 0 success, 1 config or usage problems,
 2 physics validity violations (the message names the violated bound),
 3 I/O failures, 4 verification failures, 5 Monte Carlo disagreement
@@ -15,6 +19,7 @@ Exit codes separate error classes: 0 success, 1 config or usage problems,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -24,10 +29,12 @@ from .epr import EprScenario, scenario_report, sweep
 from .errors import ConfigError, ValidityError
 from .montecarlo import McRunConfig, simulate_protocol
 from .serialize import (
+    _SWEEP_BLOCK_ROWS,
+    SWEEP_CSV_HEADER,
     config_from_json,
     mc_report_to_dict,
     report_to_dict,
-    sweep_to_csv,
+    sweep_csv_blocks,
     to_json,
     verification_to_dict,
 )
@@ -40,6 +47,12 @@ EXIT_VERIFICATION = 4
 EXIT_MC_DISAGREEMENT = 5
 
 Z_THRESHOLD = 5.0
+
+# Largest --eta-steps / --s-steps.  A streamed sweep holds one block of
+# rows, so the axes are all that grows with the grid: 8 bytes per step.
+# At this cap the two axes hold 16 MB, about half of what the interpreter
+# and numpy take by themselves, and one axis alone is a million CSV rows.
+MAX_GRID_STEPS = 1_000_000
 
 
 class _UsageError(Exception):
@@ -93,12 +106,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
+@contextlib.contextmanager
+def _output(out_path: str | None):
+    """The ``--out`` file opened for writing, else the current ``sys.stdout``."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 def _load_config(path: str):
@@ -125,6 +145,8 @@ def _cmd_report(args) -> int:
 def _grid(lo: float, hi: float, steps: int, name: str, domain) -> np.ndarray:
     if steps < 1:
         raise ConfigError(f"{name}-steps must be >= 1, got {steps}")
+    if steps > MAX_GRID_STEPS:
+        raise ConfigError(f"{name}-steps must be <= {MAX_GRID_STEPS}, got {steps}")
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConfigError(f"{name} grid bounds must be finite, got [{lo}, {hi}]")
     if hi < lo:
@@ -139,8 +161,17 @@ def _grid(lo: float, hi: float, steps: int, name: str, domain) -> np.ndarray:
 def _cmd_sweep(args) -> int:
     eta_grid = _grid(args.eta_min, args.eta_max, args.eta_steps, "eta", (0.0, 1.0))
     s_grid = _grid(args.s_min, args.s_max, args.s_steps, "s", (0.0, None))
-    points = sweep(eta_grid, s_grid)
-    _emit(sweep_to_csv(points), args.out)
+    # Each chunk of the grid is at most one block of rows: whole s rows for
+    # a run of eta values, or one eta value and a run of s when an s row is
+    # longer than a block.  Eta varies slowest, so the chunks come in order.
+    eta_chunk = max(1, _SWEEP_BLOCK_ROWS // len(s_grid))
+    s_chunk = min(len(s_grid), _SWEEP_BLOCK_ROWS)
+    with _output(args.out) as out:
+        out.write(SWEEP_CSV_HEADER)
+        for i in range(0, len(eta_grid), eta_chunk):
+            for j in range(0, len(s_grid), s_chunk):
+                table = sweep(eta_grid[i : i + eta_chunk], s_grid[j : j + s_chunk])
+                out.writelines(sweep_csv_blocks(table))
     return EXIT_OK
 
 

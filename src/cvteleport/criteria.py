@@ -29,6 +29,7 @@ identity it relies on, on whole batches of random budgets at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ from .channel import (
     to_unity_gain_budget,
     transfer_coefficients,
 )
-from .errors import DegenerateConditioningError, VerificationError
+from .errors import DegenerateConditioningError, ValidityError, VerificationError
 
 # Strict-verdict margin: a bound counts as beaten only beyond this.
 VERDICT_MARGIN = 1e-9
@@ -263,8 +264,18 @@ def _criteria_report(n_x, n_y, cv_products, inp: InputState) -> CriteriaReport:
 
     Transfer coefficients and fidelity follow from the noises.  Verdicts are
     strict: a bound counts as beaten only when cleared by more than the
-    verdict margin.
+    verdict margin.  A noise or product that overflowed to a non-finite
+    value raises :class:`ValidityError` naming it.
     """
+    figures = {
+        "N_X_out": n_x,
+        "N_Y_out": n_y,
+        "cv_products[0]": cv_products[0],
+        "cv_products[1]": cv_products[1],
+    }
+    for name, value in figures.items():
+        if not math.isfinite(value):
+            raise ValidityError(f"criterion figure {name} is not finite: {value}")
     t_x, t_y = transfer_coefficients(n_x, n_y, inp)
     fid = fidelity_general(n_x, n_y)
     verdicts = {

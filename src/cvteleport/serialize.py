@@ -8,14 +8,20 @@ loudly instead of silently using a default.
 
 All emitted numbers carry 12 significant digits ('.' decimal separator),
 booleans render as ``true``/``false``, and lines end with ``'\n'``, so
-output files are byte-stable for fixed inputs.
+output files are byte-stable for fixed inputs.  JSON output is strict: a
+non-finite number is an error, never ``NaN`` or ``Infinity``.
+
+Sweep CSV rows come from one renderer, :func:`sweep_csv_blocks`, a block
+of rows at a time; :func:`sweep_to_csv` joins its blocks under
+:data:`SWEEP_CSV_HEADER`, and the CLI writes them out as they come, so a
+streamed sweep holds one block and never the whole file.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
 import numpy as np
@@ -28,7 +34,7 @@ from .channel import (
 )
 from .criteria import CriteriaReport, VerificationSummary
 from .epr import SWEEP_CSV_COLUMNS, EprScenario, SweepTable
-from .errors import ConfigError
+from .errors import ConfigError, ValidityError
 from .gaussian import GaussianVector
 from .montecarlo import Comparison, McReport
 
@@ -59,8 +65,16 @@ def _round_tree(value: Any) -> Any:
 
 
 def to_json(payload: dict) -> str:
-    """Serialize a report dict to indented JSON with a trailing newline."""
-    return json.dumps(_round_tree(payload), indent=2) + "\n"
+    """Serialize a report dict to strict, indented JSON with a trailing newline.
+
+    NaN and infinities have no JSON form: a payload holding one raises
+    :class:`ValidityError` instead of writing ``NaN`` or ``Infinity``.
+    """
+    try:
+        text = json.dumps(_round_tree(payload), indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValidityError(f"report has no JSON form: {exc}") from None
+    return text + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +331,18 @@ def report_to_dict(report: CriteriaReport) -> dict:
     }
 
 
-_SWEEP_ROW = ",".join([NUMBER_FORMAT] * (len(SWEEP_CSV_COLUMNS) - 1) + ["%s"])
+SWEEP_CSV_HEADER = ",".join(SWEEP_CSV_COLUMNS) + "\n"
+_SWEEP_ROW = ",".join([NUMBER_FORMAT] * (len(SWEEP_CSV_COLUMNS) - 1) + ["%s"]) + "\n"
 # Rows are rendered and joined a block at a time, so only one block's cells
 # and row strings exist as Python objects at once.
 _SWEEP_BLOCK_ROWS = 1024
 
 
-def sweep_to_csv(table: SweepTable) -> str:
-    """Render a sweep table as CSV text (header plus one row per grid point)."""
+def sweep_csv_blocks(table: SweepTable) -> Iterator[str]:
+    """Yield a sweep table's CSV rows, no header, one block of rows per string.
+
+    Every row ends in ``'\n'``, so the blocks concatenate to the CSV body.
+    """
     with np.errstate(over="ignore"):
         n_product = table.N_out * table.N_out
     columns = (
@@ -338,12 +356,15 @@ def sweep_to_csv(table: SweepTable) -> str:
     )
     numbers = np.stack(columns) + 0.0  # no negative zeros, as in format_number
     verdicts = np.where(table.epr_violated, "true", "false")
-    parts = [",".join(SWEEP_CSV_COLUMNS)]
     for start in range(0, len(table), _SWEEP_BLOCK_ROWS):
         block = slice(start, start + _SWEEP_BLOCK_ROWS)
         cells = zip(*numbers[:, block].tolist(), verdicts[block].tolist())
-        parts.append("\n".join([_SWEEP_ROW % row for row in cells]))
-    return "\n".join(parts) + "\n"
+        yield "".join([_SWEEP_ROW % row for row in cells])
+
+
+def sweep_to_csv(table: SweepTable) -> str:
+    """Render a sweep table as CSV text (header plus one row per grid point)."""
+    return SWEEP_CSV_HEADER + "".join(sweep_csv_blocks(table))
 
 
 def _comparison_to_dict(c: Comparison) -> dict:

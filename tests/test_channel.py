@@ -123,6 +123,20 @@ class TestEquivalentMeasurementNoise:
         with pytest.raises(GainError):
             equivalent_measurement_noise(m)
 
+    @pytest.mark.parametrize("gain, noise", [(1e-200, 1.0), (1e200, 1e300)])
+    def test_gain_whose_square_leaves_the_floats_cannot_be_referred(self, gain, noise):
+        # 1e-200 squares to 0 and 1e200 to inf; both stages are valid
+        m = MeasurementStage(g_X=gain, g_Y=gain, noise_B=noise_pair(noise, noise))
+        with pytest.raises(GainError, match="squared gain is 0 or infinite"):
+            equivalent_measurement_noise(m)
+
+    def test_referral_is_bitwise_the_variance_over_the_gain_squared(self):
+        rng = np.random.default_rng(266)
+        for g_x, g_y, scale in (10.0 ** rng.uniform(-3, 3, (200, 3))).tolist():
+            v_x, v_y = 2.0 * scale * g_x**2, g_y**2 / scale
+            m = MeasurementStage(g_X=g_x, g_Y=g_y, noise_B=noise_pair(v_x, v_y))
+            assert equivalent_measurement_noise(m) == (v_x / g_x**2, v_y / g_y**2)
+
 
 class TestTransferCoefficients:
     def test_perfect_transfer_at_zero_noise(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 import cvteleport.cli as cli
 from cvteleport.channel import budget_to_channel, ideal_budget, shot_noise_budget
 from cvteleport.criteria import VerificationSummary, inequality_trace
+from cvteleport.epr import sweep
 from cvteleport.montecarlo import Comparison, McReport
-from cvteleport.serialize import channel_to_dict, to_json
+from cvteleport.serialize import channel_to_dict, sweep_to_csv, to_json
 
 
 @pytest.fixture
@@ -95,6 +97,61 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "eta-steps" in err
         assert "eta-max must be >= eta-min" in err
+
+    # one block of rows, s rows that end mid-block, single rows, s rows
+    # longer than a block, and eta chunks that cross blocks
+    @pytest.mark.parametrize("steps", [(1, 1), (1025, 1), (3, 2000), (7, 9), (101, 101)])
+    def test_streamed_csv_equals_the_rendered_table(self, steps, tmp_path, capsys):
+        eta_steps, s_steps = steps
+        expected = sweep_to_csv(
+            sweep(np.linspace(0.0, 1.0, eta_steps), np.linspace(0.0, 3.0, s_steps))
+        )
+        args = ["sweep", "--eta-steps", str(eta_steps)]
+        args += ["--s-max", "3", "--s-steps", str(s_steps)]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "sweep.csv"
+        assert cli.main([*args, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes().decode("utf-8") == expected
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "sweep.csv"
+        # the grid is checked before the output is opened
+        assert cli.main(["sweep", "--eta-steps", "0", "--out", str(out)]) == 1
+        assert "eta-steps must be >= 1" in capsys.readouterr().err
+        for path in (out, tmp_path):
+            assert cli.main(["sweep", "--out", str(path)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("i/o error")
+        assert not out.parent.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # a whole 401 x 401 table and its CSV text take ~60 MB
+        args = ["sweep", "--eta-steps", "401", "--s-steps", "401"]
+        args += ["--out", str(tmp_path / "sweep.csv")]
+        tracemalloc.start()
+        try:
+            assert cli.main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_oversized_axis_is_rejected_before_allocating(self, capsys):
+        for flag in ("--eta-steps", "--s-steps"):
+            for steps in (cli.MAX_GRID_STEPS + 1, 10**12):
+                tracemalloc.start()
+                try:
+                    assert cli.main(["sweep", flag, str(steps)]) == 1
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1_000_000
+                captured = capsys.readouterr()
+                assert captured.out == "" and "Traceback" not in captured.err
+                assert f"steps must be <= {cli.MAX_GRID_STEPS}, got {steps}" in captured.err
 
 
 class TestVerifyCommand:
@@ -286,6 +343,31 @@ class TestErrorChannels:
             assert captured.out == ""
             assert "Traceback" not in captured.err and "Warning" not in captured.err
             assert "budget entry v_Xm must be finite" in captured.err
+
+    @pytest.mark.parametrize(
+        "stage, noise, figure",
+        [
+            ("measurement", "noise_B", "cv_products[1]"),
+            ("reconstruction", "noise_C", "cv_products[0]"),
+        ],
+    )
+    def test_overflowing_figure_is_a_validity_error(
+        self, stage, noise, figure, tmp_path, capsys
+    ):
+        # valid stages whose conditional-variance product overflows to inf,
+        # which strict JSON cannot carry
+        config = channel_to_dict(budget_to_channel(shot_noise_budget()))
+        config[stage][noise]["cov"] = [[1e300, 0.0], [0.0, 1e300]]
+        path = tmp_path / "huge_noise.json"
+        path.write_text(to_json(config))
+        for args in (["report"], ["mc", "--samples", "1000"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main([*args, "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "Traceback" not in captured.err and "Warning" not in captured.err
+            assert f"criterion figure {figure} is not finite: inf" in captured.err
 
     def test_physics_violation_exits_two(self, tmp_path, capsys):
         config = channel_to_dict(budget_to_channel(shot_noise_budget()))

@@ -16,7 +16,7 @@ from cvteleport.channel import (
 )
 from cvteleport.criteria import full_report, inequality_trace, run_chain_verification
 from cvteleport.epr import EprScenario, sweep
-from cvteleport.errors import ConfigError
+from cvteleport.errors import ConfigError, ValidityError
 from cvteleport.gaussian import GaussianVector
 from cvteleport.montecarlo import McRunConfig, simulate_protocol
 from cvteleport.serialize import (
@@ -81,6 +81,11 @@ class TestToJson:
         payload = {"rows": [{"v": [1.0 / 3.0, -0.0]}]}
         got = json.loads(to_json(payload))
         assert got["rows"][0]["v"] == [0.333333333333, 0.0]
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_number_is_an_error_not_a_token(self, value):
+        with pytest.raises(ValidityError, match="no JSON form"):
+            to_json({"rows": [1.0, value]})
 
 
 class TestGaussianRoundTrip:
