@@ -13,6 +13,7 @@ bounded below by 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -21,11 +22,10 @@ from .errors import DegenerateConditioningError, LabelError, ValidityError
 
 # Tolerances for second-moment validation.  Asymmetry beyond SYMMETRY_TOL is
 # treated as caller error rather than rounding; eigenvalues slightly below
-# zero (down to PSD_TOL) are accepted as rounding of a PSD matrix.
+# zero (down to PSD_TOL times the matrix scale, see GaussianVector) are
+# accepted as rounding of a PSD matrix.
 SYMMETRY_TOL = 1e-9
 PSD_TOL = -1e-10
-_VARIANCE_CLAMP = -1e-12
-_SAMPLE_JITTER = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,11 @@ class GaussianVector:
 
     The covariance is symmetrized on construction; the pre-symmetrization
     asymmetry magnitude is recorded in ``asymmetry``.  Asymmetry beyond
-    ``SYMMETRY_TOL`` or an eigenvalue below ``PSD_TOL`` raises
-    :class:`ValidityError`.
+    ``SYMMETRY_TOL`` raises :class:`ValidityError`, and so does an
+    eigenvalue below ``PSD_TOL * max(1, max|diag|)``: eigenvalue rounding
+    grows with the matrix norm, which for a PSD matrix is at most ``dim``
+    times its largest diagonal entry, so the slack is relative above unit
+    scale and unchanged at or below it.
     """
 
     labels: tuple[str, ...]
@@ -114,7 +117,7 @@ class GaussianVector:
             raise ValidityError(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
         sym = (cov + cov.T) / 2.0
         lo = float(np.min(np.linalg.eigvalsh(sym)))
-        if lo < PSD_TOL:
+        if lo < PSD_TOL * max(1.0, float(np.max(np.abs(np.diag(sym))))):
             raise ValidityError(
                 f"covariance is not positive semidefinite: min eigenvalue {lo:.3e}"
             )
@@ -128,6 +131,31 @@ class GaussianVector:
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def sampling_factor(self) -> np.ndarray:
+        """Read-only ``dim x live`` matrix ``L`` with ``L @ L.T == cov``.
+
+        ``live`` counts the coordinates with positive variance; the rows of
+        zero-variance coordinates are zero.  The live block is
+        Cholesky-factorized.  When that fails on a singular but valid block,
+        it is ``U * sqrt(lam)`` from the block's eigendecomposition, with
+        eigenvalues within rounding of zero (``<= live * eps * max(lam)``,
+        negative ones included) set to 0, so null directions get no
+        variance.  Computed on first use and kept on the instance.
+        """
+        live = np.flatnonzero(np.diag(self.cov) > 0.0)
+        sub = self.cov[np.ix_(live, live)]
+        try:
+            root = np.linalg.cholesky(sub)
+        except np.linalg.LinAlgError:
+            lam, vecs = np.linalg.eigh(sub)
+            lam[lam <= live.size * np.finfo(float).eps * lam[-1]] = 0.0
+            root = vecs * np.sqrt(lam)
+        factor = np.zeros((self.dim, live.size))
+        factor[live] = root
+        factor.setflags(write=False)
+        return factor
 
     def index(self, label: str) -> int:
         try:
@@ -183,28 +211,22 @@ def conditional_variance(a: LinearForm, b: LinearForm, state: GaussianVector) ->
     return v if v > 0.0 else 0.0
 
 
-def sample(state: GaussianVector, n: int, seed) -> np.ndarray:
+def sample(state: GaussianVector, n: int, seed, out: np.ndarray | None = None) -> np.ndarray:
     """Draw ``n`` rows from the state, deterministically for a fixed seed.
 
-    Zero-variance coordinates come out exactly equal to their means.  The
-    remaining block is Cholesky-factorized; if that fails on a singular but
-    valid covariance, a one-time jitter of ``1e-12`` on the diagonal is
-    applied before retrying.  The factor is scattered into a ``dim x live``
-    matrix whose rows for zero-variance coordinates are zero, so one matrix
-    product places every coordinate.
+    Each row is ``mean + factor @ z`` for ``live`` standard normals ``z``,
+    where ``factor`` is the state's :attr:`~GaussianVector.sampling_factor`,
+    computed once per state.  Zero-variance coordinates come out exactly
+    equal to their means, and a singular live block puts no variance on
+    its null directions.  The rows are written into ``out`` (a C-ordered
+    float ``(n, dim)`` array) when it is given, and the same bits come out
+    either way.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    rng = np.random.default_rng(seed)
-    live = np.flatnonzero(np.diag(state.cov) > 0.0)
-    sub = state.cov[np.ix_(live, live)]
-    try:
-        chol = np.linalg.cholesky(sub)
-    except np.linalg.LinAlgError:
-        chol = np.linalg.cholesky(sub + _SAMPLE_JITTER * np.eye(live.size))
-    scatter = np.zeros((state.dim, live.size))
-    scatter[live] = chol
-    out = rng.standard_normal((n, live.size)) @ scatter.T
+    factor = state.sampling_factor
+    normals = np.random.default_rng(seed).standard_normal((n, factor.shape[1]))
+    out = np.matmul(normals, factor.T, out=out)
     out += state.mean
     return out
 

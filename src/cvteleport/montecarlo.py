@@ -15,6 +15,14 @@ to its analytic counterpart through a z-score.
 Sampling is deterministic for a fixed seed: block ``b`` draws from a
 generator seeded with ``SeedSequence([seed, b])``, and blocks are reduced
 in index order, so reports are bit-identical across runs and machines.
+The noise covariance is factored once per run (Cholesky, or an
+eigendecomposition that leaves null directions noiseless when the
+covariance is singular; see :func:`~cvteleport.gaussian.sample`), and
+every block is drawn into one rows buffer and reduced through one set of
+column buffers, so a run's memory is one block's worth, about one byte
+per sample, and :data:`MAX_SAMPLES` bounds it.  A z-score divides by at
+least ``sqrt(eps) * max(1, |analytic|)``, so an estimate within rounding
+of its closed form never reads as a disagreement.
 """
 
 from __future__ import annotations
@@ -31,15 +39,27 @@ from .gaussian import GaussianVector, sample
 
 JACKKNIFE_BLOCKS = 100
 MIN_SAMPLES = 1000
+# A run holds one block of samples / JACKKNIFE_BLOCKS rows at a time: the
+# (rows, 4) draws and the normals behind them at 32 bytes a row each, and
+# four float columns at 8 bytes a row each, about 1 byte per sample in all.
+# At this cap that is ~100 MB, a few times what the interpreter and numpy
+# take by themselves (a run peaks near 130 MB RSS and takes ~16 s on a
+# 2-CPU host).
+MAX_SAMPLES = 100_000_000
+# z-scores divide by at least this much times max(1, |analytic|): a
+# jackknife stderr below it measures the rounding of the sums, not
+# sampling noise, and an estimate within rounding of its closed form
+# (an exact zero, say) must not read as a disagreement.
+_STDERR_FLOOR = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
 class McRunConfig:
     """One simulation run: channel, sample count, seed.
 
-    ``samples`` must be at least 1000 and divisible by the jackknife block
-    count.  An :class:`EprScenario` runs on its budget's channel with a
-    vacuum input.
+    ``samples`` must lie in ``[MIN_SAMPLES, MAX_SAMPLES]`` and be divisible
+    by the jackknife block count.  An :class:`EprScenario` runs on its
+    budget's channel with a vacuum input.
     """
 
     channel: ChannelConfig | EprScenario
@@ -53,6 +73,8 @@ class McRunConfig:
             raise ConfigError("samples must be an integer")
         if self.samples < MIN_SAMPLES:
             raise ConfigError(f"samples must be >= {MIN_SAMPLES}, got {self.samples}")
+        if self.samples > MAX_SAMPLES:
+            raise ConfigError(f"samples must be <= {MAX_SAMPLES}, got {self.samples}")
         if self.samples % JACKKNIFE_BLOCKS != 0:
             raise ConfigError(
                 f"samples must be a multiple of {JACKKNIFE_BLOCKS} "
@@ -199,14 +221,25 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
 
     block_n = cfg.samples // JACKKNIFE_BLOCKS
     block_stats = np.zeros((JACKKNIFE_BLOCKS, len(_STAT_COLUMNS)))
+    # Every block is drawn into and reduced from the same buffers.
+    rows = np.empty((block_n, noise.dim))
+    b_x, b_y, xr, yr = rows.T
+    xm, ym, w, tmp = np.empty((4, block_n))
+
+    def prod_sum(a, b):
+        return np.multiply(a, b, out=tmp).sum()
+
     for b in range(JACKKNIFE_BLOCKS):
-        rows = sample(noise, block_n, np.random.SeedSequence([cfg.seed, b]))
-        b_x, b_y, xr, yr = rows.T
-        xm, ym = h_x * b_x, h_y * b_y
-        w = fidelity_mc_integrand(x_a + xm + xr, y_a + ym + yr, x_a, y_a)
+        sample(noise, block_n, np.random.SeedSequence([cfg.seed, b]), out=rows)
+        np.multiply(h_x, b_x, out=xm)
+        np.multiply(h_y, b_y, out=ym)
+        # the reconstructed amplitude: input mean plus both added noises
+        np.add(np.add(x_a, xm, out=w), xr, out=w)
+        np.add(np.add(y_a, ym, out=tmp), yr, out=tmp)
+        fidelity_mc_integrand(w, tmp, x_a, y_a, out=w)
         block_stats[b] = (
-            xm.sum(), (xm * xm).sum(), xr.sum(), (xr * xr).sum(), (xm * xr).sum(),
-            ym.sum(), (ym * ym).sum(), yr.sum(), (yr * yr).sum(), (ym * yr).sum(),
+            xm.sum(), prod_sum(xm, xm), xr.sum(), prod_sum(xr, xr), prod_sum(xm, xr),
+            ym.sum(), prod_sum(ym, ym), yr.sum(), prod_sum(yr, yr), prod_sum(ym, yr),
             w.sum(),
         )
 
@@ -214,10 +247,7 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
     comparisons = {}
     for (key, est), ref in zip(estimates.items(), analytic):
         se = stderrs[key]
-        if se == 0.0:
-            z = 0.0 if est == ref else float(np.copysign(np.inf, est - ref))
-        else:
-            z = (est - ref) / se
+        z = (est - ref) / max(se, _STDERR_FLOOR * max(1.0, abs(ref)))
         comparisons[key] = Comparison(
             estimate=float(est), stderr=float(se), analytic=float(ref), z_score=float(z)
         )

@@ -12,7 +12,7 @@ import cvteleport.cli as cli
 from cvteleport.channel import budget_to_channel, ideal_budget, shot_noise_budget
 from cvteleport.criteria import VerificationSummary, inequality_trace
 from cvteleport.epr import sweep
-from cvteleport.montecarlo import Comparison, McReport
+from cvteleport.montecarlo import MAX_SAMPLES, Comparison, McReport
 from cvteleport.serialize import channel_to_dict, sweep_to_csv, to_json
 
 
@@ -27,6 +27,41 @@ def epr_config(tmp_path):
 def channel_config(tmp_path):
     path = tmp_path / "channel.json"
     path.write_text(to_json(channel_to_dict(budget_to_channel(shot_noise_budget()))))
+    return str(path)
+
+
+@pytest.fixture
+def gain_channel_config(tmp_path):
+    # unity gain with h != +-1, a displaced input, stages correlated
+    # quadrature by quadrature
+    path = tmp_path / "gain_channel.json"
+    path.write_text(
+        json.dumps(
+            {
+                "type": "channel",
+                "measurement": {
+                    "g_X": 1.25, "g_Y": -0.8,
+                    "noise_B": {"cov": [[1.2, 0.0], [0.0, 1.5]]},
+                },
+                "reconstruction": {
+                    "h_X": 0.8, "h_Y": -1.25,
+                    "noise_C": {"cov": [[1.1, 0.0], [0.0, 1.3]]},
+                },
+                "input": {"var_X": 1.0, "var_Y": 1.0, "mean_x": 1.5, "mean_y": -0.75},
+                "cross_cov_BC": [[-0.4, 0.0], [0.0, 0.3]],
+            }
+        )
+    )
+    return str(path)
+
+
+def _unit_channel(tmp_path, name, noise_c, cross):
+    """A gains +-1 channel with unit ``noise_B`` as a config file."""
+    config = channel_to_dict(budget_to_channel(shot_noise_budget()))
+    config["reconstruction"]["noise_C"]["cov"] = noise_c
+    config["cross_cov_BC"] = cross
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
     return str(path)
 
 
@@ -211,6 +246,65 @@ class TestMcCommand:
         path.write_text('{"type": "epr", "eta": 0.9, "s": 0}\n')
         assert cli.main(["mc", "--config", str(path), "--samples", "1000"]) == 1
         assert "perfect squeezing" in capsys.readouterr().err
+
+    def test_singular_noise_is_not_a_disagreement(self, tmp_path, capsys):
+        # stages that cancel exactly on Y (N_Y = 0), and a rank-1 X pair
+        # (C_X = -2 B_X: both conditional variances 0)
+        unit = [[1.0, 0.0], [0.0, 1.0]]
+        cases = {
+            "cancelling": _unit_channel(tmp_path, "c", unit, unit),
+            "rank-1": _unit_channel(
+                tmp_path, "r", [[4.0, 0.0], [0.0, 1.0]], [[-2.0, 0.0], [0.0, 0.0]]
+            ),
+        }
+        for name, path in cases.items():
+            args = ["mc", "--config", path, "--samples", "10000", "--seed", "1234"]
+            assert cli.main(args) == 0, name
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["max_abs_z"] < 5.0, name
+        assert payload["est_cv_products"][0]["estimate"] == 0.0
+
+    def test_large_beam_variance_is_not_a_psd_violation(self, tmp_path, capsys):
+        # beam variance ~6.6e7: the joint covariance's rounding puts its
+        # smallest eigenvalue near -4e-9, far inside the scaled slack
+        path = tmp_path / "strong.json"
+        path.write_text('{"type": "epr", "eta": 1.0, "s": 7.591898721329135e-09}')
+        args = ["mc", "--config", str(path), "--samples", "100000", "--seed", "1"]
+        assert cli.main(args) == 0
+        assert json.loads(capsys.readouterr().out)["max_abs_z"] < 5.0
+
+    def test_non_psd_stages_are_still_validity_errors(self, tmp_path, capsys):
+        # a cross correlation beyond the stage amplitudes, at unit and at
+        # large scale
+        big = 1e8 * np.eye(2)
+        config = channel_to_dict(budget_to_channel(shot_noise_budget()))
+        unit = [[1.0, 0.0], [0.0, 1.0]]
+        paths = [_unit_channel(tmp_path, "u", unit, [[1.5, 0.0], [0.0, 0.0]])]
+        config["measurement"]["noise_B"]["cov"] = big.tolist()
+        config["reconstruction"]["noise_C"]["cov"] = big.tolist()
+        config["cross_cov_BC"] = (1.0000001 * big).tolist()
+        paths.append(str(tmp_path / "big.json"))
+        (tmp_path / "big.json").write_text(json.dumps(config))
+        for path in paths:
+            for args in (["report"], ["mc", "--samples", "1000"]):
+                assert cli.main([*args, "--config", path]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "not positive semidefinite" in captured.err
+
+    def test_oversized_sample_count_is_rejected_before_allocating(self, epr_config, capsys):
+        for samples in (MAX_SAMPLES + 100, 10**15):
+            tracemalloc.start()
+            try:
+                args = ["mc", "--config", epr_config, "--samples", str(samples)]
+                assert cli.main(args) == 1
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert f"samples must be <= {MAX_SAMPLES}, got {samples}" in captured.err
 
     def test_disagreement_exits_five(self, epr_config, monkeypatch, capsys):
         bad = Comparison(estimate=2.0, stderr=0.1, analytic=1.0, z_score=10.0)
@@ -410,8 +504,8 @@ class TestStdoutHashes:
     per block) as well as the rendering.
     """
 
-    # "epr" and "channel" stand for the README EPR config and the shot-noise
-    # channel config
+    # "epr", "channel" and "gain-channel" stand for the README EPR config,
+    # the shot-noise channel config and the gain_channel_config fixture
     CASES = {
         "sweep": (
             ["sweep"],
@@ -425,6 +519,10 @@ class TestStdoutHashes:
             ["mc", "--samples", "100000", "--seed", "1234", "--config", "epr"],
             "f1871c8a7ce1b6b96e63f8bfe6d4c9b2e5708d1c64476b8fcc9b06b1458addb6",
         ),
+        "mc-gain-channel": (
+            ["mc", "--samples", "100000", "--seed", "1234", "--config", "gain-channel"],
+            "1fe0646a09c46808e714aae7f1192c44c67e06de2cc12760a4c1192630cab86c",
+        ),
         "report-epr": (
             ["report", "--config", "epr"],
             "b9b4c9335b0d362d15f52918688faacefeaff77d3a98789d3211fa745381d17c",
@@ -436,9 +534,13 @@ class TestStdoutHashes:
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_stdout_hash(self, name, epr_config, channel_config, capsys):
+    def test_stdout_hash(self, name, epr_config, channel_config, gain_channel_config, capsys):
         args, digest = self.CASES[name]
-        configs = {"epr": epr_config, "channel": channel_config}
+        configs = {
+            "epr": epr_config,
+            "channel": channel_config,
+            "gain-channel": gain_channel_config,
+        }
         args = [configs.get(a, a) for a in args]
         assert cli.main(args) == 0
         out = capsys.readouterr().out

@@ -181,6 +181,20 @@ class TestStateValidation:
         with pytest.raises(ValidityError):
             state_2d([[1, 2], [2, 1]])
 
+    def test_psd_slack_scales_with_the_largest_variance(self):
+        # at or below unit scale the slack is PSD_TOL itself
+        for top in (1.0, 0.5, 0.0):
+            state_2d(np.diag([top, -0.5e-10]))
+            with pytest.raises(ValidityError, match="min eigenvalue -2.000e-10"):
+                state_2d(np.diag([top, -2e-10]))
+        # above it, PSD_TOL times the largest |diagonal entry|
+        state_2d(np.diag([1e4, -0.5e-6]))
+        with pytest.raises(ValidityError, match="min eigenvalue -2.000e-06"):
+            state_2d(np.diag([1e4, -2e-6]))
+        # a correlation beyond the variances is rejected at any scale
+        with pytest.raises(ValidityError):
+            state_2d(1e8 * np.array([[1.0, 1.0000001], [1.0000001, 1.0]]))
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             state_2d([[np.nan, 0], [0, 1]])
@@ -220,11 +234,46 @@ class TestSampling:
         assert np.allclose(draws[:, [0, 2]], sample(live, 5000, seed=1), rtol=1e-14, atol=0)
 
     def test_singular_but_correlated_covariance_samples(self):
-        # perfectly correlated pair: Cholesky needs the jitter fallback
+        # perfectly correlated pair: Cholesky fails, the eigen factor is used
         s = state_2d([[1, 1], [1, 1]])
         draws = sample(s, 50000, seed=9)
         resid = draws[:, 0] - draws[:, 1]
         assert resid.std() < 1e-5
+
+    @pytest.mark.parametrize(
+        "cov, mean",
+        [
+            # a rank-1 pair with unequal variances
+            ([[1.0, -2.0], [-2.0, 4.0]], [0.5, -1.5]),
+            # a dead coordinate next to a singular live block
+            ([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]], [2.0, -3.25, 2.0]),
+            # two perfectly correlated stage pairs (the joint noise of a
+            # channel whose stages cancel on one quadrature)
+            (np.kron([[1.0, 1.0], [1.0, 1.0]], np.eye(2)), [0.0] * 4),
+        ],
+    )
+    def test_null_directions_get_no_variance(self, cov, mean):
+        cov, mean = np.array(cov), np.array(mean)
+        s = GaussianVector(tuple(f"v{i}" for i in range(len(mean))), mean, cov)
+        factor = s.sampling_factor
+        assert np.allclose(factor @ factor.T, cov, rtol=0, atol=1e-15)
+        draws = sample(s, 20000, seed=4)
+        lam, vecs = np.linalg.eigh(cov)
+        for v in vecs[:, lam < 1e-12].T:
+            along = (draws - mean) @ v
+            assert np.max(np.abs(along)) <= 1e-14, v
+        for v in vecs[:, lam > 1e-12].T:
+            assert (draws @ v).std() > 0.5
+        dead = np.diag(cov) == 0.0
+        assert np.all(draws[:, dead] == mean[dead])
+
+    def test_factor_is_computed_once_and_read_only(self):
+        s = state_2d([[2, 0.5], [0.5, 1]])
+        factor = s.sampling_factor
+        assert s.sampling_factor is factor
+        assert np.array_equal(factor, np.linalg.cholesky(s.cov))
+        with pytest.raises(ValueError):
+            factor[0, 0] = 1.0
 
     def test_fixed_seed_is_deterministic(self):
         s = state_2d([[2, 0.5], [0.5, 1]])

@@ -12,17 +12,72 @@ from cvteleport.channel import (
     shot_noise_budget,
     vacuum_input,
 )
+from cvteleport.criteria import full_report
 from cvteleport.epr import EprScenario, to_noise_budget
 from cvteleport.errors import ConfigError, DegenerateConditioningError
 from cvteleport import montecarlo
 from cvteleport.gaussian import GaussianVector, sample
 from cvteleport.montecarlo import (
+    MAX_SAMPLES,
+    Comparison,
+    McReport,
     McRunConfig,
     _estimates_from_sums,
     _jackknife,
     estimate_conditional_variance,
     simulate_protocol,
 )
+from cvteleport.serialize import config_from_json
+
+# unity gain with h != +-1, a displaced input, and stage noises correlated
+# across the stages, quadrature by quadrature
+GAIN_CHANNEL_JSON = """{"type": "channel",
+ "measurement": {"g_X": 1.25, "g_Y": -0.8, "noise_B": {"cov": [[1.2, 0.0], [0.0, 1.5]]}},
+ "reconstruction": {"h_X": 0.8, "h_Y": -1.25, "noise_C": {"cov": [[1.1, 0.0], [0.0, 1.3]]}},
+ "input": {"var_X": 1.0, "var_Y": 1.0, "mean_x": 1.5, "mean_y": -0.75},
+ "cross_cov_BC": [[-0.4, 0.0], [0.0, 0.3]]}
+"""
+
+
+def reference_simulate(cfg: McRunConfig) -> McReport:
+    """The block loop with fresh arrays in every block, as it was written
+    before the blocks shared their buffers: one draw per block, every
+    derived column and product a new array, and the kernel as one
+    expression.  A stderr of exactly 0 gives z = 0 on an exact match."""
+    channel = cfg.channel
+    if isinstance(channel, EprScenario):
+        channel = budget_to_channel(to_noise_budget(channel))
+    report = full_report(channel)
+    analytic = (report.N_X_out, report.N_Y_out, report.fidelity, *report.cv_products)
+    joint = channel.joint_state()
+    noise = GaussianVector(joint.labels[2:], joint.mean[2:], joint.cov[2:, 2:])
+    h_x, h_y = channel.reconstruction.h_X, channel.reconstruction.h_Y
+    x_a, y_a = channel.input.mean_x, channel.input.mean_y
+    block_n = cfg.samples // montecarlo.JACKKNIFE_BLOCKS
+    block_stats = np.zeros((montecarlo.JACKKNIFE_BLOCKS, 11))
+    for b in range(montecarlo.JACKKNIFE_BLOCKS):
+        rows = sample(noise, block_n, np.random.SeedSequence([cfg.seed, b]))
+        b_x, b_y, xr, yr = rows.T
+        xm, ym = h_x * b_x, h_y * b_y
+        x, y = x_a + xm + xr, y_a + ym + yr
+        w = np.exp(-((x - x_a) ** 2) / 4.0 - ((y - y_a) ** 2) / 4.0)
+        block_stats[b] = (
+            xm.sum(), (xm * xm).sum(), xr.sum(), (xr * xr).sum(), (xm * xr).sum(),
+            ym.sum(), (ym * ym).sum(), yr.sum(), (yr * yr).sum(), (ym * yr).sum(),
+            w.sum(),
+        )
+    estimates, stderrs = _jackknife(block_stats, block_n)
+    comparisons = {}
+    for (key, est), ref in zip(estimates.items(), analytic):
+        se = stderrs[key]
+        if se == 0.0:
+            z = 0.0 if est == ref else float(np.copysign(np.inf, est - ref))
+        else:
+            z = (est - ref) / se
+        comparisons[key] = Comparison(
+            estimate=float(est), stderr=float(se), analytic=float(ref), z_score=float(z)
+        )
+    return McReport(samples=cfg.samples, seed=cfg.seed, **comparisons)
 
 
 class TestRunConfig:
@@ -37,6 +92,12 @@ class TestRunConfig:
     def test_samples_must_be_integer(self):
         with pytest.raises(ConfigError):
             McRunConfig(channel=EprScenario(0.7, 0.3), samples=1e5, seed=1)
+
+    def test_sample_count_is_capped(self):
+        McRunConfig(channel=EprScenario(0.7, 0.3), samples=MAX_SAMPLES, seed=1)
+        for samples in (MAX_SAMPLES + 100, 10**15):
+            with pytest.raises(ConfigError, match=f"<= {MAX_SAMPLES}"):
+                McRunConfig(channel=EprScenario(0.7, 0.3), samples=samples, seed=1)
 
 
 class TestConditionalVarianceEstimator:
@@ -148,12 +209,26 @@ class TestSimulateProtocol:
         for comparison in report.comparisons.values():
             assert comparison.stderr > 0.0
 
+    def test_rounding_level_estimate_does_not_flag(self, monkeypatch):
+        # every draw the same tiny constant: the variance sums leave a
+        # rounding residue with a jackknife stderr of exactly 0
+        def constant(state, n, seed, out=None):
+            out[:] = 1e-9
+            return out
+
+        monkeypatch.setattr(montecarlo, "sample", constant)
+        run = McRunConfig(channel=budget_to_channel(ideal_budget()), samples=10000, seed=3)
+        report = simulate_protocol(run)
+        assert report.N_X.estimate > 0.0 and report.N_X.stderr == 0.0
+        assert report.N_X.analytic == 0.0
+        assert report.max_abs_z < 1e-20
+
     def test_input_is_not_drawn(self, monkeypatch):
         drawn = []
 
-        def recording_sample(state, n, seed):
+        def recording_sample(state, n, seed, out=None):
             drawn.append(state.labels)
-            return sample(state, n, seed)
+            return sample(state, n, seed, out=out)
 
         monkeypatch.setattr(montecarlo, "sample", recording_sample)
         # channels differing only in input variance see the same noise draws
@@ -172,6 +247,53 @@ class TestSimulateProtocol:
             assert a.comparisons[key] == b.comparisons[key], key
         assert a == b
         assert set(drawn) == {("B_X", "B_Y", "C_X", "C_Y")}
+
+
+class TestSharedBlockBuffers:
+    """The block loop reuses one factor and one set of buffers per run."""
+
+    CONFIGS = {
+        "squeezed-epr": EprScenario(0.8, 0.25),
+        "anti-squeezed-epr": EprScenario(0.65, 3.5),
+        "gain-channel": config_from_json(GAIN_CHANNEL_JSON),
+        # the measurement stage is noiseless: two zero-variance coordinates
+        "dead-coordinates": budget_to_channel(
+            NoiseBudget(0.0, 0.0, 1.1, 1.4), vacuum_input(0.5, -2.0)
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("samples, seed", [(1000, 3), (20000, 41)])
+    def test_report_equals_the_fresh_array_loop(self, name, samples, seed):
+        run = McRunConfig(channel=self.CONFIGS[name], samples=samples, seed=seed)
+        assert simulate_protocol(run) == reference_simulate(run)
+
+    def test_sample_into_a_buffer_is_bitwise_the_fresh_draw(self):
+        rng = np.random.default_rng(5)
+        root = rng.normal(size=(4, 4))
+        cov = root @ root.T
+        cov[1, :] = cov[:, 1] = 0.0
+        state = GaussianVector(("A", "B", "C", "D"), np.array([0.5, -1.0, 0.0, 2.0]), cov)
+        for n in (1, 7, 1000):
+            buf = np.full((n, 4), np.nan)
+            got = sample(state, n, np.random.SeedSequence([9, n]), out=buf)
+            assert got is buf
+            want = sample(state, n, np.random.SeedSequence([9, n]))
+            assert np.array_equal(buf.view(np.uint64), want.view(np.uint64))
+
+    def test_noise_is_factored_once_per_run(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        for channel in (EprScenario(0.8, 0.25), self.CONFIGS["gain-channel"]):
+            calls.clear()
+            simulate_protocol(McRunConfig(channel=channel, samples=10000, seed=2))
+            assert calls == [(4, 4)]
 
 
 class TestJackknife:
