@@ -75,19 +75,19 @@ def fidelity_general(
     return float(prefactor * damping)
 
 
-def fidelity_mc_integrand(x, y, x_a: float, y_a: float, out=None):
+def fidelity_mc_integrand(x, y, x_a: float, y_a: float, out=None, scratch=None):
     """Overlap kernel between a reconstructed amplitude and the target.
 
     The fidelity is the expectation of this kernel over the distribution of
     reconstructed amplitudes; the Monte Carlo oracle averages it directly,
     independently of the closed form above.  Accepts scalars or arrays.
-    With ``out`` (a float array shaped like ``x``, and it may be ``x``) the
-    kernel is written there and the array ``y`` is overwritten as scratch,
-    so no temporary is allocated.
+    The kernel is written into ``out`` (a float array shaped like ``x``; it
+    may be ``x``) and the ``y`` terms into ``scratch`` (shaped like ``y``;
+    it may be ``y``) when they are given; no other argument is written, and
+    with both no temporary is allocated.
     """
     # exp(-(x - x_a)**2 / 4 - (y - y_a)**2 / 4), one ufunc at a time so
-    # that every step can land in a caller's buffer
-    scratch = None if out is None else y
+    # that every step can land in the caller's buffers
     dx = np.subtract(x, x_a, out=out)
     dx = np.divide(np.negative(np.square(dx, out=out), out=out), 4.0, out=out)
     dy = np.subtract(y, y_a, out=scratch)

@@ -21,11 +21,13 @@ import numpy as np
 from .errors import DegenerateConditioningError, LabelError, ValidityError
 
 # Tolerances for second-moment validation.  Asymmetry beyond SYMMETRY_TOL is
-# treated as caller error rather than rounding; eigenvalues slightly below
-# zero (down to PSD_TOL times the matrix scale, see GaussianVector) are
-# accepted as rounding of a PSD matrix.
+# treated as caller error rather than rounding.  Eigenvalues slightly below
+# zero are accepted as rounding of a PSD matrix: down to PSD_TOL, or down to
+# the eigensolver's own error, PSD_ROUNDING * dim * eps * ||cov||, when that
+# is wider (norms above about 1e4).
 SYMMETRY_TOL = 1e-9
 PSD_TOL = -1e-10
+PSD_ROUNDING = 8.0
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,11 @@ class GaussianVector:
     The covariance is symmetrized on construction; the pre-symmetrization
     asymmetry magnitude is recorded in ``asymmetry``.  Asymmetry beyond
     ``SYMMETRY_TOL`` raises :class:`ValidityError`, and so does an
-    eigenvalue below ``PSD_TOL * max(1, max|diag|)``: eigenvalue rounding
-    grows with the matrix norm, which for a PSD matrix is at most ``dim``
-    times its largest diagonal entry, so the slack is relative above unit
-    scale and unchanged at or below it.
+    eigenvalue below ``min(PSD_TOL, -PSD_ROUNDING * dim * eps * ||cov||)``,
+    with ``||cov||`` the largest eigenvalue magnitude.  The second term is
+    the size of the eigensolver's rounding, so a large-variance state is
+    not rejected for it, while a correlation or a variance off by more
+    than that, on any coordinate, still is.
     """
 
     labels: tuple[str, ...]
@@ -116,8 +119,9 @@ class GaussianVector:
         if asym > SYMMETRY_TOL:
             raise ValidityError(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
         sym = (cov + cov.T) / 2.0
-        lo = float(np.min(np.linalg.eigvalsh(sym)))
-        if lo < PSD_TOL * max(1.0, float(np.max(np.abs(np.diag(sym))))):
+        lam = np.linalg.eigvalsh(sym)
+        lo, norm = float(lam[0]), float(max(-lam[0], lam[-1]))
+        if lo < min(PSD_TOL, -PSD_ROUNDING * d * np.finfo(float).eps * norm):
             raise ValidityError(
                 f"covariance is not positive semidefinite: min eigenvalue {lo:.3e}"
             )

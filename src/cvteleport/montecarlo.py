@@ -236,7 +236,7 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
         # the reconstructed amplitude: input mean plus both added noises
         np.add(np.add(x_a, xm, out=w), xr, out=w)
         np.add(np.add(y_a, ym, out=tmp), yr, out=tmp)
-        fidelity_mc_integrand(w, tmp, x_a, y_a, out=w)
+        fidelity_mc_integrand(w, tmp, x_a, y_a, out=w, scratch=tmp)
         block_stats[b] = (
             xm.sum(), prod_sum(xm, xm), xr.sum(), prod_sum(xr, xr), prod_sum(xm, xr),
             ym.sum(), prod_sum(ym, ym), yr.sum(), prod_sum(yr, yr), prod_sum(ym, yr),

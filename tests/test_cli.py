@@ -274,17 +274,25 @@ class TestMcCommand:
         assert json.loads(capsys.readouterr().out)["max_abs_z"] < 5.0
 
     def test_non_psd_stages_are_still_validity_errors(self, tmp_path, capsys):
-        # a cross correlation beyond the stage amplitudes, at unit and at
-        # large scale
-        big = 1e8 * np.eye(2)
-        config = channel_to_dict(budget_to_channel(shot_noise_budget()))
+        # a cross correlation beyond the stage amplitudes: at unit scale,
+        # at large scale, and between a large B_X and a unit C_Y (a
+        # correlation coefficient of 10, in the opposite-quadrature entry
+        # that only the joint covariance check sees)
         unit = [[1.0, 0.0], [0.0, 1.0]]
         paths = [_unit_channel(tmp_path, "u", unit, [[1.5, 0.0], [0.0, 0.0]])]
-        config["measurement"]["noise_B"]["cov"] = big.tolist()
-        config["reconstruction"]["noise_C"]["cov"] = big.tolist()
-        config["cross_cov_BC"] = (1.0000001 * big).tolist()
-        paths.append(str(tmp_path / "big.json"))
-        (tmp_path / "big.json").write_text(json.dumps(config))
+        big = 1e8 * np.eye(2)
+        huge = 1e12 * np.eye(2)
+        stages = {
+            "big": (big, big, 1.0000001 * big),
+            "mixed": (huge, unit, [[0.0, 1e7], [0.0, 0.0]]),
+        }
+        for name, (noise_b, noise_c, cross) in stages.items():
+            config = channel_to_dict(budget_to_channel(shot_noise_budget()))
+            config["measurement"]["noise_B"]["cov"] = np.asarray(noise_b).tolist()
+            config["reconstruction"]["noise_C"]["cov"] = np.asarray(noise_c).tolist()
+            config["cross_cov_BC"] = np.asarray(cross).tolist()
+            paths.append(str(tmp_path / f"{name}.json"))
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
         for path in paths:
             for args in (["report"], ["mc", "--samples", "1000"]):
                 assert cli.main([*args, "--config", path]) == 2

@@ -103,6 +103,26 @@ class TestIntegrand:
         assert got.shape == (3,)
         assert got[0] == 1.0 and got[1] == pytest.approx(np.exp(-1.0))
 
+    def test_buffers_give_the_same_bits_and_only_they_are_written(self):
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=(2, 50))
+        want = np.exp(-((x - 0.3) ** 2) / 4.0 - ((y + 1.1) ** 2) / 4.0)
+        x0, y0 = x.copy(), y.copy()
+        out = np.empty(50)
+        # out alone: y is read, not used as scratch
+        assert fidelity_mc_integrand(x, y, 0.3, -1.1, out=out) is out
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(y, y0)
+        # a scalar y with an out buffer
+        np.testing.assert_array_equal(
+            fidelity_mc_integrand(x, -1.1, 0.3, -1.1, out=out),
+            np.exp(-((x0 - 0.3) ** 2) / 4.0),
+        )
+        # both buffers may be the inputs themselves
+        assert fidelity_mc_integrand(x, y, 0.3, -1.1, out=x, scratch=y) is x
+        np.testing.assert_array_equal(x, want)
+
 
 class TestEprCriterion:
     def test_uncorrelated_shot_noise_sits_on_boundary(self):

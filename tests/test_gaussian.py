@@ -11,6 +11,7 @@ from cvteleport.errors import (
     ValidityError,
 )
 from cvteleport.gaussian import (
+    PSD_TOL,
     GaussianVector,
     LinearForm,
     apply_form,
@@ -181,17 +182,30 @@ class TestStateValidation:
         with pytest.raises(ValidityError):
             state_2d([[1, 2], [2, 1]])
 
-    def test_psd_slack_scales_with_the_largest_variance(self):
+    def test_psd_slack_is_eigenvalue_rounding(self):
         # at or below unit scale the slack is PSD_TOL itself
         for top in (1.0, 0.5, 0.0):
             state_2d(np.diag([top, -0.5e-10]))
             with pytest.raises(ValidityError, match="min eigenvalue -2.000e-10"):
                 state_2d(np.diag([top, -2e-10]))
-        # above it, PSD_TOL times the largest |diagonal entry|
-        state_2d(np.diag([1e4, -0.5e-6]))
-        with pytest.raises(ValidityError, match="min eigenvalue -2.000e-06"):
-            state_2d(np.diag([1e4, -2e-6]))
-        # a correlation beyond the variances is rejected at any scale
+        # a rank-1 1e8-scale covariance: eigvalsh puts its zero eigenvalues
+        # near -1e-7, beyond PSD_TOL but within the solver's rounding
+        v = np.array([1.0, -1.0, 1.0, -1.0])
+        cov = 1e8 * np.outer(v, v)
+        assert np.linalg.eigvalsh(cov)[0] < PSD_TOL
+        GaussianVector(labels=tuple("abcd"), mean=np.zeros(4), cov=cov)
+        # a large variance lends no slack to the other coordinates: a
+        # negative unit-scale variance, or a correlation coefficient of 10
+        # or of 1 + 1e-6 with a unit-variance coordinate, is rejected
+        with pytest.raises(ValidityError, match="min eigenvalue -5.000e-07"):
+            state_2d(np.diag([1e4, -0.5e-6]))
+        with pytest.raises(ValidityError):
+            state_2d([[1e12, 1e7], [1e7, 1.0]])
+        beam = 6.6e7
+        c = (1.0 + 1e-6) * np.sqrt(beam)
+        with pytest.raises(ValidityError):
+            state_2d([[beam, c], [c, 1.0]])
+        # and so is a correlation beyond two equal large variances
         with pytest.raises(ValidityError):
             state_2d(1e8 * np.array([[1.0, 1.0000001], [1.0000001, 1.0]]))
 
