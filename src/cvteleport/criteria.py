@@ -24,7 +24,8 @@ from either source.
 
 The verifier rechecks the algebraic chain that links the no-violation
 condition to the noise-product bound, including the exact factorization
-identity it relies on, on whole batches of random budgets at a time.
+identity it relies on, and from that bound on to a coherent input's
+transfer sum and fidelity, on whole batches of random budgets at a time.
 """
 
 from __future__ import annotations
@@ -132,10 +133,16 @@ def _chain_terms(v_xm, v_ym, v_xr, v_yr, c_x, c_y):
     """The chain's terms from the six budget scalars, floats or arrays.
 
     Returns ``(v_Cx, v_Cy, cv_product, identity_rel_error, n_value,
-    n_product)``.  The factorization identity is checked in floating point;
-    its relative error is measured against the largest term of the
-    expansion, since the expansion cancels almost completely for
+    n_product, t_sum, fidelity)``.  The factorization identity is checked in
+    floating point; its relative error is measured against the largest term
+    of the expansion, since the expansion cancels almost completely for
     near-singular budgets.
+
+    ``t_sum`` and ``fidelity`` are a coherent input's transfer sum and
+    fidelity, computed as the report computes them.  Two exact links tie
+    them to the noise product: ``T_X + T_Y - 1 = (1 - N_X N_Y) / ((1 + N_X)
+    (1 + N_Y))``, so ``t_sum <= 1`` once ``N_X N_Y >= 1``; and ``(2 + N_X)
+    (2 + N_Y) >= (2 + sqrt(N_X N_Y))**2 >= 9``, so ``fidelity <= 2/3``.
     """
     with np.errstate(all="ignore"):
         v_cx = v_xm * v_xr - c_x * c_x
@@ -151,13 +158,27 @@ def _chain_terms(v_xm, v_ym, v_xr, v_yr, c_x, c_y):
         scale = np.maximum.reduce([abs(lhs), abs(t1), abs(t2), abs(t3), abs(t4)])
         rel_err = abs(lhs - rhs) / np.where(scale > 0.0, scale, np.inf)
         de = (v_xm - v_xr) * (v_ym - v_yr)
-        n_product = _output_noise(v_xm, v_xr, c_x) * _output_noise(v_ym, v_yr, c_y)
-    return v_cx, v_cy, lhs, rel_err, de + 2.0 * abs(de), n_product
+        n_x, n_y = _output_noise(v_xm, v_xr, c_x), _output_noise(v_ym, v_yr, c_y)
+        n_product = n_x * n_y
+        t_sum = 1.0 / (1.0 + n_x) + 1.0 / (1.0 + n_y)
+        fidelity = 2.0 / np.sqrt((2.0 + n_x) * (2.0 + n_y))
+    return v_cx, v_cy, lhs, rel_err, de + 2.0 * abs(de), n_product, t_sum, fidelity
 
 
-def _chain_fails(rel_err, n_value, n_product):
-    """The chain's failure predicate, on scalars or arrays of its terms."""
-    return (rel_err > IDENTITY_RTOL) | (n_value < 0.0) | (n_product < 1.0 - VERDICT_MARGIN)
+def _chain_fails(rel_err, n_value, n_product, t_sum, fidelity):
+    """The chain's failure predicate, on scalars or arrays of its terms.
+
+    A link fails when its bound is missed by more than the verdict margin,
+    so a failure is a verdict the report would print for a budget with no
+    conditional-variance violation.
+    """
+    return (
+        (rel_err > IDENTITY_RTOL)
+        | (n_value < 0.0)
+        | (n_product < 1.0 - VERDICT_MARGIN)
+        | (t_sum > 1.0 + VERDICT_MARGIN)
+        | (fidelity > FIDELITY_CV_BOUND + VERDICT_MARGIN)
+    )
 
 
 def _fields(b: NoiseBudget) -> tuple[float, ...]:
@@ -172,7 +193,9 @@ class InequalityTrace:
     ``cv_product >= measurement_product`` is the r-given-m condition and
     ``cv_product >= reconstruction_product`` the m-given-r one.  ``n_value``
     is the minimized slack term of the chain (nonnegative by construction)
-    and ``n_product`` the final noise product the chain bounds below by 1.
+    and ``n_product`` the noise product the chain bounds below by 1;
+    ``t_sum`` and ``fidelity``, a coherent input's transfer sum and
+    fidelity, follow from it and are bounded by 1 and 2/3.
     """
 
     budget: NoiseBudget
@@ -184,11 +207,15 @@ class InequalityTrace:
     identity_rel_error: float
     n_value: float
     n_product: float
+    t_sum: float
+    fidelity: float
 
 
 def inequality_trace(b: NoiseBudget) -> InequalityTrace:
     """Evaluate the chain's intermediate quantities from the budget scalars."""
-    v_cx, v_cy, lhs, rel_err, n_value, n_product = map(float, _chain_terms(*_fields(b)))
+    v_cx, v_cy, lhs, rel_err, n_value, n_product, t_sum, fidelity = map(
+        float, _chain_terms(*_fields(b))
+    )
     return InequalityTrace(
         budget=b,
         v_Cx=v_cx,
@@ -199,6 +226,8 @@ def inequality_trace(b: NoiseBudget) -> InequalityTrace:
         identity_rel_error=rel_err,
         n_value=n_value,
         n_product=n_product,
+        t_sum=t_sum,
+        fidelity=fidelity,
     )
 
 
@@ -226,7 +255,8 @@ def epr_criterion(b: NoiseBudget) -> EprCriterionResult:
 
 
 def verify_inequality_chain(b: NoiseBudget) -> InequalityTrace:
-    """Recheck the chain from no-violation to the noise-product bound.
+    """Recheck the chain from no-violation to the noise-product bound and
+    on to the transfer-sum and fidelity bounds.
 
     Only meaningful for budgets that do not violate the conditional-variance
     criterion; calling it on a violating budget raises ``ValueError``.
@@ -239,10 +269,11 @@ def verify_inequality_chain(b: NoiseBudget) -> InequalityTrace:
             "inequality chain applies only to budgets without a conditional-variance violation"
         )
     t = result.trace
-    if _chain_fails(t.identity_rel_error, t.n_value, t.n_product):
+    if _chain_fails(t.identity_rel_error, t.n_value, t.n_product, t.t_sum, t.fidelity):
         raise VerificationError(
             f"inequality chain fails: identity off by {t.identity_rel_error:.3e} relative, "
-            f"slack term {t.n_value:.3e}, noise product {t.n_product:.12g}",
+            f"slack term {t.n_value:.3e}, noise product {t.n_product:.12g}, "
+            f"transfer sum {t.t_sum:.12g}, fidelity {t.fidelity:.12g}",
             trace=t,
         )
     return t
@@ -362,7 +393,8 @@ def run_chain_verification(trials: int, seed: int) -> VerificationSummary:
     violate the conditional-variance criterion since the chain does not
     apply to them.  Draws are screened and checked a batch at a time, as
     arrays.  Returns the worst identity error and the worst margin
-    ``n_product - 1`` seen.
+    ``n_product - 1`` seen; a budget that misses any link's bound counts
+    as one bound violation.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -375,10 +407,10 @@ def run_chain_verification(trials: int, seed: int) -> VerificationSummary:
     batch = 0
     rows = np.array([_fields(shot_noise_budget())])
     while True:
-        _, _, _, rel_err, n_value, n_product = _chain_terms(*rows.T)
+        _, _, _, rel_err, n_value, n_product, t_sum, fidelity = _chain_terms(*rows.T)
         max_rel = float(rel_err.max(initial=max_rel))
         worst_margin = float((n_product - 1.0).min(initial=worst_margin))
-        bad = np.flatnonzero(_chain_fails(rel_err, n_value, n_product))
+        bad = np.flatnonzero(_chain_fails(rel_err, n_value, n_product, t_sum, fidelity))
         violations += len(bad)
         if first_failure is None and len(bad):
             first_failure = inequality_trace(NoiseBudget(*rows[bad[0]]))

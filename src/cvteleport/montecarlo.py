@@ -15,18 +15,25 @@ to its analytic counterpart through a z-score.
 Sampling is deterministic for a fixed seed: block ``b`` draws from a
 generator seeded with ``SeedSequence([seed, b])``, and blocks are reduced
 in index order, so reports are bit-identical across runs and machines.
-The noise covariance is factored once per run (Cholesky, or an
-eigendecomposition that leaves null directions noiseless when the
+The blocks are independent, so they are split over up to
+:data:`MAX_WORKERS` threads (numpy's draws, ``matmul`` and ufuncs release
+the interpreter lock); each block writes only its own row of statistics,
+so the report does not depend on how many threads ran.  The noise
+covariance is factored once per run, before any thread starts (Cholesky,
+or an eigendecomposition that leaves null directions noiseless when the
 covariance is singular; see :func:`~cvteleport.gaussian.sample`), and
-every block is drawn into one rows buffer and reduced through one set of
-column buffers, so a run's memory is one block's worth, about one byte
-per sample, and :data:`MAX_SAMPLES` bounds it.  A z-score divides by at
-least ``sqrt(eps) * max(1, |analytic|)``, so an estimate within rounding
-of its closed form never reads as a disagreement.
+each worker draws its blocks into one rows buffer and reduces them
+through one set of column buffers, so a run's memory is one block per
+worker, about one byte per sample per worker, and :data:`MAX_SAMPLES`
+bounds it.  A z-score divides by at least ``sqrt(eps) * max(1,
+|analytic|)``, so an estimate within rounding of its closed form never
+reads as a disagreement.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +46,18 @@ from .gaussian import GaussianVector, sample
 
 JACKKNIFE_BLOCKS = 100
 MIN_SAMPLES = 1000
-# A run holds one block of samples / JACKKNIFE_BLOCKS rows at a time: the
-# (rows, 4) draws and the normals behind them at 32 bytes a row each, and
-# four float columns at 8 bytes a row each, about 1 byte per sample in all.
-# At this cap that is ~100 MB, a few times what the interpreter and numpy
-# take by themselves (a run peaks near 130 MB RSS and takes ~16 s on a
-# 2-CPU host).
+# Each worker holds one block of samples / JACKKNIFE_BLOCKS rows at a time:
+# the (rows, 4) draws and the normals behind them at 32 bytes a row each,
+# and four float columns at 8 bytes a row each, about 1 byte per sample in
+# all.  At this cap that is ~100 MB per worker, a few times what the
+# interpreter and numpy take by themselves: on a 2-CPU host a run peaks
+# near 220 MB RSS and takes ~5 s with two workers (~128 MB and ~9.6 s with
+# one).
 MAX_SAMPLES = 100_000_000
+# Threads the block loop runs on, at most.  Each one holds a block's
+# buffers (about 1 byte per sample, see MAX_SAMPLES), and two is what was
+# measured: on a 2-CPU host they halve the sampling time of a run.
+MAX_WORKERS = 2
 # z-scores divide by at least this much times max(1, |analytic|): a
 # jackknife stderr below it measures the rounding of the sums, not
 # sampling noise, and an estimate within rounding of its closed form
@@ -197,6 +209,44 @@ def _jackknife(block_stats: np.ndarray, block_n: int) -> tuple[dict, dict]:
     return estimates, stderrs
 
 
+def _worker_count() -> int:
+    """Threads for the block loop: :data:`MAX_WORKERS`, or fewer if the
+    process may run on fewer CPUs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(MAX_WORKERS, cpus)
+
+
+def _on_workers(work, workers: int) -> None:
+    """Call ``work(k, failed)`` for ``k`` in ``range(workers)``.
+
+    ``k = 0`` runs on the calling thread and every other ``k`` on a thread
+    of its own.  ``failed`` is a list that holds an exception once a call
+    has raised, so the others can stop early.  Returns only after every
+    thread has ended, and then raises the first exception, if any.
+    """
+    failed = []
+
+    def guarded(k):
+        try:
+            work(k, failed)
+        except BaseException as exc:  # handed to the calling thread below
+            failed.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(k,)) for k in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        guarded(0)
+    finally:
+        for t in threads:
+            t.join()
+    if failed:
+        raise failed[0]
+
+
 def simulate_protocol(cfg: McRunConfig) -> McReport:
     """Simulate the channel sample by sample and compare against closed forms.
 
@@ -221,28 +271,36 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
 
     block_n = cfg.samples // JACKKNIFE_BLOCKS
     block_stats = np.zeros((JACKKNIFE_BLOCKS, len(_STAT_COLUMNS)))
-    # Every block is drawn into and reduced from the same buffers.
-    rows = np.empty((block_n, noise.dim))
-    b_x, b_y, xr, yr = rows.T
-    xm, ym, w, tmp = np.empty((4, block_n))
+    workers = _worker_count()
+    noise.sampling_factor  # factored here, before any worker can race to it
 
-    def prod_sum(a, b):
-        return np.multiply(a, b, out=tmp).sum()
+    def run_blocks(first, failed):
+        # Every block of this worker is drawn into and reduced from the
+        # same buffers.
+        rows = np.empty((block_n, noise.dim))
+        b_x, b_y, xr, yr = rows.T
+        xm, ym, w, tmp = np.empty((4, block_n))
 
-    for b in range(JACKKNIFE_BLOCKS):
-        sample(noise, block_n, np.random.SeedSequence([cfg.seed, b]), out=rows)
-        np.multiply(h_x, b_x, out=xm)
-        np.multiply(h_y, b_y, out=ym)
-        # the reconstructed amplitude: input mean plus both added noises
-        np.add(np.add(x_a, xm, out=w), xr, out=w)
-        np.add(np.add(y_a, ym, out=tmp), yr, out=tmp)
-        fidelity_mc_integrand(w, tmp, x_a, y_a, out=w, scratch=tmp)
-        block_stats[b] = (
-            xm.sum(), prod_sum(xm, xm), xr.sum(), prod_sum(xr, xr), prod_sum(xm, xr),
-            ym.sum(), prod_sum(ym, ym), yr.sum(), prod_sum(yr, yr), prod_sum(ym, yr),
-            w.sum(),
-        )
+        def prod_sum(a, b):
+            return np.multiply(a, b, out=tmp).sum()
 
+        for b in range(first, JACKKNIFE_BLOCKS, workers):
+            if failed:
+                return
+            sample(noise, block_n, np.random.SeedSequence([cfg.seed, b]), out=rows)
+            np.multiply(h_x, b_x, out=xm)
+            np.multiply(h_y, b_y, out=ym)
+            # the reconstructed amplitude: input mean plus both added noises
+            np.add(np.add(x_a, xm, out=w), xr, out=w)
+            np.add(np.add(y_a, ym, out=tmp), yr, out=tmp)
+            fidelity_mc_integrand(w, tmp, x_a, y_a, out=w, scratch=tmp)
+            block_stats[b] = (
+                xm.sum(), prod_sum(xm, xm), xr.sum(), prod_sum(xr, xr), prod_sum(xm, xr),
+                ym.sum(), prod_sum(ym, ym), yr.sum(), prod_sum(yr, yr), prod_sum(ym, yr),
+                w.sum(),
+            )
+
+    _on_workers(run_blocks, workers)
     estimates, stderrs = _jackknife(block_stats, block_n)
     comparisons = {}
     for (key, est), ref in zip(estimates.items(), analytic):

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import cvteleport
 import cvteleport.cli as cli
 from cvteleport.channel import budget_to_channel, ideal_budget, shot_noise_budget
 from cvteleport.criteria import VerificationSummary, inequality_trace
@@ -503,6 +507,27 @@ class TestErrorChannels:
             cli.main(["--help"])
         assert exc.value.code == 0
         assert "report" in capsys.readouterr().out
+
+
+class TestStartup:
+    def test_import_loads_no_heavy_stdlib_modules(self):
+        # every command pays for what `import cvteleport.cli` loads; modules
+        # already loaded before it (by site hooks, say) are not counted
+        code = (
+            "import sys; before = set(sys.modules); import cvteleport.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        src = os.path.dirname(os.path.dirname(cvteleport.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        loaded = set(done.stdout.split())
+        assert "cvteleport.cli" in loaded
+        for name in ("concurrent.futures", "multiprocessing", "logging"):
+            assert name not in loaded
 
 
 class TestStdoutHashes:

@@ -1,5 +1,7 @@
 """Fidelity, verdicts, the entanglement test, and the chain verifier."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -12,9 +14,15 @@ from cvteleport.channel import (
     shot_noise_budget,
     vacuum_input,
 )
+from cvteleport import criteria
 from cvteleport.criteria import (
+    FIDELITY_CV_BOUND,
+    VERDICT_MARGIN,
+    _chain_fails,
     _chain_terms,
     _cv_products,
+    _draw_budgets,
+    _violates,
     epr_criterion,
     fidelity_general,
     fidelity_mc_integrand,
@@ -180,7 +188,10 @@ class TestEprCriterion:
         for i, b in enumerate(budgets):
             assert epr_criterion(b).products == tuple(p[i] for p in products), b
             t = inequality_trace(b)
-            got = (t.v_Cx, t.v_Cy, t.cv_product, t.identity_rel_error, t.n_value, t.n_product)
+            got = (
+                t.v_Cx, t.v_Cy, t.cv_product, t.identity_rel_error, t.n_value, t.n_product,
+                t.t_sum, t.fidelity,
+            )
             assert got == tuple(term[i] for term in terms), b
 
     def test_boundary_products_need_margin_to_violate(self):
@@ -254,6 +265,94 @@ class TestInequalityChain:
         trace = inequality_trace(shot_noise_budget())
         err = VerificationError("boom", trace=trace)
         assert err.trace is trace
+
+
+def _exact_noises(row):
+    """``N_X`` and ``N_Y`` of a budget row in exact arithmetic, floored at 0."""
+    v_xm, v_ym, v_xr, v_yr, c_x, c_y = map(Fraction, row)
+    return max(v_xm + v_xr + 2 * c_x, Fraction(0)), max(v_ym + v_yr + 2 * c_y, Fraction(0))
+
+
+class TestChainLinks:
+    """The links from the noise product to the transfer sum and fidelity."""
+
+    # dyadic budgets with exact noise pairs: (2, 2), (1, 1), (2, 1/2), (0, 0)
+    # and (1/4, 3), the last one below the noise-product bound
+    EXACT = [
+        (1.0, 1.0, 1.0, 1.0, 0.0, 0.0),
+        (1.0, 1.0, 1.0, 1.0, -0.5, -0.5),
+        (1.0, 1.0, 1.5, 0.75, -0.25, -0.625),
+        (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+        (0.5, 2.0, 0.75, 2.0, -0.5, -0.5),
+    ]
+
+    def rows(self):
+        return np.array(self.EXACT + [list(b) for b in _draw_budgets(300, seed=44)])
+
+    def test_transfer_sum_link_against_fractions(self):
+        rows = self.rows()
+        t_sum = _chain_terms(*rows.T)[6]
+        for row, got in zip(rows, t_sum):
+            n_x, n_y = _exact_noises(row)
+            want = 1 / (1 + n_x) + 1 / (1 + n_y)
+            assert want - 1 == (1 - n_x * n_y) / ((1 + n_x) * (1 + n_y))
+            assert (want <= 1) == (n_x * n_y >= 1)
+            scale = max(1.0, *map(abs, row))
+            assert abs(Fraction(got) - want) <= 32 * np.finfo(float).eps * scale, row
+        # the exact budgets round to the nearest float; both saturating ones sit
+        # exactly on the bound
+        assert t_sum[:5].tolist() == [2.0 / 3.0, 1.0, 1.0, 2.0, 1.05]
+
+    def test_fidelity_link_against_fractions(self):
+        rows = self.rows()
+        fidelity = _chain_terms(*rows.T)[7]
+        for row, got in zip(rows, fidelity):
+            n_x, n_y = _exact_noises(row)
+            d = (2 + n_x) * (2 + n_y)
+            # (2 + N_X)(2 + N_Y) - 4 - N_X N_Y = 2 (N_X + N_Y) >= 4 sqrt(N_X N_Y)
+            assert (d - 4 - n_x * n_y) ** 2 >= 16 * n_x * n_y
+            if n_x * n_y >= 1:
+                assert d >= 9
+            scale = max(1.0, *map(abs, row))
+            assert abs(Fraction(got) ** 2 - 4 / d) <= 32 * np.finfo(float).eps * scale, row
+        assert fidelity[:4].tolist() == [0.5, FIDELITY_CV_BOUND, 2.0 / np.sqrt(10.0), 1.0]
+
+    def test_each_link_fails_alone(self):
+        # (rel_err, n_value, n_product, t_sum, fidelity): every bound met
+        # exactly, then each one missed by twice the margin on its own
+        tight = [0.0, 0.0, 1.0, 1.0, FIDELITY_CV_BOUND]
+        missed = [2e-9, -1e-300, 1.0 - 2 * VERDICT_MARGIN, 1.0 + 2 * VERDICT_MARGIN,
+                  FIDELITY_CV_BOUND + 2 * VERDICT_MARGIN]
+        terms = np.array([tight] * 6)
+        for k, value in enumerate(missed):
+            terms[k + 1, k] = value
+        assert _chain_fails(*terms.T).tolist() == [False] + [True] * 5
+
+    def test_no_violation_keeps_transfer_sum_and_fidelity_bounded(self):
+        rows = _draw_budgets(100000, seed=2000)
+        rows = rows[~_violates(*_cv_products(*rows.T))]
+        assert len(rows) > 10000
+        _, _, _, _, _, n_product, t_sum, fidelity = _chain_terms(*rows.T)
+        assert t_sum.max() <= 1.0 + VERDICT_MARGIN
+        assert fidelity.max() <= FIDELITY_CV_BOUND + VERDICT_MARGIN
+        # the fidelity link is one-way: the bound is reached only at N_X N_Y = 1
+        assert fidelity.max() < FIDELITY_CV_BOUND
+
+    def test_missed_link_counts_as_a_bound_violation(self, monkeypatch):
+        # rig the fidelity term of the shot-noise smoke test (noise product 4)
+        chain_terms = criteria._chain_terms
+
+        def rigged(*fields):
+            *terms, fidelity = chain_terms(*fields)
+            return (*terms, np.where(terms[5] == 4.0, 0.7, fidelity))
+
+        monkeypatch.setattr(criteria, "_chain_terms", rigged)
+        summary = run_chain_verification(trials=200, seed=9)
+        assert summary.bound_violations == 1
+        assert summary.first_failure.budget == shot_noise_budget()
+        assert summary.first_failure.fidelity == 0.7
+        with pytest.raises(VerificationError, match="fidelity 0.7"):
+            verify_inequality_chain(shot_noise_budget())
 
 
 class TestRunChainVerification:

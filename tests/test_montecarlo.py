@@ -1,5 +1,8 @@
 """Sample-based estimates against the closed forms."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -250,7 +253,8 @@ class TestSimulateProtocol:
 
 
 class TestSharedBlockBuffers:
-    """The block loop reuses one factor and one set of buffers per run."""
+    """The block loop reuses one factor per run and one set of buffers per
+    worker, and its report does not depend on the worker count."""
 
     CONFIGS = {
         "squeezed-epr": EprScenario(0.8, 0.25),
@@ -264,9 +268,54 @@ class TestSharedBlockBuffers:
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     @pytest.mark.parametrize("samples, seed", [(1000, 3), (20000, 41)])
-    def test_report_equals_the_fresh_array_loop(self, name, samples, seed):
+    def test_report_equals_the_fresh_array_loop(self, name, samples, seed, monkeypatch):
         run = McRunConfig(channel=self.CONFIGS[name], samples=samples, seed=seed)
-        assert simulate_protocol(run) == reference_simulate(run)
+        want = reference_simulate(run)
+        # the threaded split runs even where the host has a single CPU
+        for workers in (1, 2):
+            monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+            assert simulate_protocol(run) == want, workers
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # a lost or misplaced block row would change the report
+        run = McRunConfig(channel=self.CONFIGS["gain-channel"], samples=20000, seed=13)
+        want = reference_simulate(run)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [simulate_protocol(run) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 5
+
+    def test_each_block_is_drawn_once(self, monkeypatch):
+        drawn = []
+
+        def recording(state, n, seed, out=None):
+            drawn.append(seed.entropy[1])
+            return sample(state, n, seed, out=out)
+
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "sample", recording)
+        simulate_protocol(McRunConfig(channel=EprScenario(0.8, 0.25), samples=10000, seed=7))
+        assert sorted(drawn) == list(range(montecarlo.JACKKNIFE_BLOCKS))
+
+    @pytest.mark.parametrize("failing_block", [0, 1])
+    def test_worker_error_reaches_the_caller(self, failing_block, monkeypatch):
+        # with two workers block 0 runs on the calling thread, block 1 on the other
+        def failing(state, n, seed, out=None):
+            if seed.entropy[1] == failing_block:
+                raise MemoryError("no room for the block")
+            return sample(state, n, seed, out=out)
+
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "sample", failing)
+        before = set(threading.enumerate())
+        run = McRunConfig(channel=self.CONFIGS["gain-channel"], samples=20000, seed=5)
+        with pytest.raises(MemoryError, match="no room"):
+            simulate_protocol(run)
+        assert set(threading.enumerate()) <= before
 
     def test_sample_into_a_buffer_is_bitwise_the_fresh_draw(self):
         rng = np.random.default_rng(5)
@@ -290,6 +339,7 @@ class TestSharedBlockBuffers:
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
         for channel in (EprScenario(0.8, 0.25), self.CONFIGS["gain-channel"]):
             calls.clear()
             simulate_protocol(McRunConfig(channel=channel, samples=10000, seed=2))
