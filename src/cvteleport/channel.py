@@ -142,7 +142,9 @@ class NoiseBudget:
     the reconstruction contributions, ``c_XmXr``/``c_YmYr`` the
     same-quadrature cross correlations (the resource that lets the total
     output noise beat either contribution alone).  Opposite-quadrature
-    correlations never enter the criteria and are not carried.
+    moments are not carried: :func:`to_unity_gain_budget` drops them, so
+    the fidelity ignores them even though a correlated output noise changes
+    it.
     """
 
     v_Xm: float
@@ -293,22 +295,6 @@ def equivalent_measurement_noise(m: MeasurementStage) -> tuple[float, float]:
     return n_x, n_y
 
 
-def transfer_coefficients(
-    n_x: float, n_y: float, inp: InputState
-) -> tuple[float, float]:
-    """Signal-to-noise transfer coefficients for the given added noises.
-
-    Each coefficient is the ratio of output to input SNR for that
-    quadrature, which for additive noise reduces to var / (var + N).
-    """
-    if n_x < 0.0 or n_y < 0.0:
-        raise ValueError("equivalent noises must be >= 0")
-    return (
-        inp.var_X / (inp.var_X + n_x),
-        inp.var_Y / (inp.var_Y + n_y),
-    )
-
-
 def compose(config: ChannelConfig) -> ComposedChannel:
     """Output quadratures as linear forms over the joint state.
 
@@ -331,8 +317,10 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
 
     Requires ``h_X*g_X`` and ``h_Y*g_Y`` equal to 1 within tolerance and no
     quadrature mixing.  Only same-quadrature second moments enter the
-    budget; opposite-quadrature correlations (and the off-diagonal stage
-    cross terms) are validated for positivity but play no further role.
+    budget.  Opposite-quadrature correlations (and the off-diagonal stage
+    cross terms) are validated for positivity and then dropped, so the
+    reported fidelity ignores them although they add to the output noise
+    covariance.
     """
     m, r = config.measurement, config.reconstruction
     if m.f_X != 0.0 or m.f_Y != 0.0:

@@ -26,6 +26,10 @@ The verifier rechecks the algebraic chain that links the no-violation
 condition to the noise-product bound, including the exact factorization
 identity it relies on, and from that bound on to a coherent input's
 transfer sum and fidelity, on whole batches of random budgets at a time.
+T, F and the four noise verdicts come from one pair of kernels
+(:func:`_transfer_fidelity`, :func:`_noise_verdicts`), so the verifier
+checks the very values and inequalities a report prints.  Reports do not
+run the chain.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .channel import (
     equivalent_output_noise,
     shot_noise_budget,
     to_unity_gain_budget,
-    transfer_coefficients,
 )
 from .errors import DegenerateConditioningError, ValidityError, VerificationError
 
@@ -55,6 +58,55 @@ IDENTITY_RTOL = 1e-9
 
 FIDELITY_CLASSICAL_BOUND = 0.5
 FIDELITY_CV_BOUND = 2.0 / 3.0
+
+# Every report's verdicts, in order: the four noise verdicts of
+# :func:`_noise_verdicts`, then the conditional-variance verdict.
+VERDICT_KEYS = (
+    "fidelity_above_half",
+    "fidelity_above_two_thirds",
+    "n_product_below_one",
+    "t_sum_above_one",
+    "epr_violation",
+)
+
+
+def _transfer_fidelity(n_x, n_y, var_x=1.0, var_y=1.0):
+    """``(T_X, T_Y, F)`` for added output noises ``n_x``, ``n_y``.
+
+    ``T`` is each quadrature's transfer coefficient for an input of
+    variance ``var``, ``F`` a coherent input's fidelity at zero offset.
+    Floats or equal-length arrays.
+    """
+    fidelity = 2.0 / np.sqrt((2.0 + n_x) * (2.0 + n_y))
+    return var_x / (var_x + n_x), var_y / (var_y + n_y), fidelity
+
+
+def _noise_verdicts(n_product, t_sum, fidelity):
+    """The four noise verdicts, in :data:`VERDICT_KEYS` order; floats or arrays.
+
+    Verdicts are strict: a bound counts as beaten only when cleared by more
+    than the verdict margin.
+    """
+    return (
+        fidelity > FIDELITY_CLASSICAL_BOUND + VERDICT_MARGIN,
+        fidelity > FIDELITY_CV_BOUND + VERDICT_MARGIN,
+        n_product < 1.0 - VERDICT_MARGIN,
+        t_sum > 1.0 + VERDICT_MARGIN,
+    )
+
+
+def transfer_coefficients(
+    n_x: float, n_y: float, inp: InputState
+) -> tuple[float, float]:
+    """Signal-to-noise transfer coefficients for the given added noises.
+
+    Each coefficient is the ratio of output to input SNR for that
+    quadrature, which for additive noise reduces to var / (var + N).
+    """
+    if n_x < 0.0 or n_y < 0.0:
+        raise ValueError("equivalent noises must be >= 0")
+    t_x, t_y, _ = _transfer_fidelity(n_x, n_y, inp.var_X, inp.var_Y)
+    return t_x, t_y
 
 
 def fidelity_general(
@@ -69,7 +121,7 @@ def fidelity_general(
     """
     if n_x < 0.0 or n_y < 0.0:
         raise ValueError("equivalent noises must be >= 0")
-    prefactor = 2.0 / np.sqrt((2.0 + n_x) * (2.0 + n_y))
+    prefactor = _transfer_fidelity(n_x, n_y)[2]
     damping = np.exp(
         -offset_x**2 / (2.0 * (2.0 + n_x)) - offset_y**2 / (2.0 * (2.0 + n_y))
     )
@@ -139,7 +191,7 @@ def _chain_terms(v_xm, v_ym, v_xr, v_yr, c_x, c_y):
     near-singular budgets.
 
     ``t_sum`` and ``fidelity`` are a coherent input's transfer sum and
-    fidelity, computed as the report computes them.  Two exact links tie
+    fidelity, from the report's own kernel.  Two exact links tie
     them to the noise product: ``T_X + T_Y - 1 = (1 - N_X N_Y) / ((1 + N_X)
     (1 + N_Y))``, so ``t_sum <= 1`` once ``N_X N_Y >= 1``; and ``(2 + N_X)
     (2 + N_Y) >= (2 + sqrt(N_X N_Y))**2 >= 9``, so ``fidelity <= 2/3``.
@@ -159,25 +211,21 @@ def _chain_terms(v_xm, v_ym, v_xr, v_yr, c_x, c_y):
         rel_err = abs(lhs - rhs) / np.where(scale > 0.0, scale, np.inf)
         de = (v_xm - v_xr) * (v_ym - v_yr)
         n_x, n_y = _output_noise(v_xm, v_xr, c_x), _output_noise(v_ym, v_yr, c_y)
-        n_product = n_x * n_y
-        t_sum = 1.0 / (1.0 + n_x) + 1.0 / (1.0 + n_y)
-        fidelity = 2.0 / np.sqrt((2.0 + n_x) * (2.0 + n_y))
-    return v_cx, v_cy, lhs, rel_err, de + 2.0 * abs(de), n_product, t_sum, fidelity
+        t_x, t_y, fidelity = _transfer_fidelity(n_x, n_y)
+    return v_cx, v_cy, lhs, rel_err, de + 2.0 * abs(de), n_x * n_y, t_x + t_y, fidelity
 
 
 def _chain_fails(rel_err, n_value, n_product, t_sum, fidelity):
     """The chain's failure predicate, on scalars or arrays of its terms.
 
-    A link fails when its bound is missed by more than the verdict margin,
-    so a failure is a verdict the report would print for a budget with no
-    conditional-variance violation.
+    The identity and slack links fail beyond their own tolerances; the
+    other three fail exactly when the report would print that verdict
+    (fidelity above 2/3, noise product below 1, transfer sum above 1) for
+    a budget with no conditional-variance violation.
     """
+    _, above_two_thirds, below_one, above_one = _noise_verdicts(n_product, t_sum, fidelity)
     return (
-        (rel_err > IDENTITY_RTOL)
-        | (n_value < 0.0)
-        | (n_product < 1.0 - VERDICT_MARGIN)
-        | (t_sum > 1.0 + VERDICT_MARGIN)
-        | (fidelity > FIDELITY_CV_BOUND + VERDICT_MARGIN)
+        (rel_err > IDENTITY_RTOL) | (n_value < 0.0) | below_one | above_one | above_two_thirds
     )
 
 
@@ -235,7 +283,6 @@ def inequality_trace(b: NoiseBudget) -> InequalityTrace:
 class EprCriterionResult:
     products: tuple[float, float]
     violated: bool
-    trace: InequalityTrace
 
 
 def epr_criterion(b: NoiseBudget) -> EprCriterionResult:
@@ -250,7 +297,6 @@ def epr_criterion(b: NoiseBudget) -> EprCriterionResult:
     return EprCriterionResult(
         products=(float(p_r_given_m), float(p_m_given_r)),
         violated=bool(_violates(p_r_given_m, p_m_given_r)),
-        trace=inequality_trace(b),
     )
 
 
@@ -263,12 +309,11 @@ def verify_inequality_chain(b: NoiseBudget) -> InequalityTrace:
     Numerical failures of the chain raise :class:`VerificationError` with
     the full trace attached.
     """
-    result = epr_criterion(b)
-    if result.violated:
+    if epr_criterion(b).violated:
         raise ValueError(
             "inequality chain applies only to budgets without a conditional-variance violation"
         )
-    t = result.trace
+    t = inequality_trace(b)
     if _chain_fails(t.identity_rel_error, t.n_value, t.n_product, t.t_sum, t.fidelity):
         raise VerificationError(
             f"inequality chain fails: identity off by {t.identity_rel_error:.3e} relative, "
@@ -303,10 +348,9 @@ class CriteriaReport:
 def _criteria_report(n_x, n_y, cv_products, inp: InputState) -> CriteriaReport:
     """The report from both output noises, both cv products and the input.
 
-    Transfer coefficients and fidelity follow from the noises.  Verdicts are
-    strict: a bound counts as beaten only when cleared by more than the
-    verdict margin.  A noise or product that overflowed to a non-finite
-    value raises :class:`ValidityError` naming it.
+    Transfer coefficients, fidelity and verdicts come from the kernels the
+    chain verifier checks.  A noise or product that overflowed to a
+    non-finite value raises :class:`ValidityError` naming it.
     """
     figures = {
         "N_X_out": n_x,
@@ -317,15 +361,8 @@ def _criteria_report(n_x, n_y, cv_products, inp: InputState) -> CriteriaReport:
     for name, value in figures.items():
         if not math.isfinite(value):
             raise ValidityError(f"criterion figure {name} is not finite: {value}")
-    t_x, t_y = transfer_coefficients(n_x, n_y, inp)
-    fid = fidelity_general(n_x, n_y)
-    verdicts = {
-        "fidelity_above_half": fid > FIDELITY_CLASSICAL_BOUND + VERDICT_MARGIN,
-        "fidelity_above_two_thirds": fid > FIDELITY_CV_BOUND + VERDICT_MARGIN,
-        "n_product_below_one": n_x * n_y < 1.0 - VERDICT_MARGIN,
-        "t_sum_above_one": t_x + t_y > 1.0 + VERDICT_MARGIN,
-        "epr_violation": bool(_violates(*cv_products)),
-    }
+    t_x, t_y, fid = map(float, _transfer_fidelity(n_x, n_y, inp.var_X, inp.var_Y))
+    verdicts = (*_noise_verdicts(n_x * n_y, t_x + t_y, fid), _violates(*cv_products))
     return CriteriaReport(
         N_X_out=n_x,
         N_Y_out=n_y,
@@ -333,7 +370,7 @@ def _criteria_report(n_x, n_y, cv_products, inp: InputState) -> CriteriaReport:
         T_Y_out=t_y,
         fidelity=fid,
         cv_products=cv_products,
-        verdicts=verdicts,
+        verdicts=dict(zip(VERDICT_KEYS, map(bool, verdicts))),
         t_sum_applicable=inp.is_minimum_uncertainty,
     )
 

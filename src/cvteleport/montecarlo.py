@@ -2,15 +2,17 @@
 
 The simulator draws the four stage noises ``(B_X, B_Y, C_X, C_Y)``, the
 noise marginal of the channel's joint Gaussian, and rebuilds every figure
-of merit from samples alone.  The input quadratures are not drawn: the
-input is uncorrelated with both noises and at unity gain only its mean
-enters, through the fidelity kernel.  Per sample the measured noise is
-``h*B`` and the reconstruction noise ``C``, per quadrature; from them come
-the output noise variances, the fidelity as the sample mean of the
-overlap kernel (never through the closed form), and the
-conditional-variance products through sample regression.  Estimates come
-with jackknife standard errors over 100 equal blocks, and each is compared
-to its analytic counterpart through a z-score.
+of merit from samples alone.  The input is not drawn and does not enter
+at all: at unity gain the reconstructed amplitude minus the input
+amplitude is the added noise, so the overlap kernel is evaluated on that
+added displacement against target 0, and a large input mean cannot round
+the noise away.  Per sample the measured noise is ``h*B`` and the
+reconstruction noise ``C``, per quadrature; from them come the output
+noise variances, the fidelity as the sample mean of the overlap kernel
+(never through the closed form), and the conditional-variance products
+through sample regression.  Estimates come with jackknife standard errors
+over 100 equal blocks, and each is compared to its analytic counterpart
+through a z-score.
 
 Sampling is deterministic for a fixed seed: block ``b`` draws from a
 generator seeded with ``SeedSequence([seed, b])``, and blocks are reduced
@@ -137,31 +139,6 @@ def _moments(s1, s2, n):
     return np.where(v > 0.0, v, 0.0)
 
 
-def estimate_conditional_variance(
-    samples_a: np.ndarray, samples_b: np.ndarray
-) -> float:
-    """Residual variance of ``a`` after linear regression on ``b``.
-
-    The sample analog of the state-algebra conditional variance; used by
-    the simulator to estimate the criterion products from data.  Moments
-    are computed from centered samples, so a constant conditioner has an
-    exactly zero sample covariance and falls back to the plain variance.
-    """
-    a = np.asarray(samples_a, dtype=float).reshape(-1)
-    b = np.asarray(samples_b, dtype=float).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError("sample arrays must have equal length")
-    n = a.size
-    if n < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    ac = a - a.mean()
-    bc = b - b.mean()
-    v_a = float(ac @ ac) / n
-    v_b = float(bc @ bc) / n
-    c = float(ac @ bc) / n
-    return float(_conditional(v_a, v_b, c))
-
-
 # Per-block sufficient statistics, in column order.
 _STAT_COLUMNS = (
     "sxm", "sxm2", "sxr", "sxr2", "sxmxr",
@@ -251,10 +228,10 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
     """Simulate the channel sample by sample and compare against closed forms.
 
     Requires unity gain.  The reconstructed amplitude for each sample is the
-    input amplitude displaced by that sample's added noise; its overlap with
-    the target is averaged for the fidelity estimate, and the added-noise
-    samples feed the variance and regression estimates.  The analytic side
-    is :func:`full_report` of the channel that is sampled.
+    input amplitude displaced by that sample's added noise; the overlap
+    kernel of that displacement is averaged for the fidelity estimate, and
+    the added-noise samples feed the variance and regression estimates.
+    The analytic side is :func:`full_report` of the channel that is sampled.
     """
     channel = cfg.channel
     if isinstance(channel, EprScenario):
@@ -267,7 +244,6 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
     joint = channel.joint_state()
     noise = GaussianVector(joint.labels[2:], joint.mean[2:], joint.cov[2:, 2:])
     h_x, h_y = channel.reconstruction.h_X, channel.reconstruction.h_Y
-    x_a, y_a = channel.input.mean_x, channel.input.mean_y
 
     block_n = cfg.samples // JACKKNIFE_BLOCKS
     block_stats = np.zeros((JACKKNIFE_BLOCKS, len(_STAT_COLUMNS)))
@@ -290,10 +266,10 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
             sample(noise, block_n, np.random.SeedSequence([cfg.seed, b]), out=rows)
             np.multiply(h_x, b_x, out=xm)
             np.multiply(h_y, b_y, out=ym)
-            # the reconstructed amplitude: input mean plus both added noises
-            np.add(np.add(x_a, xm, out=w), xr, out=w)
-            np.add(np.add(y_a, ym, out=tmp), yr, out=tmp)
-            fidelity_mc_integrand(w, tmp, x_a, y_a, out=w, scratch=tmp)
+            # the added displacement, both noises, against target 0
+            np.add(xm, xr, out=w)
+            np.add(ym, yr, out=tmp)
+            fidelity_mc_integrand(w, tmp, 0.0, 0.0, out=w, scratch=tmp)
             block_stats[b] = (
                 xm.sum(), prod_sum(xm, xm), xr.sum(), prod_sum(xr, xr), prod_sum(xm, xr),
                 ym.sum(), prod_sum(ym, ym), yr.sum(), prod_sum(yr, yr), prod_sum(ym, yr),

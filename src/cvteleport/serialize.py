@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import asdict
 from typing import Any
 
 import numpy as np
@@ -36,7 +37,7 @@ from .criteria import CriteriaReport, VerificationSummary
 from .epr import SWEEP_CSV_COLUMNS, EprScenario, SweepTable
 from .errors import ConfigError, ValidityError
 from .gaussian import GaussianVector
-from .montecarlo import Comparison, McReport
+from .montecarlo import McReport
 
 SIGNIFICANT_DIGITS = 12
 # Every emitted number goes through this template; adding 0.0 first turns
@@ -310,13 +311,6 @@ def epr_to_dict(sc: EprScenario) -> dict:
 # ---------------------------------------------------------------------------
 # report rendering
 
-VERDICT_KEYS = (
-    "fidelity_above_half",
-    "fidelity_above_two_thirds",
-    "n_product_below_one",
-    "t_sum_above_one",
-    "epr_violation",
-)
 
 def report_to_dict(report: CriteriaReport) -> dict:
     return {
@@ -326,7 +320,7 @@ def report_to_dict(report: CriteriaReport) -> dict:
         "T_Y_out": report.T_Y_out,
         "fidelity": report.fidelity,
         "cv_products": list(report.cv_products),
-        "verdicts": {k: report.verdicts[k] for k in VERDICT_KEYS},
+        "verdicts": report.verdicts,
         "t_sum_applicable": report.t_sum_applicable,
     }
 
@@ -367,25 +361,16 @@ def sweep_to_csv(table: SweepTable) -> str:
     return SWEEP_CSV_HEADER + "".join(sweep_csv_blocks(table))
 
 
-def _comparison_to_dict(c: Comparison) -> dict:
-    return {
-        "estimate": c.estimate,
-        "stderr": c.stderr,
-        "analytic": c.analytic,
-        "z_score": c.z_score,
-    }
-
-
 def mc_report_to_dict(report: McReport) -> dict:
     return {
         "samples": report.samples,
         "seed": report.seed,
-        "est_N_X": _comparison_to_dict(report.N_X),
-        "est_N_Y": _comparison_to_dict(report.N_Y),
-        "est_F": _comparison_to_dict(report.fidelity),
+        "est_N_X": asdict(report.N_X),
+        "est_N_Y": asdict(report.N_Y),
+        "est_F": asdict(report.fidelity),
         "est_cv_products": [
-            _comparison_to_dict(report.cv_product_r_given_m),
-            _comparison_to_dict(report.cv_product_m_given_r),
+            asdict(report.cv_product_r_given_m),
+            asdict(report.cv_product_m_given_r),
         ],
         "max_abs_z": report.max_abs_z,
     }
@@ -403,16 +388,8 @@ def verification_to_dict(summary: VerificationSummary) -> dict:
     }
     if summary.first_failure is not None:
         t = summary.first_failure
-        b = t.budget
         payload["first_failure"] = {
-            "budget": {
-                "v_Xm": b.v_Xm,
-                "v_Ym": b.v_Ym,
-                "v_Xr": b.v_Xr,
-                "v_Yr": b.v_Yr,
-                "c_XmXr": b.c_XmXr,
-                "c_YmYr": b.c_YmYr,
-            },
+            "budget": asdict(t.budget),
             "identity_rel_error": t.identity_rel_error,
             "n_value": t.n_value,
             "n_product": t.n_product,

@@ -16,9 +16,9 @@ from cvteleport.channel import (
     ideal_budget,
     shot_noise_budget,
     to_unity_gain_budget,
-    transfer_coefficients,
     vacuum_input,
 )
+from cvteleport.criteria import transfer_coefficients
 from cvteleport.errors import (
     GainConditionError,
     GainError,

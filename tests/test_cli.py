@@ -251,6 +251,17 @@ class TestMcCommand:
         assert cli.main(["mc", "--config", str(path), "--samples", "1000"]) == 1
         assert "perfect squeezing" in capsys.readouterr().err
 
+    def test_far_displaced_input_is_not_a_disagreement(self, tmp_path, capsys):
+        # the shot-noise channel with an input amplitude of 1e16, where a
+        # float's spacing is 2
+        config = channel_to_dict(budget_to_channel(shot_noise_budget()))
+        config["input"]["mean_x"] = 1e16
+        path = tmp_path / "displaced.json"
+        path.write_text(json.dumps(config))
+        args = ["mc", "--config", str(path), "--samples", "10000", "--seed", "1"]
+        assert cli.main(args) == 0
+        assert json.loads(capsys.readouterr().out)["max_abs_z"] < 5.0
+
     def test_singular_noise_is_not_a_disagreement(self, tmp_path, capsys):
         # stages that cancel exactly on Y (N_Y = 0), and a rank-1 X pair
         # (C_X = -2 B_X: both conditional variances 0)

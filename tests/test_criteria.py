@@ -20,6 +20,7 @@ from cvteleport.criteria import (
     VERDICT_MARGIN,
     _chain_fails,
     _chain_terms,
+    _conditional,
     _cv_products,
     _draw_budgets,
     _violates,
@@ -32,8 +33,8 @@ from cvteleport.criteria import (
     run_chain_verification,
     verify_inequality_chain,
 )
-from cvteleport.epr import EprScenario, to_noise_budget
-from cvteleport.errors import VerificationError
+from cvteleport.epr import EprScenario, scenario_report, to_noise_budget
+from cvteleport.errors import DegenerateConditioningError, VerificationError
 from cvteleport.gaussian import conditional_variance, term
 
 
@@ -194,6 +195,16 @@ class TestEprCriterion:
             )
             assert got == tuple(term[i] for term in terms), b
 
+    def test_zero_variance_conditioner_with_covariance_rejected(self):
+        with pytest.raises(DegenerateConditioningError):
+            _conditional(1.0, 0.0, 1e-200)
+        with pytest.raises(DegenerateConditioningError):
+            _conditional(np.ones(3), np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.0, 1e-200]))
+        # a zero-variance conditioner with zero covariance leaves the plain variance
+        assert _conditional(2.0, 0.0, 0.0) == 2.0
+        got = _conditional(np.array([2.0, 2.0]), np.array([0.0, 2.0]), np.array([0.0, 1.0]))
+        assert got.tolist() == [2.0, 1.5]
+
     def test_boundary_products_need_margin_to_violate(self):
         # products exactly 1: inside the verdict margin, not a violation
         v = 2.0
@@ -316,6 +327,16 @@ class TestChainLinks:
             scale = max(1.0, *map(abs, row))
             assert abs(Fraction(got) ** 2 - 4 / d) <= 32 * np.finfo(float).eps * scale, row
         assert fidelity[:4].tolist() == [0.5, FIDELITY_CV_BOUND, 2.0 / np.sqrt(10.0), 1.0]
+
+    def test_chain_checks_the_figures_the_report_prints(self):
+        # violating budgets included: the chain's terms are the report's,
+        # bit for bit
+        for b in random_budgets(2000, seed=61):
+            t = inequality_trace(b)
+            report = full_report(budget_to_channel(b))
+            assert t.fidelity == report.fidelity, b
+            assert t.t_sum == report.T_X_out + report.T_Y_out, b
+            assert t.n_product == report.N_X_out * report.N_Y_out, b
 
     def test_each_link_fails_alone(self):
         # (rel_err, n_value, n_product, t_sum, fidelity): every bound met
@@ -448,6 +469,18 @@ class TestFullReport:
                 report.verdicts["fidelity_above_two_thirds"]
                 == report.verdicts["n_product_below_one"]
             ), n
+
+
+    def test_reports_do_not_run_the_chain(self, monkeypatch):
+        def unreachable(*fields):
+            raise AssertionError("a report ran the inequality chain")
+
+        monkeypatch.setattr(criteria, "_chain_terms", unreachable)
+        channel = full_report(budget_to_channel(NoiseBudget(1.2, 1.5, 1.1, 1.3, -0.4, 0.3)))
+        scenario = scenario_report(EprScenario(0.7, 0.3))
+        for report in (channel, scenario):
+            assert type(report.fidelity) is float
+            assert [type(v) for v in report.verdicts.values()] == [bool] * 5
 
 
 class TestRandomBudgets:

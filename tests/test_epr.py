@@ -8,17 +8,14 @@ import pytest
 
 import cvteleport.cli as cli
 
-from cvteleport.channel import (
-    equivalent_output_noise,
-    transfer_coefficients,
-    vacuum_input,
-)
+from cvteleport.channel import equivalent_output_noise, vacuum_input
 from cvteleport.criteria import (
     FIDELITY_CLASSICAL_BOUND,
     FIDELITY_CV_BOUND,
     VERDICT_MARGIN,
     epr_criterion,
     fidelity_general,
+    transfer_coefficients,
 )
 from cvteleport.epr import (
     MAX_RESOLVED_VARIANCE,

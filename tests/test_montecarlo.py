@@ -17,7 +17,7 @@ from cvteleport.channel import (
 )
 from cvteleport.criteria import full_report
 from cvteleport.epr import EprScenario, to_noise_budget
-from cvteleport.errors import ConfigError, DegenerateConditioningError
+from cvteleport.errors import ConfigError
 from cvteleport import montecarlo
 from cvteleport.gaussian import GaussianVector, sample
 from cvteleport.montecarlo import (
@@ -27,7 +27,6 @@ from cvteleport.montecarlo import (
     McRunConfig,
     _estimates_from_sums,
     _jackknife,
-    estimate_conditional_variance,
     simulate_protocol,
 )
 from cvteleport.serialize import config_from_json
@@ -55,15 +54,15 @@ def reference_simulate(cfg: McRunConfig) -> McReport:
     joint = channel.joint_state()
     noise = GaussianVector(joint.labels[2:], joint.mean[2:], joint.cov[2:, 2:])
     h_x, h_y = channel.reconstruction.h_X, channel.reconstruction.h_Y
-    x_a, y_a = channel.input.mean_x, channel.input.mean_y
     block_n = cfg.samples // montecarlo.JACKKNIFE_BLOCKS
     block_stats = np.zeros((montecarlo.JACKKNIFE_BLOCKS, 11))
     for b in range(montecarlo.JACKKNIFE_BLOCKS):
         rows = sample(noise, block_n, np.random.SeedSequence([cfg.seed, b]))
         b_x, b_y, xr, yr = rows.T
         xm, ym = h_x * b_x, h_y * b_y
-        x, y = x_a + xm + xr, y_a + ym + yr
-        w = np.exp(-((x - x_a) ** 2) / 4.0 - ((y - y_a) ** 2) / 4.0)
+        # the added displacement against target 0
+        x, y = xm + xr, ym + yr
+        w = np.exp(-(x**2) / 4.0 - (y**2) / 4.0)
         block_stats[b] = (
             xm.sum(), (xm * xm).sum(), xr.sum(), (xr * xr).sum(), (xm * xr).sum(),
             ym.sum(), (ym * ym).sum(), yr.sum(), (yr * yr).sum(), (ym * yr).sum(),
@@ -101,46 +100,6 @@ class TestRunConfig:
         for samples in (MAX_SAMPLES + 100, 10**15):
             with pytest.raises(ConfigError, match=f"<= {MAX_SAMPLES}"):
                 McRunConfig(channel=EprScenario(0.7, 0.3), samples=samples, seed=1)
-
-
-class TestConditionalVarianceEstimator:
-    def test_constant_conditioner_returns_plain_variance(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(0.0, np.sqrt(2.0), 10000)
-        b = np.full(10000, 3.0)
-        got = estimate_conditional_variance(a, b)
-        assert got == pytest.approx(a.var(), abs=1e-12)
-
-    def test_identical_samples_leave_no_residual(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=5000)
-        assert estimate_conditional_variance(a, a) == pytest.approx(0.0, abs=1e-9)
-
-    def test_matches_population_value(self):
-        cov = np.array([[2.0, 1.0], [1.0, 2.0]])
-        state = GaussianVector(("A", "B"), np.zeros(2), cov)
-        draws = sample(state, 1000000, seed=12)
-        got = estimate_conditional_variance(draws[:, 0], draws[:, 1])
-        # population residual is 2 - 1/2; stderr ~ sqrt(2/n)*1.5
-        assert got == pytest.approx(1.5, abs=5.0 * 1.5 * np.sqrt(2.0 / 1e6))
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
-            estimate_conditional_variance(np.zeros(2000), np.zeros(3000))
-
-    def test_short_arrays_rejected(self):
-        with pytest.raises(ValueError, match="at least"):
-            estimate_conditional_variance(np.zeros(10), np.zeros(10))
-
-    def test_degenerate_combination_rejected(self):
-        # conditioner variance underflows to zero while the covariance does not
-        a = np.linspace(-1.0, 1.0, 2000)
-        b = 1e-200 * a
-        with pytest.raises(DegenerateConditioningError):
-            estimate_conditional_variance(a, b)
-        # the plain constant case stays fine
-        got = estimate_conditional_variance(a, np.zeros(2000))
-        assert got == pytest.approx(a.var(), abs=1e-12)
 
 
 class TestSimulateProtocol:
@@ -195,6 +154,23 @@ class TestSimulateProtocol:
         f0 = simulate_protocol(base).fidelity.estimate
         f1 = simulate_protocol(moved).fidelity.estimate
         assert f0 == pytest.approx(f1, abs=1e-9)
+
+    def test_large_input_mean_does_not_round_the_noise_away(self):
+        # at 1e16 a float's spacing is 2, so an amplitude formed as mean
+        # plus noise would lose the noise's low bits
+        budget = NoiseBudget(1.2, 1.5, 1.1, 1.3, -0.4, 0.3)
+        at_origin, displaced = (
+            simulate_protocol(
+                McRunConfig(
+                    channel=budget_to_channel(budget, vacuum_input(*mean)),
+                    samples=10000,
+                    seed=1,
+                )
+            )
+            for mean in ((0.0, 0.0), (1e16, -3.0))
+        )
+        assert displaced == at_origin
+        assert displaced.max_abs_z < 5.0
 
     def test_estimates_within_gate_across_seeds(self):
         for seed in (1, 2, 3):

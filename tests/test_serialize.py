@@ -14,13 +14,17 @@ from cvteleport.channel import (
     budget_to_channel,
     shot_noise_budget,
 )
-from cvteleport.criteria import full_report, inequality_trace, run_chain_verification
+from cvteleport.criteria import (
+    VERDICT_KEYS,
+    full_report,
+    inequality_trace,
+    run_chain_verification,
+)
 from cvteleport.epr import EprScenario, sweep
 from cvteleport.errors import ConfigError, ValidityError
 from cvteleport.gaussian import GaussianVector
 from cvteleport.montecarlo import McRunConfig, simulate_protocol
 from cvteleport.serialize import (
-    VERDICT_KEYS,
     channel_to_dict,
     config_from_dict,
     config_from_json,
