@@ -1,18 +1,21 @@
 """Two-stage teleportation channel model and noise bookkeeping.
 
 A channel is a dual-quadrature measurement stage followed by a reconstruction
-stage.  The measurement produces ``M_X = g_X*X_in + f_X*Y_in + B_X`` (and the
-Y analog), the reconstruction emits ``X_out = h_X*M_X + C_X``.  All noises are
+stage.  The measurement produces ``M_X = g_X*X_in + B_X`` (and the Y analog),
+the reconstruction emits ``X_out = h_X*M_X + C_X``.  All noises are
 zero-mean Gaussians specified by second moments, in vacuum units (vacuum
 variance 1), so the validity bounds read:
 
 * measurement noise: ``dB_X * dB_Y >= |g_X * g_Y|``
 * reconstruction noise: ``dC_X * dC_Y >= 1``
 
-A stage whose noise is exactly zero in both quadratures is admitted as the
-idealized noiseless reference even though it sits below those bounds; any
-other sub-bound noise is rejected.  At unity total gain the channel reduces
-to a :class:`NoiseBudget`: the four added-noise variances referred to the
+Every lower bound (these two, the budget's noise products and the input's
+uncertainty product) holds to a tolerance relative to the bound:
+a value is rejected below ``bound * (1 - VALIDITY_TOL)``.  A stage whose
+noise is exactly zero in both quadratures is admitted as the idealized
+noiseless reference even though it sits below its bound; any other
+sub-bound noise is rejected.  At unity total gain the channel reduces to a
+:class:`NoiseBudget`: the four added-noise variances referred to the
 output, plus the same-quadrature correlations between the two stages.
 """
 
@@ -24,12 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    GainConditionError,
-    GainError,
-    UnsupportedRotationError,
-    ValidityError,
-)
+from .errors import GainConditionError, GainError, ValidityError
 from .gaussian import GaussianVector, LinearForm
 
 VALIDITY_TOL = 1e-9
@@ -41,44 +39,54 @@ RECONSTRUCTION_NOISE_LABELS = ("C_X", "C_Y")
 BUDGET_LABELS = ("X_m", "X_r", "Y_m", "Y_r")
 
 
-def _check_noise_pair(noise: GaussianVector, labels: tuple[str, str]) -> None:
+def _check_bound(value: float, bound: float, what: str) -> None:
+    """Reject ``value`` below a lower uncertainty ``bound``, relative tolerance."""
+    if value < bound * (1.0 - VALIDITY_TOL):
+        raise ValidityError(f"{what} violated: {value:.6g} < {bound:.6g}")
+
+
+def _check_stage_noise(
+    noise: GaussianVector, labels: tuple[str, str], bound: float, what: str
+) -> None:
+    """Validate a stage's added noise: labels, zero mean, uncertainty bound.
+
+    The bound applies to the geometric mean of the two variances,
+    ``sqrt(var_0 * var_1) >= bound``.  A noise that is exactly zero in both
+    quadratures is the idealized noiseless stage and is exempt.
+    """
     if noise.labels != labels:
         raise ValueError(f"noise state must carry labels {labels}, got {noise.labels}")
     if np.any(noise.mean != 0.0):
         raise ValidityError("added noises must be zero-mean")
-
-
-def _is_noiseless(noise: GaussianVector) -> bool:
-    return bool(np.all(np.diag(noise.cov) == 0.0))
+    var = np.diag(noise.cov)
+    if np.all(var == 0.0):
+        return
+    with np.errstate(over="ignore"):  # an infinite product passes the bound
+        product = float(np.sqrt(var[0] * var[1]))
+    _check_bound(product, bound, what)
 
 
 @dataclass(frozen=True)
 class MeasurementStage:
-    """Dual-quadrature measurement: gains, optional quadrature mixing, noise.
+    """Dual-quadrature measurement: gains and added noise.
 
     ``noise_B`` holds the second moments of the added noises (B_X, B_Y).
-    With no quadrature mixing (f_X = f_Y = 0) the noise must satisfy the
-    measurement uncertainty product, unless it is exactly zero (idealized
+    The noise must satisfy the measurement uncertainty product
+    ``dB_X*dB_Y >= |g_X*g_Y|``, unless it is exactly zero (idealized
     reference stage).
     """
 
     g_X: float
     g_Y: float
     noise_B: GaussianVector
-    f_X: float = 0.0
-    f_Y: float = 0.0
 
     def __post_init__(self):
-        _check_noise_pair(self.noise_B, MEASUREMENT_NOISE_LABELS)
-        if self.f_X == 0.0 and self.f_Y == 0.0 and not _is_noiseless(self.noise_B):
-            with np.errstate(over="ignore"):  # an infinite product passes the bound
-                product = float(np.sqrt(self.noise_B.cov[0, 0] * self.noise_B.cov[1, 1]))
-            bound = abs(self.g_X * self.g_Y)
-            if product < bound - VALIDITY_TOL:
-                raise ValidityError(
-                    "measurement noise bound dB_X*dB_Y >= |g_X*g_Y| violated: "
-                    f"{product:.6g} < {bound:.6g}"
-                )
+        _check_stage_noise(
+            self.noise_B,
+            MEASUREMENT_NOISE_LABELS,
+            abs(self.g_X * self.g_Y),
+            "measurement noise bound dB_X*dB_Y >= |g_X*g_Y|",
+        )
 
 
 @dataclass(frozen=True)
@@ -90,14 +98,12 @@ class ReconstructionStage:
     noise_C: GaussianVector
 
     def __post_init__(self):
-        _check_noise_pair(self.noise_C, RECONSTRUCTION_NOISE_LABELS)
-        if not _is_noiseless(self.noise_C):
-            with np.errstate(over="ignore"):  # an infinite product passes the bound
-                product = float(np.sqrt(self.noise_C.cov[0, 0] * self.noise_C.cov[1, 1]))
-            if product < 1.0 - VALIDITY_TOL:
-                raise ValidityError(
-                    f"reconstruction noise bound dC_X*dC_Y >= 1 violated: {product:.6g} < 1"
-                )
+        _check_stage_noise(
+            self.noise_C,
+            RECONSTRUCTION_NOISE_LABELS,
+            1.0,
+            "reconstruction noise bound dC_X*dC_Y >= 1",
+        )
 
 
 @dataclass(frozen=True)
@@ -118,11 +124,9 @@ class InputState:
     def __post_init__(self):
         if not (self.var_X > 0.0 and self.var_Y > 0.0):
             raise ValidityError("input variances must be positive")
-        if self.var_X * self.var_Y < 1.0 - VALIDITY_TOL:
-            raise ValidityError(
-                f"input uncertainty product var_X*var_Y >= 1 violated: "
-                f"{self.var_X * self.var_Y:.6g} < 1"
-            )
+        _check_bound(
+            self.var_X * self.var_Y, 1.0, "input uncertainty product var_X*var_Y >= 1"
+        )
 
     @property
     def is_minimum_uncertainty(self) -> bool:
@@ -161,17 +165,15 @@ class NoiseBudget:
             if name.startswith("v_") and value < 0.0:
                 raise ValidityError(f"budget variance {name} must be >= 0, got {value}")
         if not (self.v_Xm == 0.0 and self.v_Ym == 0.0):
-            if self.v_Xm * self.v_Ym < 1.0 - VALIDITY_TOL:
-                raise ValidityError(
-                    "measurement noise product v_Xm*v_Ym >= 1 violated: "
-                    f"{self.v_Xm * self.v_Ym:.6g} < 1"
-                )
+            _check_bound(
+                self.v_Xm * self.v_Ym, 1.0, "measurement noise product v_Xm*v_Ym >= 1"
+            )
         if not (self.v_Xr == 0.0 and self.v_Yr == 0.0):
-            if self.v_Xr * self.v_Yr < 1.0 - VALIDITY_TOL:
-                raise ValidityError(
-                    "reconstruction noise product v_Xr*v_Yr >= 1 violated: "
-                    f"{self.v_Xr * self.v_Yr:.6g} < 1"
-                )
+            _check_bound(
+                self.v_Xr * self.v_Yr,
+                1.0,
+                "reconstruction noise product v_Xr*v_Yr >= 1",
+            )
         if self.c_XmXr * self.c_XmXr > self.v_Xm * self.v_Xr + VALIDITY_TOL:
             raise ValidityError(
                 f"correlation bound c_XmXr^2 <= v_Xm*v_Xr violated: "
@@ -272,59 +274,42 @@ def equivalent_measurement_noise(m: MeasurementStage) -> tuple[float, float]:
 
     Dividing the noise variances by the squared gains expresses the
     measurement record in input units.  Requires gains whose squares are
-    nonzero and finite, and no quadrature mixing.  The referred product
-    must respect the dual measurement bound (N_X * N_Y >= 1) unless the
-    stage is the noiseless reference.
+    nonzero and finite.  The stage's own bound makes the referred product
+    ``N_X * N_Y >= (1 - VALIDITY_TOL)**2`` unless the stage is the noiseless
+    reference, so it is not checked again here.
     """
-    if m.f_X != 0.0 or m.f_Y != 0.0:
-        raise UnsupportedRotationError(
-            "equivalent noise referral needs f_X = f_Y = 0 (no quadrature mixing)"
-        )
     g2_x, g2_y = m.g_X * m.g_X, m.g_Y * m.g_Y
     if not (0.0 < g2_x < math.inf and 0.0 < g2_y < math.inf):
         raise GainError(
             "cannot refer noise to the input through gains "
             f"g_X = {m.g_X:.6g}, g_Y = {m.g_Y:.6g}: the squared gain is 0 or infinite"
         )
-    n_x = float(m.noise_B.cov[0, 0]) / g2_x
-    n_y = float(m.noise_B.cov[1, 1]) / g2_y
-    if not _is_noiseless(m.noise_B) and n_x * n_y < 1.0 - VALIDITY_TOL:
-        raise ValidityError(
-            f"equivalent measurement noise product N_X*N_Y >= 1 violated: {n_x * n_y:.6g} < 1"
-        )
-    return n_x, n_y
+    return float(m.noise_B.cov[0, 0]) / g2_x, float(m.noise_B.cov[1, 1]) / g2_y
 
 
 def compose(config: ChannelConfig) -> ComposedChannel:
     """Output quadratures as linear forms over the joint state.
 
-    ``out_X = h_X*(g_X*X_in + f_X*Y_in + B_X) + C_X`` and the mirror-image
-    Y line (with f_Y multiplying X_in).  The total gains h*g are reported
-    alongside so callers can check the unity-gain condition.
+    ``out_X = h_X*(g_X*X_in + B_X) + C_X`` and the mirror-image Y line.
+    The total gains h*g are reported alongside so callers can check the
+    unity-gain condition.
     """
     m, r = config.measurement, config.reconstruction
-    out_x = LinearForm(
-        {"X_in": r.h_X * m.g_X, "Y_in": r.h_X * m.f_X, "B_X": r.h_X, "C_X": 1.0}
-    )
-    out_y = LinearForm(
-        {"X_in": r.h_Y * m.f_Y, "Y_in": r.h_Y * m.g_Y, "B_Y": r.h_Y, "C_Y": 1.0}
-    )
+    out_x = LinearForm({"X_in": r.h_X * m.g_X, "B_X": r.h_X, "C_X": 1.0})
+    out_y = LinearForm({"Y_in": r.h_Y * m.g_Y, "B_Y": r.h_Y, "C_Y": 1.0})
     return ComposedChannel(out_x, out_y, config.joint_state(), r.h_X * m.g_X, r.h_Y * m.g_Y)
 
 
 def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
     """Reduce a unity-gain channel to its output-referred noise budget.
 
-    Requires ``h_X*g_X`` and ``h_Y*g_Y`` equal to 1 within tolerance and no
-    quadrature mixing.  Only same-quadrature second moments enter the
-    budget.  Opposite-quadrature correlations (and the off-diagonal stage
-    cross terms) are validated for positivity and then dropped, so the
-    reported fidelity ignores them although they add to the output noise
-    covariance.
+    Requires ``h_X*g_X`` and ``h_Y*g_Y`` equal to 1 within tolerance.  Only
+    same-quadrature second moments enter the budget.  Opposite-quadrature
+    correlations (and the off-diagonal stage cross terms) are validated for
+    positivity and then dropped, so the reported fidelity ignores them
+    although they add to the output noise covariance.
     """
     m, r = config.measurement, config.reconstruction
-    if m.f_X != 0.0 or m.f_Y != 0.0:
-        raise UnsupportedRotationError("unity-gain budget needs f_X = f_Y = 0")
     for quad, gain in (("X", r.h_X * m.g_X), ("Y", r.h_Y * m.g_Y)):
         if abs(gain - 1.0) > GAIN_TOL:
             raise GainConditionError(

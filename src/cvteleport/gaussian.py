@@ -115,10 +115,13 @@ class GaussianVector:
             )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("mean and covariance must be finite")
-        asym = float(np.max(np.abs(cov - cov.T))) if d > 1 else 0.0
+        with np.errstate(over="ignore"):  # an infinite asymmetry is rejected
+            asym = float(np.max(np.abs(cov - cov.T))) if d > 1 else 0.0
         if asym > SYMMETRY_TOL:
             raise ValidityError(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
-        sym = (cov + cov.T) / 2.0
+        # Exactly cov where cov is symmetric; elsewhere the mean of the two
+        # entries, halved before the sum so that it cannot overflow.
+        sym = np.where(cov == cov.T, cov, cov / 2.0 + cov.T / 2.0)
         lam = np.linalg.eigvalsh(sym)
         lo, norm = float(lam[0]), float(max(-lam[0], lam[-1]))
         if lo < min(PSD_TOL, -PSD_ROUNDING * d * np.finfo(float).eps * norm):

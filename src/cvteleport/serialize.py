@@ -28,6 +28,8 @@ from typing import Any
 import numpy as np
 
 from .channel import (
+    MEASUREMENT_NOISE_LABELS,
+    RECONSTRUCTION_NOISE_LABELS,
     ChannelConfig,
     InputState,
     MeasurementStage,
@@ -35,7 +37,7 @@ from .channel import (
 )
 from .criteria import CriteriaReport, VerificationSummary
 from .epr import SWEEP_CSV_COLUMNS, EprScenario, SweepTable
-from .errors import ConfigError, ValidityError
+from .errors import ConfigError, UnsupportedRotationError, ValidityError
 from .gaussian import GaussianVector
 from .montecarlo import McReport
 
@@ -159,19 +161,23 @@ def gaussian_from_dict(
 
 
 def _measurement_from_dict(d: dict) -> MeasurementStage:
+    """Parse the measurement stage; ``f_X``/``f_Y`` are accepted only as 0.
+
+    A nonzero quadrature-mixing gain is rejected once ``noise_B`` has
+    parsed, before the stage checks its noise bound.
+    """
+    where = "measurement"
     _check_keys(
-        d,
-        "measurement",
-        ("g_X", "g_Y", "f_X", "f_Y", "noise_B"),
-        ("g_X", "g_Y", "noise_B"),
+        d, where, ("g_X", "g_Y", "f_X", "f_Y", "noise_B"), ("g_X", "g_Y", "noise_B")
     )
-    return MeasurementStage(
-        g_X=_number(d, "g_X", "measurement"),
-        g_Y=_number(d, "g_Y", "measurement"),
-        f_X=_number(d, "f_X", "measurement", default=0.0),
-        f_Y=_number(d, "f_Y", "measurement", default=0.0),
-        noise_B=gaussian_from_dict(d["noise_B"], "measurement.noise_B", ("B_X", "B_Y")),
+    g_x, g_y = _number(d, "g_X", where), _number(d, "g_Y", where)
+    mixing = (_number(d, "f_X", where, 0.0), _number(d, "f_Y", where, 0.0))
+    noise = gaussian_from_dict(
+        d["noise_B"], f"{where}.noise_B", MEASUREMENT_NOISE_LABELS
     )
+    if mixing != (0.0, 0.0):
+        raise UnsupportedRotationError("unity-gain budget needs f_X = f_Y = 0")
+    return MeasurementStage(g_X=g_x, g_Y=g_y, noise_B=noise)
 
 
 def _reconstruction_from_dict(d: dict) -> ReconstructionStage:
@@ -180,7 +186,7 @@ def _reconstruction_from_dict(d: dict) -> ReconstructionStage:
         h_X=_number(d, "h_X", "reconstruction"),
         h_Y=_number(d, "h_Y", "reconstruction"),
         noise_C=gaussian_from_dict(
-            d["noise_C"], "reconstruction.noise_C", ("C_X", "C_Y")
+            d["noise_C"], "reconstruction.noise_C", RECONSTRUCTION_NOISE_LABELS
         ),
     )
 
@@ -285,8 +291,6 @@ def channel_to_dict(config: ChannelConfig) -> dict:
         "measurement": {
             "g_X": m.g_X,
             "g_Y": m.g_Y,
-            "f_X": m.f_X,
-            "f_Y": m.f_Y,
             "noise_B": gaussian_to_dict(m.noise_B),
         },
         "reconstruction": {

@@ -496,6 +496,73 @@ class TestErrorChannels:
         assert "validity error" in err
         assert "measurement noise bound" in err
 
+    def test_small_gain_sub_bound_noise_names_the_stage(self, tmp_path, capsys):
+        # 0.1% below |g_X*g_Y| = 1e-6: the stage, not the budget, rejects it
+        config = channel_to_dict(budget_to_channel(shot_noise_budget()))
+        config["measurement"].update(g_X=1e-3, g_Y=1e-3)
+        config["measurement"]["noise_B"]["cov"] = [[9.99e-7, 0.0], [0.0, 9.99e-7]]
+        config["reconstruction"].update(h_X=1e3, h_Y=1e3)
+        path = tmp_path / "small_gain.json"
+        path.write_text(to_json(config))
+        for args in (["report"], ["mc", "--samples", "1000"]):
+            assert cli.main([*args, "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "validity error: measurement noise bound dB_X*dB_Y >= |g_X*g_Y| "
+                "violated: 9.99e-07 < 1e-06\n"
+            )
+
+    @pytest.mark.parametrize(
+        "noise_b", [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.0], [0.0, 0.5]]]
+    )
+    def test_quadrature_mixing_exits_two(self, noise_b, tmp_path, capsys):
+        # the mixing gains are accepted only as 0, and a nonzero one is
+        # named even when the measurement noise is also below its bound
+        config = channel_to_dict(budget_to_channel(shot_noise_budget()))
+        config["measurement"].update(f_X=0.1, f_Y=0.0)
+        config["measurement"]["noise_B"]["cov"] = noise_b
+        path = tmp_path / "mixing.json"
+        path.write_text(to_json(config))
+        for args in (["report"], ["mc", "--samples", "1000"]):
+            assert cli.main([*args, "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "validity error: unity-gain budget needs f_X = f_Y = 0\n"
+
+    @pytest.mark.parametrize(
+        "where, value, code, message",
+        [
+            ("input", {"var_X": 1e308, "var_Y": 1e308}, 0, ""),
+            (
+                "noise_B",
+                [[1e308, 0.0], [0.0, 1e308]],
+                2,
+                "criterion figure cv_products[1] is not finite",
+            ),
+            ("cross_cov_BC", [[1e308, 0.0], [0.0, 0.0]], 2, "not positive semidefinite"),
+        ],
+    )
+    def test_largest_finite_moments_do_not_overflow(
+        self, where, value, code, message, tmp_path, capsys
+    ):
+        # symmetrizing a covariance must not double an entry near the
+        # float maximum
+        config = channel_to_dict(budget_to_channel(shot_noise_budget()))
+        if where == "noise_B":
+            config["measurement"]["noise_B"]["cov"] = value
+        else:
+            config[where] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(config))
+        for args in (["report"], ["mc", "--samples", "1000"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main([*args, "--config", str(path)]) == code
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err and "Warning" not in captured.err
+            assert message in captured.err
+
     def test_missing_config_file_exits_three(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert cli.main(["report", "--config", missing]) == 3

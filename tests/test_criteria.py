@@ -4,8 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
-from scipy.stats import norm
 
 from cvteleport.channel import (
     NoiseBudget,
@@ -37,6 +35,8 @@ from cvteleport.epr import EprScenario, scenario_report, to_noise_budget
 from cvteleport.errors import DegenerateConditioningError, VerificationError
 from cvteleport.gaussian import conditional_variance, term
 
+GAUSS_HERMITE_NODES = 40
+
 
 class TestFidelityClosedForm:
     def test_noiseless_is_perfect(self):
@@ -67,17 +67,17 @@ class TestFidelityClosedForm:
     )
     def test_matches_direct_integration(self, n_x, n_y, off_x, off_y):
         # the overlap kernel averaged over the reconstructed-amplitude
-        # distribution, integrated numerically with no shared algebra
-        def integrand(y, x):
-            return (
-                fidelity_mc_integrand(x, y, 0.0, 0.0)
-                * norm.pdf(x, loc=off_x, scale=np.sqrt(n_x))
-                * norm.pdf(y, loc=off_y, scale=np.sqrt(n_y))
-            )
-
-        want, err = dblquad(integrand, -30, 30, -30, 30, epsabs=1e-12)
+        # distribution, integrated numerically with no shared algebra: a
+        # tensor Gauss-Hermite rule, exact for polynomials times the normal
+        # densities, with x = off + sqrt(2 n) t mapping each density onto
+        # the weight exp(-t**2)
+        t, w = np.polynomial.hermite.hermgauss(GAUSS_HERMITE_NODES)
+        x = off_x + np.sqrt(2.0 * n_x) * t
+        y = off_y + np.sqrt(2.0 * n_y) * t
+        kernel = fidelity_mc_integrand(x[:, None], y[None, :], 0.0, 0.0)
+        want = w @ kernel @ w / np.pi
         got = fidelity_general(n_x, n_y, off_x, off_y)
-        assert abs(got - want) <= max(1e-10, 10 * err)
+        assert abs(got - want) <= 1e-10
 
     def test_monotone_decreasing_in_noise_and_offset(self):
         grid = np.linspace(0.0, 4.0, 21)

@@ -21,7 +21,7 @@ from cvteleport.criteria import (
     run_chain_verification,
 )
 from cvteleport.epr import EprScenario, sweep
-from cvteleport.errors import ConfigError, ValidityError
+from cvteleport.errors import ConfigError, UnsupportedRotationError, ValidityError
 from cvteleport.gaussian import GaussianVector
 from cvteleport.montecarlo import McRunConfig, simulate_protocol
 from cvteleport.serialize import (
@@ -136,8 +136,6 @@ class TestConfigParsing:
             measurement=MeasurementStage(
                 g_X=1.0,
                 g_Y=-1.0,
-                f_X=0.2,
-                f_Y=-0.1,
                 noise_B=GaussianVector(
                     ("B_X", "B_Y"),
                     np.zeros(2),
@@ -156,7 +154,6 @@ class TestConfigParsing:
         back = config_from_dict(channel_to_dict(config))
         assert isinstance(back, ChannelConfig)
         assert back.measurement.g_X == config.measurement.g_X
-        assert back.measurement.f_Y == config.measurement.f_Y
         assert back.reconstruction.h_Y == config.reconstruction.h_Y
         assert back.input.mean_y == config.input.mean_y
         np.testing.assert_allclose(
@@ -177,6 +174,35 @@ class TestConfigParsing:
         config = config_from_dict(d)
         assert config.input.var_X == 1.0
         np.testing.assert_array_equal(config.cross_cov_BC, np.zeros((2, 2)))
+
+    def test_nonzero_quadrature_mixing_rejected(self):
+        d = channel_to_dict(_shot_noise_channel())
+        d["measurement"]["f_X"] = 0.1
+        with pytest.raises(
+            UnsupportedRotationError, match="unity-gain budget needs f_X = f_Y = 0"
+        ):
+            config_from_dict(d)
+
+    def test_explicit_zero_mixing_accepted(self):
+        d = channel_to_dict(_shot_noise_channel())
+        assert "f_X" not in d["measurement"]
+        d["measurement"].update(f_X=0.0, f_Y=-0.0)
+        back = channel_to_dict(config_from_dict(d))
+        assert back == channel_to_dict(_shot_noise_channel())
+
+    def test_mixing_named_before_the_measurement_noise_bound(self):
+        d = channel_to_dict(_shot_noise_channel())
+        d["measurement"]["f_Y"] = 0.2
+        d["measurement"]["noise_B"]["cov"] = [[0.5, 0.0], [0.0, 0.5]]
+        with pytest.raises(UnsupportedRotationError):
+            config_from_dict(d)
+
+    def test_non_psd_noise_named_before_mixing(self):
+        d = channel_to_dict(_shot_noise_channel())
+        d["measurement"]["f_Y"] = 0.2
+        d["measurement"]["noise_B"]["cov"] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(ValidityError, match="positive semidefinite"):
+            config_from_dict(d)
 
     def test_type_discriminator_required(self):
         with pytest.raises(ConfigError, match="'channel' or 'epr'"):
