@@ -11,16 +11,12 @@ of merit from samples as an independent check.
 
 from .channel import (
     ChannelConfig,
-    ComposedChannel,
     InputState,
     MeasurementStage,
     NoiseBudget,
     ReconstructionStage,
     budget_to_channel,
-    compose,
-    equivalent_measurement_noise,
     equivalent_output_noise,
-    ideal_budget,
     shot_noise_budget,
     to_unity_gain_budget,
     vacuum_input,
@@ -31,21 +27,16 @@ from .criteria import (
     InequalityTrace,
     VerificationSummary,
     epr_criterion,
-    fidelity_general,
     fidelity_mc_integrand,
     full_report,
     inequality_trace,
     run_chain_verification,
-    transfer_coefficients,
-    verify_inequality_chain,
 )
 from .epr import (
     EprScenario,
     SweepPoint,
     SweepTable,
     closed_form,
-    default_eta_grid,
-    default_s_grid,
     scenario_report,
     sweep,
     to_noise_budget,
@@ -55,11 +46,9 @@ from .errors import (
     CvTeleportError,
     DegenerateConditioningError,
     GainConditionError,
-    GainError,
     LabelError,
     UnsupportedRotationError,
     ValidityError,
-    VerificationError,
 )
 from .gaussian import (
     GaussianVector,
@@ -67,9 +56,7 @@ from .gaussian import (
     apply_form,
     conditional_variance,
     covariance_of,
-    mean_of,
     sample,
-    term,
     variance_of,
 )
 from .montecarlo import (
@@ -84,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelConfig",
     "Comparison",
-    "ComposedChannel",
     "ConfigError",
     "CriteriaReport",
     "CvTeleportError",
@@ -92,7 +78,6 @@ __all__ = [
     "EprCriterionResult",
     "EprScenario",
     "GainConditionError",
-    "GainError",
     "GaussianVector",
     "InequalityTrace",
     "InputState",
@@ -107,36 +92,25 @@ __all__ = [
     "SweepTable",
     "UnsupportedRotationError",
     "ValidityError",
-    "VerificationError",
     "VerificationSummary",
     "apply_form",
     "budget_to_channel",
     "closed_form",
-    "compose",
     "conditional_variance",
     "covariance_of",
-    "default_eta_grid",
-    "default_s_grid",
     "epr_criterion",
-    "equivalent_measurement_noise",
     "equivalent_output_noise",
-    "fidelity_general",
     "fidelity_mc_integrand",
     "full_report",
-    "ideal_budget",
     "inequality_trace",
-    "mean_of",
     "run_chain_verification",
     "sample",
     "scenario_report",
     "shot_noise_budget",
     "simulate_protocol",
     "sweep",
-    "term",
     "to_noise_budget",
     "to_unity_gain_budget",
-    "transfer_coefficients",
     "vacuum_input",
     "variance_of",
-    "verify_inequality_chain",
 ]

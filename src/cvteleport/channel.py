@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GainConditionError, GainError, ValidityError
-from .gaussian import GaussianVector, LinearForm
+from .errors import GainConditionError, ValidityError
+from .gaussian import GaussianVector
 
 VALIDITY_TOL = 1e-9
 GAIN_TOL = 1e-9
@@ -133,9 +132,9 @@ class InputState:
         return abs(self.var_X * self.var_Y - 1.0) <= VALIDITY_TOL
 
 
-def vacuum_input(mean_x: float = 0.0, mean_y: float = 0.0) -> InputState:
-    """Coherent-state input with the given amplitude."""
-    return InputState(1.0, 1.0, mean_x, mean_y)
+def vacuum_input() -> InputState:
+    """The vacuum: a coherent-state input at zero amplitude."""
+    return InputState(1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -215,11 +214,6 @@ def shot_noise_budget() -> NoiseBudget:
     return NoiseBudget(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
 
 
-def ideal_budget() -> NoiseBudget:
-    """The idealized noiseless channel (all budget entries zero)."""
-    return NoiseBudget(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class ChannelConfig:
     """Full channel: both stages, their cross correlations, and the input.
@@ -257,47 +251,6 @@ class ChannelConfig:
             return GaussianVector(labels, mean, cov)
         except ValidityError as exc:
             raise ValidityError(f"joint stage covariance invalid: {exc}") from exc
-
-
-class ComposedChannel(NamedTuple):
-    """Output observables of a composed channel, with the total gains."""
-
-    out_X: LinearForm
-    out_Y: LinearForm
-    state: GaussianVector
-    g_T_X: float
-    g_T_Y: float
-
-
-def equivalent_measurement_noise(m: MeasurementStage) -> tuple[float, float]:
-    """Added measurement noise referred to the input, per quadrature.
-
-    Dividing the noise variances by the squared gains expresses the
-    measurement record in input units.  Requires gains whose squares are
-    nonzero and finite.  The stage's own bound makes the referred product
-    ``N_X * N_Y >= (1 - VALIDITY_TOL)**2`` unless the stage is the noiseless
-    reference, so it is not checked again here.
-    """
-    g2_x, g2_y = m.g_X * m.g_X, m.g_Y * m.g_Y
-    if not (0.0 < g2_x < math.inf and 0.0 < g2_y < math.inf):
-        raise GainError(
-            "cannot refer noise to the input through gains "
-            f"g_X = {m.g_X:.6g}, g_Y = {m.g_Y:.6g}: the squared gain is 0 or infinite"
-        )
-    return float(m.noise_B.cov[0, 0]) / g2_x, float(m.noise_B.cov[1, 1]) / g2_y
-
-
-def compose(config: ChannelConfig) -> ComposedChannel:
-    """Output quadratures as linear forms over the joint state.
-
-    ``out_X = h_X*(g_X*X_in + B_X) + C_X`` and the mirror-image Y line.
-    The total gains h*g are reported alongside so callers can check the
-    unity-gain condition.
-    """
-    m, r = config.measurement, config.reconstruction
-    out_x = LinearForm({"X_in": r.h_X * m.g_X, "B_X": r.h_X, "C_X": 1.0})
-    out_y = LinearForm({"Y_in": r.h_Y * m.g_Y, "B_Y": r.h_Y, "C_Y": 1.0})
-    return ComposedChannel(out_x, out_y, config.joint_state(), r.h_X * m.g_X, r.h_Y * m.g_Y)
 
 
 def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
@@ -342,13 +295,11 @@ def _output_noise(v_m, v_r, c):
     return np.maximum(v_m + v_r + 2.0 * c, 0.0)
 
 
-def budget_to_channel(b: NoiseBudget, inp: InputState | None = None) -> ChannelConfig:
-    """Realize a budget as an explicit unity-gain channel.
+def budget_to_channel(b: NoiseBudget) -> ChannelConfig:
+    """Realize a budget as an explicit unity-gain channel with a vacuum input.
 
     Round trip: ``to_unity_gain_budget(budget_to_channel(b)) == b``.
     """
-    if inp is None:
-        inp = vacuum_input()
     noise_b = GaussianVector(
         MEASUREMENT_NOISE_LABELS, np.zeros(2), np.diag([b.v_Xm, b.v_Ym])
     )
@@ -358,6 +309,6 @@ def budget_to_channel(b: NoiseBudget, inp: InputState | None = None) -> ChannelC
     return ChannelConfig(
         measurement=MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=noise_b),
         reconstruction=ReconstructionStage(h_X=1.0, h_Y=1.0, noise_C=noise_c),
-        input=inp,
+        input=vacuum_input(),
         cross_cov_BC=np.diag([b.c_XmXr, b.c_YmYr]),
     )

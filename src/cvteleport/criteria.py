@@ -49,7 +49,7 @@ from .channel import (
     shot_noise_budget,
     to_unity_gain_budget,
 )
-from .errors import DegenerateConditioningError, ValidityError, VerificationError
+from .errors import DegenerateConditioningError, ValidityError
 
 # Strict-verdict margin: a bound counts as beaten only beyond this.
 VERDICT_MARGIN = 1e-9
@@ -95,45 +95,13 @@ def _noise_verdicts(n_product, t_sum, fidelity):
     )
 
 
-def transfer_coefficients(
-    n_x: float, n_y: float, inp: InputState
-) -> tuple[float, float]:
-    """Signal-to-noise transfer coefficients for the given added noises.
-
-    Each coefficient is the ratio of output to input SNR for that
-    quadrature, which for additive noise reduces to var / (var + N).
-    """
-    if n_x < 0.0 or n_y < 0.0:
-        raise ValueError("equivalent noises must be >= 0")
-    t_x, t_y, _ = _transfer_fidelity(n_x, n_y, inp.var_X, inp.var_Y)
-    return t_x, t_y
-
-
-def fidelity_general(
-    n_x: float, n_y: float, offset_x: float = 0.0, offset_y: float = 0.0
-) -> float:
-    """Coherent-state fidelity for Gaussian added noises and amplitude offsets.
-
-    ``offset_x``/``offset_y`` are the differences between the input amplitude
-    and the mean reconstructed amplitude; they vanish at unity gain with
-    zero-mean noises.  With zero offsets and both noises at the classical
-    limit (N = 2) this evaluates to exactly 1/2.
-    """
-    if n_x < 0.0 or n_y < 0.0:
-        raise ValueError("equivalent noises must be >= 0")
-    prefactor = _transfer_fidelity(n_x, n_y)[2]
-    damping = np.exp(
-        -offset_x**2 / (2.0 * (2.0 + n_x)) - offset_y**2 / (2.0 * (2.0 + n_y))
-    )
-    return float(prefactor * damping)
-
-
 def fidelity_mc_integrand(x, y, x_a: float, y_a: float, out=None, scratch=None):
     """Overlap kernel between a reconstructed amplitude and the target.
 
     The fidelity is the expectation of this kernel over the distribution of
     reconstructed amplitudes; the Monte Carlo oracle averages it directly,
-    independently of the closed form above.  Accepts scalars or arrays.
+    independently of the closed form in :func:`_transfer_fidelity`.
+    Accepts scalars or arrays.
     The kernel is written into ``out`` (a float array shaped like ``x``; it
     may be ``x``) and the ``y`` terms into ``scratch`` (shaped like ``y``;
     it may be ``y``) when they are given; no other argument is written, and
@@ -298,30 +266,6 @@ def epr_criterion(b: NoiseBudget) -> EprCriterionResult:
         products=(float(p_r_given_m), float(p_m_given_r)),
         violated=bool(_violates(p_r_given_m, p_m_given_r)),
     )
-
-
-def verify_inequality_chain(b: NoiseBudget) -> InequalityTrace:
-    """Recheck the chain from no-violation to the noise-product bound and
-    on to the transfer-sum and fidelity bounds.
-
-    Only meaningful for budgets that do not violate the conditional-variance
-    criterion; calling it on a violating budget raises ``ValueError``.
-    Numerical failures of the chain raise :class:`VerificationError` with
-    the full trace attached.
-    """
-    if epr_criterion(b).violated:
-        raise ValueError(
-            "inequality chain applies only to budgets without a conditional-variance violation"
-        )
-    t = inequality_trace(b)
-    if _chain_fails(t.identity_rel_error, t.n_value, t.n_product, t.t_sum, t.fidelity):
-        raise VerificationError(
-            f"inequality chain fails: identity off by {t.identity_rel_error:.3e} relative, "
-            f"slack term {t.n_value:.3e}, noise product {t.n_product:.12g}, "
-            f"transfer sum {t.t_sum:.12g}, fidelity {t.fidelity:.12g}",
-            trace=t,
-        )
-    return t
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ accepts exactly the scenarios it accepts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -67,14 +67,6 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
-def default_eta_grid() -> np.ndarray:
-    return np.linspace(0.0, 1.0, 101)
-
-
-def default_s_grid() -> np.ndarray:
-    return np.linspace(0.0, 1.0, 11)
-
-
 def _check_domain(eta, s) -> None:
     """Reject any eta outside [0, 1] or s below 0 (NaN and inf included)."""
     eta, s = np.atleast_1d(eta), np.atleast_1d(s)
@@ -97,8 +89,7 @@ class EprScenario:
     """Channel efficiency ``eta`` and squeezed-quadrature variance ``s``.
 
     ``s = 1`` is no squeezing, ``s = 0`` the perfect-squeezing limit.
-    Values above 1 describe an anti-squeezed sanity input and are flagged
-    through :attr:`is_anti_squeezed` rather than rejected.
+    Values above 1 describe an anti-squeezed resource and are accepted.
     """
 
     eta: float
@@ -106,10 +97,6 @@ class EprScenario:
 
     def __post_init__(self):
         _check_domain(self.eta, self.s)
-
-    @property
-    def is_anti_squeezed(self) -> bool:
-        return self.s > 1.0
 
     @property
     def squeezing_db(self) -> float:
@@ -237,17 +224,13 @@ def scenario_report(sc: EprScenario) -> CriteriaReport:
     return _criteria_report(n_out, n_out, (cond * cond, cond * cond), vacuum_input())
 
 
-def sweep(
-    eta_grid: Sequence[float] | Iterable[float] | None = None,
-    s_grid: Sequence[float] | Iterable[float] | None = None,
-) -> SweepTable:
+def sweep(eta_grid: Iterable[float], s_grid: Iterable[float]) -> SweepTable:
     """Closed forms over the (eta, s) grid, eta varying slowest.
 
-    Defaults to 101 efficiency points over [0, 1] and squeezing values
-    {0, 0.1, ..., 1.0}.  The grid is validated once and evaluated as arrays.
+    The grid is validated once and evaluated as arrays.
     """
-    etas = default_eta_grid() if eta_grid is None else np.array(list(eta_grid), float)
-    esses = default_s_grid() if s_grid is None else np.array(list(s_grid), float)
+    etas = np.array(list(eta_grid), float)
+    esses = np.array(list(s_grid), float)
     _check_domain(etas, esses)
     eta, s = (g.ravel() for g in np.meshgrid(etas, esses, indexing="ij"))
     n_out, t_sum, f, cond = _figures(eta, s)

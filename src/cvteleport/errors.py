@@ -2,8 +2,9 @@
 
 The hierarchy mirrors how failures are reported: configuration problems
 (bad JSON, out-of-range run parameters) are distinct from physics validity
-problems (a second-moment bound violated), which are distinct from a failed
-inequality-chain verification.
+problems (a second-moment bound violated).  A failed inequality-chain
+verification is not an exception: it is counted in the verification
+summary.
 """
 
 from __future__ import annotations
@@ -32,24 +33,9 @@ class UnsupportedRotationError(ValidityError):
     """A quadrature-mixing coefficient is nonzero where the model needs it zero."""
 
 
-class GainError(ValidityError):
-    """A stage gain is zero where a finite noise referral is required."""
-
-
 class GainConditionError(ValidityError):
     """Total gain differs from one where unity gain is required."""
 
 
 class ConfigError(CvTeleportError, ValueError):
     """A run configuration is malformed or out of the supported range."""
-
-
-class VerificationError(CvTeleportError):
-    """The inequality-chain verifier found a numerical violation.
-
-    Carries the full trace of the failing budget in ``trace``.
-    """
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace

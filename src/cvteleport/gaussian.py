@@ -36,7 +36,8 @@ class LinearForm:
 
     ``terms`` maps variable labels to coefficients.  Forms are immutable and
     support addition, subtraction and scalar multiplication, which keeps
-    channel composition code close to the algebra it implements.
+    channel composition (``compose`` in ``tests/oracle.py``) close to the
+    algebra it implements.
     """
 
     terms: Mapping[str, float]
@@ -74,11 +75,6 @@ class LinearForm:
         return LinearForm({k: scalar * v for k, v in self.terms.items()}, scalar * self.constant)
 
     __rmul__ = __mul__
-
-
-def term(label: str, coeff: float = 1.0) -> LinearForm:
-    """Shorthand for the single-variable form ``coeff * label``."""
-    return LinearForm({label: coeff})
 
 
 @dataclass(frozen=True)
@@ -176,11 +172,6 @@ def _coefficients(form: LinearForm, state: GaussianVector) -> np.ndarray:
     for label, coeff in form.terms.items():
         a[state.index(label)] = coeff
     return a
-
-
-def mean_of(form: LinearForm, state: GaussianVector) -> float:
-    """Expectation value of a linear form over the state."""
-    return float(_coefficients(form, state) @ state.mean + form.constant)
 
 
 def variance_of(form: LinearForm, state: GaussianVector) -> float:

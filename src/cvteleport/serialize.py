@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 from typing import Any
 
@@ -96,68 +96,56 @@ def _check_keys(obj: dict, where: str, allowed: Iterable[str], required: Iterabl
         raise ConfigError(f"{where}: missing required keys {missing}")
 
 
+def _as_number(value: Any, where: str) -> float:
+    """A JSON number as a float; a boolean or a string is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _number(obj: dict, key: str, where: str, default: float | None = None) -> float:
     if key not in obj:
         if default is None:
             raise ConfigError(f"{where}: missing required key '{key}'")
         return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-    return float(value)
+    return _as_number(obj[key], f"{where}.{key}")
 
 
-def _matrix(value: Any, where: str, shape: tuple[int, int]) -> np.ndarray:
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: not a numeric matrix: {exc}") from None
-    if arr.shape != shape:
-        raise ConfigError(f"{where}: expected shape {shape}, got {arr.shape}")
-    return arr
+def _array(value: Any, where: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A nested list of numbers with the given shape, as a float array.
 
-
-def _vector(value: Any, where: str, length: int) -> np.ndarray:
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: not a numeric vector: {exc}") from None
-    if arr.shape != (length,):
-        raise ConfigError(f"{where}: expected {length} entries, got shape {arr.shape}")
-    return arr
-
-
-def gaussian_to_dict(state: GaussianVector) -> dict:
-    return {
-        "labels": list(state.labels),
-        "mean": state.mean.tolist(),
-        "cov": state.cov.tolist(),
-    }
-
-
-def gaussian_from_dict(
-    d: dict, where: str, expected_labels: Sequence[str] | None = None
-) -> GaussianVector:
-    """Build a state from ``{labels, mean, cov}``; mean defaults to zeros.
-
-    When ``expected_labels`` is given, the labels key may be omitted and is
-    checked for an exact match if present.
+    Every entry goes through :func:`_as_number`, so a boolean or a string
+    (``"1"``, ``"nan"``) is rejected, naming its position, rather than
+    coerced by numpy.
     """
-    required = ["cov"] if expected_labels is not None else ["labels", "cov"]
-    _check_keys(d, where, ("labels", "mean", "cov"), required)
-    labels = d.get("labels", list(expected_labels or ()))
-    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-        raise ConfigError(f"{where}.labels: expected a list of strings")
-    if expected_labels is not None and tuple(labels) != tuple(expected_labels):
-        raise ConfigError(
-            f"{where}.labels: expected {list(expected_labels)}, got {labels}"
-        )
+
+    def entries(v, at: str, dims: tuple[int, ...]):
+        if not dims:
+            return _as_number(v, at)
+        if not isinstance(v, list) or len(v) != dims[0]:
+            raise ConfigError(
+                f"{at}: expected a list of {dims[0]} entries "
+                f"({where} must have shape {shape})"
+            )
+        return [entries(x, f"{at}[{i}]", dims[1:]) for i, x in enumerate(v)]
+
+    return np.array(entries(value, where, shape), dtype=float)
+
+
+def gaussian_from_dict(d: dict, where: str, expected_labels: tuple[str, ...]) -> GaussianVector:
+    """Build a state over ``expected_labels`` from ``{labels, mean, cov}``.
+
+    The ``labels`` key may be omitted and must match exactly if present;
+    ``mean`` defaults to zeros.
+    """
+    _check_keys(d, where, ("labels", "mean", "cov"), ["cov"])
+    labels = list(expected_labels)
+    if d.get("labels", labels) != labels:
+        raise ConfigError(f"{where}.labels: expected {labels}, got {d['labels']!r}")
     dim = len(labels)
-    cov = _matrix(d["cov"], f"{where}.cov", (dim, dim))
-    mean = (
-        _vector(d["mean"], f"{where}.mean", dim) if "mean" in d else np.zeros(dim)
-    )
-    return GaussianVector(labels=tuple(labels), mean=mean, cov=cov)
+    cov = _array(d["cov"], f"{where}.cov", (dim, dim))
+    mean = _array(d["mean"], f"{where}.mean", (dim,)) if "mean" in d else np.zeros(dim)
+    return GaussianVector(labels=expected_labels, mean=mean, cov=cov)
 
 
 def _measurement_from_dict(d: dict) -> MeasurementStage:
@@ -227,7 +215,7 @@ def config_from_dict(d: dict) -> ChannelConfig | EprScenario:
             else InputState(var_X=1.0, var_Y=1.0)
         )
         cross = (
-            _matrix(d["cross_cov_BC"], "cross_cov_BC", (2, 2))
+            _array(d["cross_cov_BC"], "cross_cov_BC", (2, 2))
             if "cross_cov_BC" in d
             else np.zeros((2, 2))
         )
@@ -282,34 +270,6 @@ def config_from_json(text: str) -> ChannelConfig | EprScenario:
     except RecursionError:
         raise ConfigError("config is nested too deeply to parse") from None
     return config_from_dict(payload)
-
-
-def channel_to_dict(config: ChannelConfig) -> dict:
-    m, r, inp = config.measurement, config.reconstruction, config.input
-    return {
-        "type": "channel",
-        "measurement": {
-            "g_X": m.g_X,
-            "g_Y": m.g_Y,
-            "noise_B": gaussian_to_dict(m.noise_B),
-        },
-        "reconstruction": {
-            "h_X": r.h_X,
-            "h_Y": r.h_Y,
-            "noise_C": gaussian_to_dict(r.noise_C),
-        },
-        "input": {
-            "var_X": inp.var_X,
-            "var_Y": inp.var_Y,
-            "mean_x": inp.mean_x,
-            "mean_y": inp.mean_y,
-        },
-        "cross_cov_BC": np.asarray(config.cross_cov_BC).tolist(),
-    }
-
-
-def epr_to_dict(sc: EprScenario) -> dict:
-    return {"type": "epr", "eta": sc.eta, "s": sc.s}
 
 
 # ---------------------------------------------------------------------------

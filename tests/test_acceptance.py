@@ -12,7 +12,6 @@ import numpy as np
 from cvteleport.channel import (
     NoiseBudget,
     budget_to_channel,
-    ideal_budget,
     shot_noise_budget,
 )
 from cvteleport.criteria import (
@@ -173,7 +172,7 @@ def test_monte_carlo_concordance():
         EprScenario(eta=0.5, s=0.5),
         EprScenario(eta=0.9, s=0.1),
         budget_to_channel(shot_noise_budget()),
-        budget_to_channel(ideal_budget()),
+        budget_to_channel(NoiseBudget(0.0, 0.0, 0.0, 0.0)),
     ] + [budget_to_channel(b) for b in random_budgets(7, seed=BUDGET_SEED)]
     worst = 0.0
     for channel in channels:

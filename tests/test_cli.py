@@ -13,11 +13,12 @@ import pytest
 
 import cvteleport
 import cvteleport.cli as cli
-from cvteleport.channel import budget_to_channel, ideal_budget, shot_noise_budget
+from cvteleport.channel import NoiseBudget, budget_to_channel, shot_noise_budget
 from cvteleport.criteria import VerificationSummary, inequality_trace
 from cvteleport.epr import sweep
 from cvteleport.montecarlo import MAX_SAMPLES, Comparison, McReport
-from cvteleport.serialize import channel_to_dict, sweep_to_csv, to_json
+from cvteleport.serialize import sweep_to_csv, to_json
+from oracle import channel_to_dict
 
 
 @pytest.fixture
@@ -72,7 +73,8 @@ def _unit_channel(tmp_path, name, noise_c, cross):
 @pytest.fixture
 def ideal_config(tmp_path):
     path = tmp_path / "ideal.json"
-    path.write_text(to_json(channel_to_dict(budget_to_channel(ideal_budget()))))
+    ideal = budget_to_channel(NoiseBudget(0.0, 0.0, 0.0, 0.0))
+    path.write_text(to_json(channel_to_dict(ideal)))
     return str(path)
 
 
@@ -443,6 +445,34 @@ class TestErrorChannels:
             assert captured.out == ""
             assert "Traceback" not in captured.err
             assert captured.err.startswith("config error") and "nested" in captured.err
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "measurement.noise_B.cov[0][1]",
+            "measurement.noise_B.mean[0]",
+            "reconstruction.noise_C.cov[1][1]",
+            "reconstruction.noise_C.mean[1]",
+            "cross_cov_BC[0][0]",
+        ],
+    )
+    @pytest.mark.parametrize("entry", ["1", True, "nan"], ids=["string", "bool", "nan"])
+    def test_array_entry_that_is_not_a_number(self, where, entry, tmp_path, capsys):
+        # numpy would read "1" and true as 1.0 and "nan" as NaN
+        config = channel_to_dict(budget_to_channel(shot_noise_budget()))
+        *path, last = where.replace("[", ".").replace("]", "").split(".")
+        owner = config
+        for key in path:
+            owner = owner[int(key) if key.isdigit() else key]
+        owner[int(last)] = entry
+        config_path = tmp_path / "entry.json"
+        config_path.write_text(json.dumps(config))
+        for args in (["report"], ["mc", "--samples", "1000"]):
+            assert cli.main([*args, "--config", str(config_path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "Traceback" not in captured.err
+            assert captured.err == f"config error: {where}: expected a number, got {entry!r}\n"
 
     def test_overflowing_gain_square_is_a_validity_error(self, tmp_path, capsys):
         # unity total gain from 1e-200 * 1e200: h_X squared overflows a float

@@ -1,16 +1,19 @@
 """Fidelity, verdicts, the entanglement test, and the chain verifier."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cvteleport.channel import (
+    ChannelConfig,
+    InputState,
+    MeasurementStage,
     NoiseBudget,
+    ReconstructionStage,
     budget_to_channel,
-    ideal_budget,
     shot_noise_budget,
-    vacuum_input,
 )
 from cvteleport import criteria
 from cvteleport.criteria import (
@@ -23,17 +26,16 @@ from cvteleport.criteria import (
     _draw_budgets,
     _violates,
     epr_criterion,
-    fidelity_general,
     fidelity_mc_integrand,
     full_report,
     inequality_trace,
     random_budgets,
     run_chain_verification,
-    verify_inequality_chain,
 )
 from cvteleport.epr import EprScenario, scenario_report, to_noise_budget
-from cvteleport.errors import DegenerateConditioningError, VerificationError
-from cvteleport.gaussian import conditional_variance, term
+from cvteleport.errors import DegenerateConditioningError
+from cvteleport.gaussian import GaussianVector, conditional_variance
+from oracle import fidelity_general, term
 
 GAUSS_HERMITE_NODES = 40
 
@@ -175,7 +177,7 @@ class TestEprCriterion:
         # edge budgets first: noiseless stages (zero conditioning variance)
         # and correlations just beyond the Cauchy-Schwarz edge
         budgets = [
-            ideal_budget(),
+            NoiseBudget(0.0, 0.0, 0.0, 0.0),
             shot_noise_budget(),
             NoiseBudget(0.0, 0.0, 1.0, 1.0, 0.0, 0.0),
             NoiseBudget(1.0, 1.0, 0.0, 0.0, 0.0, 0.0),
@@ -215,9 +217,15 @@ class TestEprCriterion:
         assert not result.violated
 
 
+def _chain_holds(t):
+    """Whether a trace passes every link of the verifier's chain."""
+    return not _chain_fails(t.identity_rel_error, t.n_value, t.n_product, t.t_sum, t.fidelity)
+
+
 class TestInequalityChain:
     def test_shot_noise_has_margin_three(self):
-        trace = verify_inequality_chain(shot_noise_budget())
+        trace = inequality_trace(shot_noise_budget())
+        assert _chain_holds(trace)
         assert trace.n_product == 4.0
         assert trace.identity_rel_error <= 1e-9
 
@@ -231,13 +239,9 @@ class TestInequalityChain:
         p1, p2 = epr_criterion(b).products
         assert p1 == pytest.approx(1.0, abs=1e-9)
         assert p2 == pytest.approx(1.0, abs=1e-9)
-        trace = verify_inequality_chain(b)
+        trace = inequality_trace(b)
+        assert _chain_holds(trace)
         assert trace.n_product >= 1.0 - 1e-9
-
-    def test_violating_budget_is_out_of_scope(self):
-        b = to_noise_budget(EprScenario(1.0, 0.25))
-        with pytest.raises(ValueError, match="without a conditional-variance"):
-            verify_inequality_chain(b)
 
     def test_identity_holds_on_random_budgets(self):
         worst = 0.0
@@ -252,7 +256,7 @@ class TestInequalityChain:
             p1, p2 = epr_criterion(b).products
             if p1 < 1.0 - 1e-9 or p2 < 1.0 - 1e-9:
                 continue
-            verify_inequality_chain(b)
+            assert _chain_holds(inequality_trace(b)), b
             checked += 1
         assert checked > 1000
 
@@ -271,11 +275,6 @@ class TestInequalityChain:
     def test_slack_term_is_nonnegative(self):
         for b in random_budgets(2000, seed=5):
             assert inequality_trace(b).n_value >= 0.0
-
-    def test_verification_error_carries_trace(self):
-        trace = inequality_trace(shot_noise_budget())
-        err = VerificationError("boom", trace=trace)
-        assert err.trace is trace
 
 
 def _exact_noises(row):
@@ -372,8 +371,6 @@ class TestChainLinks:
         assert summary.bound_violations == 1
         assert summary.first_failure.budget == shot_noise_budget()
         assert summary.first_failure.fidelity == 0.7
-        with pytest.raises(VerificationError, match="fidelity 0.7"):
-            verify_inequality_chain(shot_noise_budget())
 
 
 class TestRunChainVerification:
@@ -423,7 +420,7 @@ class TestRunChainVerification:
 
 class TestFullReport:
     def test_ideal_channel(self):
-        report = full_report(budget_to_channel(ideal_budget()))
+        report = full_report(budget_to_channel(NoiseBudget(0.0, 0.0, 0.0, 0.0)))
         assert report.fidelity == 1.0
         assert report.T_X_out + report.T_Y_out == 2.0
         assert report.N_X_out * report.N_Y_out == 0.0
@@ -451,10 +448,8 @@ class TestFullReport:
         assert not report.verdicts["t_sum_above_one"]
 
     def test_thermal_input_marks_t_sum_inapplicable(self):
-        from cvteleport.channel import InputState
-
-        config = budget_to_channel(
-            shot_noise_budget(), InputState(var_X=2.0, var_Y=2.0)
+        config = replace(
+            budget_to_channel(shot_noise_budget()), input=InputState(var_X=2.0, var_Y=2.0)
         )
         report = full_report(config)
         assert not report.t_sum_applicable
@@ -470,6 +465,35 @@ class TestFullReport:
                 == report.verdicts["n_product_below_one"]
             ), n
 
+
+    def test_swapping_quadratures_swaps_the_figures(self):
+        # X <-> Y on gains, input variances, both noise covariances and the
+        # stage cross moments (P M P), off-diagonal moments included: N and
+        # T swap, the rest stays bit for bit
+        def channel(g, noise_b, noise_c, cross, var):
+            b = GaussianVector(("B_X", "B_Y"), np.zeros(2), noise_b)
+            c = GaussianVector(("C_X", "C_Y"), np.zeros(2), noise_c)
+            return ChannelConfig(
+                MeasurementStage(*g, b), ReconstructionStage(*(1.0 / g), c), InputState(*var), cross
+            )
+
+        rng = np.random.default_rng(1616)
+        for _ in range(500):
+            g = rng.uniform(0.3, 3.0, 2) * rng.choice([-1.0, 1.0], 2)
+            root = rng.normal(size=(4, 4))
+            gram = root @ root.T
+            gram = (gram + gram.T) / 2.0
+            sd = 10.0 ** rng.uniform(0, 0.5, 4) * np.sqrt([abs(g[0] * g[1])] * 2 + [1, 1])
+            joint = gram * np.outer(sd, sd) / np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
+            var_x = 10.0 ** rng.uniform(-1.0, 1.0)
+            var = (var_x, 10.0 ** rng.uniform(0.0, 1.0) / var_x)
+            blocks = (joint[:2, :2], joint[2:, 2:], joint[:2, 2:])
+            a = full_report(channel(g, *blocks, var))
+            b = full_report(channel(g[::-1], *(m[::-1, ::-1] for m in blocks), var[::-1]))
+            assert (b.N_X_out, b.N_Y_out, b.T_X_out, b.T_Y_out) == (
+                a.N_Y_out, a.N_X_out, a.T_Y_out, a.T_X_out)
+            assert (b.fidelity, b.cv_products, b.verdicts, b.t_sum_applicable) == (
+                a.fidelity, a.cv_products, a.verdicts, a.t_sum_applicable)
 
     def test_reports_do_not_run_the_chain(self, monkeypatch):
         def unreachable(*fields):

@@ -8,14 +8,13 @@ import pytest
 
 import cvteleport.cli as cli
 
-from cvteleport.channel import equivalent_output_noise, vacuum_input
+from cvteleport.channel import equivalent_output_noise
 from cvteleport.criteria import (
     FIDELITY_CLASSICAL_BOUND,
     FIDELITY_CV_BOUND,
     VERDICT_MARGIN,
+    _transfer_fidelity,
     epr_criterion,
-    fidelity_general,
-    transfer_coefficients,
 )
 from cvteleport.epr import (
     MAX_RESOLVED_VARIANCE,
@@ -25,8 +24,6 @@ from cvteleport.epr import (
     SweepTable,
     _figures,
     closed_form,
-    default_eta_grid,
-    default_s_grid,
     scenario_report,
     sweep,
     to_noise_budget,
@@ -38,6 +35,7 @@ from cvteleport.serialize import (
     sweep_to_csv,
     to_json,
 )
+from oracle import fidelity_general
 
 
 class TestScenarioValidation:
@@ -50,11 +48,6 @@ class TestScenarioValidation:
     def test_s_domain(self):
         with pytest.raises(ValueError, match="s must"):
             EprScenario(0.5, -0.01)
-
-    def test_anti_squeezed_flagged_not_rejected(self):
-        sc = EprScenario(0.5, 1.5)
-        assert sc.is_anti_squeezed
-        assert not EprScenario(0.5, 1.0).is_anti_squeezed
 
     def test_squeezing_db(self):
         assert EprScenario(1.0, 1.0).squeezing_db == 0.0
@@ -97,7 +90,7 @@ class TestClosedForm:
             for s in np.linspace(0.0, 1.0, 11):
                 pt = closed_form(EprScenario(float(eta), float(s)))
                 assert abs(pt.F - fidelity_general(pt.N_out, pt.N_out)) <= 1e-12
-                t_x, t_y = transfer_coefficients(pt.N_out, pt.N_out, vacuum_input())
+                t_x, t_y, _ = _transfer_fidelity(pt.N_out, pt.N_out)
                 assert abs(pt.T_sum - (t_x + t_y)) <= 1e-12
 
     def test_thresholds_coincide(self):
@@ -326,6 +319,16 @@ class TestExactFigures:
             sweep(eta, esses).epr_violated, sweep(eta, 1.0 / esses).epr_violated
         )
 
+    def test_array_kernel_matches_scalar_calls_bitwise(self):
+        # the sweep evaluates the kernel on arrays, scenario_report on floats
+        rng = np.random.default_rng(1202)
+        eta = np.concatenate([[0.0, 1.0, 0.5, 0.5], rng.uniform(0.0, 1.0, 1996)])
+        esses = np.concatenate([[1e-6, 1e6, 1.0, 0.75], 10.0 ** rng.uniform(-6.0, 6.0, 1996)])
+        columns = _figures(eta, esses)
+        for i, (e, s) in enumerate(zip(eta.tolist(), esses.tolist())):
+            want = tuple(map(float, _figures(e, s)))
+            assert tuple(c[i].item() for c in columns) == want, (e, s)
+
 
 # negative zero, the s = 0 and subnormal-s limits, s on both sides of 1, and
 # s = 1e200, where N_out**2 overflows
@@ -368,7 +371,7 @@ class TestSweep:
         assert sweep_to_csv(table) == reference_csv(table)
 
     def test_default_grid_shape(self):
-        points = sweep()
+        points = sweep(np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 11))
         assert len(points) == 101 * 11
         assert points[0].eta == 0.0 and points[0].s == 0.0
         # eta varies slowest
@@ -376,8 +379,12 @@ class TestSweep:
         assert points[11].eta == pytest.approx(0.01)
 
     def test_default_grids(self):
-        assert len(default_eta_grid()) == 101
-        assert list(default_s_grid()) == pytest.approx(
+        # the command line's defaults are the one definition of the grid
+        args = cli._build_parser().parse_args(["sweep"])
+        eta = cli._grid(args.eta_min, args.eta_max, args.eta_steps, "eta", (0.0, 1.0))
+        s = cli._grid(args.s_min, args.s_max, args.s_steps, "s", (0.0, None))
+        assert len(eta) == 101 and (eta[0], eta[-1]) == (0.0, 1.0)
+        assert list(s) == pytest.approx(
             [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
         )
 

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,7 @@ from cvteleport.channel import (
     InputState,
     NoiseBudget,
     budget_to_channel,
-    ideal_budget,
     shot_noise_budget,
-    vacuum_input,
 )
 from cvteleport.criteria import full_report
 from cvteleport.epr import EprScenario, to_noise_budget
@@ -39,6 +38,11 @@ GAIN_CHANNEL_JSON = """{"type": "channel",
  "input": {"var_X": 1.0, "var_Y": 1.0, "mean_x": 1.5, "mean_y": -0.75},
  "cross_cov_BC": [[-0.4, 0.0], [0.0, 0.3]]}
 """
+
+
+def coherent_channel(budget: NoiseBudget, mean_x: float, mean_y: float) -> ChannelConfig:
+    """The budget's channel with a coherent input at amplitude (mean_x, mean_y)."""
+    return replace(budget_to_channel(budget), input=InputState(1.0, 1.0, mean_x, mean_y))
 
 
 def reference_simulate(cfg: McRunConfig) -> McReport:
@@ -105,7 +109,7 @@ class TestRunConfig:
 class TestSimulateProtocol:
     def test_ideal_channel_estimates_exactly(self):
         run = McRunConfig(
-            channel=budget_to_channel(ideal_budget(), vacuum_input(2.5, -1.0)),
+            channel=coherent_channel(NoiseBudget(0.0, 0.0, 0.0, 0.0), 2.5, -1.0),
             samples=100000,
             seed=4,
         )
@@ -145,9 +149,7 @@ class TestSimulateProtocol:
         # unity gain: the overlap depends only on the added noise
         base = McRunConfig(channel=EprScenario(0.7, 0.3), samples=50000, seed=9)
         moved = McRunConfig(
-            channel=budget_to_channel(
-                to_noise_budget(EprScenario(0.7, 0.3)), vacuum_input(4.0, 4.0)
-            ),
+            channel=coherent_channel(to_noise_budget(EprScenario(0.7, 0.3)), 4.0, 4.0),
             samples=50000,
             seed=9,
         )
@@ -162,7 +164,7 @@ class TestSimulateProtocol:
         at_origin, displaced = (
             simulate_protocol(
                 McRunConfig(
-                    channel=budget_to_channel(budget, vacuum_input(*mean)),
+                    channel=coherent_channel(budget, *mean),
                     samples=10000,
                     seed=1,
                 )
@@ -196,7 +198,8 @@ class TestSimulateProtocol:
             return out
 
         monkeypatch.setattr(montecarlo, "sample", constant)
-        run = McRunConfig(channel=budget_to_channel(ideal_budget()), samples=10000, seed=3)
+        ideal = budget_to_channel(NoiseBudget(0.0, 0.0, 0.0, 0.0))
+        run = McRunConfig(channel=ideal, samples=10000, seed=3)
         report = simulate_protocol(run)
         assert report.N_X.estimate > 0.0 and report.N_X.stderr == 0.0
         assert report.N_X.analytic == 0.0
@@ -237,9 +240,7 @@ class TestSharedBlockBuffers:
         "anti-squeezed-epr": EprScenario(0.65, 3.5),
         "gain-channel": config_from_json(GAIN_CHANNEL_JSON),
         # the measurement stage is noiseless: two zero-variance coordinates
-        "dead-coordinates": budget_to_channel(
-            NoiseBudget(0.0, 0.0, 1.1, 1.4), vacuum_input(0.5, -2.0)
-        ),
+        "dead-coordinates": coherent_channel(NoiseBudget(0.0, 0.0, 1.1, 1.4), 0.5, -2.0),
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))

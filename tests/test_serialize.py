@@ -25,19 +25,17 @@ from cvteleport.errors import ConfigError, UnsupportedRotationError, ValidityErr
 from cvteleport.gaussian import GaussianVector
 from cvteleport.montecarlo import McRunConfig, simulate_protocol
 from cvteleport.serialize import (
-    channel_to_dict,
     config_from_dict,
     config_from_json,
-    epr_to_dict,
     format_number,
     gaussian_from_dict,
-    gaussian_to_dict,
     mc_report_to_dict,
     report_to_dict,
     sweep_to_csv,
     to_json,
     verification_to_dict,
 )
+from oracle import channel_to_dict, gaussian_to_dict
 
 
 def _shot_noise_channel():
@@ -99,35 +97,35 @@ class TestGaussianRoundTrip:
             np.array([0.1, -0.2]),
             np.array([[2.0, 0.5], [0.5, 1.5]]),
         )
-        back = gaussian_from_dict(gaussian_to_dict(state), "noise")
+        back = gaussian_from_dict(gaussian_to_dict(state), "noise", ("B_X", "B_Y"))
         assert back.labels == state.labels
         np.testing.assert_allclose(back.mean, state.mean)
         np.testing.assert_allclose(back.cov, state.cov)
 
     def test_mean_defaults_to_zero(self):
         d = {"labels": ["A", "B"], "cov": [[1.0, 0.0], [0.0, 1.0]]}
-        state = gaussian_from_dict(d, "noise")
+        state = gaussian_from_dict(d, "noise", ("A", "B"))
         np.testing.assert_array_equal(state.mean, np.zeros(2))
 
     def test_labels_optional_when_expected_given(self):
         d = {"cov": [[1.0, 0.0], [0.0, 1.0]]}
-        state = gaussian_from_dict(d, "noise", expected_labels=("C_X", "C_Y"))
+        state = gaussian_from_dict(d, "noise", ("C_X", "C_Y"))
         assert state.labels == ("C_X", "C_Y")
 
     def test_wrong_labels_rejected(self):
         d = {"labels": ["X", "Y"], "cov": [[1.0, 0.0], [0.0, 1.0]]}
         with pytest.raises(ConfigError, match="labels"):
-            gaussian_from_dict(d, "noise", expected_labels=("C_X", "C_Y"))
+            gaussian_from_dict(d, "noise", ("C_X", "C_Y"))
 
     def test_cov_shape_checked(self):
         d = {"labels": ["A", "B"], "cov": [[1.0, 0.0]]}
         with pytest.raises(ConfigError, match="shape"):
-            gaussian_from_dict(d, "noise")
+            gaussian_from_dict(d, "noise", ("A", "B"))
 
     def test_unknown_key_rejected(self):
         d = {"labels": ["A"], "cov": [[1.0]], "covariance": [[1.0]]}
         with pytest.raises(ConfigError, match="unknown keys"):
-            gaussian_from_dict(d, "noise")
+            gaussian_from_dict(d, "noise", ("A",))
 
 
 class TestConfigParsing:
@@ -162,8 +160,7 @@ class TestConfigParsing:
         np.testing.assert_allclose(back.cross_cov_BC, config.cross_cov_BC)
 
     def test_epr_round_trip(self):
-        sc = EprScenario(eta=0.7, s=0.3)
-        back = config_from_dict(epr_to_dict(sc))
+        back = config_from_dict({"type": "epr", "eta": 0.7, "s": 0.3})
         assert isinstance(back, EprScenario)
         assert (back.eta, back.s) == (0.7, 0.3)
 
@@ -209,7 +206,7 @@ class TestConfigParsing:
             config_from_dict({"eta": 0.5, "s": 0.5})
 
     def test_unknown_top_level_key_rejected(self):
-        d = epr_to_dict(EprScenario(eta=0.5, s=0.5))
+        d = {"type": "epr", "eta": 0.5, "s": 0.5}
         d["etaa"] = 0.5
         with pytest.raises(ConfigError, match="unknown keys"):
             config_from_dict(d)
@@ -227,7 +224,7 @@ class TestConfigParsing:
             config_from_dict(d)
 
     def test_boolean_is_not_a_number(self):
-        d = epr_to_dict(EprScenario(eta=0.5, s=0.5))
+        d = {"type": "epr", "eta": 0.5, "s": 0.5}
         d["eta"] = True
         with pytest.raises(ConfigError, match="expected a number"):
             config_from_dict(d)
@@ -249,7 +246,7 @@ class TestConfigParsing:
             config_from_json('{\n  "type": }')
 
     def test_json_round_trip_through_text(self):
-        text = to_json(epr_to_dict(EprScenario(eta=0.9, s=0.1)))
+        text = to_json({"type": "epr", "eta": 0.9, "s": 0.1})
         back = config_from_json(text)
         assert isinstance(back, EprScenario)
         assert (back.eta, back.s) == (0.9, 0.1)

@@ -1,5 +1,7 @@
-"""The demos and the benchmark's traced names, run against the package."""
+"""The demos, the benchmark's traced names and the library's reach, checked
+against the package."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -53,3 +55,71 @@ def test_benchmark_traced_names_resolve():
             assert hasattr(owner, part), f"{module_name}.{path}"
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{path}"
+
+
+def _imports(tree):
+    """Local name -> (module, name) for each name taken from the package."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ".".join(filter(None, ["cvteleport", module]))
+            if module.split(".")[0] == "cvteleport":
+                found.update({a.asname or a.name: (module, a.name) for a in node.names})
+    return found
+
+
+def _names(node):
+    return [n.id for n in ast.walk(node) if isinstance(n, ast.Name)]
+
+
+def test_every_library_definition_is_reached():
+    # The library is what cli.py's entry point, the demos' imports and the
+    # benchmark's traced names reach through the names each reached
+    # module-level definition mentions.  Test oracles go in tests/oracle.py.
+    modules = {}
+    for path in (ROOT / "src" / "cvteleport").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs.update((name, node) for t in targets for name in _names(t))
+        module = "cvteleport" + ("" if path.stem == "__init__" else f".{path.stem}")
+        modules[module] = (defs, _imports(tree), tree)
+
+    cli_main = [s for s in modules["cvteleport.cli"][2].body if isinstance(s, ast.If)]
+    todo = [("cvteleport.cli", name) for s in cli_main for name in _names(s)]
+    assert ("cvteleport.cli", "main") in todo
+    for demo in DEMOS:
+        todo += _imports(ast.parse(demo.read_text(encoding="utf-8"))).values()
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    todo += [(module, path.split(".")[0]) for module, path in spans.TRACED]
+    reached = set()
+    while todo:
+        module, name = todo.pop()
+        defs, imports, _ = modules.get(module, ({}, {}, None))
+        if name in imports:
+            todo.append(imports[name])
+        elif name in defs and (module, name) not in reached:
+            reached.add((module, name))
+            todo += [(module, n) for n in _names(defs[name])]
+
+    unreached = sorted(
+        f"{module}.{name}"
+        for module, (defs, _, _) in modules.items()
+        for name in defs
+        if (module, name) not in reached and not name.startswith("__")
+    )
+    assert not unreached, f"no caller reaches {unreached}"
+    defs, imports, _ = modules["cvteleport"]
+    exported = ast.literal_eval(defs["__all__"].value)
+    unreached = [n for n in exported if imports.get(n, ("cvteleport", n)) not in reached]
+    assert not unreached, f"__all__ exports unreached {unreached}"
