@@ -9,14 +9,14 @@ variance 1), so the validity bounds read:
 * measurement noise: ``dB_X * dB_Y >= |g_X * g_Y|``
 * reconstruction noise: ``dC_X * dC_Y >= 1``
 
-Every lower bound (these two, the budget's noise products and the input's
-uncertainty product) holds to a tolerance relative to the bound:
-a value is rejected below ``bound * (1 - VALIDITY_TOL)``.  A stage whose
-noise is exactly zero in both quadratures is admitted as the idealized
-noiseless reference even though it sits below its bound; any other
-sub-bound noise is rejected.  At unity total gain the channel reduces to a
-:class:`NoiseBudget`: the four added-noise variances referred to the
-output, plus the same-quadrature correlations between the two stages.
+Every lower bound (these two, the budget's noise pairs and correlations,
+and the input's uncertainty product) holds to a tolerance relative to the
+bound: a value (or a NaN) is rejected below ``bound * (1 - VALIDITY_TOL)``.
+A noise pair that is exactly zero in both quadratures is admitted as the
+idealized noiseless reference even though it sits below its bound; any
+other sub-bound noise is rejected.  At unity total gain the channel
+reduces to a :class:`NoiseBudget`: the four added-noise variances referred
+to the output, plus the same-quadrature correlations between the two stages.
 """
 
 from __future__ import annotations
@@ -32,37 +32,40 @@ from .gaussian import GaussianVector
 VALIDITY_TOL = 1e-9
 GAIN_TOL = 1e-9
 
-INPUT_LABELS = ("X_in", "Y_in")
 MEASUREMENT_NOISE_LABELS = ("B_X", "B_Y")
 RECONSTRUCTION_NOISE_LABELS = ("C_X", "C_Y")
 BUDGET_LABELS = ("X_m", "X_r", "Y_m", "Y_r")
 
 
 def _check_bound(value: float, bound: float, what: str) -> None:
-    """Reject ``value`` below a lower uncertainty ``bound``, relative tolerance."""
-    if value < bound * (1.0 - VALIDITY_TOL):
-        raise ValidityError(f"{what} violated: {value:.6g} < {bound:.6g}")
+    """Reject ``value`` (or a NaN) below a lower ``bound``, relative tolerance."""
+    if not value >= bound * (1.0 - VALIDITY_TOL):
+        raise ValidityError(f"{what} violated: {value:.12g} < {bound:.12g}")
+
+
+def _check_noise_pair(var_0: float, var_1: float, bound: float, what: str) -> None:
+    """The uncertainty rule for one stage's noise pair, stage or budget.
+
+    The bound applies to the geometric mean, ``sqrt(var_0 * var_1) >=
+    bound``, with a variance within PSD rounding below 0 taken as 0.  A
+    pair that is exactly zero in both entries is exempt.
+    """
+    if var_0 == 0.0 and var_1 == 0.0:
+        return
+    # Python floats: an overflowing product is inf, which passes the bound
+    product = max(float(var_0), 0.0) * max(float(var_1), 0.0)
+    _check_bound(math.sqrt(product), bound, what)
 
 
 def _check_stage_noise(
     noise: GaussianVector, labels: tuple[str, str], bound: float, what: str
 ) -> None:
-    """Validate a stage's added noise: labels, zero mean, uncertainty bound.
-
-    The bound applies to the geometric mean of the two variances,
-    ``sqrt(var_0 * var_1) >= bound``.  A noise that is exactly zero in both
-    quadratures is the idealized noiseless stage and is exempt.
-    """
+    """Validate a stage's added noise: labels, zero mean, uncertainty bound."""
     if noise.labels != labels:
         raise ValueError(f"noise state must carry labels {labels}, got {noise.labels}")
     if np.any(noise.mean != 0.0):
         raise ValidityError("added noises must be zero-mean")
-    var = np.diag(noise.cov)
-    if np.all(var == 0.0):
-        return
-    with np.errstate(over="ignore"):  # an infinite product passes the bound
-        product = float(np.sqrt(var[0] * var[1]))
-    _check_bound(product, bound, what)
+    _check_noise_pair(noise.cov[0, 0], noise.cov[1, 1], bound, what)
 
 
 @dataclass(frozen=True)
@@ -107,18 +110,17 @@ class ReconstructionStage:
 
 @dataclass(frozen=True)
 class InputState:
-    """Gaussian input: quadrature variances and coherent amplitude.
+    """Gaussian input: quadrature variances.
 
     A coherent state has ``var_X = var_Y = 1``.  The variance product must
     respect the uncertainty bound; inputs saturating it (within tolerance)
     are flagged minimum-uncertainty, which is what makes the transfer-sum
-    criterion applicable.
+    criterion applicable.  The input is independent of both stage noises,
+    and its amplitude enters no figure.
     """
 
     var_X: float
     var_Y: float
-    mean_x: float = 0.0
-    mean_y: float = 0.0
 
     def __post_init__(self):
         if not (self.var_X > 0.0 and self.var_Y > 0.0):
@@ -163,26 +165,22 @@ class NoiseBudget:
                 raise ValidityError(f"budget entry {name} must be finite, got {value}")
             if name.startswith("v_") and value < 0.0:
                 raise ValidityError(f"budget variance {name} must be >= 0, got {value}")
-        if not (self.v_Xm == 0.0 and self.v_Ym == 0.0):
-            _check_bound(
-                self.v_Xm * self.v_Ym, 1.0, "measurement noise product v_Xm*v_Ym >= 1"
-            )
-        if not (self.v_Xr == 0.0 and self.v_Yr == 0.0):
-            _check_bound(
-                self.v_Xr * self.v_Yr,
-                1.0,
-                "reconstruction noise product v_Xr*v_Yr >= 1",
-            )
-        if self.c_XmXr * self.c_XmXr > self.v_Xm * self.v_Xr + VALIDITY_TOL:
-            raise ValidityError(
-                f"correlation bound c_XmXr^2 <= v_Xm*v_Xr violated: "
-                f"{self.c_XmXr * self.c_XmXr:.6g} > {self.v_Xm * self.v_Xr:.6g}"
-            )
-        if self.c_YmYr * self.c_YmYr > self.v_Ym * self.v_Yr + VALIDITY_TOL:
-            raise ValidityError(
-                f"correlation bound c_YmYr^2 <= v_Ym*v_Yr violated: "
-                f"{self.c_YmYr * self.c_YmYr:.6g} > {self.v_Ym * self.v_Yr:.6g}"
-            )
+        _check_noise_pair(
+            self.v_Xm, self.v_Ym, 1.0, "measurement noise product v_Xm*v_Ym >= 1"
+        )
+        _check_noise_pair(
+            self.v_Xr, self.v_Yr, 1.0, "reconstruction noise product v_Xr*v_Yr >= 1"
+        )
+        _check_bound(
+            self.v_Xm * self.v_Xr,
+            self.c_XmXr * self.c_XmXr,
+            "correlation bound c_XmXr^2 <= v_Xm*v_Xr",
+        )
+        _check_bound(
+            self.v_Ym * self.v_Yr,
+            self.c_YmYr * self.c_YmYr,
+            "correlation bound c_YmYr^2 <= v_Ym*v_Yr",
+        )
 
     def state(self) -> GaussianVector:
         """The implied Gaussian over (X_m, X_r, Y_m, Y_r).
@@ -219,14 +217,17 @@ class ChannelConfig:
     """Full channel: both stages, their cross correlations, and the input.
 
     ``cross_cov_BC`` is the 2x2 matrix of <B_i C_j> moments with rows
-    (B_X, B_Y) and columns (C_X, C_Y).  The input is uncorrelated with both
-    stage noises.  The joint six-variable covariance must be PSD.
+    (B_X, B_Y) and columns (C_X, C_Y).  ``noise`` is the joint Gaussian
+    over (B_X, B_Y, C_X, C_Y), validated (PSD) once on construction: the
+    budget reduces it and the Monte Carlo samples it.  The input is
+    independent of both noises and validated by :class:`InputState` alone.
     """
 
     measurement: MeasurementStage
     reconstruction: ReconstructionStage
     input: InputState
     cross_cov_BC: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
+    noise: GaussianVector = field(init=False, compare=False)
 
     def __post_init__(self):
         cross = np.asarray(self.cross_cov_BC, dtype=float).copy()
@@ -234,23 +235,17 @@ class ChannelConfig:
             raise ValueError(f"cross_cov_BC must be 2x2, got {cross.shape}")
         cross.setflags(write=False)
         object.__setattr__(self, "cross_cov_BC", cross)
-        self.joint_state()  # validates the joint covariance
-
-    def joint_state(self) -> GaussianVector:
-        """Joint Gaussian over (X_in, Y_in, B_X, B_Y, C_X, C_Y)."""
-        cov = np.zeros((6, 6))
-        cov[0, 0] = self.input.var_X
-        cov[1, 1] = self.input.var_Y
-        cov[2:4, 2:4] = self.measurement.noise_B.cov
-        cov[4:6, 4:6] = self.reconstruction.noise_C.cov
-        cov[2:4, 4:6] = self.cross_cov_BC
-        cov[4:6, 2:4] = self.cross_cov_BC.T
-        mean = np.array([self.input.mean_x, self.input.mean_y, 0, 0, 0, 0], dtype=float)
-        labels = INPUT_LABELS + MEASUREMENT_NOISE_LABELS + RECONSTRUCTION_NOISE_LABELS
+        cov = np.empty((4, 4))
+        cov[:2, :2] = self.measurement.noise_B.cov
+        cov[2:, 2:] = self.reconstruction.noise_C.cov
+        cov[:2, 2:] = cross
+        cov[2:, :2] = cross.T
+        labels = MEASUREMENT_NOISE_LABELS + RECONSTRUCTION_NOISE_LABELS
         try:
-            return GaussianVector(labels, mean, cov)
+            noise = GaussianVector(labels, np.zeros(4), cov)
         except ValidityError as exc:
             raise ValidityError(f"joint stage covariance invalid: {exc}") from exc
+        object.__setattr__(self, "noise", noise)
 
 
 def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
@@ -268,13 +263,15 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
             raise GainConditionError(
                 f"total gain on {quad} is {gain:.12g}, unity gain required"
             )
+    # (B_X, B_Y, C_X, C_Y): the same-quadrature entries of config.noise
+    cov = config.noise.cov
     return NoiseBudget(
-        v_Xm=r.h_X * r.h_X * float(m.noise_B.cov[0, 0]),
-        v_Ym=r.h_Y * r.h_Y * float(m.noise_B.cov[1, 1]),
-        v_Xr=float(r.noise_C.cov[0, 0]),
-        v_Yr=float(r.noise_C.cov[1, 1]),
-        c_XmXr=r.h_X * float(config.cross_cov_BC[0, 0]),
-        c_YmYr=r.h_Y * float(config.cross_cov_BC[1, 1]),
+        v_Xm=r.h_X * r.h_X * float(cov[0, 0]),
+        v_Ym=r.h_Y * r.h_Y * float(cov[1, 1]),
+        v_Xr=float(cov[2, 2]),
+        v_Yr=float(cov[3, 3]),
+        c_XmXr=r.h_X * float(cov[0, 2]),
+        c_YmYr=r.h_Y * float(cov[1, 3]),
     )
 
 

@@ -1,7 +1,7 @@
 """Monte Carlo cross-check of the closed-form criteria.
 
 The simulator draws the four stage noises ``(B_X, B_Y, C_X, C_Y)``, the
-noise marginal of the channel's joint Gaussian, and rebuilds every figure
+channel's validated ``ChannelConfig.noise``, and rebuilds every figure
 of merit from samples alone.  The input is not drawn and does not enter
 at all: at unity gain the reconstructed amplitude minus the input
 amplitude is the added noise, so the overlap kernel is evaluated on that
@@ -44,7 +44,7 @@ from .channel import ChannelConfig, _output_noise, budget_to_channel
 from .criteria import _conditional, fidelity_mc_integrand, full_report
 from .epr import EprScenario, to_noise_budget
 from .errors import ConfigError
-from .gaussian import GaussianVector, sample
+from .gaussian import sample
 
 JACKKNIFE_BLOCKS = 100
 MIN_SAMPLES = 1000
@@ -239,10 +239,7 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
     report = full_report(channel)
     analytic = (report.N_X_out, report.N_Y_out, report.fidelity, *report.cv_products)
 
-    # The joint state is (X_in, Y_in, B_X, B_Y, C_X, C_Y); only the noise
-    # marginal is drawn (see the module docstring).
-    joint = channel.joint_state()
-    noise = GaussianVector(joint.labels[2:], joint.mean[2:], joint.cov[2:, 2:])
+    noise = channel.noise
     h_x, h_y = channel.reconstruction.h_X, channel.reconstruction.h_Y
 
     block_n = cfg.samples // JACKKNIFE_BLOCKS

@@ -180,15 +180,14 @@ def _reconstruction_from_dict(d: dict) -> ReconstructionStage:
 
 
 def _input_from_dict(d: dict) -> InputState:
+    """Parse the input; ``mean_x``/``mean_y`` are checked but enter no figure."""
     _check_keys(
         d, "input", ("var_X", "var_Y", "mean_x", "mean_y"), ("var_X", "var_Y")
     )
-    return InputState(
-        var_X=_number(d, "var_X", "input"),
-        var_Y=_number(d, "var_Y", "input"),
-        mean_x=_number(d, "mean_x", "input", default=0.0),
-        mean_y=_number(d, "mean_y", "input", default=0.0),
-    )
+    var_x, var_y = _number(d, "var_X", "input"), _number(d, "var_Y", "input")
+    _number(d, "mean_x", "input", default=0.0)
+    _number(d, "mean_y", "input", default=0.0)
+    return InputState(var_X=var_x, var_Y=var_y)
 
 
 def config_from_dict(d: dict) -> ChannelConfig | EprScenario:

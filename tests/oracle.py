@@ -32,14 +32,19 @@ class ComposedChannel(NamedTuple):
 def compose(config: ChannelConfig) -> ComposedChannel:
     """Output quadratures as linear forms over the joint state.
 
-    ``out_X = h_X*(g_X*X_in + B_X) + C_X`` and the mirror-image Y line.
-    The total gains h*g are reported alongside so callers can check the
-    unity-gain condition.
+    ``out_X = h_X*(g_X*X_in + B_X) + C_X`` and the mirror-image Y line, over
+    the Gaussian on (X_in, Y_in, B_X, B_Y, C_X, C_Y): the input, independent
+    of the channel's noise state.  The total gains h*g are reported
+    alongside so callers can check the unity-gain condition.
     """
     m, r = config.measurement, config.reconstruction
+    cov = np.zeros((6, 6))
+    cov[0, 0], cov[1, 1] = config.input.var_X, config.input.var_Y
+    cov[2:, 2:] = config.noise.cov
+    joint = GaussianVector(("X_in", "Y_in", *config.noise.labels), np.zeros(6), cov)
     out_x = LinearForm({"X_in": r.h_X * m.g_X, "B_X": r.h_X, "C_X": 1.0})
     out_y = LinearForm({"Y_in": r.h_Y * m.g_Y, "B_Y": r.h_Y, "C_Y": 1.0})
-    return ComposedChannel(out_x, out_y, config.joint_state(), r.h_X * m.g_X, r.h_Y * m.g_Y)
+    return ComposedChannel(out_x, out_y, joint, r.h_X * m.g_X, r.h_Y * m.g_Y)
 
 
 def fidelity_general(
@@ -83,11 +88,6 @@ def channel_to_dict(config: ChannelConfig) -> dict:
             "h_Y": r.h_Y,
             "noise_C": gaussian_to_dict(r.noise_C),
         },
-        "input": {
-            "var_X": inp.var_X,
-            "var_Y": inp.var_Y,
-            "mean_x": inp.mean_x,
-            "mean_y": inp.mean_y,
-        },
+        "input": {"var_X": inp.var_X, "var_Y": inp.var_Y},
         "cross_cov_BC": np.asarray(config.cross_cov_BC).tolist(),
     }

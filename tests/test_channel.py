@@ -345,10 +345,20 @@ class TestChannelConfig:
         with pytest.raises(ValueError, match="2x2"):
             make_channel(cross=np.zeros((2, 3)))
 
-    def test_joint_state_layout(self):
-        config = make_channel()
-        s = config.joint_state()
-        assert s.labels == ("X_in", "Y_in", "B_X", "B_Y", "C_X", "C_Y")
-        assert s.cov[0, 0] == 1.0
-        # input is uncorrelated with both noise stages
-        assert np.all(s.cov[0:2, 2:6] == 0.0)
+    def test_noise_layout(self):
+        cross = np.array([[0.3, -0.2], [0.1, 0.4]])
+        config = ChannelConfig(
+            measurement=MeasurementStage(1.0, 1.0, noise_pair(1.3, 1.1, 0.2)),
+            reconstruction=ReconstructionStage(1.0, 1.0, noise_c(1.2, 1.4, -0.1)),
+            input=InputState(2.0, 3.0),
+            cross_cov_BC=cross,
+        )
+        s = config.noise
+        assert s.labels == ("B_X", "B_Y", "C_X", "C_Y")
+        assert np.all(s.mean == 0.0)
+        # the stage noises on the diagonal blocks, <B_i C_j> off them, and
+        # nothing of the input
+        assert np.array_equal(s.cov[:2, :2], config.measurement.noise_B.cov)
+        assert np.array_equal(s.cov[2:, 2:], config.reconstruction.noise_C.cov)
+        assert np.array_equal(s.cov[:2, 2:], cross)
+        assert np.array_equal(s.cov[2:, :2], cross.T)

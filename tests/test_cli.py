@@ -105,6 +105,18 @@ class TestReportCommand:
         assert cli.main(["report", "--config", str(path)]) == 1
         assert "perfect squeezing" in capsys.readouterr().err
 
+    def test_input_mean_enters_no_figure(self, tmp_path, capsys):
+        outs = []
+        for mean_x, mean_y in ((0.0, 0.0), (1e16, -3.0)):
+            budget = NoiseBudget(1.2, 1.5, 1.1, 1.3, -0.4, 0.3)
+            config = channel_to_dict(budget_to_channel(budget))
+            config["input"].update(mean_x=mean_x, mean_y=mean_y)
+            path = tmp_path / "displaced.json"
+            path.write_text(json.dumps(config))
+            assert cli.main(["report", "--config", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
 
 class TestSweepCommand:
     def test_default_grid_row_count(self, capsys):
@@ -592,6 +604,67 @@ class TestErrorChannels:
             captured = capsys.readouterr()
             assert "Traceback" not in captured.err and "Warning" not in captured.err
             assert message in captured.err
+
+    # edits to the unit channel, the exit code of both commands, and what
+    # stderr must hold
+    NOISE_STATE_EDGES = {
+        # a 1e12 input variance does not widen the noise state's PSD slack
+        "squeezed-input-psd": (
+            {
+                "input": {"var_X": 1e12, "var_Y": 1e-12},
+                "cross_cov_BC": [[0.0, -1.001], [0.0, 0.0]],
+            },
+            2,
+            "joint stage covariance invalid: covariance is not positive semidefinite",
+        ),
+        # a variance within PSD rounding below 0 counts as 0, not as NaN
+        "negative-rounding-variance": (
+            {"noise_B": [[-1e-11, 0.0], [0.0, 5.0]]},
+            2,
+            "measurement noise bound dB_X*dB_Y >= |g_X*g_Y| violated: 0 < 1\n",
+        ),
+        # a correlation 1 ulp past the Cauchy-Schwarz edge of 1000-unit noises
+        "cauchy-schwarz-ulp": (
+            {
+                "noise_B": [[1000.0, 0.0], [0.0, 1000.0]],
+                "noise_C": [[1000.0, 0.0], [0.0, 1000.0]],
+                "cross_cov_BC": [[-1000.0000000000011, 0.0], [0.0, -1000.0]],
+            },
+            0,
+            "",
+        ),
+        # 3e-9 below the bound, in digits that show it
+        "sub-bound-digits": (
+            {"noise_C": [[1 - 3e-9, 0.0], [0.0, 1 - 3e-9]]},
+            2,
+            "reconstruction noise bound dC_X*dC_Y >= 1 violated: 0.999999997 < 1\n",
+        ),
+        # inside the tolerance: the stage and the budget apply one rule
+        "unity-gain-edge": ({"noise_B": [[1 - 0.9e-9, 0.0], [0.0, 1 - 0.9e-9]]}, 0, ""),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NOISE_STATE_EDGES))
+    def test_noise_state_edges(self, name, tmp_path, capsys):
+        edits, code, message = self.NOISE_STATE_EDGES[name]
+        config = channel_to_dict(budget_to_channel(shot_noise_budget()))
+        for key, value in edits.items():
+            if key == "noise_B":
+                config["measurement"]["noise_B"]["cov"] = value
+            elif key == "noise_C":
+                config["reconstruction"]["noise_C"]["cov"] = value
+            else:
+                config[key] = value
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        for args in (["report"], ["mc", "--samples", "1000"]):
+            assert cli.main([*args, "--config", str(path)]) == code, args
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err and "Warning" not in captured.err
+            assert message in captured.err
+            if code == 0:
+                assert "error" not in captured.err
+            else:
+                assert captured.out == ""
 
     def test_missing_config_file_exits_three(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")

@@ -2,8 +2,6 @@
 
 import sys
 import threading
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,8 @@ from cvteleport.montecarlo import (
     _jackknife,
     simulate_protocol,
 )
-from cvteleport.serialize import config_from_json
+from cvteleport.serialize import config_from_dict, config_from_json
+from oracle import channel_to_dict
 
 # unity gain with h != +-1, a displaced input, and stage noises correlated
 # across the stages, quadrature by quadrature
@@ -40,9 +39,12 @@ GAIN_CHANNEL_JSON = """{"type": "channel",
 """
 
 
-def coherent_channel(budget: NoiseBudget, mean_x: float, mean_y: float) -> ChannelConfig:
-    """The budget's channel with a coherent input at amplitude (mean_x, mean_y)."""
-    return replace(budget_to_channel(budget), input=InputState(1.0, 1.0, mean_x, mean_y))
+def displaced_config(budget: NoiseBudget, mean_x: float, mean_y: float) -> ChannelConfig:
+    """The budget's channel parsed from a config whose input sits at
+    amplitude (mean_x, mean_y)."""
+    config = channel_to_dict(budget_to_channel(budget))
+    config["input"].update(mean_x=mean_x, mean_y=mean_y)
+    return config_from_dict(config)
 
 
 def reference_simulate(cfg: McRunConfig) -> McReport:
@@ -55,8 +57,7 @@ def reference_simulate(cfg: McRunConfig) -> McReport:
         channel = budget_to_channel(to_noise_budget(channel))
     report = full_report(channel)
     analytic = (report.N_X_out, report.N_Y_out, report.fidelity, *report.cv_products)
-    joint = channel.joint_state()
-    noise = GaussianVector(joint.labels[2:], joint.mean[2:], joint.cov[2:, 2:])
+    noise = channel.noise
     h_x, h_y = channel.reconstruction.h_X, channel.reconstruction.h_Y
     block_n = cfg.samples // montecarlo.JACKKNIFE_BLOCKS
     block_stats = np.zeros((montecarlo.JACKKNIFE_BLOCKS, 11))
@@ -109,7 +110,7 @@ class TestRunConfig:
 class TestSimulateProtocol:
     def test_ideal_channel_estimates_exactly(self):
         run = McRunConfig(
-            channel=coherent_channel(NoiseBudget(0.0, 0.0, 0.0, 0.0), 2.5, -1.0),
+            channel=budget_to_channel(NoiseBudget(0.0, 0.0, 0.0, 0.0)),
             samples=100000,
             seed=4,
         )
@@ -149,7 +150,7 @@ class TestSimulateProtocol:
         # unity gain: the overlap depends only on the added noise
         base = McRunConfig(channel=EprScenario(0.7, 0.3), samples=50000, seed=9)
         moved = McRunConfig(
-            channel=coherent_channel(to_noise_budget(EprScenario(0.7, 0.3)), 4.0, 4.0),
+            channel=displaced_config(to_noise_budget(EprScenario(0.7, 0.3)), 4.0, 4.0),
             samples=50000,
             seed=9,
         )
@@ -164,7 +165,7 @@ class TestSimulateProtocol:
         at_origin, displaced = (
             simulate_protocol(
                 McRunConfig(
-                    channel=coherent_channel(budget, *mean),
+                    channel=displaced_config(budget, *mean),
                     samples=10000,
                     seed=1,
                 )
@@ -240,7 +241,7 @@ class TestSharedBlockBuffers:
         "anti-squeezed-epr": EprScenario(0.65, 3.5),
         "gain-channel": config_from_json(GAIN_CHANNEL_JSON),
         # the measurement stage is noiseless: two zero-variance coordinates
-        "dead-coordinates": coherent_channel(NoiseBudget(0.0, 0.0, 1.1, 1.4), 0.5, -2.0),
+        "dead-coordinates": budget_to_channel(NoiseBudget(0.0, 0.0, 1.1, 1.4)),
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -317,7 +318,9 @@ class TestSharedBlockBuffers:
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
-        for channel in (EprScenario(0.8, 0.25), self.CONFIGS["gain-channel"]):
+        # a fresh channel: the factor is kept on the channel's noise state,
+        # so a channel that earlier tests sampled would factor nothing
+        for channel in (EprScenario(0.8, 0.25), config_from_json(GAIN_CHANNEL_JSON)):
             calls.clear()
             simulate_protocol(McRunConfig(channel=channel, samples=10000, seed=2))
             assert calls == [(4, 4)]

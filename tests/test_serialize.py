@@ -147,13 +147,13 @@ class TestConfigParsing:
                     ("C_X", "C_Y"), np.zeros(2), np.diag([1.2, 1.4])
                 ),
             ),
-            input=InputState(var_X=1.0, var_Y=1.0, mean_x=0.3, mean_y=-0.4),
+            input=InputState(var_X=1.5, var_Y=2.0),
         )
         back = config_from_dict(channel_to_dict(config))
         assert isinstance(back, ChannelConfig)
         assert back.measurement.g_X == config.measurement.g_X
         assert back.reconstruction.h_Y == config.reconstruction.h_Y
-        assert back.input.mean_y == config.input.mean_y
+        assert back.input == config.input
         np.testing.assert_allclose(
             back.measurement.noise_B.cov, config.measurement.noise_B.cov
         )
