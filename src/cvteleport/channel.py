@@ -22,7 +22,7 @@ to the output, plus the same-quadrature correlations between the two stages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -150,6 +150,11 @@ class NoiseBudget:
     moments are not carried: :func:`to_unity_gain_budget` drops them, so
     the fidelity ignores them even though a correlated output noise changes
     it.
+
+    ``measurement_bound`` is the bound on ``v_Xm*v_Ym``, the output-referred
+    measurement bound ``|h_X g_X h_Y g_Y|``: 1 at exact unity gain, and
+    within the gain tolerance of 1 for a budget reduced from a channel.  It
+    is checked on construction and not stored.
     """
 
     v_Xm: float
@@ -158,15 +163,19 @@ class NoiseBudget:
     v_Yr: float
     c_XmXr: float = 0.0
     c_YmYr: float = 0.0
+    measurement_bound: InitVar[float] = 1.0
 
-    def __post_init__(self):
+    def __post_init__(self, measurement_bound):
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValidityError(f"budget entry {name} must be finite, got {value}")
             if name.startswith("v_") and value < 0.0:
                 raise ValidityError(f"budget variance {name} must be >= 0, got {value}")
         _check_noise_pair(
-            self.v_Xm, self.v_Ym, 1.0, "measurement noise product v_Xm*v_Ym >= 1"
+            self.v_Xm,
+            self.v_Ym,
+            measurement_bound,
+            f"measurement noise product v_Xm*v_Ym >= {measurement_bound:.12g}",
         )
         _check_noise_pair(
             self.v_Xr, self.v_Yr, 1.0, "reconstruction noise product v_Xr*v_Yr >= 1"
@@ -251,14 +260,17 @@ class ChannelConfig:
 def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
     """Reduce a unity-gain channel to its output-referred noise budget.
 
-    Requires ``h_X*g_X`` and ``h_Y*g_Y`` equal to 1 within tolerance.  Only
+    Requires ``h_X*g_X`` and ``h_Y*g_Y`` equal to 1 within tolerance; the
+    budget's measurement pair is held to the bound those gains imply,
+    ``|h_X g_X h_Y g_Y|``, the stage's own bound referred to the output.  Only
     same-quadrature second moments enter the budget.  Opposite-quadrature
     correlations (and the off-diagonal stage cross terms) are validated for
     positivity and then dropped, so the reported fidelity ignores them
     although they add to the output noise covariance.
     """
     m, r = config.measurement, config.reconstruction
-    for quad, gain in (("X", r.h_X * m.g_X), ("Y", r.h_Y * m.g_Y)):
+    gains = r.h_X * m.g_X, r.h_Y * m.g_Y
+    for quad, gain in zip("XY", gains):
         if abs(gain - 1.0) > GAIN_TOL:
             raise GainConditionError(
                 f"total gain on {quad} is {gain:.12g}, unity gain required"
@@ -272,6 +284,7 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
         v_Yr=float(cov[3, 3]),
         c_XmXr=r.h_X * float(cov[0, 2]),
         c_YmYr=r.h_Y * float(cov[1, 3]),
+        measurement_bound=abs(gains[0] * gains[1]),
     )
 
 

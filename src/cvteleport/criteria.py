@@ -329,21 +329,35 @@ def full_report(config: ChannelConfig) -> CriteriaReport:
 def _draw_budgets(count: int, seed) -> np.ndarray:
     """Random valid budgets as a ``(count, 6)`` array in field order.
 
-    Variances are log-uniform over [1e-2, 1e2]; draws whose noise pairs sit
-    below the uncertainty products are rejected.  Correlations are uniform
-    over the full range allowed by Cauchy-Schwarz.
+    Variances are log-uniform over [1e-2, 1e2] given that each stage's
+    noise pair meets its uncertainty product.  Every draw is used, none is
+    rejected: a pair of log10 variances ``(u_a, u_b)``, uniform on the
+    square, whose sum is negative is reflected to ``(-u_b, -u_a)``.  That
+    reflection maps the square's invalid half onto its valid half and
+    preserves area, so the pairs are uniform on the valid half, the law a
+    rejection sampler draws.  It keeps ``u_a - u_b`` and takes the sum to
+    ``|u_a + u_b|``, which is how it is computed.  Correlations are uniform
+    over the full range allowed by Cauchy-Schwarz.  The array is
+    Fortran-ordered, so each field (a row of its transpose) is contiguous.
     """
-    rng = np.random.default_rng(seed)
-    parts, have = [np.empty((0, 6))], 0
-    while have < count:
-        chunk = max(1024, 2 * (count - have))
-        v = 10.0 ** rng.uniform(-2.0, 2.0, size=(chunk, 4))
-        v = v[(v[:, 0] * v[:, 1] >= 1.0) & (v[:, 2] * v[:, 3] >= 1.0)]
-        c_x = rng.uniform(-1.0, 1.0, size=len(v)) * np.sqrt(v[:, 0] * v[:, 2])
-        c_y = rng.uniform(-1.0, 1.0, size=len(v)) * np.sqrt(v[:, 1] * v[:, 3])
-        parts.append(np.column_stack([v, c_x, c_y]))
-        have += len(v)
-    return np.concatenate(parts)[:count]
+    fields = np.random.default_rng(seed).random((6, count))
+    v, c = fields[:4], fields[4:]
+    # the (X_m, Y_m) and (X_r, Y_r) pairs side by side, as uniforms r with
+    # u = 4r - 2: u_a = 2 * (|r_a + r_b - 1| + r_a - r_b) after the fold
+    r_a, r_b = v[0::2], v[1::2]
+    folded = r_a + r_b
+    folded -= 1.0
+    np.abs(folded, out=folded)
+    diff = r_a - r_b
+    np.add(folded, diff, out=r_a)
+    np.subtract(folded, diff, out=r_b)
+    v *= 2.0 * math.log(10.0)
+    np.exp(v, out=v)
+    edge = v[:2] * v[2:]
+    c *= 2.0
+    c -= 1.0
+    c *= np.sqrt(edge, out=edge)
+    return fields.T
 
 
 def random_budgets(count: int, seed) -> list[NoiseBudget]:
@@ -386,26 +400,27 @@ def run_chain_verification(trials: int, seed: int) -> VerificationSummary:
     accepted = 0
     drawn = 1
     batch = 0
-    rows = np.array([_fields(shot_noise_budget())])
+    # field-major: one contiguous row per budget field
+    rows = np.array([_fields(shot_noise_budget())]).T
     while True:
-        _, _, _, rel_err, n_value, n_product, t_sum, fidelity = _chain_terms(*rows.T)
+        _, _, _, rel_err, n_value, n_product, t_sum, fidelity = _chain_terms(*rows)
         max_rel = float(rel_err.max(initial=max_rel))
         worst_margin = float((n_product - 1.0).min(initial=worst_margin))
         bad = np.flatnonzero(_chain_fails(rel_err, n_value, n_product, t_sum, fidelity))
         violations += len(bad)
         if first_failure is None and len(bad):
-            first_failure = inequality_trace(NoiseBudget(*rows[bad[0]]))
-        accepted += len(rows)
+            first_failure = inequality_trace(NoiseBudget(*rows[:, bad[0]]))
+        accepted += rows.shape[1]
         if accepted >= trials:
             break
         need = trials - accepted
         drawn_rows = _draw_budgets(
             min(4096, 2 * need), seed=np.random.SeedSequence([seed, batch])
-        )
+        ).T
         batch += 1
-        keep = np.flatnonzero(~_violates(*_cv_products(*drawn_rows.T)))[:need]
-        drawn += int(keep[-1]) + 1 if len(keep) == need else len(drawn_rows)
-        rows = drawn_rows[keep]
+        keep = np.flatnonzero(~_violates(*_cv_products(*drawn_rows)))[:need]
+        drawn += int(keep[-1]) + 1 if len(keep) == need else drawn_rows.shape[1]
+        rows = drawn_rows[:, keep]
     return VerificationSummary(
         trials=accepted,
         seed=seed,

@@ -88,7 +88,11 @@ class GaussianVector:
     with ``||cov||`` the largest eigenvalue magnitude.  The second term is
     the size of the eigensolver's rounding, so a large-variance state is
     not rejected for it, while a correlation or a variance off by more
-    than that, on any coordinate, still is.
+    than that, on any coordinate, still is.  The correlation matrix of the
+    positive-variance coordinates (the covariance scaled by their standard
+    deviations) is held to the same test, so the slack is relative to each
+    pair's own scale: a tiny variance beside a large one cannot carry a
+    correlation coefficient above 1 by more than ``-PSD_TOL``.
     """
 
     labels: tuple[str, ...]
@@ -118,12 +122,17 @@ class GaussianVector:
         # Exactly cov where cov is symmetric; elsewhere the mean of the two
         # entries, halved before the sum so that it cannot overflow.
         sym = np.where(cov == cov.T, cov, cov / 2.0 + cov.T / 2.0)
-        lam = np.linalg.eigvalsh(sym)
-        lo, norm = float(lam[0]), float(max(-lam[0], lam[-1]))
-        if lo < min(PSD_TOL, -PSD_ROUNDING * d * np.finfo(float).eps * norm):
-            raise ValidityError(
-                f"covariance is not positive semidefinite: min eigenvalue {lo:.3e}"
-            )
+        _check_psd(sym, "covariance")
+        # the same check on the correlation matrix of the positive-variance
+        # coordinates, so that small variances beside large ones cannot carry
+        # a correlation coefficient beyond 1.  A coefficient beyond 1 is
+        # invalid at any size, so an overflowing one is clipped to 2.
+        live = np.flatnonzero(np.diag(sym) > 0.0)
+        if live.size > 1:
+            scale = np.sqrt(np.diag(sym)[live])
+            with np.errstate(over="ignore"):
+                corr = sym[np.ix_(live, live)] / scale[:, None] / scale
+            _check_psd(np.clip(corr, -2.0, 2.0), "correlation matrix")
         mean.setflags(write=False)
         sym.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -165,6 +174,14 @@ class GaussianVector:
             return self.labels.index(label)
         except ValueError:
             raise LabelError(f"unknown label {label!r}; state has {self.labels}") from None
+
+
+def _check_psd(sym: np.ndarray, what: str) -> None:
+    """Reject a symmetric matrix whose least eigenvalue is below the slack."""
+    lam = np.linalg.eigvalsh(sym)
+    lo, norm = float(lam[0]), float(max(-lam[0], lam[-1]))
+    if lo < min(PSD_TOL, -PSD_ROUNDING * len(sym) * np.finfo(float).eps * norm):
+        raise ValidityError(f"{what} is not positive semidefinite: min eigenvalue {lo:.3e}")
 
 
 def _coefficients(form: LinearForm, state: GaussianVector) -> np.ndarray:

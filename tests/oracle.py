@@ -66,6 +66,27 @@ def fidelity_general(
     return float(prefactor * damping)
 
 
+def rejection_budgets(count: int, seed) -> np.ndarray:
+    """Random valid budgets by rejection, as a ``(count, 6)`` array.
+
+    The reference law for ``criteria._draw_budgets``: variances
+    log-uniform over [1e-2, 1e2], draws whose noise pairs sit below the
+    uncertainty products thrown away, correlations uniform over the
+    Cauchy-Schwarz range.
+    """
+    rng = np.random.default_rng(seed)
+    parts, have = [np.empty((0, 6))], 0
+    while have < count:
+        chunk = max(1024, 2 * (count - have))
+        v = 10.0 ** rng.uniform(-2.0, 2.0, size=(chunk, 4))
+        v = v[(v[:, 0] * v[:, 1] >= 1.0) & (v[:, 2] * v[:, 3] >= 1.0)]
+        c_x = rng.uniform(-1.0, 1.0, size=len(v)) * np.sqrt(v[:, 0] * v[:, 2])
+        c_y = rng.uniform(-1.0, 1.0, size=len(v)) * np.sqrt(v[:, 1] * v[:, 3])
+        parts.append(np.column_stack([v, c_x, c_y]))
+        have += len(v)
+    return np.concatenate(parts)[:count]
+
+
 def gaussian_to_dict(state: GaussianVector) -> dict:
     return {
         "labels": list(state.labels),

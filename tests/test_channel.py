@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvteleport.channel import (
+    VALIDITY_TOL,
     ChannelConfig,
     InputState,
     MeasurementStage,
@@ -244,6 +245,20 @@ class TestUnityGainBudget:
         b = to_unity_gain_budget(config)
         assert b.v_Xm == 4.0
         assert b.v_Ym == 1.0
+
+    def test_measurement_bound_follows_the_gain_within_tolerance(self):
+        # a total gain 0.9e-9 below 1 refers shot noise to 1 - 1.8e-9 at the
+        # output, which the stage's own bound, referred through h, admits
+        h = 1.0 - 0.9e-9
+        b = to_unity_gain_budget(make_channel(h=h))
+        assert (b.v_Xm, b.v_Ym) == (h * h, h * h)
+        # geometric mean of the pair below the unit bound's tolerance
+        assert b.v_Xm < 1.0 - VALIDITY_TOL
+        with pytest.raises(ValidityError, match="measurement noise bound"):
+            make_channel(h=h, vb=1.0 - 1e-6)
+        # a budget built directly is held to the unit bound
+        with pytest.raises(ValidityError, match=r"v_Xm\*v_Ym >= 1 violated"):
+            NoiseBudget(1.0 - 1e-8, 1.0 - 1e-8, 1.0, 1.0)
 
     def test_non_unity_gain_rejected_naming_quadrature(self):
         config = make_channel(g=1.0, h=1.1)

@@ -641,6 +641,31 @@ class TestErrorChannels:
         ),
         # inside the tolerance: the stage and the budget apply one rule
         "unity-gain-edge": ({"noise_B": [[1 - 0.9e-9, 0.0], [0.0, 1 - 0.9e-9]]}, 0, ""),
+        # a total gain inside its tolerance: the budget's measurement bound
+        # is the stage's, referred through h
+        "gain-tolerance-edge": (
+            {"reconstruction": {"h_X": 1 - 0.9e-9, "h_Y": 1 - 0.9e-9}},
+            0,
+            "",
+        ),
+        "gain-tolerance-sub-bound": (
+            {
+                "reconstruction": {"h_X": 1 - 0.9e-9, "h_Y": 1 - 0.9e-9},
+                "noise_B": [[1 - 1e-6, 0.0], [0.0, 1 - 1e-6]],
+            },
+            2,
+            "measurement noise bound dB_X*dB_Y >= |g_X*g_Y| violated: 0.999999 < 1\n",
+        ),
+        # B_X and C_Y at 1e-6 beside 1e6 variances, coefficient 1.005
+        "mixed-scale-correlation": (
+            {
+                "noise_B": [[1e-6, 0.0], [0.0, 1e6]],
+                "noise_C": [[1e6, 0.0], [0.0, 1e-6]],
+                "cross_cov_BC": [[0.0, 1.005e-6], [0.0, 0.0]],
+            },
+            2,
+            "joint stage covariance invalid: correlation matrix is not positive semidefinite",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(NOISE_STATE_EDGES))
@@ -652,6 +677,8 @@ class TestErrorChannels:
                 config["measurement"]["noise_B"]["cov"] = value
             elif key == "noise_C":
                 config["reconstruction"]["noise_C"]["cov"] = value
+            elif key == "reconstruction":
+                config[key].update(value)
             else:
                 config[key] = value
         path = tmp_path / f"{name}.json"
@@ -727,7 +754,7 @@ class TestStdoutHashes:
         ),
         "verify": (
             ["verify", "--trials", "10000"],
-            "c0a040e19190125663b778bb53287c55e4ca9444014bda1986525983662a38bb",
+            "2b4a8b002474ff3497d541004b56088b0ca7415d30e30eafb7f6c5fd073f7c68",
         ),
         "mc": (
             ["mc", "--samples", "100000", "--seed", "1234", "--config", "epr"],

@@ -1,5 +1,6 @@
 """Fidelity, verdicts, the entanglement test, and the chain verifier."""
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from cvteleport.channel import (
+    VALIDITY_TOL,
     ChannelConfig,
     InputState,
     MeasurementStage,
@@ -35,7 +37,7 @@ from cvteleport.criteria import (
 from cvteleport.epr import EprScenario, scenario_report, to_noise_budget
 from cvteleport.errors import DegenerateConditioningError
 from cvteleport.gaussian import GaussianVector, conditional_variance
-from oracle import fidelity_general, term
+from oracle import fidelity_general, rejection_budgets, term
 
 GAUSS_HERMITE_NODES = 40
 
@@ -408,6 +410,18 @@ class TestRunChainVerification:
         assert summary.worst_margin == min(t.n_product - 1.0 for t in traces)
         assert summary.bound_violations == 0
 
+    def test_memory_stays_at_one_batch(self):
+        # a million trials go through batches of at most 4096 rows; eight
+        # batch-sized field arrays bound the peak (one array of the whole
+        # run's draws would take ~75 MB)
+        tracemalloc.start()
+        try:
+            run_chain_verification(trials=10**6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 4096 * 6 * 8
+
     def test_deterministic_for_fixed_seed(self):
         a = run_chain_verification(trials=500, seed=8)
         b = run_chain_verification(trials=500, seed=8)
@@ -520,3 +534,47 @@ class TestRandomBudgets:
     def test_correlation_signs_are_mixed(self):
         cs = [b.c_XmXr for b in random_budgets(200, seed=11)]
         assert min(cs) < 0.0 < max(cs)
+
+
+def _budget_statistics(rows):
+    """Each log-variance, each correlation coefficient and both pair products."""
+    v_xm, v_ym, v_xr, v_yr, c_x, c_y = rows.T
+    return {
+        "log_v_Xm": np.log10(v_xm),
+        "log_v_Ym": np.log10(v_ym),
+        "log_v_Xr": np.log10(v_xr),
+        "log_v_Yr": np.log10(v_yr),
+        "rho_X": c_x / np.sqrt(v_xm * v_xr),
+        "rho_Y": c_y / np.sqrt(v_ym * v_yr),
+        "v_Xm*v_Ym": v_xm * v_ym,
+        "v_Xr*v_Yr": v_xr * v_yr,
+    }
+
+
+class TestDrawBudgets:
+    """Every draw is a valid budget, with the rejection sampler's law."""
+
+    @pytest.mark.parametrize("count", [0, 1, 4096, 100000])
+    def test_every_draw_is_valid(self, count):
+        rows = _draw_budgets(count, seed=np.random.SeedSequence([7, count]))
+        assert rows.shape == (count, 6)
+        assert np.isfinite(rows).all()
+        v_xm, v_ym, v_xr, v_yr, c_x, c_y = rows.T
+        floor = 1.0 - VALIDITY_TOL
+        assert (v_xm * v_ym >= floor).all() and (v_xr * v_yr >= floor).all()
+        # 10**u for u in [-2, 2], up to the rounding of the exponential
+        variances = rows[:, :4]
+        assert (variances >= 1e-2 * floor).all() and (variances <= 1e2 / floor).all()
+        assert (c_x**2 * floor <= v_xm * v_xr).all() and (c_y**2 * floor <= v_ym * v_yr).all()
+
+    def test_fields_are_contiguous(self):
+        rows = _draw_budgets(1000, seed=3)
+        assert all(column.flags.c_contiguous for column in rows.T)
+
+    def test_law_matches_the_rejection_sampler(self):
+        from scipy.stats import ks_2samp
+
+        drawn = _budget_statistics(_draw_budgets(100000, seed=5))
+        reference = _budget_statistics(rejection_budgets(100000, seed=6))
+        for name, sample in drawn.items():
+            assert ks_2samp(sample, reference[name]).pvalue > 1e-3, name

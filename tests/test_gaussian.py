@@ -11,6 +11,7 @@ from cvteleport.errors import (
     ValidityError,
 )
 from cvteleport.gaussian import (
+    PSD_ROUNDING,
     PSD_TOL,
     GaussianVector,
     LinearForm,
@@ -207,6 +208,23 @@ class TestStateValidation:
         # and so is a correlation beyond two equal large variances
         with pytest.raises(ValidityError):
             state_2d(1e8 * np.array([[1.0, 1.0000001], [1.0000001, 1.0]]))
+
+    def test_small_variances_beside_large_ones_keep_their_correlation_bound(self):
+        # B_X and C_Y at 1e-6 with coefficient 1.005, beside 1e6 variances:
+        # the eigenvalue -5e-9 is within the covariance's slack, not the
+        # correlation matrix's
+        cov = np.diag([1e-6, 1e6, 1e6, 1e-6])
+        cov[0, 3] = cov[3, 0] = 1.005e-6
+        assert np.linalg.eigvalsh(cov)[0] > -PSD_ROUNDING * 4 * np.finfo(float).eps * 1e6
+        with pytest.raises(ValidityError, match="correlation matrix is not positive"):
+            GaussianVector(labels=tuple("abcd"), mean=np.zeros(4), cov=cov)
+        # at the edge, and at unit scale within PSD_TOL of it, admitted
+        cov[0, 3] = cov[3, 0] = 1e-6
+        GaussianVector(labels=tuple("abcd"), mean=np.zeros(4), cov=cov)
+        state_2d([[1.0, 1.0 + 5e-11], [1.0 + 5e-11, 1.0]])
+        # an overflowing coefficient beside a subnormal variance is rejected
+        with pytest.raises(ValidityError, match="correlation matrix"):
+            state_2d([[1e-320, 1e-11], [1e-11, 1e-320]])
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
