@@ -15,12 +15,13 @@ conditioning directions) are bounded below by 1 for any separable noise
 model.  A product below 1 is the entanglement signature.
 
 Both products and the chain terms below are closed expressions in the six
-budget scalars ``(v_Xm, v_Ym, v_Xr, v_Yr, c_XmXr, c_YmYr)``; one private
-kernel evaluates them on floats or on equal-length arrays, and every
-caller (single budgets, the verifier, the Monte Carlo analytic side) goes
-through it.  The EPR scenario's figures have exact closed forms of their
-own in :mod:`cvteleport.epr`; :func:`_criteria_report` assembles a report
-from either source.
+budget scalars ``(v_Xm, v_Ym, v_Xr, v_Yr, c_XmXr, c_YmYr)``; the private
+kernels take them as one ``(6,)`` or ``(6, n)`` moment block in that
+order, and every caller goes through them: single budgets, the
+verifier's batches, and the Monte Carlo estimates, whose sample moments
+form such a block.  The EPR scenario's figures have exact closed forms
+of their own in :mod:`cvteleport.epr`; :func:`_criteria_report`
+assembles a report from either source.
 
 The verifier rechecks the algebraic chain that links the no-violation
 condition to the noise-product bound, including the exact factorization
@@ -131,15 +132,16 @@ def _conditional(v_a, v_b, c):
     return np.where(v > 0.0, v, 0.0)
 
 
-def _cv_products(v_xm, v_ym, v_xr, v_yr, c_x, c_y):
+def _cv_products(fields):
     """Both conditional-variance products: r given m, then m given r.
 
-    Floats or equal-length arrays; each correlation is first clamped onto
-    its Cauchy-Schwarz edge.  X and Y go through side by side.
+    ``fields`` is a ``(6,)`` or ``(6, n)`` moment block; each correlation
+    is first clamped onto its Cauchy-Schwarz edge.  X and Y go through
+    side by side, as views of the block.
     """
-    v_m, v_r = np.array([v_xm, v_ym]), np.array([v_xr, v_yr])
+    v_m, v_r, c = np.reshape(fields, (3, 2, *np.shape(fields)[1:]))
     with np.errstate(all="ignore"):
-        c = _clamp_edge(np.array([c_x, c_y]), v_m * v_r)
+        c = _clamp_edge(c, v_m * v_r)
         r_given_m, m_given_r = _conditional(v_r, v_m, c), _conditional(v_m, v_r, c)
         return r_given_m[0] * r_given_m[1], m_given_r[0] * m_given_r[1]
 
@@ -149,8 +151,8 @@ def _violates(p_r_given_m, p_m_given_r):
     return (p_r_given_m < 1.0 - VERDICT_MARGIN) | (p_m_given_r < 1.0 - VERDICT_MARGIN)
 
 
-def _chain_terms(v_xm, v_ym, v_xr, v_yr, c_x, c_y):
-    """The chain's terms from the six budget scalars, floats or arrays.
+def _chain_terms(fields):
+    """The chain's terms from a ``(6,)`` or ``(6, n)`` moment block.
 
     Returns ``(v_Cx, v_Cy, cv_product, identity_rel_error, n_value,
     n_product, t_sum, fidelity)``.  The factorization identity is checked in
@@ -164,6 +166,7 @@ def _chain_terms(v_xm, v_ym, v_xr, v_yr, c_x, c_y):
     (1 + N_Y))``, so ``t_sum <= 1`` once ``N_X N_Y >= 1``; and ``(2 + N_X)
     (2 + N_Y) >= (2 + sqrt(N_X N_Y))**2 >= 9``, so ``fidelity <= 2/3``.
     """
+    v_xm, v_ym, v_xr, v_yr, c_x, c_y = fields
     with np.errstate(all="ignore"):
         v_cx = v_xm * v_xr - c_x * c_x
         v_cy = v_ym * v_yr - c_y * c_y
@@ -175,7 +178,9 @@ def _chain_terms(v_xm, v_ym, v_xr, v_yr, c_x, c_y):
         t3 = e * e * v_cx / 4.0
         t4 = d * d * e * e / 16.0
         rhs = t1 - t2 - t3 - t4
-        scale = np.maximum.reduce([abs(lhs), abs(t1), abs(t2), abs(t3), abs(t4)])
+        scale = np.maximum(
+            np.maximum(np.maximum(abs(lhs), abs(t1)), np.maximum(abs(t2), abs(t3))), abs(t4)
+        )
         rel_err = abs(lhs - rhs) / np.where(scale > 0.0, scale, np.inf)
         de = (v_xm - v_xr) * (v_ym - v_yr)
         n_x, n_y = _output_noise(v_xm, v_xr, c_x), _output_noise(v_ym, v_yr, c_y)
@@ -197,8 +202,9 @@ def _chain_fails(rel_err, n_value, n_product, t_sum, fidelity):
     )
 
 
-def _fields(b: NoiseBudget) -> tuple[float, ...]:
-    return (b.v_Xm, b.v_Ym, b.v_Xr, b.v_Yr, b.c_XmXr, b.c_YmYr)
+def _fields(b: NoiseBudget) -> np.ndarray:
+    """The budget's ``(6,)`` moment block, in field order."""
+    return np.array([b.v_Xm, b.v_Ym, b.v_Xr, b.v_Yr, b.c_XmXr, b.c_YmYr])
 
 
 @dataclass(frozen=True)
@@ -230,7 +236,7 @@ class InequalityTrace:
 def inequality_trace(b: NoiseBudget) -> InequalityTrace:
     """Evaluate the chain's intermediate quantities from the budget scalars."""
     v_cx, v_cy, lhs, rel_err, n_value, n_product, t_sum, fidelity = map(
-        float, _chain_terms(*_fields(b))
+        float, _chain_terms(_fields(b))
     )
     return InequalityTrace(
         budget=b,
@@ -261,7 +267,7 @@ def epr_criterion(b: NoiseBudget) -> EprCriterionResult:
     below 1 by more than the verdict margin.  The Gaussian state algebra on
     :meth:`NoiseBudget.state` is the independent oracle for the products.
     """
-    p_r_given_m, p_m_given_r = _cv_products(*_fields(b))
+    p_r_given_m, p_m_given_r = _cv_products(_fields(b))
     return EprCriterionResult(
         products=(float(p_r_given_m), float(p_m_given_r)),
         violated=bool(_violates(p_r_given_m, p_m_given_r)),
@@ -401,9 +407,9 @@ def run_chain_verification(trials: int, seed: int) -> VerificationSummary:
     drawn = 1
     batch = 0
     # field-major: one contiguous row per budget field
-    rows = np.array([_fields(shot_noise_budget())]).T
+    rows = _fields(shot_noise_budget())[:, None]
     while True:
-        _, _, _, rel_err, n_value, n_product, t_sum, fidelity = _chain_terms(*rows)
+        _, _, _, rel_err, n_value, n_product, t_sum, fidelity = _chain_terms(rows)
         max_rel = float(rel_err.max(initial=max_rel))
         worst_margin = float((n_product - 1.0).min(initial=worst_margin))
         bad = np.flatnonzero(_chain_fails(rel_err, n_value, n_product, t_sum, fidelity))
@@ -418,7 +424,7 @@ def run_chain_verification(trials: int, seed: int) -> VerificationSummary:
             min(4096, 2 * need), seed=np.random.SeedSequence([seed, batch])
         ).T
         batch += 1
-        keep = np.flatnonzero(~_violates(*_cv_products(*drawn_rows)))[:need]
+        keep = np.flatnonzero(~_violates(*_cv_products(drawn_rows)))[:need]
         drawn += int(keep[-1]) + 1 if len(keep) == need else drawn_rows.shape[1]
         rows = drawn_rows[:, keep]
     return VerificationSummary(

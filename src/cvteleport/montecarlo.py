@@ -7,12 +7,14 @@ at all: at unity gain the reconstructed amplitude minus the input
 amplitude is the added noise, so the overlap kernel is evaluated on that
 added displacement against target 0, and a large input mean cannot round
 the noise away.  Per sample the measured noise is ``h*B`` and the
-reconstruction noise ``C``, per quadrature; from them come the output
-noise variances, the fidelity as the sample mean of the overlap kernel
-(never through the closed form), and the conditional-variance products
-through sample regression.  Estimates come with jackknife standard errors
-over 100 equal blocks, and each is compared to its analytic counterpart
-through a z-score.
+reconstruction noise ``C``, per quadrature.  Their six sample moments
+form one moment block in ``NoiseBudget`` field order, and the report's
+own kernels reduce it to the output noises and the conditional-variance
+products, so this module holds no formula of its own for either; the
+fidelity is the sample mean of the overlap kernel, never the closed
+form.  Estimates come with jackknife standard errors over 100 equal
+blocks, and each is compared to its analytic counterpart through a
+z-score.
 
 Sampling is deterministic for a fixed seed: block ``b`` draws from a
 generator seeded with ``SeedSequence([seed, b])``, and blocks are reduced
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelConfig, _output_noise, budget_to_channel
-from .criteria import _conditional, fidelity_mc_integrand, full_report
+from .criteria import _cv_products, fidelity_mc_integrand, full_report
 from .epr import EprScenario, to_noise_budget
 from .errors import ConfigError
 from .gaussian import sample
@@ -133,18 +135,17 @@ class McReport:
         return max(abs(c.z_score) for c in self.comparisons.values())
 
 
-def _moments(s1, s2, n):
-    """Variance from a sum and a sum of squares, clamped at 0; floats or arrays."""
-    v = s2 / n - (s1 / n) ** 2
-    return np.where(v > 0.0, v, 0.0)
-
-
 # Per-block sufficient statistics, in column order.
 _STAT_COLUMNS = (
     "sxm", "sxm2", "sxr", "sxr2", "sxmxr",
     "sym", "sym2", "syr", "syr2", "symyr",
     "sw",
 )
+# The moment block in NoiseBudget field order (v_Xm, v_Ym, v_Xr, v_Yr,
+# c_XmXr, c_YmYr): the column of each entry's sum of products, and the
+# columns of the two plain sums it is centred by.
+_PRODUCT_SUMS = [1, 6, 3, 8, 4, 9]
+_CENTRES = [0, 5, 2, 7, 0, 5], [0, 5, 2, 7, 2, 7]
 
 
 def _estimates_from_sums(sums: np.ndarray, n) -> dict:
@@ -152,21 +153,19 @@ def _estimates_from_sums(sums: np.ndarray, n) -> dict:
 
     ``sums`` holds one statistic per row: shape ``(11,)`` for one sample or
     ``(11, k)`` for ``k`` samples at once, with ``n`` a float or length ``k``.
+    The sample moments form one block that the report's kernels reduce.
     """
-    (sxm, sxm2, sxr, sxr2, sxmxr, sym, sym2, syr, syr2, symyr, sw) = sums
-    # X and Y side by side: measurement and reconstruction variances and
-    # their same-quadrature covariance
-    v_m = np.array([_moments(sxm, sxm2, n), _moments(sym, sym2, n)])
-    v_r = np.array([_moments(sxr, sxr2, n), _moments(syr, syr2, n)])
-    c = np.array([sxmxr / n - (sxm / n) * (sxr / n), symyr / n - (sym / n) * (syr / n)])
-    n_x, n_y = _output_noise(v_m, v_r, c)
-    r_given_m, m_given_r = _conditional(v_r, v_m, c), _conditional(v_m, v_r, c)
+    fields = sums[_PRODUCT_SUMS] / n - sums[_CENTRES[0]] / n * (sums[_CENTRES[1]] / n)
+    # a variance at or below 0 is rounding, or a sum that overflowed
+    fields[:4] = np.where(fields[:4] > 0.0, fields[:4], 0.0)
+    n_x, n_y = _output_noise(fields[:2], fields[2:4], fields[4:])
+    r_given_m, m_given_r = _cv_products(fields)
     return {
         "N_X": n_x,
         "N_Y": n_y,
-        "fidelity": sw / n,
-        "cv_product_r_given_m": r_given_m[0] * r_given_m[1],
-        "cv_product_m_given_r": m_given_r[0] * m_given_r[1],
+        "fidelity": sums[10] / n,
+        "cv_product_r_given_m": r_given_m,
+        "cv_product_m_given_r": m_given_r,
     }
 
 

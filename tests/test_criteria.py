@@ -188,8 +188,8 @@ class TestEprCriterion:
         columns = np.array(
             [[b.v_Xm, b.v_Ym, b.v_Xr, b.v_Yr, b.c_XmXr, b.c_YmYr] for b in budgets]
         ).T
-        products = _cv_products(*columns)
-        terms = _chain_terms(*columns)
+        products = _cv_products(columns)
+        terms = _chain_terms(columns)
         for i, b in enumerate(budgets):
             assert epr_criterion(b).products == tuple(p[i] for p in products), b
             t = inequality_trace(b)
@@ -303,7 +303,7 @@ class TestChainLinks:
 
     def test_transfer_sum_link_against_fractions(self):
         rows = self.rows()
-        t_sum = _chain_terms(*rows.T)[6]
+        t_sum = _chain_terms(rows.T)[6]
         for row, got in zip(rows, t_sum):
             n_x, n_y = _exact_noises(row)
             want = 1 / (1 + n_x) + 1 / (1 + n_y)
@@ -317,7 +317,7 @@ class TestChainLinks:
 
     def test_fidelity_link_against_fractions(self):
         rows = self.rows()
-        fidelity = _chain_terms(*rows.T)[7]
+        fidelity = _chain_terms(rows.T)[7]
         for row, got in zip(rows, fidelity):
             n_x, n_y = _exact_noises(row)
             d = (2 + n_x) * (2 + n_y)
@@ -352,9 +352,9 @@ class TestChainLinks:
 
     def test_no_violation_keeps_transfer_sum_and_fidelity_bounded(self):
         rows = _draw_budgets(100000, seed=2000)
-        rows = rows[~_violates(*_cv_products(*rows.T))]
+        rows = rows[~_violates(*_cv_products(rows.T))]
         assert len(rows) > 10000
-        _, _, _, _, _, n_product, t_sum, fidelity = _chain_terms(*rows.T)
+        _, _, _, _, _, n_product, t_sum, fidelity = _chain_terms(rows.T)
         assert t_sum.max() <= 1.0 + VERDICT_MARGIN
         assert fidelity.max() <= FIDELITY_CV_BOUND + VERDICT_MARGIN
         # the fidelity link is one-way: the bound is reached only at N_X N_Y = 1
