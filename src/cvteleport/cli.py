@@ -9,6 +9,7 @@ to stdout unless ``--out`` is given.
 ``sweep`` streams: it evaluates and writes the grid one block of rows at
 a time, so its memory does not grow with the grid.  Only the two axes
 do, at 8 bytes per step, and :data:`MAX_GRID_STEPS` caps each of them.
+:data:`MAX_SWEEP_S` caps s, so that every CSV column stays finite.
 ``mc`` holds one of its 100 jackknife blocks per worker thread at a
 time, about one byte per sample per worker, and
 ``montecarlo.MAX_SAMPLES`` caps ``--samples``.
@@ -34,12 +35,11 @@ from .epr import EprScenario, scenario_report, sweep
 from .errors import ConfigError, ValidityError
 from .montecarlo import McRunConfig, simulate_protocol
 from .serialize import (
-    _SWEEP_BLOCK_ROWS,
     SWEEP_CSV_HEADER,
     config_from_json,
     mc_report_to_dict,
     report_to_dict,
-    sweep_csv_blocks,
+    sweep_csv_rows,
     to_json,
     verification_to_dict,
 )
@@ -58,6 +58,13 @@ Z_THRESHOLD = 5.0
 # At this cap the two axes hold 16 MB, about half of what the interpreter
 # and numpy take by themselves, and one axis alone is a million CSV rows.
 MAX_GRID_STEPS = 1_000_000
+# A sweep renders its grid this many rows at a time, so only one chunk's
+# cells and row strings exist as Python objects at once.
+_SWEEP_BLOCK_ROWS = 1024
+# Largest s a sweep accepts: every CSV column stays finite for every eta in
+# [0, 1].  The first to overflow is N_out**2 = 4 (1 - eta + eta s)**2, near
+# s = 6.7e153 at eta = 1.
+MAX_SWEEP_S = 1e150
 
 
 class _UsageError(Exception):
@@ -157,15 +164,14 @@ def _grid(lo: float, hi: float, steps: int, name: str, domain) -> np.ndarray:
     if hi < lo:
         raise ConfigError(f"{name}-max must be >= {name}-min")
     d_lo, d_hi = domain
-    if lo < d_lo or (d_hi is not None and hi > d_hi):
-        hi_text = "inf" if d_hi is None else f"{d_hi}"
-        raise ConfigError(f"{name} grid must stay within [{d_lo}, {hi_text}]")
+    if lo < d_lo or hi > d_hi:
+        raise ConfigError(f"{name} grid must stay within [{d_lo}, {d_hi}]")
     return np.linspace(lo, hi, steps)
 
 
 def _cmd_sweep(args) -> int:
     eta_grid = _grid(args.eta_min, args.eta_max, args.eta_steps, "eta", (0.0, 1.0))
-    s_grid = _grid(args.s_min, args.s_max, args.s_steps, "s", (0.0, None))
+    s_grid = _grid(args.s_min, args.s_max, args.s_steps, "s", (0.0, MAX_SWEEP_S))
     # Each chunk of the grid is at most one block of rows: whole s rows for
     # a run of eta values, or one eta value and a run of s when an s row is
     # longer than a block.  Eta varies slowest, so the chunks come in order.
@@ -176,7 +182,7 @@ def _cmd_sweep(args) -> int:
         for i in range(0, len(eta_grid), eta_chunk):
             for j in range(0, len(s_grid), s_chunk):
                 table = sweep(eta_grid[i : i + eta_chunk], s_grid[j : j + s_chunk])
-                out.writelines(sweep_csv_blocks(table))
+                out.write(sweep_csv_rows(table))
     return EXIT_OK
 
 

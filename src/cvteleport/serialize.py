@@ -11,17 +11,18 @@ booleans render as ``true``/``false``, and lines end with ``'\n'``, so
 output files are byte-stable for fixed inputs.  JSON output is strict: a
 non-finite number is an error, never ``NaN`` or ``Infinity``.
 
-Sweep CSV rows come from one renderer, :func:`sweep_csv_blocks`, a block
-of rows at a time; :func:`sweep_to_csv` joins its blocks under
-:data:`SWEEP_CSV_HEADER`, and the CLI writes them out as they come, so a
-streamed sweep holds one block and never the whole file.
+Sweep CSV rows come from one renderer, :func:`sweep_csv_rows`, which
+renders a whole table with one join; :func:`sweep_to_csv` puts
+:data:`SWEEP_CSV_HEADER` on top.  The CLI streams a large grid by
+evaluating and rendering it a chunk of rows at a time, so it never holds
+the whole file.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import asdict
 from typing import Any
 
@@ -276,30 +277,15 @@ def config_from_json(text: str) -> ChannelConfig | EprScenario:
 
 
 def report_to_dict(report: CriteriaReport) -> dict:
-    return {
-        "N_X_out": report.N_X_out,
-        "N_Y_out": report.N_Y_out,
-        "T_X_out": report.T_X_out,
-        "T_Y_out": report.T_Y_out,
-        "fidelity": report.fidelity,
-        "cv_products": list(report.cv_products),
-        "verdicts": report.verdicts,
-        "t_sum_applicable": report.t_sum_applicable,
-    }
+    return asdict(report)
 
 
 SWEEP_CSV_HEADER = ",".join(SWEEP_CSV_COLUMNS) + "\n"
 _SWEEP_ROW = ",".join([NUMBER_FORMAT] * (len(SWEEP_CSV_COLUMNS) - 1) + ["%s"]) + "\n"
-# Rows are rendered and joined a block at a time, so only one block's cells
-# and row strings exist as Python objects at once.
-_SWEEP_BLOCK_ROWS = 1024
 
 
-def sweep_csv_blocks(table: SweepTable) -> Iterator[str]:
-    """Yield a sweep table's CSV rows, no header, one block of rows per string.
-
-    Every row ends in ``'\n'``, so the blocks concatenate to the CSV body.
-    """
+def sweep_csv_rows(table: SweepTable) -> str:
+    """A sweep table's CSV rows, no header, joined; every row ends in ``'\n'``."""
     with np.errstate(over="ignore"):
         n_product = table.N_out * table.N_out
     columns = (
@@ -313,15 +299,12 @@ def sweep_csv_blocks(table: SweepTable) -> Iterator[str]:
     )
     numbers = np.stack(columns) + 0.0  # no negative zeros, as in format_number
     verdicts = np.where(table.epr_violated, "true", "false")
-    for start in range(0, len(table), _SWEEP_BLOCK_ROWS):
-        block = slice(start, start + _SWEEP_BLOCK_ROWS)
-        cells = zip(*numbers[:, block].tolist(), verdicts[block].tolist())
-        yield "".join([_SWEEP_ROW % row for row in cells])
+    return "".join([_SWEEP_ROW % row for row in zip(*numbers.tolist(), verdicts.tolist())])
 
 
 def sweep_to_csv(table: SweepTable) -> str:
     """Render a sweep table as CSV text (header plus one row per grid point)."""
-    return SWEEP_CSV_HEADER + "".join(sweep_csv_blocks(table))
+    return SWEEP_CSV_HEADER + sweep_csv_rows(table)
 
 
 def mc_report_to_dict(report: McReport) -> dict:

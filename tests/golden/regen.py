@@ -248,8 +248,13 @@ def main(argv=None) -> int:
         before = old.pop(row.label, None)
         if before != row:
             changed += 1
-            status = "new" if before is None else f"was exit {before.outcome[0]}"
-            print(f"changed  {row.label}  exit {row.outcome[0]}  ({status})")
+            if before is None:
+                moved = "new row"
+            else:
+                parts = zip(("exit", "stdout", "stderr", "argv/config"),
+                            (*before.outcome, before[1:3]), (*row.outcome, row[1:3]))
+                moved = ", ".join(name for name, a, b in parts if a != b)
+            print(f"changed  {row.label}  exit {row.outcome[0]}  ({moved})")
     for label in old:
         changed += 1
         print(f"removed  {label}")

@@ -143,6 +143,21 @@ class TestSweepCommand:
         assert "eta grid bounds must be finite" in capsys.readouterr().err
         assert cli.main(["sweep", "--s-max", "inf", "--s-steps", "2"]) == 1
         assert "s grid bounds must be finite" in capsys.readouterr().err
+        # finite bounds whose N_out**2 (and at 1.7e308 N_out) would be inf
+        for s_max in ("1e200", "1.7e308"):
+            args = ["sweep", "--eta-min", "1", "--eta-steps", "1", "--s-max", s_max]
+            assert cli.main(args) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"s grid must stay within [0.0, {cli.MAX_SWEEP_S}]" in captured.err
+
+    def test_largest_s_keeps_every_column_finite(self, capsys):
+        # eta = 1 gives the largest N_out = 2 s
+        args = ["sweep", "--eta-steps", "3", "--s-min", str(cli.MAX_SWEEP_S / 2)]
+        assert cli.main(args + ["--s-max", str(cli.MAX_SWEEP_S), "--s-steps", "2"]) == 0
+        rows = [line.split(",")[:-1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 6
+        assert np.isfinite(np.array(rows, dtype=float)).all()
 
     def test_degenerate_bounds_rejected(self, capsys):
         assert cli.main(["sweep", "--eta-steps", "0"]) == 1
@@ -788,7 +803,7 @@ class TestStdoutHashes:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     # the 101 x 101 default-range grid, and a grid with negative zero, s = 0
-    # (infinite squeezing_db) and s up to 1e200 (N_out**2 overflows to inf)
+    # (infinite squeezing_db) and s up to the largest a sweep accepts
     SWEEP_CASES = {
         "101x101": (
             ["sweep", "--s-steps", "101"],
@@ -796,8 +811,8 @@ class TestStdoutHashes:
         ),
         "extremes": (
             ["sweep", "--eta-min", "-0.0", "--eta-max", "1", "--eta-steps", "7"]
-            + ["--s-min", "0", "--s-max", "1e200", "--s-steps", "9"],
-            "bf809701fc64cce23f64c542668ee2050e57efd72118c5db5c07fa42cfe3f1b5",
+            + ["--s-min", "0", "--s-max", "1e150", "--s-steps", "9"],
+            "2ab238fb07d2506488e0fd79507d44ba7927abad7b448fad1d41525bafa450e9",
         ),
     }
 

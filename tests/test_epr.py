@@ -382,7 +382,7 @@ class TestSweep:
         # the command line's defaults are the one definition of the grid
         args = cli._build_parser().parse_args(["sweep"])
         eta = cli._grid(args.eta_min, args.eta_max, args.eta_steps, "eta", (0.0, 1.0))
-        s = cli._grid(args.s_min, args.s_max, args.s_steps, "s", (0.0, None))
+        s = cli._grid(args.s_min, args.s_max, args.s_steps, "s", (0.0, cli.MAX_SWEEP_S))
         assert len(eta) == 101 and (eta[0], eta[-1]) == (0.0, 1.0)
         assert list(s) == pytest.approx(
             [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]

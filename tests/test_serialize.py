@@ -261,7 +261,7 @@ class TestReportRendering:
         d = report_to_dict(report)
         assert d["N_X_out"] == report.N_X_out
         assert d["fidelity"] == report.fidelity
-        assert d["cv_products"] == list(report.cv_products)
+        assert d["cv_products"] == report.cv_products
         assert set(d["verdicts"]) == set(VERDICT_KEYS)
         assert d["t_sum_applicable"] is True
 
