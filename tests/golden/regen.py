@@ -22,6 +22,7 @@ writes them.  Replaying needs only this module and ``cli.tsv``.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -231,8 +232,10 @@ def invocations() -> list[tuple[str, list, str | None]]:
     return rows
 
 
-def main(argv=None) -> int:
-    accept = "--accept" in (argv if argv is not None else sys.argv[1:])
+def main() -> int:
+    parser = argparse.ArgumentParser(description="Replay the corpus commands.")
+    parser.add_argument("--accept", action="store_true", help="rewrite cli.tsv")
+    accept = parser.parse_args().accept
     old = {row.label: row for row in read_corpus()} if CORPUS.exists() else {}
     new = []
     cwd = os.getcwd()

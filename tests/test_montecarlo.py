@@ -357,3 +357,35 @@ class TestJackknife:
         for key, ref in zip(stderrs, want):
             assert ref > 0.0
             assert abs(stderrs[key] - ref) <= 1e-12 * ref, key
+
+
+class TestEstimatesFromSums:
+    @staticmethod
+    def sums(xm, xr, ym, yr):
+        return np.array(
+            [xm.sum(), xm @ xm, xr.sum(), xr @ xr, xm @ xr,
+             ym.sum(), ym @ ym, yr.sum(), yr @ yr, ym @ yr, 1.0]
+        )
+
+    def test_moments_reach_the_report_kernels_in_field_order(self):
+        rng = np.random.default_rng(5)
+        xm, xr, ym, yr = rng.normal(size=(4, 400)) * np.array([[1.3], [0.7], [2.1], [0.4]])
+        xr, yr = xr - 0.5 * xm, yr + 0.1 * ym
+        got = _estimates_from_sums(self.sums(xm, xr, ym, yr), 400.0)
+        cov_x, cov_y = np.cov([xm, xr], bias=True), np.cov([ym, yr], bias=True)
+        for n, cov in ((got["N_X"], cov_x), (got["N_Y"], cov_y)):
+            assert n == pytest.approx(cov.sum(), rel=1e-12)
+        r_given_m = np.prod([c[1, 1] - c[0, 1] ** 2 / c[0, 0] for c in (cov_x, cov_y)])
+        m_given_r = np.prod([c[0, 0] - c[0, 1] ** 2 / c[1, 1] for c in (cov_x, cov_y)])
+        assert got["cv_product_r_given_m"] == pytest.approx(r_given_m, rel=1e-12)
+        assert got["cv_product_m_given_r"] == pytest.approx(m_given_r, rel=1e-12)
+
+    def test_correlation_past_its_edge_is_clamped_as_in_the_report(self):
+        # a constant measured noise: its sample variance rounds below 0
+        # beside a rounding-size covariance, which the report's kernel
+        # clamps onto the Cauchy-Schwarz edge rather than conditioning on
+        xm = ym = np.full(3, 0.1)
+        xr, yr = np.array([0.3, -1.2, 0.7]), np.array([1.1, 0.2, -0.4])
+        got = _estimates_from_sums(self.sums(xm, xr, ym, yr), 3.0)
+        assert got["cv_product_m_given_r"] == 0.0
+        assert got["cv_product_r_given_m"] == pytest.approx(np.var(xr) * np.var(yr))
