@@ -143,9 +143,10 @@ _STAT_COLUMNS = (
 )
 # The moment block in NoiseBudget field order (v_Xm, v_Ym, v_Xr, v_Yr,
 # c_XmXr, c_YmYr): the column of each entry's sum of products, and the
-# columns of the two plain sums it is centred by.
+# columns of the plain sums of its two factors, which centre it.
 _PRODUCT_SUMS = [1, 6, 3, 8, 4, 9]
-_CENTRES = [0, 5, 2, 7, 0, 5], [0, 5, 2, 7, 2, 7]
+_LEFT_SUMS = [0, 5, 2, 7, 0, 5]
+_RIGHT_SUMS = [0, 5, 2, 7, 2, 7]
 
 
 def _estimates_from_sums(sums: np.ndarray, n) -> dict:
@@ -155,7 +156,7 @@ def _estimates_from_sums(sums: np.ndarray, n) -> dict:
     ``(11, k)`` for ``k`` samples at once, with ``n`` a float or length ``k``.
     The sample moments form one block that the report's kernels reduce.
     """
-    fields = sums[_PRODUCT_SUMS] / n - sums[_CENTRES[0]] / n * (sums[_CENTRES[1]] / n)
+    fields = sums[_PRODUCT_SUMS] / n - sums[_LEFT_SUMS] / n * (sums[_RIGHT_SUMS] / n)
     # a variance at or below 0 is rounding, or a sum that overflowed
     fields[:4] = np.where(fields[:4] > 0.0, fields[:4], 0.0)
     n_x, n_y = _output_noise(fields[:2], fields[2:4], fields[4:])
