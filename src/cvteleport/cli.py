@@ -9,7 +9,7 @@ to stdout unless ``--out`` is given.
 ``sweep`` streams: it evaluates and writes the grid one block of rows at
 a time, so its memory does not grow with the grid.  Only the two axes
 do, at 8 bytes per step, and :data:`MAX_GRID_STEPS` caps each of them.
-:data:`MAX_SWEEP_S` caps s, so that every CSV column stays finite.
+:data:`cvteleport.epr.MAX_SWEEP_S` caps s so every CSV column stays finite.
 ``mc`` holds one of its 100 jackknife blocks per worker thread at a
 time, about one byte per sample per worker, and
 ``montecarlo.MAX_SAMPLES`` caps ``--samples``.
@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from .criteria import full_report, run_chain_verification
-from .epr import EprScenario, scenario_report, sweep
+from .epr import MAX_SWEEP_S, EprScenario, scenario_report, sweep
 from .errors import ConfigError, ValidityError
 from .montecarlo import McRunConfig, simulate_protocol
 from .serialize import (
@@ -61,10 +61,6 @@ MAX_GRID_STEPS = 1_000_000
 # A sweep renders its grid this many rows at a time, so only one chunk's
 # cells and row strings exist as Python objects at once.
 _SWEEP_BLOCK_ROWS = 1024
-# Largest s a sweep accepts: every CSV column stays finite for every eta in
-# [0, 1].  The first to overflow is N_out**2 = 4 (1 - eta + eta s)**2, near
-# s = 6.7e153 at eta = 1.
-MAX_SWEEP_S = 1e150
 
 
 class _UsageError(Exception):

@@ -19,9 +19,9 @@ budget scalars ``(v_Xm, v_Ym, v_Xr, v_Yr, c_XmXr, c_YmYr)``; the private
 kernels take them as one ``(6,)`` or ``(6, n)`` moment block in that
 order, and every caller goes through them: single budgets, the
 verifier's batches, and the Monte Carlo estimates, whose sample moments
-form such a block.  The EPR scenario's figures have exact closed forms
-of their own in :mod:`cvteleport.epr`; :func:`_criteria_report`
-assembles a report from either source.
+form such a block.  The EPR scenario's output noise and conditional
+variances have exact closed forms of their own in :mod:`cvteleport.epr`;
+:func:`_criteria_report` assembles a report from either source.
 
 The verifier rechecks the algebraic chain that links the no-violation
 condition to the noise-product bound, including the exact factorization
@@ -117,33 +117,27 @@ def fidelity_mc_integrand(x, y, x_a: float, y_a: float, out=None, scratch=None):
     return np.exp(np.subtract(dx, dy, out=out), out=out)
 
 
-def _conditional(v_a, v_b, c):
-    """Conditional variance ``v_a - c**2 / v_b`` clamped at 0; floats or arrays.
-
-    A zero ``v_b`` leaves ``v_a``; with a nonzero ``c`` that cannot come
-    from a consistent covariance and raises DegenerateConditioningError.
-    """
-    flat = np.equal(v_b, 0.0)
-    if (flat & np.not_equal(c, 0.0)).any():
-        raise DegenerateConditioningError(
-            "conditioning variable has zero variance but nonzero covariance"
-        )
-    v = v_a - c * c / np.where(flat, 1.0, v_b)
-    return np.where(v > 0.0, v, 0.0)
-
-
 def _cv_products(fields):
     """Both conditional-variance products: r given m, then m given r.
 
     ``fields`` is a ``(6,)`` or ``(6, n)`` moment block; each correlation
-    is first clamped onto its Cauchy-Schwarz edge.  X and Y go through
-    side by side, as views of the block.
+    is first clamped onto its Cauchy-Schwarz edge, so only a NaN one beside
+    a zero variance raises DegenerateConditioningError.  Each conditional
+    variance ``v_a - c**2 / v_b`` is clamped at 0 (``v_a`` where
+    ``v_b = 0``); both directions and quadratures go side by side.
     """
-    v_m, v_r, c = np.reshape(fields, (3, 2, *np.shape(fields)[1:]))
+    moments = np.reshape(fields, (3, 2, *np.shape(fields)[1:]))
+    v_b, c = moments[:2], moments[2]  # conditioning variances (v_m, v_r), views
     with np.errstate(all="ignore"):
-        c = _clamp_edge(c, v_m * v_r)
-        r_given_m, m_given_r = _conditional(v_r, v_m, c), _conditional(v_m, v_r, c)
-        return r_given_m[0] * r_given_m[1], m_given_r[0] * m_given_r[1]
+        c = _clamp_edge(c, v_b[0] * v_b[1])
+        flat = v_b == 0.0
+        if (flat & (c != 0.0)).any():
+            raise DegenerateConditioningError(
+                "conditioning variable has zero variance but nonzero covariance"
+            )
+        cond = v_b[::-1] - c * c / np.where(flat, 1.0, v_b)
+        cond = np.where(cond > 0.0, cond, 0.0)
+        return cond[0, 0] * cond[0, 1], cond[1, 0] * cond[1, 1]
 
 
 def _violates(p_r_given_m, p_m_given_r):

@@ -3,12 +3,10 @@
 Two single-mode squeezed beams (squeezed quadrature variance ``s``) are
 combined on a balanced splitter into an EPR pair; one beam feeds the
 measurement stage, the other the reconstruction stage, each through a
-channel of efficiency ``eta``.  Every figure of merit then has a closed
-form in (eta, s):
+channel of efficiency ``eta``.  The output noise and the conditional
+variances have closed forms in (eta, s):
 
 * ``N_out = 2*(1 - eta + eta*s)`` per quadrature,
-* ``T_sum = 2 / (3 - 2*eta + 2*eta*s)`` for a coherent input,
-* ``F = 1 / (2 - eta + eta*s)``,
 * each conditional variance (either beam given the other, either
   quadrature), with ``t = min(s, 1/s)`` and
   ``D = eta*(1 + t**2)/2 + (1 - eta)*t``:
@@ -22,8 +20,14 @@ conditional-variance products ``cond**2`` fall below 1 exactly on
 ``{eta > 1/2, s != 1}``.  That region strictly contains ``N_out < 1``: the
 criterion is implied by ``N_out < 1`` but does not imply it (at
 ``eta = 1, s = 0.75`` the products are ``0.96**2`` while ``N_out = 1.5``).
-:func:`sweep` and :func:`scenario_report` take every figure from these
-closed forms.
+
+The transfer sum and the fidelity are the report kernel's
+(:func:`~cvteleport.criteria._transfer_fidelity` at ``N_X = N_Y = N_out``).
+With ``r = 1 - eta + eta*s`` they equal ``2/(1 + 2r)`` and ``1/(1 + r)``
+bit for bit: ``2 + N_out = 2*(1 + r)`` exactly, doubling is exact, and
+``sqrt(fl(x**2)) = |x|`` in binary64 until the square overflows near
+s = 6.7e153, so :func:`sweep` accepts s up to :data:`MAX_SWEEP_S`.
+Neither it nor :func:`scenario_report` takes a figure from a budget.
 
 The same scenario maps onto a :class:`~cvteleport.channel.NoiseBudget`:
 each EPR beam is attenuated by ``sqrt(eta)`` and padded with vacuum, which
@@ -46,13 +50,17 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .channel import NoiseBudget, equivalent_output_noise, vacuum_input
-from .criteria import CriteriaReport, _criteria_report, _violates
+from .criteria import CriteriaReport, _criteria_report, _transfer_fidelity, _violates
 from .errors import ConfigError
 
 # Largest budget variance ``v`` whose conditional variances keep at least
 # half of their digits: their rounding error ``eps * v`` stays below
 # ``sqrt(eps)`` up to here.
 MAX_RESOLVED_VARIANCE = 1.0 / np.sqrt(np.finfo(float).eps)
+# Largest s a sweep accepts: every CSV column stays finite for every eta in
+# [0, 1].  Above it the CSV's N_out**2 = 4 (1 - eta + eta s)**2 and the
+# fidelity kernel's (2 + N_out)**2 overflow, near s = 6.7e153 at eta = 1.
+MAX_SWEEP_S = 1e150
 
 # Column schema of the sweep CSV artifact, in order.
 SWEEP_CSV_COLUMNS = (
@@ -155,18 +163,14 @@ def closed_form(sc: EprScenario) -> SweepPoint:
 
 
 def _figures(eta, s):
-    """``(N_out, T_sum, F, cond)`` at (eta, s); floats (s > 0) or arrays.
-
-    ``cond`` is each conditional variance, in the closed form of the module
-    docstring.
-    """
+    """``(N_out, cond)`` at (eta, s) in closed form; floats (s > 0) or arrays."""
     with np.errstate(all="ignore"):
-        reduced = 1.0 - eta + eta * s
+        n_out = 2.0 * (1.0 - eta + eta * s)
         t = np.minimum(s, 1.0 / s)
         d = eta * (1.0 + t * t) / 2.0 + (1.0 - eta) * t
         num = (1.0 - eta + eta * t) * ((1.0 - eta) * t + eta)
         cond = np.where(d > 0.0, num / d, 1.0)
-        return 2.0 * reduced, 2.0 / (1.0 + 2.0 * reduced), 1.0 / (1.0 + reduced), cond
+        return n_out, cond
 
 
 def _budget_variance(sc: EprScenario) -> float:
@@ -196,9 +200,10 @@ def to_noise_budget(sc: EprScenario) -> NoiseBudget:
 
     Rejects s = 0, and any s whose budget variance exceeds
     :data:`MAX_RESOLVED_VARIANCE`, with a :class:`ConfigError`.
-    Internally cross-checks that the budget reproduces the closed-form
-    output noise; the comparison is scaled by the budget variance because
-    the total is a near-complete cancellation for strong squeezing.
+    Cross-checks that the budget reproduces the closed-form output noise,
+    with the same error if it does not; the comparison is scaled by the
+    budget variance, as the total cancels almost completely at strong
+    squeezing.
     """
     v = _budget_variance(sc)
     c = sc.eta * (sc.s - 1.0 / sc.s) / 2.0
@@ -207,8 +212,9 @@ def to_noise_budget(sc: EprScenario) -> NoiseBudget:
     n_closed = float(_figures(sc.eta, sc.s)[0])
     tol = 1e-12 * max(1.0, v)
     if abs(n_budget[0] - n_closed) > tol or abs(n_budget[1] - n_closed) > tol:
-        raise AssertionError(
-            f"budget output noise {n_budget} does not match closed form {n_closed}"
+        raise ConfigError(
+            f"s = {sc.s:.6g} has no noise budget that resolves the criteria "
+            f"(its output noise {n_budget} misses the closed form {n_closed})"
         )
     return budget
 
@@ -220,19 +226,23 @@ def scenario_report(sc: EprScenario) -> CriteriaReport:
     rejects the others with the same :class:`ConfigError`.
     """
     _budget_variance(sc)
-    n_out, _, _, cond = map(float, _figures(sc.eta, sc.s))
+    n_out, cond = map(float, _figures(sc.eta, sc.s))
     return _criteria_report(n_out, n_out, (cond * cond, cond * cond), vacuum_input())
 
 
 def sweep(eta_grid: Iterable[float], s_grid: Iterable[float]) -> SweepTable:
     """Closed forms over the (eta, s) grid, eta varying slowest.
 
-    The grid is validated once and evaluated as arrays.
+    The grid is validated once and evaluated as arrays.  Rejects any s
+    above :data:`MAX_SWEEP_S` with a ValueError.
     """
     etas = np.array(list(eta_grid), float)
     esses = np.array(list(s_grid), float)
     _check_domain(etas, esses)
+    if (esses > MAX_SWEEP_S).any():
+        raise ValueError(f"s must be <= {MAX_SWEEP_S} in a sweep, got {esses.max()}")
     eta, s = (g.ravel() for g in np.meshgrid(etas, esses, indexing="ij"))
-    n_out, t_sum, f, cond = _figures(eta, s)
+    n_out, cond = _figures(eta, s)
+    t_x, t_y, f = _transfer_fidelity(n_out, n_out)
     product = cond * cond
-    return SweepTable(eta, s, n_out, t_sum, f, _violates(product, product))
+    return SweepTable(eta, s, n_out, t_x + t_y, f, _violates(product, product))

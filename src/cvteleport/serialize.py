@@ -286,14 +286,12 @@ _SWEEP_ROW = ",".join([NUMBER_FORMAT] * (len(SWEEP_CSV_COLUMNS) - 1) + ["%s"]) +
 
 def sweep_csv_rows(table: SweepTable) -> str:
     """A sweep table's CSV rows, no header, joined; every row ends in ``'\n'``."""
-    with np.errstate(over="ignore"):
-        n_product = table.N_out * table.N_out
     columns = (
         table.eta,
         table.s,
         table.squeezing_db,
         table.N_out,
-        n_product,
+        table.N_out * table.N_out,
         table.T_sum,
         table.F,
     )

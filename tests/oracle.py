@@ -66,6 +66,16 @@ def fidelity_general(
     return float(prefactor * damping)
 
 
+def epr_transfer_fidelity(eta, s):
+    """The EPR scenario's ``(T_sum, F)`` in closed form; floats or arrays.
+
+    With ``r = 1 - eta + eta*s``: ``T_sum = 2/(1 + 2r)`` and
+    ``F = 1/(1 + r)``, written without the report kernel.
+    """
+    r = 1.0 - eta + eta * s
+    return 2.0 / (1.0 + 2.0 * r), 1.0 / (1.0 + r)
+
+
 def rejection_budgets(count: int, seed) -> np.ndarray:
     """Random valid budgets by rejection, as a ``(count, 6)`` array.
 

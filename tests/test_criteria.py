@@ -23,7 +23,6 @@ from cvteleport.criteria import (
     VERDICT_MARGIN,
     _chain_fails,
     _chain_terms,
-    _conditional,
     _cv_products,
     _draw_budgets,
     _violates,
@@ -200,14 +199,18 @@ class TestEprCriterion:
             assert got == tuple(term[i] for term in terms), b
 
     def test_zero_variance_conditioner_with_covariance_rejected(self):
+        # the Cauchy-Schwarz clamp sets a finite correlation beside a zero
+        # variance to 0, so only a NaN one still reaches the rejection
         with pytest.raises(DegenerateConditioningError):
-            _conditional(1.0, 0.0, 1e-200)
+            _cv_products(np.array([0.0, 1.0, 1.0, 1.0, np.nan, 0.0]))
+        block = np.ones((6, 3))
+        block[2, 1], block[4] = 0.0, [0.5, np.nan, 0.0]
         with pytest.raises(DegenerateConditioningError):
-            _conditional(np.ones(3), np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.0, 1e-200]))
-        # a zero-variance conditioner with zero covariance leaves the plain variance
-        assert _conditional(2.0, 0.0, 0.0) == 2.0
-        got = _conditional(np.array([2.0, 2.0]), np.array([0.0, 2.0]), np.array([0.0, 1.0]))
-        assert got.tolist() == [2.0, 1.5]
+            _cv_products(block)
+        # a zero-variance conditioner leaves the plain variance
+        assert _cv_products(np.array([0.0, 1.0, 2.0, 1.0, 1e-200, 0.0])) == (2.0, 0.0)
+        block = np.array([[0.0, 2.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        assert [p.tolist() for p in _cv_products(block)] == [[2.0, 1.5], [0.0, 1.5]]
 
     def test_boundary_products_need_margin_to_violate(self):
         # products exactly 1: inside the verdict margin, not a violation

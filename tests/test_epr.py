@@ -14,10 +14,12 @@ from cvteleport.criteria import (
     FIDELITY_CV_BOUND,
     VERDICT_MARGIN,
     _transfer_fidelity,
+    _violates,
     epr_criterion,
 )
 from cvteleport.epr import (
     MAX_RESOLVED_VARIANCE,
+    MAX_SWEEP_S,
     SWEEP_CSV_COLUMNS,
     EprScenario,
     SweepPoint,
@@ -35,7 +37,12 @@ from cvteleport.serialize import (
     sweep_to_csv,
     to_json,
 )
-from oracle import fidelity_general
+from oracle import epr_transfer_fidelity, fidelity_general
+
+
+def verdicts(cond):
+    """The sweep's conditional-variance verdict on closed-form ``cond``."""
+    return _violates(cond * cond, cond * cond)
 
 
 class TestScenarioValidation:
@@ -187,8 +194,8 @@ class TestCriterionRegion:
         assert products == (1.0, 1.0)
         # where the budget's moments would overflow (1/s at subnormal s,
         # v**2 at s = 1e200) the closed form gives the same limit verdicts
-        points = sweep([0.0, 0.3, 0.8, 1.0], [5e-324, 1e200])
-        assert [p.epr_violated for p in points] == [
+        cond = _figures(np.array([[0.0], [0.3], [0.8], [1.0]]), np.array([5e-324, 1e200]))[1]
+        assert verdicts(cond).ravel().tolist() == [
             False, False, False, False, True, True, True, True
         ]
 
@@ -312,12 +319,13 @@ class TestExactFigures:
     def test_symmetric_under_reciprocal_s(self):
         eta = np.linspace(0.0, 1.0, 101)
         esses = np.concatenate([np.geomspace(1e-300, 0.9, 301), np.linspace(0.9, 1.0, 51)])
-        cond = _figures(eta[:, None], esses)[3]
-        mirrored = _figures(eta[:, None], 1.0 / esses)[3]
+        cond = _figures(eta[:, None], esses)[1]
+        mirrored = _figures(eta[:, None], 1.0 / esses)[1]
         assert (abs(cond - mirrored) <= 4 * np.spacing(np.maximum(cond, mirrored))).all()
-        assert np.array_equal(
-            sweep(eta, esses).epr_violated, sweep(eta, 1.0 / esses).epr_violated
-        )
+        assert np.array_equal(verdicts(cond), verdicts(mirrored))
+        # 1/s runs past the sweep's s bound; on this side the sweep's verdict
+        # is the closed form's
+        assert np.array_equal(sweep(eta, esses).epr_violated, verdicts(cond).ravel())
 
     def test_array_kernel_matches_scalar_calls_bitwise(self):
         # the sweep evaluates the kernel on arrays, scenario_report on floats
@@ -331,9 +339,9 @@ class TestExactFigures:
 
 
 # negative zero, the s = 0 and subnormal-s limits, s on both sides of 1, and
-# s = 1e200, where N_out**2 overflows
+# the largest s a sweep accepts
 MIXED_ETA = [-0.0, 0.3, 0.5, 0.55, 0.8, 1.0]
-MIXED_S = [0.0, 5e-324, 1e-9, 0.3, 0.75, 1.0, 1.7, 1e8, 1e200]
+MIXED_S = [0.0, 5e-324, 1e-9, 0.3, 0.75, 1.0, 1.7, 1e8, MAX_SWEEP_S]
 
 
 def reference_csv(points) -> str:
@@ -369,6 +377,40 @@ class TestSweep:
         # more rows than one rendering block
         table = sweep(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 3.0, 31))
         assert sweep_to_csv(table) == reference_csv(table)
+
+    def test_transfer_and_fidelity_equal_the_closed_forms_bitwise(self):
+        # T_sum and F come from the report kernel; over the whole accepted
+        # domain they equal 2/(1 + 2r) and 1/(1 + r) bit for bit
+        rng = np.random.default_rng(2101)
+        eta = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, 317)])
+        esses = np.concatenate(
+            [
+                [0.0, 5e-324, 1e-300, 1.0, MAX_SWEEP_S],
+                10.0 ** rng.uniform(-300.0, np.log10(MAX_SWEEP_S), 200),
+                rng.uniform(0.0, 3.0, 115),
+            ]
+        )
+        table = sweep(eta, esses)
+        assert len(table) >= 100_000
+        t_sum, f = epr_transfer_fidelity(*np.meshgrid(eta, esses, indexing="ij"))
+        assert table.T_sum.tobytes() == t_sum.tobytes()
+        assert table.F.tobytes() == f.tobytes()
+
+    def test_s_above_the_bound_is_rejected(self):
+        for s in (1e200, 1.7e308):
+            with pytest.raises(ValueError, match="s must be <="):
+                sweep([1.0], [1.0, s])
+            with pytest.raises(ValueError, match="s must be <="):
+                closed_form(EprScenario(1.0, s))
+            with pytest.raises(ValueError, match="s must be <="):
+                sweep_to_csv(sweep([1.0], [s]))
+        # the scenario keeps its domain: the report takes the eta = 0 limit
+        assert scenario_report(EprScenario(0.0, 1e200)).fidelity == 0.5
+
+    def test_every_csv_cell_is_finite_at_the_bound(self):
+        # warnings are errors here, so an overflow anywhere would raise
+        row = sweep_to_csv(sweep([1.0], [MAX_SWEEP_S])).splitlines()[1].split(",")
+        assert np.isfinite([float(cell) for cell in row[:-1]]).all()
 
     def test_default_grid_shape(self):
         points = sweep(np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 11))
