@@ -50,7 +50,7 @@ from .channel import (
     shot_noise_budget,
     to_unity_gain_budget,
 )
-from .errors import DegenerateConditioningError, ValidityError
+from .errors import ConfigError, DegenerateConditioningError, ValidityError
 
 # Strict-verdict margin: a bound counts as beaten only beyond this.
 VERDICT_MARGIN = 1e-9
@@ -96,11 +96,12 @@ def _noise_verdicts(n_product, t_sum, fidelity):
     )
 
 
-def fidelity_mc_integrand(x, y, x_a: float, y_a: float, out=None, scratch=None):
-    """Overlap kernel between a reconstructed amplitude and the target.
+def fidelity_mc_integrand(x, y, out=None, scratch=None):
+    """Overlap kernel of a reconstructed amplitude displaced by ``(x, y)``
+    from the target.
 
     The fidelity is the expectation of this kernel over the distribution of
-    reconstructed amplitudes; the Monte Carlo oracle averages it directly,
+    displacements; the Monte Carlo oracle averages it directly,
     independently of the closed form in :func:`_transfer_fidelity`.
     Accepts scalars or arrays.
     The kernel is written into ``out`` (a float array shaped like ``x``; it
@@ -108,12 +109,10 @@ def fidelity_mc_integrand(x, y, x_a: float, y_a: float, out=None, scratch=None):
     it may be ``y``) when they are given; no other argument is written, and
     with both no temporary is allocated.
     """
-    # exp(-(x - x_a)**2 / 4 - (y - y_a)**2 / 4), one ufunc at a time so
-    # that every step can land in the caller's buffers
-    dx = np.subtract(x, x_a, out=out)
-    dx = np.divide(np.negative(np.square(dx, out=out), out=out), 4.0, out=out)
-    dy = np.subtract(y, y_a, out=scratch)
-    dy = np.divide(np.square(dy, out=scratch), 4.0, out=scratch)
+    # exp(-x**2 / 4 - y**2 / 4), one ufunc at a time so that every step
+    # can land in the caller's buffers
+    dx = np.divide(np.negative(np.square(x, out=out), out=out), 4.0, out=out)
+    dy = np.divide(np.square(y, out=scratch), 4.0, out=scratch)
     return np.exp(np.subtract(dx, dy, out=out), out=out)
 
 
@@ -380,6 +379,13 @@ class VerificationSummary:
     first_failure: InequalityTrace | None = None
 
 
+def _check_seed(seed) -> None:
+    """Raise ConfigError unless ``seed`` is a nonnegative integer; a bool
+    is not one."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
+
+
 def run_chain_verification(trials: int, seed: int) -> VerificationSummary:
     """Run the chain verifier over random non-violating budgets.
 
@@ -389,10 +395,12 @@ def run_chain_verification(trials: int, seed: int) -> VerificationSummary:
     apply to them.  Draws are screened and checked a batch at a time, as
     arrays.  Returns the worst identity error and the worst margin
     ``n_product - 1`` seen; a budget that misses any link's bound counts
-    as one bound violation.
+    as one bound violation.  ``trials`` below 1 or a seed that is not a
+    nonnegative integer is a ConfigError.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    _check_seed(seed)
     max_rel = 0.0
     worst_margin = np.inf
     violations = 0

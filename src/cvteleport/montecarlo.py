@@ -5,16 +5,17 @@ channel's validated ``ChannelConfig.noise``, and rebuilds every figure
 of merit from samples alone.  The input is not drawn and does not enter
 at all: at unity gain the reconstructed amplitude minus the input
 amplitude is the added noise, so the overlap kernel is evaluated on that
-added displacement against target 0, and a large input mean cannot round
-the noise away.  Per sample the measured noise is ``h*B`` and the
-reconstruction noise ``C``, per quadrature.  Their six sample moments
-form one moment block in ``NoiseBudget`` field order, and the report's
-own kernels reduce it to the output noises and the conditional-variance
-products, so this module holds no formula of its own for either; the
-fidelity is the sample mean of the overlap kernel, never the closed
-form.  Estimates come with jackknife standard errors over 100 equal
-blocks, and each is compared to its analytic counterpart through a
-z-score.
+added displacement, and a large input mean cannot round the noise away.
+Per sample the measured noise is ``h*B`` and the reconstruction noise
+``C``, per quadrature: the drawn rows are scaled in place to the columns
+``(X_m, Y_m, X_r, Y_r)``.  Each block is reduced to their four sums and
+the sums of the products in :data:`_PAIRS`, which centre into one moment
+block in ``NoiseBudget`` field order; the report's own kernels reduce it
+to the output noises and the conditional-variance products, so this
+module holds no formula of its own for either.  The fidelity is the
+sample mean of the overlap kernel, never the closed form.  Estimates
+come with jackknife standard errors over 100 equal blocks, and each is
+compared to its analytic counterpart through a z-score.
 
 Sampling is deterministic for a fixed seed: block ``b`` draws from a
 generator seeded with ``SeedSequence([seed, b])``, and blocks are reduced
@@ -27,7 +28,7 @@ covariance is factored once per run, before any thread starts (Cholesky,
 or an eigendecomposition that leaves null directions noiseless when the
 covariance is singular; see :func:`~cvteleport.gaussian.sample`), and
 each worker draws its blocks into one rows buffer and reduces them
-through one set of column buffers, so a run's memory is one block per
+through two column buffers, so a run's memory is one block per
 worker, about one byte per sample per worker, and :data:`MAX_SAMPLES`
 bounds it.  A z-score divides by at least ``sqrt(eps) * max(1,
 |analytic|)``, so an estimate within rounding of its closed form never
@@ -38,12 +39,12 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .channel import ChannelConfig, _output_noise, budget_to_channel
-from .criteria import _cv_products, fidelity_mc_integrand, full_report
+from .criteria import _check_seed, _cv_products, fidelity_mc_integrand, full_report
 from .epr import EprScenario, to_noise_budget
 from .errors import ConfigError
 from .gaussian import sample
@@ -52,10 +53,10 @@ JACKKNIFE_BLOCKS = 100
 MIN_SAMPLES = 1000
 # Each worker holds one block of samples / JACKKNIFE_BLOCKS rows at a time:
 # the (rows, 4) draws and the normals behind them at 32 bytes a row each,
-# and four float columns at 8 bytes a row each, about 1 byte per sample in
-# all.  At this cap that is ~100 MB per worker, a few times what the
+# and two float columns at 8 bytes a row each, about 1 byte per sample in
+# all.  At this cap that is ~80 MB per worker, a few times what the
 # interpreter and numpy take by themselves: on a 2-CPU host a run peaks
-# near 220 MB RSS and takes ~5 s with two workers (~128 MB and ~9.6 s with
+# near 190 MB RSS and takes ~14 s with two workers (~113 MB and ~17 s with
 # one).
 MAX_SAMPLES = 100_000_000
 # Threads the block loop runs on, at most.  Each one holds a block's
@@ -73,9 +74,10 @@ _STDERR_FLOOR = float(np.sqrt(np.finfo(float).eps))
 class McRunConfig:
     """One simulation run: channel, sample count, seed.
 
-    ``samples`` must lie in ``[MIN_SAMPLES, MAX_SAMPLES]`` and be divisible
-    by the jackknife block count.  An :class:`EprScenario` runs on its
-    budget's channel with a vacuum input.
+    ``seed`` must be a nonnegative integer, and ``samples`` must lie in
+    ``[MIN_SAMPLES, MAX_SAMPLES]`` and be divisible by the jackknife block
+    count.  An :class:`EprScenario` runs on its budget's channel with a
+    vacuum input.
     """
 
     channel: ChannelConfig | EprScenario
@@ -83,6 +85,7 @@ class McRunConfig:
     seed: int
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if not isinstance(self.samples, (int, np.integer)) or isinstance(
             self.samples, bool
         ):
@@ -122,45 +125,35 @@ class McReport:
 
     @property
     def comparisons(self) -> dict[str, Comparison]:
-        return {
-            "N_X": self.N_X,
-            "N_Y": self.N_Y,
-            "fidelity": self.fidelity,
-            "cv_product_r_given_m": self.cv_product_r_given_m,
-            "cv_product_m_given_r": self.cv_product_m_given_r,
-        }
+        """The five comparisons by field name, in field order."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v for k, v in values.items() if isinstance(v, Comparison)}
 
     @property
     def max_abs_z(self) -> float:
         return max(abs(c.z_score) for c in self.comparisons.values())
 
 
-# Per-block sufficient statistics, in column order.
-_STAT_COLUMNS = (
-    "sxm", "sxm2", "sxr", "sxr2", "sxmxr",
-    "sym", "sym2", "syr", "syr2", "symyr",
-    "sw",
-)
-# The moment block in NoiseBudget field order (v_Xm, v_Ym, v_Xr, v_Yr,
-# c_XmXr, c_YmYr): the column of each entry's sum of products, and the
-# columns of the plain sums of its two factors, which centre it.
-_PRODUCT_SUMS = [1, 6, 3, 8, 4, 9]
-_LEFT_SUMS = [0, 5, 2, 7, 0, 5]
-_RIGHT_SUMS = [0, 5, 2, 7, 2, 7]
+# Products summed per block, as column pairs over (X_m, Y_m, X_r, Y_r): the
+# moment block in NoiseBudget field order (v_Xm, v_Ym, v_Xr, v_Yr, c_XmXr,
+# c_YmYr).  A block's statistics are the four column sums, these product
+# sums, then the kernel sum.
+_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (1, 3))
 
 
 def _estimates_from_sums(sums: np.ndarray, n) -> dict:
-    """The five estimates from the sufficient statistics, in column order.
+    """The five estimates from summed block statistics, in field order.
 
     ``sums`` holds one statistic per row: shape ``(11,)`` for one sample or
     ``(11, k)`` for ``k`` samples at once, with ``n`` a float or length ``k``.
-    The sample moments form one block that the report's kernels reduce.
     """
-    fields = sums[_PRODUCT_SUMS] / n - sums[_LEFT_SUMS] / n * (sums[_RIGHT_SUMS] / n)
+    left, right = np.transpose(_PAIRS)
+    mean = sums[:4] / n
+    moments = sums[4:10] / n - mean[left] * mean[right]
     # a variance at or below 0 is rounding, or a sum that overflowed
-    fields[:4] = np.where(fields[:4] > 0.0, fields[:4], 0.0)
-    n_x, n_y = _output_noise(fields[:2], fields[2:4], fields[4:])
-    r_given_m, m_given_r = _cv_products(fields)
+    moments[:4] = np.where(moments[:4] > 0.0, moments[:4], 0.0)
+    n_x, n_y = _output_noise(moments[:2], moments[2:4], moments[4:])
+    r_given_m, m_given_r = _cv_products(moments)
     return {
         "N_X": n_x,
         "N_Y": n_y,
@@ -243,7 +236,7 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
     h_x, h_y = channel.reconstruction.h_X, channel.reconstruction.h_Y
 
     block_n = cfg.samples // JACKKNIFE_BLOCKS
-    block_stats = np.zeros((JACKKNIFE_BLOCKS, len(_STAT_COLUMNS)))
+    block_stats = np.zeros((JACKKNIFE_BLOCKS, 4 + len(_PAIRS) + 1))
     workers = _worker_count()
     noise.sampling_factor  # factored here, before any worker can race to it
 
@@ -251,25 +244,23 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
         # Every block of this worker is drawn into and reduced from the
         # same buffers.
         rows = np.empty((block_n, noise.dim))
-        b_x, b_y, xr, yr = rows.T
-        xm, ym, w, tmp = np.empty((4, block_n))
-
-        def prod_sum(a, b):
-            return np.multiply(a, b, out=tmp).sum()
-
+        cols = rows.T
+        w, tmp = np.empty((2, block_n))
         for b in range(first, JACKKNIFE_BLOCKS, workers):
             if failed:
                 return
             sample(noise, block_n, np.random.SeedSequence([cfg.seed, b]), out=rows)
-            np.multiply(h_x, b_x, out=xm)
-            np.multiply(h_y, b_y, out=ym)
-            # the added displacement, both noises, against target 0
-            np.add(xm, xr, out=w)
-            np.add(ym, yr, out=tmp)
-            fidelity_mc_integrand(w, tmp, 0.0, 0.0, out=w, scratch=tmp)
+            # the columns X_m, Y_m, X_r, Y_r, scaled one at a time (a 4-wide
+            # rows *= (h_x, h_y, 1, 1) gives the same bits ~4x slower)
+            cols[0] *= h_x
+            cols[1] *= h_y
+            # the added displacement, both noises
+            np.add(cols[0], cols[2], out=w)
+            np.add(cols[1], cols[3], out=tmp)
+            fidelity_mc_integrand(w, tmp, out=w, scratch=tmp)
             block_stats[b] = (
-                xm.sum(), prod_sum(xm, xm), xr.sum(), prod_sum(xr, xr), prod_sum(xm, xr),
-                ym.sum(), prod_sum(ym, ym), yr.sum(), prod_sum(yr, yr), prod_sum(ym, yr),
+                *(c.sum() for c in cols),
+                *(np.multiply(cols[i], cols[j], out=tmp).sum() for i, j in _PAIRS),
                 w.sum(),
             )
 

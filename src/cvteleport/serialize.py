@@ -321,21 +321,9 @@ def mc_report_to_dict(report: McReport) -> dict:
 
 
 def verification_to_dict(summary: VerificationSummary) -> dict:
-    payload = {
-        "trials": summary.trials,
-        "seed": summary.seed,
-        "identity_max_rel_error": summary.identity_max_rel_error,
-        "bound_violations": summary.bound_violations,
-        "worst_margin": summary.worst_margin,
-        "budgets_drawn": summary.budgets_drawn,
-        "first_failure": None,
-    }
-    if summary.first_failure is not None:
-        t = summary.first_failure
-        payload["first_failure"] = {
-            "budget": asdict(t.budget),
-            "identity_rel_error": t.identity_rel_error,
-            "n_value": t.n_value,
-            "n_product": t.n_product,
-        }
+    payload = asdict(summary)
+    trace = payload["first_failure"]
+    if trace is not None:
+        keys = ("budget", "identity_rel_error", "n_value", "n_product")
+        payload["first_failure"] = {key: trace[key] for key in keys}
     return payload

@@ -275,6 +275,14 @@ class TestMcCommand:
         assert cli.main(["mc", "--config", epr_config, "--samples", "10"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_bad_config_is_reported_before_a_negative_seed(self, tmp_path, capsys):
+        # the seed is checked with the run, after the config is read
+        path = tmp_path / "no_s.json"
+        path.write_text('{"type": "epr", "eta": 0.9}\n')
+        assert cli.main(["mc", "--config", str(path), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seed" not in err
+
     def test_perfect_squeezing_rejected(self, tmp_path, capsys):
         path = tmp_path / "s0.json"
         path.write_text('{"type": "epr", "eta": 0.9, "s": 0}\n')

@@ -34,7 +34,7 @@ from cvteleport.criteria import (
     run_chain_verification,
 )
 from cvteleport.epr import EprScenario, scenario_report, to_noise_budget
-from cvteleport.errors import DegenerateConditioningError
+from cvteleport.errors import ConfigError, DegenerateConditioningError
 from cvteleport.gaussian import GaussianVector, conditional_variance
 from oracle import fidelity_general, rejection_budgets, term
 
@@ -73,11 +73,12 @@ class TestFidelityClosedForm:
         # distribution, integrated numerically with no shared algebra: a
         # tensor Gauss-Hermite rule, exact for polynomials times the normal
         # densities, with x = off + sqrt(2 n) t mapping each density onto
-        # the weight exp(-t**2)
+        # the weight exp(-t**2); the target is the origin, so the amplitude
+        # is its own displacement
         t, w = np.polynomial.hermite.hermgauss(GAUSS_HERMITE_NODES)
         x = off_x + np.sqrt(2.0 * n_x) * t
         y = off_y + np.sqrt(2.0 * n_y) * t
-        kernel = fidelity_mc_integrand(x[:, None], y[None, :], 0.0, 0.0)
+        kernel = fidelity_mc_integrand(x[:, None], y[None, :])
         want = w @ kernel @ w / np.pi
         got = fidelity_general(n_x, n_y, off_x, off_y)
         assert abs(got - want) <= 1e-10
@@ -99,19 +100,19 @@ class TestFidelityClosedForm:
 
 class TestIntegrand:
     def test_exact_hit_gives_one(self):
-        assert fidelity_mc_integrand(1.5, -0.5, 1.5, -0.5) == 1.0
+        assert fidelity_mc_integrand(1.5 - 1.5, -0.5 - -0.5) == 1.0
 
     def test_offset_two_gives_inverse_e(self):
-        assert fidelity_mc_integrand(3.0, 0.0, 1.0, 0.0) == pytest.approx(
+        assert fidelity_mc_integrand(3.0 - 1.0, 0.0) == pytest.approx(
             np.exp(-1.0), abs=1e-15
         )
 
     def test_far_samples_vanish(self):
-        assert fidelity_mc_integrand(100.0, 100.0, 0.0, 0.0) == 0.0
+        assert fidelity_mc_integrand(100.0, 100.0) == 0.0
 
     def test_vectorized_evaluation(self):
         x = np.array([0.0, 2.0, 4.0])
-        got = fidelity_mc_integrand(x, np.zeros(3), 0.0, 0.0)
+        got = fidelity_mc_integrand(x, np.zeros(3))
         assert got.shape == (3,)
         assert got[0] == 1.0 and got[1] == pytest.approx(np.exp(-1.0))
 
@@ -119,21 +120,23 @@ class TestIntegrand:
         rng = np.random.default_rng(7)
         x, y = rng.normal(size=(2, 50))
         want = np.exp(-((x - 0.3) ** 2) / 4.0 - ((y + 1.1) ** 2) / 4.0)
-        x0, y0 = x.copy(), y.copy()
+        # the displacements from the target (0.3, -1.1)
+        dx, dy = x - 0.3, y - -1.1
+        dx0, dy0 = dx.copy(), dy.copy()
         out = np.empty(50)
-        # out alone: y is read, not used as scratch
-        assert fidelity_mc_integrand(x, y, 0.3, -1.1, out=out) is out
+        # out alone: dy is read, not used as scratch
+        assert fidelity_mc_integrand(dx, dy, out=out) is out
         np.testing.assert_array_equal(out, want)
-        np.testing.assert_array_equal(x, x0)
-        np.testing.assert_array_equal(y, y0)
+        np.testing.assert_array_equal(dx, dx0)
+        np.testing.assert_array_equal(dy, dy0)
         # a scalar y with an out buffer
         np.testing.assert_array_equal(
-            fidelity_mc_integrand(x, -1.1, 0.3, -1.1, out=out),
-            np.exp(-((x0 - 0.3) ** 2) / 4.0),
+            fidelity_mc_integrand(dx, -1.1 - -1.1, out=out),
+            np.exp(-((x - 0.3) ** 2) / 4.0),
         )
         # both buffers may be the inputs themselves
-        assert fidelity_mc_integrand(x, y, 0.3, -1.1, out=x, scratch=y) is x
-        np.testing.assert_array_equal(x, want)
+        assert fidelity_mc_integrand(dx, dy, out=dx, scratch=dy) is dx
+        np.testing.assert_array_equal(dx, want)
 
 
 class TestEprCriterion:
@@ -433,6 +436,15 @@ class TestRunChainVerification:
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(ValueError):
             run_chain_verification(trials=0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-5, True, 2.0])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(ConfigError, match="^seed must be a nonnegative integer$"):
+            run_chain_verification(trials=1, seed=seed)
+
+    def test_trials_are_checked_before_the_seed(self):
+        with pytest.raises(ConfigError, match="^trials must be >= 1, got 0$"):
+            run_chain_verification(trials=0, seed=-5)
 
 
 class TestFullReport:

@@ -69,8 +69,9 @@ def reference_simulate(cfg: McRunConfig) -> McReport:
         x, y = xm + xr, ym + yr
         w = np.exp(-(x**2) / 4.0 - (y**2) / 4.0)
         block_stats[b] = (
-            xm.sum(), (xm * xm).sum(), xr.sum(), (xr * xr).sum(), (xm * xr).sum(),
-            ym.sum(), (ym * ym).sum(), yr.sum(), (yr * yr).sum(), (ym * yr).sum(),
+            xm.sum(), ym.sum(), xr.sum(), yr.sum(),
+            (xm * xm).sum(), (ym * ym).sum(), (xr * xr).sum(), (yr * yr).sum(),
+            (xm * xr).sum(), (ym * yr).sum(),
             w.sum(),
         )
     estimates, stderrs = _jackknife(block_stats, block_n)
@@ -99,6 +100,16 @@ class TestRunConfig:
     def test_samples_must_be_integer(self):
         with pytest.raises(ConfigError):
             McRunConfig(channel=EprScenario(0.7, 0.3), samples=1e5, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "1"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # checked before the samples, which are bad here too
+        with pytest.raises(ConfigError, match="^seed must be a nonnegative integer$"):
+            McRunConfig(channel=EprScenario(0.7, 0.3), samples=10, seed=seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        run = McRunConfig(channel=EprScenario(0.7, 0.3), samples=1000, seed=np.int64(0))
+        assert run.seed == 0
 
     def test_sample_count_is_capped(self):
         McRunConfig(channel=EprScenario(0.7, 0.3), samples=MAX_SAMPLES, seed=1)
@@ -337,8 +348,8 @@ class TestJackknife:
             xr, yr = xr - 0.6 * xm, yr + 0.4 * ym
             w = np.exp(-((xm + xr) ** 2 + (ym + yr) ** 2) / 4.0)
             blocks.append(
-                [xm.sum(), xm @ xm, xr.sum(), xr @ xr, xm @ xr,
-                 ym.sum(), ym @ ym, yr.sum(), yr @ yr, ym @ yr, w.sum()]
+                [xm.sum(), ym.sum(), xr.sum(), yr.sum(),
+                 xm @ xm, ym @ ym, xr @ xr, yr @ yr, xm @ xr, ym @ yr, w.sum()]
             )
         block_stats = np.array(blocks)
         estimates, stderrs = _jackknife(block_stats, block_n)
@@ -363,8 +374,8 @@ class TestEstimatesFromSums:
     @staticmethod
     def sums(xm, xr, ym, yr):
         return np.array(
-            [xm.sum(), xm @ xm, xr.sum(), xr @ xr, xm @ xr,
-             ym.sum(), ym @ ym, yr.sum(), yr @ yr, ym @ yr, 1.0]
+            [xm.sum(), ym.sum(), xr.sum(), yr.sum(),
+             xm @ xm, ym @ ym, xr @ xr, yr @ yr, xm @ xr, ym @ yr, 1.0]
         )
 
     def test_moments_reach_the_report_kernels_in_field_order(self):

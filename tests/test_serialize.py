@@ -313,5 +313,12 @@ class TestVerificationRendering:
             first_failure=trace,
         )
         d = verification_to_dict(rigged)
+        assert list(d) == [
+            "trials", "seed", "identity_max_rel_error", "bound_violations",
+            "worst_margin", "budgets_drawn", "first_failure",
+        ]
+        assert list(d["first_failure"]) == [
+            "budget", "identity_rel_error", "n_value", "n_product"
+        ]
         assert d["first_failure"]["budget"]["v_Xm"] == 1.0
         assert d["first_failure"]["n_product"] == pytest.approx(4.0)
