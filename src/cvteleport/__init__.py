@@ -23,7 +23,6 @@ from .channel import (
 )
 from .criteria import (
     CriteriaReport,
-    EprCriterionResult,
     InequalityTrace,
     VerificationSummary,
     epr_criterion,
@@ -75,7 +74,6 @@ __all__ = [
     "CriteriaReport",
     "CvTeleportError",
     "DegenerateConditioningError",
-    "EprCriterionResult",
     "EprScenario",
     "GainConditionError",
     "GaussianVector",

@@ -33,7 +33,7 @@ import numpy as np
 from .criteria import full_report, run_chain_verification
 from .epr import MAX_SWEEP_S, EprScenario, scenario_report, sweep
 from .errors import ConfigError, ValidityError
-from .montecarlo import McRunConfig, simulate_protocol
+from .montecarlo import McReport, McRunConfig, simulate_protocol
 from .serialize import (
     SWEEP_CSV_HEADER,
     config_from_json,
@@ -195,21 +195,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _mc_table(payload: dict) -> str:
-    rows = [("quantity", "estimate", "stderr", "analytic", "z")]
-    keys = ["est_N_X", "est_N_Y", "est_F"]
-    entries = [payload[k] for k in keys] + payload["est_cv_products"]
-    names = keys + ["est_cv_product_r|m", "est_cv_product_m|r"]
-    for name, entry in zip(names, entries):
-        rows.append(
-            (
-                name,
-                f"{entry['estimate']:.6g}",
-                f"{entry['stderr']:.3g}",
-                f"{entry['analytic']:.6g}",
-                f"{entry['z_score']:+.2f}",
-            )
-        )
+def _mc_table(report: McReport) -> str:
+    names = ("est_N_X", "est_N_Y", "est_F", "est_cv_product_r|m", "est_cv_product_m|r")
+    rows = [("quantity", "estimate", "stderr", "analytic", "z")] + [
+        (name, f"{c.estimate:.6g}", f"{c.stderr:.3g}", f"{c.analytic:.6g}", f"{c.z_score:+.2f}")
+        for name, c in zip(names, report.comparisons.values())
+    ]
     widths = [max(len(r[i]) for r in rows) for i in range(5)]
     return "\n".join(
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
@@ -221,9 +212,8 @@ def _cmd_mc(args) -> int:
     config = _load_config(args.config)
     run = McRunConfig(channel=config, samples=args.samples, seed=args.seed)
     report = simulate_protocol(run)
-    payload = mc_report_to_dict(report)
-    _emit(to_json(payload), args.out)
-    print(_mc_table(payload), file=sys.stderr)
+    _emit(to_json(mc_report_to_dict(report)), args.out)
+    print(_mc_table(report), file=sys.stderr)
     if report.max_abs_z >= Z_THRESHOLD:
         print(
             f"Monte Carlo disagreement: max |z| = {report.max_abs_z:.2f} "

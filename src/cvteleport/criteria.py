@@ -246,25 +246,16 @@ def inequality_trace(b: NoiseBudget) -> InequalityTrace:
     )
 
 
-@dataclass(frozen=True)
-class EprCriterionResult:
-    products: tuple[float, float]
-    violated: bool
+def epr_criterion(b: NoiseBudget) -> tuple[float, float]:
+    """Both conditional-variance products of the budget scalars.
 
-
-def epr_criterion(b: NoiseBudget) -> EprCriterionResult:
-    """Conditional-variance entanglement test on the budget scalars.
-
-    ``products`` holds the reconstruction-given-measurement product first,
-    then the reverse direction; ``violated`` is true when either drops
-    below 1 by more than the verdict margin.  The Gaussian state algebra on
-    :meth:`NoiseBudget.state` is the independent oracle for the products.
+    Returns the reconstruction-given-measurement product first, then the
+    reverse direction; the criterion is violated when either drops below 1
+    by more than the verdict margin (:func:`_violates`).  The Gaussian
+    state algebra on :meth:`NoiseBudget.state` is the independent oracle
+    for the products.
     """
-    p_r_given_m, p_m_given_r = _cv_products(_fields(b))
-    return EprCriterionResult(
-        products=(float(p_r_given_m), float(p_m_given_r)),
-        violated=bool(_violates(p_r_given_m, p_m_given_r)),
-    )
+    return tuple(map(float, _cv_products(_fields(b))))
 
 
 @dataclass(frozen=True)
@@ -322,11 +313,11 @@ def full_report(config: ChannelConfig) -> CriteriaReport:
     """Evaluate every criterion for a unity-gain channel configuration."""
     budget = to_unity_gain_budget(config)
     n_x, n_y = equivalent_output_noise(budget)
-    return _criteria_report(n_x, n_y, epr_criterion(budget).products, config.input)
+    return _criteria_report(n_x, n_y, epr_criterion(budget), config.input)
 
 
 def _draw_budgets(count: int, seed) -> np.ndarray:
-    """Random valid budgets as a ``(count, 6)`` array in field order.
+    """Random valid budgets as a ``(6, count)`` moment block in field order.
 
     Variances are log-uniform over [1e-2, 1e2] given that each stage's
     noise pair meets its uncertainty product.  Every draw is used, none is
@@ -336,8 +327,7 @@ def _draw_budgets(count: int, seed) -> np.ndarray:
     preserves area, so the pairs are uniform on the valid half, the law a
     rejection sampler draws.  It keeps ``u_a - u_b`` and takes the sum to
     ``|u_a + u_b|``, which is how it is computed.  Correlations are uniform
-    over the full range allowed by Cauchy-Schwarz.  The array is
-    Fortran-ordered, so each field (a row of its transpose) is contiguous.
+    over the full range allowed by Cauchy-Schwarz.
     """
     fields = np.random.default_rng(seed).random((6, count))
     v, c = fields[:4], fields[4:]
@@ -356,14 +346,14 @@ def _draw_budgets(count: int, seed) -> np.ndarray:
     c *= 2.0
     c -= 1.0
     c *= np.sqrt(edge, out=edge)
-    return fields.T
+    return fields
 
 
 def random_budgets(count: int, seed) -> list[NoiseBudget]:
     """Draw valid random budgets, reproducibly for a fixed seed."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    return [NoiseBudget(*row) for row in _draw_budgets(count, seed)]
+    return [NoiseBudget(*row) for row in _draw_budgets(count, seed).T]
 
 
 @dataclass(frozen=True)
@@ -424,7 +414,7 @@ def run_chain_verification(trials: int, seed: int) -> VerificationSummary:
         need = trials - accepted
         drawn_rows = _draw_budgets(
             min(4096, 2 * need), seed=np.random.SeedSequence([seed, batch])
-        ).T
+        )
         batch += 1
         keep = np.flatnonzero(~_violates(*_cv_products(drawn_rows)))[:need]
         drawn += int(keep[-1]) + 1 if len(keep) == need else drawn_rows.shape[1]

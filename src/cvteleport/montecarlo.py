@@ -13,9 +13,11 @@ the sums of the products in :data:`_PAIRS`, which centre into one moment
 block in ``NoiseBudget`` field order; the report's own kernels reduce it
 to the output noises and the conditional-variance products, so this
 module holds no formula of its own for either.  The fidelity is the
-sample mean of the overlap kernel, never the closed form.  Estimates
-come with jackknife standard errors over 100 equal blocks, and each is
-compared to its analytic counterpart through a z-score.
+sample mean of the overlap kernel, never the closed form.  The five
+estimates are one array in :class:`McReport`'s comparison order, with
+jackknife standard errors over 100 equal blocks beside it, and each is
+compared to its analytic counterpart through a z-score.  A sum that
+overflows raises :class:`ValidityError` rather than reading as an estimate.
 
 Sampling is deterministic for a fixed seed: block ``b`` draws from a
 generator seeded with ``SeedSequence([seed, b])``, and blocks are reduced
@@ -46,7 +48,7 @@ import numpy as np
 from .channel import ChannelConfig, _output_noise, budget_to_channel
 from .criteria import _check_seed, _cv_products, fidelity_mc_integrand, full_report
 from .epr import EprScenario, to_noise_budget
-from .errors import ConfigError
+from .errors import ConfigError, ValidityError
 from .gaussian import sample
 
 JACKKNIFE_BLOCKS = 100
@@ -141,41 +143,44 @@ class McReport:
 _PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (1, 3))
 
 
-def _estimates_from_sums(sums: np.ndarray, n) -> dict:
-    """The five estimates from summed block statistics, in field order.
+def _estimates_from_sums(sums: np.ndarray, n) -> np.ndarray:
+    """The five estimates from summed block statistics, in comparison order.
 
     ``sums`` holds one statistic per row: shape ``(11,)`` for one sample or
     ``(11, k)`` for ``k`` samples at once, with ``n`` a float or length ``k``.
+    Returns ``(N_X, N_Y, F, r|m, m|r)`` as shape ``(5,)`` or ``(k, 5)``.
     """
     left, right = np.transpose(_PAIRS)
     mean = sums[:4] / n
     moments = sums[4:10] / n - mean[left] * mean[right]
-    # a variance at or below 0 is rounding, or a sum that overflowed
+    # a variance at or below 0 is rounding: an overflowed sum never gets here
     moments[:4] = np.where(moments[:4] > 0.0, moments[:4], 0.0)
     n_x, n_y = _output_noise(moments[:2], moments[2:4], moments[4:])
-    r_given_m, m_given_r = _cv_products(moments)
-    return {
-        "N_X": n_x,
-        "N_Y": n_y,
-        "fidelity": sums[10] / n,
-        "cv_product_r_given_m": r_given_m,
-        "cv_product_m_given_r": m_given_r,
-    }
+    return np.stack((n_x, n_y, sums[10] / n, *_cv_products(moments)), axis=-1)
 
 
-def _jackknife(block_stats: np.ndarray, block_n: int) -> tuple[dict, dict]:
+def _check_finite(stats, samples: int) -> None:
+    """Raise ValidityError unless every Monte Carlo statistic is finite."""
+    if not np.isfinite(stats).all():
+        raise ValidityError(f"Monte Carlo statistics overflow over {samples} samples")
+
+
+def _jackknife(block_stats: np.ndarray, block_n: int) -> tuple[np.ndarray, np.ndarray]:
     """Full-sample estimates plus delete-one-block jackknife stderr.
 
-    All leave-one-block-out estimates come from one array call.
+    The leave-one-block-out estimates come from one array call, kept
+    ``(blocks, 5)`` and C-ordered: reduced along a contiguous axis, numpy
+    would sum pairwise and change the bits.  An overflow raises ValidityError.
     """
-    totals = block_stats.sum(axis=0)
     nb = len(block_stats)
     n_total = block_n * nb
-    estimates = _estimates_from_sums(totals, n_total)
-    loo = _estimates_from_sums((totals - block_stats).T, n_total - block_n)
-    loo = np.stack(list(loo.values()), axis=1)
-    stderr_vec = np.sqrt((nb - 1) / nb * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
-    stderrs = dict(zip(estimates.keys(), stderr_vec.tolist()))
+    with np.errstate(all="ignore"):
+        totals = block_stats.sum(axis=0)
+        _check_finite(totals, n_total)
+        estimates = _estimates_from_sums(totals, n_total)
+        loo = _estimates_from_sums((totals - block_stats).T, n_total - block_n)
+        stderrs = np.sqrt((nb - 1) / nb * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+    _check_finite((estimates, stderrs), n_total)
     return estimates, stderrs
 
 
@@ -230,7 +235,7 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
     if isinstance(channel, EprScenario):
         channel = budget_to_channel(to_noise_budget(channel))
     report = full_report(channel)
-    analytic = (report.N_X_out, report.N_Y_out, report.fidelity, *report.cv_products)
+    ref = np.array((report.N_X_out, report.N_Y_out, report.fidelity, *report.cv_products))
 
     noise = channel.noise
     h_x, h_y = channel.reconstruction.h_X, channel.reconstruction.h_Y
@@ -242,7 +247,8 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
 
     def run_blocks(first, failed):
         # Every block of this worker is drawn into and reduced from the
-        # same buffers.
+        # same buffers.  An overflow raises below; numpy's error state, which
+        # silences its warning, is per thread.
         rows = np.empty((block_n, noise.dim))
         cols = rows.T
         w, tmp = np.empty((2, block_n))
@@ -252,25 +258,22 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
             sample(noise, block_n, np.random.SeedSequence([cfg.seed, b]), out=rows)
             # the columns X_m, Y_m, X_r, Y_r, scaled one at a time (a 4-wide
             # rows *= (h_x, h_y, 1, 1) gives the same bits ~4x slower)
-            cols[0] *= h_x
-            cols[1] *= h_y
-            # the added displacement, both noises
-            np.add(cols[0], cols[2], out=w)
-            np.add(cols[1], cols[3], out=tmp)
-            fidelity_mc_integrand(w, tmp, out=w, scratch=tmp)
-            block_stats[b] = (
-                *(c.sum() for c in cols),
-                *(np.multiply(cols[i], cols[j], out=tmp).sum() for i, j in _PAIRS),
-                w.sum(),
-            )
+            with np.errstate(all="ignore"):
+                cols[0] *= h_x
+                cols[1] *= h_y
+                # the added displacement, both noises
+                np.add(cols[0], cols[2], out=w)
+                np.add(cols[1], cols[3], out=tmp)
+                fidelity_mc_integrand(w, tmp, out=w, scratch=tmp)
+                block_stats[b] = (
+                    *(c.sum() for c in cols),
+                    *(np.multiply(cols[i], cols[j], out=tmp).sum() for i, j in _PAIRS),
+                    w.sum(),
+                )
+            _check_finite(block_stats[b], cfg.samples)
 
     _on_workers(run_blocks, workers)
-    estimates, stderrs = _jackknife(block_stats, block_n)
-    comparisons = {}
-    for (key, est), ref in zip(estimates.items(), analytic):
-        se = stderrs[key]
-        z = (est - ref) / max(se, _STDERR_FLOOR * max(1.0, abs(ref)))
-        comparisons[key] = Comparison(
-            estimate=float(est), stderr=float(se), analytic=float(ref), z_score=float(z)
-        )
-    return McReport(samples=cfg.samples, seed=cfg.seed, **comparisons)
+    est, se = _jackknife(block_stats, block_n)
+    z = (est - ref) / np.maximum(se, _STDERR_FLOOR * np.maximum(1.0, abs(ref)))
+    comparisons = map(Comparison, est.tolist(), se.tolist(), ref.tolist(), z.tolist())
+    return McReport(cfg.samples, cfg.seed, *comparisons)

@@ -137,6 +137,52 @@ HAND_CHANNELS = {
 }
 
 EPR_TEXT = json.dumps({"type": "epr", "eta": 0.7, "s": 0.3})
+
+
+def _unit_with(path: tuple, value) -> str:
+    """The unit channel's config text with the entry at ``path`` set to
+    ``value``, or removed when ``value`` is None."""
+    config = _channel(UNIT, UNIT)
+    *outer, key = path
+    target = config
+    for part in outer:
+        target = target[part]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    return json.dumps(config)
+
+
+# Configs that each end in one named rejection, run through both `report`
+# and `mc`: config errors (exit 1), then validity errors (exit 2).  The
+# last one reports fine, and only its sampled sums overflow.
+REJECTED_CONFIGS = {
+    "labels-reversed": _unit_with(("measurement", "noise_B", "labels"), ["B_Y", "B_X"]),
+    "config-array": f"[{EPR_TEXT}]",
+    "stage-list": _unit_with(("measurement",), [1.0, 1.0]),
+    "gain-string": _unit_with(("measurement", "g_X"), "1"),
+    "cov-boolean": _unit_with(("measurement", "noise_B", "cov"), [[True, 0.0], [0.0, 1.0]]),
+    "gain-missing": _unit_with(("measurement", "g_X"), None),
+    "duplicate-key": '{"type": "epr", "eta": 0.7, "eta": 0.8, "s": 0.3}',
+    "nested-1e4": "[" * 10_000 + "]" * 10_000,
+    "unknown-type": _unit_with(("type",), "qubit"),
+    "cov-short": _unit_with(("measurement", "noise_B", "cov"), [[1.0, 0.0]]),
+    "epr-s-unresolved": json.dumps({"type": "epr", "eta": 0.7, "s": 1e-9}),
+    "mixing-gain": _unit_with(("measurement", "f_X"), 0.1),
+    "noise-mean": _unit_with(("measurement", "noise_B", "mean"), [0.5, 0.0]),
+    "input-var-zero": _unit_with(("input",), {"var_X": 0.0, "var_Y": 1.0}),
+    "noise-c-asymmetric": _unit_with(
+        ("reconstruction", "noise_C", "cov"), [[1.0, 0.5], [0.0, 1.0]]
+    ),
+    "noise-c-not-psd": _unit_with(
+        ("reconstruction", "noise_C", "cov"), [[1.0, 2.0], [2.0, 1.0]]
+    ),
+    "joint-not-psd": _unit_with(("cross_cov_BC",), [[1.5, 0.0], [0.0, 0.0]]),
+    "mc-sums-overflow": _unit_with(
+        ("measurement", "noise_B", "cov"), [[1e305, 0.0], [0.0, 1.0]]
+    ),
+}
 # Usage, config, I/O and range errors, and sweep grids at their edges.
 HAND_ROWS = [
     ("usage-no-command", [], None),
@@ -226,6 +272,10 @@ def invocations() -> list[tuple[str, list, str | None]]:
             argv = ["mc", "--config", CONFIG_NAME, "--samples", str(samples), "--seed",
                     str(seed)]
             rows.append((f"channel-{name}-mc-{samples}", argv, text))
+    for name, text in REJECTED_CONFIGS.items():
+        rows.append((f"rejected-{name}-report", ["report", "--config", CONFIG_NAME], text))
+        argv = ["mc", "--config", CONFIG_NAME, "--samples", str(MC_SAMPLES), "--seed", "1"]
+        rows.append((f"rejected-{name}-mc", argv, text))
     rows += HAND_ROWS
     labels = [label for label, _, _ in rows]
     assert len(set(labels)) == len(labels), "corpus labels must be unique"

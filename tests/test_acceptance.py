@@ -137,7 +137,7 @@ def test_entanglement_region_matches_noise_product_region():
     unflagged = [p for p in points if n_out(p) < 1.0 and not p.epr_violated]
     gap = [p for p in points if p.epr_violated and n_out(p) >= 1.0]
     example_in_gap = any(p.eta == 1.0 and abs(p.s - 0.75) <= 1e-12 for p in gap)
-    example = epr_criterion(to_noise_budget(EprScenario(eta=1.0, s=0.75))).products
+    example = epr_criterion(to_noise_budget(EprScenario(eta=1.0, s=0.75)))
     low_eta_violations = sum(1 for p in points if p.eta <= 0.5 and p.epr_violated)
     elapsed = time.perf_counter() - t0
     ok = (

@@ -564,6 +564,28 @@ class TestErrorChannels:
             assert "Traceback" not in captured.err and "Warning" not in captured.err
             assert f"criterion figure {figure} is not finite: inf" in captured.err
 
+    @pytest.mark.parametrize("samples", ["10000", "1000000"])
+    def test_overflowing_sample_sums_are_a_validity_error(self, samples, tmp_path, capsys):
+        # a valid channel with finite figures whose sampled statistics
+        # overflow: in the jackknife at 100 samples a block, in a block's
+        # own sums at 10000
+        config = channel_to_dict(budget_to_channel(shot_noise_budget()))
+        config["measurement"]["noise_B"]["cov"] = [[1e305, 0.0], [0.0, 1.0]]
+        path = tmp_path / "huge_noise.json"
+        path.write_text(to_json(config))
+        assert cli.main(["report", "--config", str(path)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            args = ["mc", "--config", str(path), "--samples", samples, "--seed", "1"]
+            assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
+        assert captured.err == (
+            f"validity error: Monte Carlo statistics overflow over {samples} samples\n"
+        )
+
     def test_physics_violation_exits_two(self, tmp_path, capsys):
         config = channel_to_dict(budget_to_channel(shot_noise_budget()))
         config["measurement"]["noise_B"]["cov"] = [[0.5, 0.0], [0.0, 0.5]]

@@ -141,27 +141,27 @@ class TestIntegrand:
 
 class TestEprCriterion:
     def test_uncorrelated_shot_noise_sits_on_boundary(self):
-        result = epr_criterion(shot_noise_budget())
-        assert result.products == (1.0, 1.0)
-        assert not result.violated
+        products = epr_criterion(shot_noise_budget())
+        assert products == (1.0, 1.0)
+        assert not _violates(*products)
 
     def test_strong_squeezing_violates(self):
-        result = epr_criterion(to_noise_budget(EprScenario(1.0, 0.25)))
-        assert result.violated
-        assert result.products[0] < 1.0
+        products = epr_criterion(to_noise_budget(EprScenario(1.0, 0.25)))
+        assert _violates(*products)
+        assert products[0] < 1.0
 
     def test_weak_squeezing_on_pure_state_still_violates(self):
         # pure shared state (eta = 1): any squeezing correlates the two
         # noise contributions enough to break the conditional-variance
         # products, even above 3 dB equivalent noise
-        result = epr_criterion(to_noise_budget(EprScenario(1.0, 0.75)))
-        assert result.violated
-        assert result.products[0] == pytest.approx(0.9216, abs=1e-12)
+        products = epr_criterion(to_noise_budget(EprScenario(1.0, 0.75)))
+        assert _violates(*products)
+        assert products[0] == pytest.approx(0.9216, abs=1e-12)
 
     def test_low_efficiency_never_violates(self):
         for s in (0.05, 0.25, 0.5, 0.9):
             for eta in (0.0, 0.2, 0.5):
-                assert not epr_criterion(to_noise_budget(EprScenario(eta, s))).violated
+                assert not _violates(*epr_criterion(to_noise_budget(EprScenario(eta, s))))
 
     def test_products_match_scalar_route_bitwise(self):
         # the kernel against the independent Gaussian state algebra on the
@@ -175,7 +175,7 @@ class TestEprCriterion:
                 conditional_variance(x_m, x_r, state)
                 * conditional_variance(y_m, y_r, state),
             )
-            assert epr_criterion(b).products == want
+            assert epr_criterion(b) == want
 
     def test_array_kernel_matches_scalar_calls_bitwise(self):
         # edge budgets first: noiseless stages (zero conditioning variance)
@@ -193,7 +193,7 @@ class TestEprCriterion:
         products = _cv_products(columns)
         terms = _chain_terms(columns)
         for i, b in enumerate(budgets):
-            assert epr_criterion(b).products == tuple(p[i] for p in products), b
+            assert epr_criterion(b) == tuple(p[i] for p in products), b
             t = inequality_trace(b)
             got = (
                 t.v_Cx, t.v_Cy, t.cv_product, t.identity_rel_error, t.n_value, t.n_product,
@@ -220,9 +220,9 @@ class TestEprCriterion:
         v = 2.0
         c = np.sqrt(v * v - v)
         b = NoiseBudget(v, v, v, v, -c, -c)
-        result = epr_criterion(b)
-        assert result.products[0] == pytest.approx(1.0, abs=1e-12)
-        assert not result.violated
+        products = epr_criterion(b)
+        assert products[0] == pytest.approx(1.0, abs=1e-12)
+        assert not _violates(*products)
 
 
 def _chain_holds(t):
@@ -244,7 +244,7 @@ class TestInequalityChain:
         # exactly at 1: the tightest non-violating budgets
         c = sign * np.sqrt(v * v - v)
         b = NoiseBudget(v, v, v, v, c, c)
-        p1, p2 = epr_criterion(b).products
+        p1, p2 = epr_criterion(b)
         assert p1 == pytest.approx(1.0, abs=1e-9)
         assert p2 == pytest.approx(1.0, abs=1e-9)
         trace = inequality_trace(b)
@@ -261,7 +261,7 @@ class TestInequalityChain:
     def test_chain_on_random_nonviolating_budgets(self):
         checked = 0
         for b in random_budgets(10000, seed=77):
-            p1, p2 = epr_criterion(b).products
+            p1, p2 = epr_criterion(b)
             if p1 < 1.0 - 1e-9 or p2 < 1.0 - 1e-9:
                 continue
             assert _chain_holds(inequality_trace(b)), b
@@ -275,7 +275,7 @@ class TestInequalityChain:
         for b in random_budgets(100000, seed=2024):
             trace = inequality_trace(b)
             if trace.n_product < 1.0 - 1e-9:
-                p1, p2 = epr_criterion(b).products
+                p1, p2 = epr_criterion(b)
                 assert p1 < 1.0 - 1e-9 or p2 < 1.0 - 1e-9, b
                 found += 1
         assert found > 100
@@ -305,7 +305,7 @@ class TestChainLinks:
     ]
 
     def rows(self):
-        return np.array(self.EXACT + [list(b) for b in _draw_budgets(300, seed=44)])
+        return np.array(self.EXACT + [list(b) for b in _draw_budgets(300, seed=44).T])
 
     def test_transfer_sum_link_against_fractions(self):
         rows = self.rows()
@@ -357,7 +357,7 @@ class TestChainLinks:
         assert _chain_fails(*terms.T).tolist() == [False] + [True] * 5
 
     def test_no_violation_keeps_transfer_sum_and_fidelity_bounded(self):
-        rows = _draw_budgets(100000, seed=2000)
+        rows = _draw_budgets(100000, seed=2000).T
         rows = rows[~_violates(*_cv_products(rows.T))]
         assert len(rows) > 10000
         _, _, _, _, _, n_product, t_sum, fidelity = _chain_terms(rows.T)
@@ -404,7 +404,7 @@ class TestRunChainVerification:
             count = min(4096, 2 * (trials - len(traces)))
             for b in random_budgets(count, seed=np.random.SeedSequence([seed, batch])):
                 drawn += 1
-                if not epr_criterion(b).violated:
+                if not _violates(*epr_criterion(b)):
                     traces.append(inequality_trace(b))
                     if len(traces) == trials:
                         break
@@ -571,7 +571,7 @@ class TestDrawBudgets:
 
     @pytest.mark.parametrize("count", [0, 1, 4096, 100000])
     def test_every_draw_is_valid(self, count):
-        rows = _draw_budgets(count, seed=np.random.SeedSequence([7, count]))
+        rows = _draw_budgets(count, seed=np.random.SeedSequence([7, count])).T
         assert rows.shape == (count, 6)
         assert np.isfinite(rows).all()
         v_xm, v_ym, v_xr, v_yr, c_x, c_y = rows.T
@@ -583,13 +583,13 @@ class TestDrawBudgets:
         assert (c_x**2 * floor <= v_xm * v_xr).all() and (c_y**2 * floor <= v_ym * v_yr).all()
 
     def test_fields_are_contiguous(self):
-        rows = _draw_budgets(1000, seed=3)
+        rows = _draw_budgets(1000, seed=3).T
         assert all(column.flags.c_contiguous for column in rows.T)
 
     def test_law_matches_the_rejection_sampler(self):
         from scipy.stats import ks_2samp
 
-        drawn = _budget_statistics(_draw_budgets(100000, seed=5))
+        drawn = _budget_statistics(_draw_budgets(100000, seed=5).T)
         reference = _budget_statistics(rejection_budgets(100000, seed=6))
         for name, sample in drawn.items():
             assert ks_2samp(sample, reference[name]).pvalue > 1e-3, name

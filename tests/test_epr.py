@@ -190,7 +190,7 @@ class TestCriterionRegion:
         # limit 2*(1 - eta) holds for eta > 0 only
         assert not closed_form(EprScenario(0.0, 0.0)).epr_violated
         assert not closed_form(EprScenario(0.0, 1e-6)).epr_violated
-        products = epr_criterion(to_noise_budget(EprScenario(0.0, 1e-6))).products
+        products = epr_criterion(to_noise_budget(EprScenario(0.0, 1e-6)))
         assert products == (1.0, 1.0)
         # where the budget's moments would overflow (1/s at subnormal s,
         # v**2 at s = 1e200) the closed form gives the same limit verdicts
@@ -207,12 +207,12 @@ class TestCriterionRegion:
             with pytest.raises(ConfigError, match="resolves the criteria"):
                 to_noise_budget(EprScenario(0.3, s))
         # at eta = 0, v = 1 for every s: the budget stays resolved
-        assert epr_criterion(to_noise_budget(EprScenario(0.0, 1e-17))).products == (1.0, 1.0)
+        assert epr_criterion(to_noise_budget(EprScenario(0.0, 1e-17))) == (1.0, 1.0)
         # just inside the bound the budget verdict still matches the sweep
         for eta in (0.45, 0.55):
             s = 1.01 * eta / (2.0 * MAX_RESOLVED_VARIANCE)
             assert to_noise_budget(EprScenario(eta, s)).v_Xm <= MAX_RESOLVED_VARIANCE
-            verdict = epr_criterion(to_noise_budget(EprScenario(eta, s))).violated
+            verdict = _violates(*epr_criterion(to_noise_budget(EprScenario(eta, s))))
             assert verdict == closed_form(EprScenario(eta, s)).epr_violated == (eta > 0.5)
 
     def test_budget_and_closed_form_verdicts_agree(self):
@@ -221,7 +221,7 @@ class TestCriterionRegion:
                 sc = EprScenario(float(eta), s)
                 assert (
                     closed_form(sc).epr_violated
-                    == epr_criterion(to_noise_budget(sc)).violated
+                    == _violates(*epr_criterion(to_noise_budget(sc)))
                 )
 
 

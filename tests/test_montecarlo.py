@@ -75,17 +75,18 @@ def reference_simulate(cfg: McRunConfig) -> McReport:
             w.sum(),
         )
     estimates, stderrs = _jackknife(block_stats, block_n)
-    comparisons = {}
-    for (key, est), ref in zip(estimates.items(), analytic):
-        se = stderrs[key]
+    comparisons = []
+    for est, se, ref in zip(estimates, stderrs, analytic):
         if se == 0.0:
             z = 0.0 if est == ref else float(np.copysign(np.inf, est - ref))
         else:
             z = (est - ref) / se
-        comparisons[key] = Comparison(
-            estimate=float(est), stderr=float(se), analytic=float(ref), z_score=float(z)
+        comparisons.append(
+            Comparison(
+                estimate=float(est), stderr=float(se), analytic=float(ref), z_score=float(z)
+            )
         )
-    return McReport(samples=cfg.samples, seed=cfg.seed, **comparisons)
+    return McReport(cfg.samples, cfg.seed, *comparisons)
 
 
 class TestRunConfig:
@@ -358,16 +359,16 @@ class TestJackknife:
         n_loo = block_n * (len(block_stats) - 1)
         loo = np.array(
             [
-                [float(v) for v in _estimates_from_sums(totals - row, n_loo).values()]
+                [float(v) for v in _estimates_from_sums(totals - row, n_loo)]
                 for row in block_stats
             ]
         )
         nb = len(block_stats)
         want = np.sqrt((nb - 1) / nb * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
-        assert list(stderrs) == list(estimates)
-        for key, ref in zip(stderrs, want):
+        assert stderrs.shape == estimates.shape == (5,)
+        for k, (got, ref) in enumerate(zip(stderrs, want)):
             assert ref > 0.0
-            assert abs(stderrs[key] - ref) <= 1e-12 * ref, key
+            assert abs(got - ref) <= 1e-12 * ref, k
 
 
 class TestEstimatesFromSums:
@@ -382,14 +383,16 @@ class TestEstimatesFromSums:
         rng = np.random.default_rng(5)
         xm, xr, ym, yr = rng.normal(size=(4, 400)) * np.array([[1.3], [0.7], [2.1], [0.4]])
         xr, yr = xr - 0.5 * xm, yr + 0.1 * ym
-        got = _estimates_from_sums(self.sums(xm, xr, ym, yr), 400.0)
+        n_x, n_y, _, got_r_given_m, got_m_given_r = _estimates_from_sums(
+            self.sums(xm, xr, ym, yr), 400.0
+        )
         cov_x, cov_y = np.cov([xm, xr], bias=True), np.cov([ym, yr], bias=True)
-        for n, cov in ((got["N_X"], cov_x), (got["N_Y"], cov_y)):
+        for n, cov in ((n_x, cov_x), (n_y, cov_y)):
             assert n == pytest.approx(cov.sum(), rel=1e-12)
         r_given_m = np.prod([c[1, 1] - c[0, 1] ** 2 / c[0, 0] for c in (cov_x, cov_y)])
         m_given_r = np.prod([c[0, 0] - c[0, 1] ** 2 / c[1, 1] for c in (cov_x, cov_y)])
-        assert got["cv_product_r_given_m"] == pytest.approx(r_given_m, rel=1e-12)
-        assert got["cv_product_m_given_r"] == pytest.approx(m_given_r, rel=1e-12)
+        assert got_r_given_m == pytest.approx(r_given_m, rel=1e-12)
+        assert got_m_given_r == pytest.approx(m_given_r, rel=1e-12)
 
     def test_correlation_past_its_edge_is_clamped_as_in_the_report(self):
         # a constant measured noise: its sample variance rounds below 0
@@ -397,6 +400,6 @@ class TestEstimatesFromSums:
         # clamps onto the Cauchy-Schwarz edge rather than conditioning on
         xm = ym = np.full(3, 0.1)
         xr, yr = np.array([0.3, -1.2, 0.7]), np.array([1.1, 0.2, -0.4])
-        got = _estimates_from_sums(self.sums(xm, xr, ym, yr), 3.0)
-        assert got["cv_product_m_given_r"] == 0.0
-        assert got["cv_product_r_given_m"] == pytest.approx(np.var(xr) * np.var(yr))
+        *_, r_given_m, m_given_r = _estimates_from_sums(self.sums(xm, xr, ym, yr), 3.0)
+        assert m_given_r == 0.0
+        assert r_given_m == pytest.approx(np.var(xr) * np.var(yr))
