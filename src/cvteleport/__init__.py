@@ -43,10 +43,6 @@ from .epr import (
 from .errors import (
     ConfigError,
     CvTeleportError,
-    DegenerateConditioningError,
-    GainConditionError,
-    LabelError,
-    UnsupportedRotationError,
     ValidityError,
 )
 from .gaussian import (
@@ -73,13 +69,10 @@ __all__ = [
     "ConfigError",
     "CriteriaReport",
     "CvTeleportError",
-    "DegenerateConditioningError",
     "EprScenario",
-    "GainConditionError",
     "GaussianVector",
     "InequalityTrace",
     "InputState",
-    "LabelError",
     "LinearForm",
     "McReport",
     "McRunConfig",
@@ -88,7 +81,6 @@ __all__ = [
     "ReconstructionStage",
     "SweepPoint",
     "SweepTable",
-    "UnsupportedRotationError",
     "ValidityError",
     "VerificationSummary",
     "apply_form",

@@ -26,7 +26,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import GainConditionError, ValidityError
+from .errors import ValidityError
 from .gaussian import GaussianVector
 
 VALIDITY_TOL = 1e-9
@@ -272,7 +272,7 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
     gains = r.h_X * m.g_X, r.h_Y * m.g_Y
     for quad, gain in zip("XY", gains):
         if abs(gain - 1.0) > GAIN_TOL:
-            raise GainConditionError(
+            raise ValidityError(
                 f"total gain on {quad} is {gain:.12g}, unity gain required"
             )
     # (B_X, B_Y, C_X, C_Y): the same-quadrature entries of config.noise

@@ -50,7 +50,7 @@ from .channel import (
     shot_noise_budget,
     to_unity_gain_budget,
 )
-from .errors import ConfigError, DegenerateConditioningError, ValidityError
+from .errors import ConfigError, ValidityError
 
 # Strict-verdict margin: a bound counts as beaten only beyond this.
 VERDICT_MARGIN = 1e-9
@@ -121,9 +121,9 @@ def _cv_products(fields):
 
     ``fields`` is a ``(6,)`` or ``(6, n)`` moment block; each correlation
     is first clamped onto its Cauchy-Schwarz edge, so only a NaN one beside
-    a zero variance raises DegenerateConditioningError.  Each conditional
-    variance ``v_a - c**2 / v_b`` is clamped at 0 (``v_a`` where
-    ``v_b = 0``); both directions and quadratures go side by side.
+    a zero variance raises ValidityError.  Each conditional variance
+    ``v_a - c**2 / v_b`` is clamped at 0 (``v_a`` where ``v_b = 0``);
+    both directions and quadratures go side by side.
     """
     moments = np.reshape(fields, (3, 2, *np.shape(fields)[1:]))
     v_b, c = moments[:2], moments[2]  # conditioning variances (v_m, v_r), views
@@ -131,7 +131,7 @@ def _cv_products(fields):
         c = _clamp_edge(c, v_b[0] * v_b[1])
         flat = v_b == 0.0
         if (flat & (c != 0.0)).any():
-            raise DegenerateConditioningError(
+            raise ValidityError(
                 "conditioning variable has zero variance but nonzero covariance"
             )
         cond = v_b[::-1] - c * c / np.where(flat, 1.0, v_b)

@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DegenerateConditioningError, LabelError, ValidityError
+from .errors import ValidityError
 
 # Tolerances for second-moment validation.  Asymmetry beyond SYMMETRY_TOL is
 # treated as caller error rather than rounding.  Eigenvalues slightly below
@@ -173,7 +173,7 @@ class GaussianVector:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise LabelError(f"unknown label {label!r}; state has {self.labels}") from None
+            raise KeyError(f"unknown label {label!r}; state has {self.labels}") from None
 
 
 def _check_psd(sym: np.ndarray, what: str) -> None:
@@ -210,7 +210,7 @@ def conditional_variance(a: LinearForm, b: LinearForm, state: GaussianVector) ->
 
     Computes ``var(a) - cov(a, b)^2 / var(b)``.  Conditioning on a
     zero-variance variable returns ``var(a)`` unchanged when the correlation
-    is zero too, and raises :class:`DegenerateConditioningError` otherwise
+    is zero too, and raises :class:`ValidityError` otherwise
     (that combination cannot come from a consistent covariance).
     """
     v_a = variance_of(a, state)
@@ -218,7 +218,7 @@ def conditional_variance(a: LinearForm, b: LinearForm, state: GaussianVector) ->
     c = covariance_of(a, b, state)
     if v_b == 0.0:
         if c != 0.0:
-            raise DegenerateConditioningError(
+            raise ValidityError(
                 f"conditioning variable has zero variance but covariance {c:.3e}"
             )
         return v_a

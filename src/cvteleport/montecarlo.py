@@ -170,7 +170,9 @@ def _jackknife(block_stats: np.ndarray, block_n: int) -> tuple[np.ndarray, np.nd
 
     The leave-one-block-out estimates come from one array call, kept
     ``(blocks, 5)`` and C-ordered: reduced along a contiguous axis, numpy
-    would sum pairwise and change the bits.  An overflow raises ValidityError.
+    would sum pairwise and change the bits.  A column whose deviations
+    would overflow when squared is divided by a power of two first, which
+    is exact.  An overflow raises ValidityError.
     """
     nb = len(block_stats)
     n_total = block_n * nb
@@ -179,7 +181,10 @@ def _jackknife(block_stats: np.ndarray, block_n: int) -> tuple[np.ndarray, np.nd
         _check_finite(totals, n_total)
         estimates = _estimates_from_sums(totals, n_total)
         loo = _estimates_from_sums((totals - block_stats).T, n_total - block_n)
-        stderrs = np.sqrt((nb - 1) / nb * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+        dev = loo - loo.mean(axis=0)
+        peak = np.abs(dev).max(axis=0)
+        scale = np.where(peak > 2.0**500, np.ldexp(1.0, np.frexp(peak)[1]), 1.0)
+        stderrs = scale * np.sqrt((nb - 1) / nb * ((dev / scale) ** 2).sum(axis=0))
     _check_finite((estimates, stderrs), n_total)
     return estimates, stderrs
 

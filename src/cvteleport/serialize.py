@@ -38,7 +38,7 @@ from .channel import (
 )
 from .criteria import CriteriaReport, VerificationSummary
 from .epr import SWEEP_CSV_COLUMNS, EprScenario, SweepTable
-from .errors import ConfigError, UnsupportedRotationError, ValidityError
+from .errors import ConfigError, ValidityError
 from .gaussian import GaussianVector
 from .montecarlo import McReport
 
@@ -165,7 +165,7 @@ def _measurement_from_dict(d: dict) -> MeasurementStage:
         d["noise_B"], f"{where}.noise_B", MEASUREMENT_NOISE_LABELS
     )
     if mixing != (0.0, 0.0):
-        raise UnsupportedRotationError("unity-gain budget needs f_X = f_Y = 0")
+        raise ValidityError("unity-gain budget needs f_X = f_Y = 0")
     return MeasurementStage(g_X=g_x, g_Y=g_y, noise_B=noise)
 
 

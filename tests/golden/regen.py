@@ -205,6 +205,9 @@ HAND_ROWS = [
     ("mc-samples-too-many", ["mc", "--config", CONFIG_NAME, "--samples", "100000100"],
      EPR_TEXT),
     ("mc-negative-seed", ["mc", "--config", CONFIG_NAME, "--seed", "-1"], EPR_TEXT),
+    # the jackknife deviations (~1e298) overflow when squared unscaled
+    ("mc-large-variance", ["mc", "--config", CONFIG_NAME, "--samples", "1000", "--seed", "1"],
+     _unit_with(("measurement", "noise_B", "cov"), [[1e300, 0.0], [0.0, 1.0]])),
     ("verify-zero-trials", ["verify", "--trials", "0"], None),
     ("verify-negative-seed", ["verify", "--seed", "-1"], None),
     ("verify-one-trial", ["verify", "--trials", "1"], None),

@@ -1,5 +1,7 @@
 """Channel stages, composition, and the unity-gain noise budget."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,12 @@ from cvteleport.channel import (
     to_unity_gain_budget,
     vacuum_input,
 )
-from cvteleport.criteria import _transfer_fidelity
-from cvteleport.errors import GainConditionError, ValidityError
+from cvteleport import cli
+from cvteleport.criteria import _draw_budgets, _transfer_fidelity, full_report
+from cvteleport.errors import ValidityError
 from cvteleport.gaussian import GaussianVector, variance_of
-from oracle import compose, term
+from cvteleport.serialize import report_to_dict, to_json
+from oracle import channel_to_dict, compose, term
 
 
 def noise_pair(v_x, v_y, c=0.0, labels=("B_X", "B_Y")):
@@ -262,7 +266,7 @@ class TestUnityGainBudget:
 
     def test_non_unity_gain_rejected_naming_quadrature(self):
         config = make_channel(g=1.0, h=1.1)
-        with pytest.raises(GainConditionError, match="X"):
+        with pytest.raises(ValidityError, match="total gain on X is 1.1, unity gain"):
             to_unity_gain_budget(config)
 
     def test_round_trip_output_noise_matches_composed_variance(self):
@@ -343,10 +347,18 @@ class TestNoiseBudget:
         assert s.cov[0, 1] == -1.0
         assert s.cov[0, 2] == 0.0 and s.cov[1, 3] == 0.0
 
-    def test_budget_to_channel_round_trip(self):
-        b = NoiseBudget(2.0, 1.5, 1.25, 1.0, -1.2, 0.8)
-        back = to_unity_gain_budget(budget_to_channel(b))
-        assert back == b
+    def test_budget_to_channel_round_trip(self, tmp_path, capsys):
+        # budget -> channel -> budget is the identity, and the channel's
+        # config file, read back by the CLI, reports the channel's bytes
+        path = tmp_path / "channel.json"
+        budgets = [NoiseBudget(2.0, 1.5, 1.25, 1.0, -1.2, 0.8)]
+        budgets += [NoiseBudget(*col) for col in _draw_budgets(200, 11).T.tolist()]
+        for b in budgets:
+            channel = budget_to_channel(b)
+            assert to_unity_gain_budget(channel) == b
+            path.write_text(json.dumps(channel_to_dict(channel)))
+            assert cli.main(["report", "--config", str(path)]) == 0
+            assert capsys.readouterr().out == to_json(report_to_dict(full_report(channel))), b
 
 
 class TestChannelConfig:

@@ -300,6 +300,21 @@ class TestMcCommand:
         assert cli.main(args) == 0
         assert json.loads(capsys.readouterr().out)["max_abs_z"] < 5.0
 
+    def test_large_variance_stderr_is_not_an_overflow(self, tmp_path, capsys):
+        # N_X ~ 1e300: the jackknife deviations (~1e298) are representable
+        # though their squares are not, so the run reports them
+        config = channel_to_dict(budget_to_channel(shot_noise_budget()))
+        config["measurement"]["noise_B"]["cov"] = [[1e300, 0.0], [0.0, 1.0]]
+        path = tmp_path / "huge_noise.json"
+        path.write_text(to_json(config))
+        args = ["mc", "--config", str(path), "--samples", "1000", "--seed", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert 1e298 < payload["est_N_X"]["stderr"] < 1e299
+        assert payload["max_abs_z"] < 5.0
+
     def test_singular_noise_is_not_a_disagreement(self, tmp_path, capsys):
         # stages that cancel exactly on Y (N_Y = 0), and a rank-1 X pair
         # (C_X = -2 B_X: both conditional variances 0)

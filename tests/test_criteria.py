@@ -34,7 +34,7 @@ from cvteleport.criteria import (
     run_chain_verification,
 )
 from cvteleport.epr import EprScenario, scenario_report, to_noise_budget
-from cvteleport.errors import ConfigError, DegenerateConditioningError
+from cvteleport.errors import ConfigError, ValidityError
 from cvteleport.gaussian import GaussianVector, conditional_variance
 from oracle import fidelity_general, rejection_budgets, term
 
@@ -204,11 +204,11 @@ class TestEprCriterion:
     def test_zero_variance_conditioner_with_covariance_rejected(self):
         # the Cauchy-Schwarz clamp sets a finite correlation beside a zero
         # variance to 0, so only a NaN one still reaches the rejection
-        with pytest.raises(DegenerateConditioningError):
+        with pytest.raises(ValidityError, match="zero variance but nonzero covariance"):
             _cv_products(np.array([0.0, 1.0, 1.0, 1.0, np.nan, 0.0]))
         block = np.ones((6, 3))
         block[2, 1], block[4] = 0.0, [0.5, np.nan, 0.0]
-        with pytest.raises(DegenerateConditioningError):
+        with pytest.raises(ValidityError, match="zero variance but nonzero covariance"):
             _cv_products(block)
         # a zero-variance conditioner leaves the plain variance
         assert _cv_products(np.array([0.0, 1.0, 2.0, 1.0, 1e-200, 0.0])) == (2.0, 0.0)

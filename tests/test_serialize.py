@@ -21,7 +21,7 @@ from cvteleport.criteria import (
     run_chain_verification,
 )
 from cvteleport.epr import EprScenario, sweep
-from cvteleport.errors import ConfigError, UnsupportedRotationError, ValidityError
+from cvteleport.errors import ConfigError, ValidityError
 from cvteleport.gaussian import GaussianVector
 from cvteleport.montecarlo import McRunConfig, simulate_protocol
 from cvteleport.serialize import (
@@ -175,9 +175,7 @@ class TestConfigParsing:
     def test_nonzero_quadrature_mixing_rejected(self):
         d = channel_to_dict(_shot_noise_channel())
         d["measurement"]["f_X"] = 0.1
-        with pytest.raises(
-            UnsupportedRotationError, match="unity-gain budget needs f_X = f_Y = 0"
-        ):
+        with pytest.raises(ValidityError, match="unity-gain budget needs f_X = f_Y = 0"):
             config_from_dict(d)
 
     def test_explicit_zero_mixing_accepted(self):
@@ -191,7 +189,7 @@ class TestConfigParsing:
         d = channel_to_dict(_shot_noise_channel())
         d["measurement"]["f_Y"] = 0.2
         d["measurement"]["noise_B"]["cov"] = [[0.5, 0.0], [0.0, 0.5]]
-        with pytest.raises(UnsupportedRotationError):
+        with pytest.raises(ValidityError, match="unity-gain budget needs f_X = f_Y = 0"):
             config_from_dict(d)
 
     def test_non_psd_noise_named_before_mixing(self):

@@ -15,6 +15,22 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _env():
+    """The environment with the package's source first on PYTHONPATH."""
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def _spans():
+    """The benchmark's perfbench/spans.py, loaded read-only."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_every_demo_is_found():
     assert [d.stem for d in DEMOS] == [
         "chain_audit",
@@ -30,10 +46,8 @@ def test_demo_runs_cleanly(demo, tmp_path):
     args = [sys.executable, str(demo)]
     if demo.stem == "entanglement_sweep":
         args += ["--out", str(tmp_path / "sweep.csv")]
-    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
-        args, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        args, cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
@@ -43,11 +57,7 @@ def test_demo_runs_cleanly(demo, tmp_path):
 def test_benchmark_traced_names_resolve():
     # a traced name that no longer exists would crash the traced benchmark
     # run; spans.py is read, never changed
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", ROOT / "perfbench" / "spans.py"
-    )
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _spans()
     assert spans.TRACED
     for module_name, path in spans.TRACED:
         owner = importlib.import_module(module_name)
@@ -55,6 +65,32 @@ def test_benchmark_traced_names_resolve():
             assert hasattr(owner, part), f"{module_name}.{path}"
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{path}"
+
+
+def test_cli_import_loads_every_traced_module():
+    # Tracer.install looks each traced module up in sys.modules, so a module
+    # that cvteleport.cli imported lazily would crash the traced benchmark run
+    modules = sorted({module for module, _ in _spans().TRACED})
+    code = f"import sys, cvteleport.cli; print([m for m in {modules} if m not in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_every_error_class_maps_to_an_exit_code():
+    # cli.main maps ConfigError to exit 1 and ValidityError to exit 2; any
+    # other class would reach a CLI user as a traceback
+    errors = importlib.import_module("cvteleport.errors")
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and c.__module__ == errors.__name__
+    ]
+    assert errors.CvTeleportError in classes
+    for cls in classes:
+        if cls is not errors.CvTeleportError:
+            assert issubclass(cls, (errors.ConfigError, errors.ValidityError)), cls
 
 
 def _imports(tree):
@@ -96,12 +132,7 @@ def test_every_library_definition_is_reached():
     assert ("cvteleport.cli", "main") in todo
     for demo in DEMOS:
         todo += _imports(ast.parse(demo.read_text(encoding="utf-8"))).values()
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", ROOT / "perfbench" / "spans.py"
-    )
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    todo += [(module, path.split(".")[0]) for module, path in spans.TRACED]
+    todo += [(module, path.split(".")[0]) for module, path in _spans().TRACED]
     reached = set()
     while todo:
         module, name = todo.pop()
