@@ -26,14 +26,12 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import ValidityError
-from .gaussian import GaussianVector
+from .errors import ConfigError, ValidityError
+from .gaussian import GaussianVector, validated_cov
 
 VALIDITY_TOL = 1e-9
 GAIN_TOL = 1e-9
 
-MEASUREMENT_NOISE_LABELS = ("B_X", "B_Y")
-RECONSTRUCTION_NOISE_LABELS = ("C_X", "C_Y")
 BUDGET_LABELS = ("X_m", "X_r", "Y_m", "Y_r")
 
 
@@ -57,38 +55,40 @@ def _check_noise_pair(var_0: float, var_1: float, bound: float, what: str) -> No
     _check_bound(math.sqrt(product), bound, what)
 
 
-def _check_stage_noise(
-    noise: GaussianVector, labels: tuple[str, str], bound: float, what: str
-) -> None:
-    """Validate a stage's added noise: labels, zero mean, uncertainty bound."""
-    if noise.labels != labels:
-        raise ValueError(f"noise state must carry labels {labels}, got {noise.labels}")
-    if np.any(noise.mean != 0.0):
-        raise ValidityError("added noises must be zero-mean")
-    _check_noise_pair(noise.cov[0, 0], noise.cov[1, 1], bound, what)
+def _pair_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; a shape other than ``(2, 2)`` is a ConfigError."""
+    array = np.asarray(value, dtype=float)
+    if array.shape != (2, 2):
+        raise ConfigError(f"{name} must be 2x2, got {array.shape}")
+    return array
+
+
+def _hold_stage_noise(stage, name: str, bound: float, what: str) -> None:
+    """Replace a stage's noise by its validated covariance, held to its bound."""
+    cov = validated_cov(_pair_array(getattr(stage, name), name))
+    _check_noise_pair(cov[0, 0], cov[1, 1], bound, what)
+    object.__setattr__(stage, name, cov)
 
 
 @dataclass(frozen=True)
 class MeasurementStage:
     """Dual-quadrature measurement: gains and added noise.
 
-    ``noise_B`` holds the second moments of the added noises (B_X, B_Y).
-    The noise must satisfy the measurement uncertainty product
-    ``dB_X*dB_Y >= |g_X*g_Y|``, unless it is exactly zero (idealized
-    reference stage).
+    ``noise_B`` is the ``(2, 2)`` covariance of the added noises (B_X,
+    B_Y), held as a validated read-only array, as is the reconstruction
+    stage's ``noise_C``.  It must satisfy the measurement uncertainty
+    product ``dB_X*dB_Y >= |g_X*g_Y|``, unless it is exactly zero
+    (idealized reference stage).
     """
 
     g_X: float
     g_Y: float
-    noise_B: GaussianVector
+    noise_B: np.ndarray
 
     def __post_init__(self):
-        _check_stage_noise(
-            self.noise_B,
-            MEASUREMENT_NOISE_LABELS,
-            abs(self.g_X * self.g_Y),
-            "measurement noise bound dB_X*dB_Y >= |g_X*g_Y|",
-        )
+        bound = abs(self.g_X * self.g_Y)
+        what = "measurement noise bound dB_X*dB_Y >= |g_X*g_Y|"
+        _hold_stage_noise(self, "noise_B", bound, what)
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,11 @@ class ReconstructionStage:
 
     h_X: float
     h_Y: float
-    noise_C: GaussianVector
+    noise_C: np.ndarray
 
     def __post_init__(self):
-        _check_stage_noise(
-            self.noise_C,
-            RECONSTRUCTION_NOISE_LABELS,
-            1.0,
-            "reconstruction noise bound dC_X*dC_Y >= 1",
-        )
+        what = "reconstruction noise bound dC_X*dC_Y >= 1"
+        _hold_stage_noise(self, "noise_C", 1.0, what)
 
 
 @dataclass(frozen=True)
@@ -226,32 +222,30 @@ class ChannelConfig:
     """Full channel: both stages, their cross correlations, and the input.
 
     ``cross_cov_BC`` is the 2x2 matrix of <B_i C_j> moments with rows
-    (B_X, B_Y) and columns (C_X, C_Y).  ``noise`` is the joint Gaussian
-    over (B_X, B_Y, C_X, C_Y), validated (PSD) once on construction: the
-    budget reduces it and the Monte Carlo samples it.  The input is
-    independent of both noises and validated by :class:`InputState` alone.
+    (B_X, B_Y) and columns (C_X, C_Y).  ``noise`` is the joint ``(4, 4)``
+    covariance over (B_X, B_Y, C_X, C_Y), a read-only array validated once
+    on construction: the budget reduces it and the Monte Carlo samples it.
+    The input is independent of both noises and validated by
+    :class:`InputState` alone.
     """
 
     measurement: MeasurementStage
     reconstruction: ReconstructionStage
     input: InputState
     cross_cov_BC: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
-    noise: GaussianVector = field(init=False, compare=False)
+    noise: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        cross = np.asarray(self.cross_cov_BC, dtype=float).copy()
-        if cross.shape != (2, 2):
-            raise ValueError(f"cross_cov_BC must be 2x2, got {cross.shape}")
+        cross = _pair_array(self.cross_cov_BC, "cross_cov_BC").copy()
         cross.setflags(write=False)
         object.__setattr__(self, "cross_cov_BC", cross)
         cov = np.empty((4, 4))
-        cov[:2, :2] = self.measurement.noise_B.cov
-        cov[2:, 2:] = self.reconstruction.noise_C.cov
+        cov[:2, :2] = self.measurement.noise_B
+        cov[2:, 2:] = self.reconstruction.noise_C
         cov[:2, 2:] = cross
         cov[2:, :2] = cross.T
-        labels = MEASUREMENT_NOISE_LABELS + RECONSTRUCTION_NOISE_LABELS
         try:
-            noise = GaussianVector(labels, np.zeros(4), cov)
+            noise = validated_cov(cov)
         except ValidityError as exc:
             raise ValidityError(f"joint stage covariance invalid: {exc}") from exc
         object.__setattr__(self, "noise", noise)
@@ -276,7 +270,7 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
                 f"total gain on {quad} is {gain:.12g}, unity gain required"
             )
     # (B_X, B_Y, C_X, C_Y): the same-quadrature entries of config.noise
-    cov = config.noise.cov
+    cov = config.noise
     return NoiseBudget(
         v_Xm=r.h_X * r.h_X * float(cov[0, 0]),
         v_Ym=r.h_Y * r.h_Y * float(cov[1, 1]),
@@ -310,15 +304,11 @@ def budget_to_channel(b: NoiseBudget) -> ChannelConfig:
 
     Round trip: ``to_unity_gain_budget(budget_to_channel(b)) == b``.
     """
-    noise_b = GaussianVector(
-        MEASUREMENT_NOISE_LABELS, np.zeros(2), np.diag([b.v_Xm, b.v_Ym])
-    )
-    noise_c = GaussianVector(
-        RECONSTRUCTION_NOISE_LABELS, np.zeros(2), np.diag([b.v_Xr, b.v_Yr])
-    )
     return ChannelConfig(
-        measurement=MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=noise_b),
-        reconstruction=ReconstructionStage(h_X=1.0, h_Y=1.0, noise_C=noise_c),
+        measurement=MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=np.diag([b.v_Xm, b.v_Ym])),
+        reconstruction=ReconstructionStage(
+            h_X=1.0, h_Y=1.0, noise_C=np.diag([b.v_Xr, b.v_Yr])
+        ),
         input=vacuum_input(),
         cross_cov_BC=np.diag([b.c_XmXr, b.c_YmYr]),
     )

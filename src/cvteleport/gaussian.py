@@ -1,9 +1,11 @@
-"""Labeled Gaussian vectors and linear observables on them.
+"""Second moments: covariance validation and sampling, and labeled Gaussians.
 
-Everything in this package works at the level of second moments: a state is
-a labeled mean vector plus covariance matrix, an observable is a linear form
-over the labels, and all derived quantities (variances, covariances,
-conditional variances) are bilinear expressions in the covariance.
+Every covariance goes through :func:`validated_cov`, which returns it as a
+read-only symmetric array, as the channel holds its noises.
+:func:`sampling_factor` factors one and :func:`sample` draws zero-mean rows
+from the factor.  A :class:`GaussianVector` (labels, mean, covariance) and
+the linear forms over its labels give variances, covariances and
+conditional variances, the state algebra the tests check the kernels with.
 
 Units follow the vacuum convention used throughout: a vacuum mode has
 variance 1 in each quadrature, so conjugate-pair uncertainty products are
@@ -12,8 +14,7 @@ bounded below by 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -77,28 +78,63 @@ class LinearForm:
     __rmul__ = __mul__
 
 
+def validated_cov(cov: np.ndarray) -> np.ndarray:
+    """The read-only symmetrized form of a square covariance, once it is valid.
+
+    A non-finite entry raises :class:`ValidityError`, and so does asymmetry
+    beyond ``SYMMETRY_TOL`` or an eigenvalue below ``min(PSD_TOL,
+    -PSD_ROUNDING * dim * eps * ||cov||)``, with ``||cov||`` the largest
+    eigenvalue magnitude.  The second term is the size of the eigensolver's
+    rounding, so a large-variance state is not rejected for it, while a
+    correlation or a variance off by more than that, on any coordinate,
+    still is.  The correlation matrix of the positive-variance coordinates
+    (the covariance scaled by their standard deviations) is held to the same
+    test, so the slack is relative to each pair's own scale: a tiny variance
+    beside a large one cannot carry a correlation coefficient above 1 by
+    more than ``-PSD_TOL``.
+    """
+    if not np.all(np.isfinite(cov)):
+        raise ValidityError("covariance must be finite")
+    with np.errstate(over="ignore"):  # an infinite asymmetry is rejected
+        asym = float(np.max(np.abs(cov - cov.T)))
+    if asym > SYMMETRY_TOL:
+        raise ValidityError(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
+    # Exactly cov where cov is symmetric; elsewhere the mean of the two
+    # entries, halved before the sum so that it cannot overflow.
+    sym = np.where(cov == cov.T, cov, cov / 2.0 + cov.T / 2.0)
+    _check_psd(sym, "covariance")
+    # the same check on the correlation matrix of the positive-variance
+    # coordinates, so that small variances beside large ones cannot carry
+    # a correlation coefficient beyond 1.  A coefficient beyond 1 is
+    # invalid at any size, so an overflowing one is clipped to 2.
+    live = np.flatnonzero(np.diag(sym) > 0.0)
+    if live.size > 1:
+        scale = np.sqrt(np.diag(sym)[live])
+        with np.errstate(over="ignore"):
+            corr = sym[np.ix_(live, live)] / scale[:, None] / scale
+        _check_psd(np.clip(corr, -2.0, 2.0), "correlation matrix")
+    sym.setflags(write=False)
+    return sym
+
+
+def _check_psd(sym: np.ndarray, what: str) -> None:
+    """Reject a symmetric matrix whose least eigenvalue is below the slack."""
+    lam = np.linalg.eigvalsh(sym)
+    lo, norm = float(lam[0]), float(max(-lam[0], lam[-1]))
+    if lo < min(PSD_TOL, -PSD_ROUNDING * len(sym) * np.finfo(float).eps * norm):
+        raise ValidityError(f"{what} is not positive semidefinite: min eigenvalue {lo:.3e}")
+
+
 @dataclass(frozen=True)
 class GaussianVector:
     """An immutable labeled Gaussian: unique labels, mean vector, covariance.
 
-    The covariance is symmetrized on construction; the pre-symmetrization
-    asymmetry magnitude is recorded in ``asymmetry``.  Asymmetry beyond
-    ``SYMMETRY_TOL`` raises :class:`ValidityError`, and so does an
-    eigenvalue below ``min(PSD_TOL, -PSD_ROUNDING * dim * eps * ||cov||)``,
-    with ``||cov||`` the largest eigenvalue magnitude.  The second term is
-    the size of the eigensolver's rounding, so a large-variance state is
-    not rejected for it, while a correlation or a variance off by more
-    than that, on any coordinate, still is.  The correlation matrix of the
-    positive-variance coordinates (the covariance scaled by their standard
-    deviations) is held to the same test, so the slack is relative to each
-    pair's own scale: a tiny variance beside a large one cannot carry a
-    correlation coefficient above 1 by more than ``-PSD_TOL``.
+    The covariance is checked and symmetrized by :func:`validated_cov`.
     """
 
     labels: tuple[str, ...]
     mean: np.ndarray
     cov: np.ndarray
-    asymmetry: float = field(init=False)
 
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
@@ -113,61 +149,16 @@ class GaussianVector:
             raise ValueError(
                 f"shape mismatch: {d} labels, mean {mean.shape}, cov {cov.shape}"
             )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("mean and covariance must be finite")
-        with np.errstate(over="ignore"):  # an infinite asymmetry is rejected
-            asym = float(np.max(np.abs(cov - cov.T))) if d > 1 else 0.0
-        if asym > SYMMETRY_TOL:
-            raise ValidityError(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
-        # Exactly cov where cov is symmetric; elsewhere the mean of the two
-        # entries, halved before the sum so that it cannot overflow.
-        sym = np.where(cov == cov.T, cov, cov / 2.0 + cov.T / 2.0)
-        _check_psd(sym, "covariance")
-        # the same check on the correlation matrix of the positive-variance
-        # coordinates, so that small variances beside large ones cannot carry
-        # a correlation coefficient beyond 1.  A coefficient beyond 1 is
-        # invalid at any size, so an overflowing one is clipped to 2.
-        live = np.flatnonzero(np.diag(sym) > 0.0)
-        if live.size > 1:
-            scale = np.sqrt(np.diag(sym)[live])
-            with np.errstate(over="ignore"):
-                corr = sym[np.ix_(live, live)] / scale[:, None] / scale
-            _check_psd(np.clip(corr, -2.0, 2.0), "correlation matrix")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean must be finite")
         mean.setflags(write=False)
-        sym.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", sym)
-        object.__setattr__(self, "asymmetry", asym)
+        object.__setattr__(self, "cov", validated_cov(cov))
 
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    @cached_property
-    def sampling_factor(self) -> np.ndarray:
-        """Read-only ``dim x live`` matrix ``L`` with ``L @ L.T == cov``.
-
-        ``live`` counts the coordinates with positive variance; the rows of
-        zero-variance coordinates are zero.  The live block is
-        Cholesky-factorized.  When that fails on a singular but valid block,
-        it is ``U * sqrt(lam)`` from the block's eigendecomposition, with
-        eigenvalues within rounding of zero (``<= live * eps * max(lam)``,
-        negative ones included) set to 0, so null directions get no
-        variance.  Computed on first use and kept on the instance.
-        """
-        live = np.flatnonzero(np.diag(self.cov) > 0.0)
-        sub = self.cov[np.ix_(live, live)]
-        try:
-            root = np.linalg.cholesky(sub)
-        except np.linalg.LinAlgError:
-            lam, vecs = np.linalg.eigh(sub)
-            lam[lam <= live.size * np.finfo(float).eps * lam[-1]] = 0.0
-            root = vecs * np.sqrt(lam)
-        factor = np.zeros((self.dim, live.size))
-        factor[live] = root
-        factor.setflags(write=False)
-        return factor
 
     def index(self, label: str) -> int:
         try:
@@ -176,12 +167,29 @@ class GaussianVector:
             raise KeyError(f"unknown label {label!r}; state has {self.labels}") from None
 
 
-def _check_psd(sym: np.ndarray, what: str) -> None:
-    """Reject a symmetric matrix whose least eigenvalue is below the slack."""
-    lam = np.linalg.eigvalsh(sym)
-    lo, norm = float(lam[0]), float(max(-lam[0], lam[-1]))
-    if lo < min(PSD_TOL, -PSD_ROUNDING * len(sym) * np.finfo(float).eps * norm):
-        raise ValidityError(f"{what} is not positive semidefinite: min eigenvalue {lo:.3e}")
+def sampling_factor(cov: np.ndarray) -> np.ndarray:
+    """Read-only ``dim x live`` matrix ``L`` with ``L @ L.T == cov``.
+
+    ``cov`` is a valid covariance (see :func:`validated_cov`).  ``live``
+    counts the coordinates with positive variance; the rows of
+    zero-variance coordinates are zero.  The live block is
+    Cholesky-factorized.  When that fails on a singular but valid block, it
+    is ``U * sqrt(lam)`` from the block's eigendecomposition, with
+    eigenvalues within rounding of zero (``<= live * eps * max(lam)``,
+    negative ones included) set to 0, so null directions get no variance.
+    """
+    live = np.flatnonzero(np.diag(cov) > 0.0)
+    sub = cov[np.ix_(live, live)]
+    try:
+        root = np.linalg.cholesky(sub)
+    except np.linalg.LinAlgError:
+        lam, vecs = np.linalg.eigh(sub)
+        lam[lam <= live.size * np.finfo(float).eps * lam[-1]] = 0.0
+        root = vecs * np.sqrt(lam)
+    factor = np.zeros((len(cov), live.size))
+    factor[live] = root
+    factor.setflags(write=False)
+    return factor
 
 
 def _coefficients(form: LinearForm, state: GaussianVector) -> np.ndarray:
@@ -226,24 +234,20 @@ def conditional_variance(a: LinearForm, b: LinearForm, state: GaussianVector) ->
     return v if v > 0.0 else 0.0
 
 
-def sample(state: GaussianVector, n: int, seed, out: np.ndarray | None = None) -> np.ndarray:
-    """Draw ``n`` rows from the state, deterministically for a fixed seed.
+def sample(factor: np.ndarray, n: int, seed, out: np.ndarray | None = None) -> np.ndarray:
+    """Draw ``n`` zero-mean rows, deterministically for a fixed seed.
 
-    Each row is ``mean + factor @ z`` for ``live`` standard normals ``z``,
-    where ``factor`` is the state's :attr:`~GaussianVector.sampling_factor`,
-    computed once per state.  Zero-variance coordinates come out exactly
-    equal to their means, and a singular live block puts no variance on
-    its null directions.  The rows are written into ``out`` (a C-ordered
-    float ``(n, dim)`` array) when it is given, and the same bits come out
-    either way.
+    Each row is ``factor @ z`` for ``live`` standard normals ``z``, where
+    ``factor`` is a covariance's :func:`sampling_factor`.  Zero-variance
+    coordinates come out exactly 0, and a singular live block puts no
+    variance on its null directions.  The rows are written into ``out`` (a
+    C-ordered float ``(n, dim)`` array) when it is given, and the same bits
+    come out either way.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    factor = state.sampling_factor
     normals = np.random.default_rng(seed).standard_normal((n, factor.shape[1]))
-    out = np.matmul(normals, factor.T, out=out)
-    out += state.mean
-    return out
+    return np.matmul(normals, factor.T, out=out)
 
 
 def apply_form(form: LinearForm, state: GaussianVector, samples: np.ndarray) -> np.ndarray:

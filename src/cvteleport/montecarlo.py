@@ -1,8 +1,9 @@
 """Monte Carlo cross-check of the closed-form criteria.
 
-The simulator draws the four stage noises ``(B_X, B_Y, C_X, C_Y)``, the
-channel's validated ``ChannelConfig.noise``, and rebuilds every figure
-of merit from samples alone.  The input is not drawn and does not enter
+The simulator draws the four zero-mean stage noises ``(B_X, B_Y, C_X,
+C_Y)`` from the channel's validated ``(4, 4)`` covariance
+``ChannelConfig.noise``, and rebuilds every figure of merit from samples
+alone.  The input is not drawn and does not enter
 at all: at unity gain the reconstructed amplitude minus the input
 amplitude is the added noise, so the overlap kernel is evaluated on that
 added displacement, and a large input mean cannot round the noise away.
@@ -26,10 +27,10 @@ The blocks are independent, so they are split over up to
 :data:`MAX_WORKERS` threads (numpy's draws, ``matmul`` and ufuncs release
 the interpreter lock); each block writes only its own row of statistics,
 so the report does not depend on how many threads ran.  The noise
-covariance is factored once per run, before any thread starts (Cholesky,
-or an eigendecomposition that leaves null directions noiseless when the
-covariance is singular; see :func:`~cvteleport.gaussian.sample`), and
-each worker draws its blocks into one rows buffer and reduces them
+covariance is factored once per run, before any thread starts, by
+:func:`~cvteleport.gaussian.sampling_factor` (Cholesky, or an
+eigendecomposition that leaves null directions noiseless when the
+covariance is singular), and each worker draws its blocks into one rows buffer and reduces them
 through two column buffers, so a run's memory is one block per
 worker, about one byte per sample per worker, and :data:`MAX_SAMPLES`
 bounds it.  A z-score divides by at least ``sqrt(eps) * max(1,
@@ -49,7 +50,7 @@ from .channel import ChannelConfig, _output_noise, budget_to_channel
 from .criteria import _check_seed, _cv_products, fidelity_mc_integrand, full_report
 from .epr import EprScenario, to_noise_budget
 from .errors import ConfigError, ValidityError
-from .gaussian import sample
+from .gaussian import sample, sampling_factor
 
 JACKKNIFE_BLOCKS = 100
 MIN_SAMPLES = 1000
@@ -242,25 +243,24 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
     report = full_report(channel)
     ref = np.array((report.N_X_out, report.N_Y_out, report.fidelity, *report.cv_products))
 
-    noise = channel.noise
+    factor = sampling_factor(channel.noise)
     h_x, h_y = channel.reconstruction.h_X, channel.reconstruction.h_Y
 
     block_n = cfg.samples // JACKKNIFE_BLOCKS
     block_stats = np.zeros((JACKKNIFE_BLOCKS, 4 + len(_PAIRS) + 1))
     workers = _worker_count()
-    noise.sampling_factor  # factored here, before any worker can race to it
 
     def run_blocks(first, failed):
         # Every block of this worker is drawn into and reduced from the
         # same buffers.  An overflow raises below; numpy's error state, which
         # silences its warning, is per thread.
-        rows = np.empty((block_n, noise.dim))
+        rows = np.empty((block_n, len(factor)))
         cols = rows.T
         w, tmp = np.empty((2, block_n))
         for b in range(first, JACKKNIFE_BLOCKS, workers):
             if failed:
                 return
-            sample(noise, block_n, np.random.SeedSequence([cfg.seed, b]), out=rows)
+            sample(factor, block_n, np.random.SeedSequence([cfg.seed, b]), out=rows)
             # the columns X_m, Y_m, X_r, Y_r, scaled one at a time (a 4-wide
             # rows *= (h_x, h_y, 1, 1) gives the same bits ~4x slower)
             with np.errstate(all="ignore"):

@@ -29,8 +29,6 @@ from typing import Any
 import numpy as np
 
 from .channel import (
-    MEASUREMENT_NOISE_LABELS,
-    RECONSTRUCTION_NOISE_LABELS,
     ChannelConfig,
     InputState,
     MeasurementStage,
@@ -39,7 +37,6 @@ from .channel import (
 from .criteria import CriteriaReport, VerificationSummary
 from .epr import SWEEP_CSV_COLUMNS, EprScenario, SweepTable
 from .errors import ConfigError, ValidityError
-from .gaussian import GaussianVector
 from .montecarlo import McReport
 
 SIGNIFICANT_DIGITS = 12
@@ -133,27 +130,29 @@ def _array(value: Any, where: str, shape: tuple[int, ...]) -> np.ndarray:
     return np.array(entries(value, where, shape), dtype=float)
 
 
-def gaussian_from_dict(d: dict, where: str, expected_labels: tuple[str, ...]) -> GaussianVector:
-    """Build a state over ``expected_labels`` from ``{labels, mean, cov}``.
+def gaussian_from_dict(d: dict, where: str, expected_labels: tuple[str, str]) -> np.ndarray:
+    """A stage noise's ``(2, 2)`` covariance from ``{labels, mean, cov}``.
 
-    The ``labels`` key may be omitted and must match exactly if present;
-    ``mean`` defaults to zeros.
+    The ``labels`` key may be omitted and must match exactly if present.
+    ``mean`` may be omitted and must be zero if present: a nonzero mean
+    raises :class:`ValidityError`.  The covariance is returned as parsed;
+    the stage validates it.
     """
     _check_keys(d, where, ("labels", "mean", "cov"), ["cov"])
     labels = list(expected_labels)
     if d.get("labels", labels) != labels:
         raise ConfigError(f"{where}.labels: expected {labels}, got {d['labels']!r}")
-    dim = len(labels)
-    cov = _array(d["cov"], f"{where}.cov", (dim, dim))
-    mean = _array(d["mean"], f"{where}.mean", (dim,)) if "mean" in d else np.zeros(dim)
-    return GaussianVector(labels=expected_labels, mean=mean, cov=cov)
+    cov = _array(d["cov"], f"{where}.cov", (2, 2))
+    if "mean" in d and np.any(_array(d["mean"], f"{where}.mean", (2,)) != 0.0):
+        raise ValidityError("added noises must be zero-mean")
+    return cov
 
 
 def _measurement_from_dict(d: dict) -> MeasurementStage:
     """Parse the measurement stage; ``f_X``/``f_Y`` are accepted only as 0.
 
     A nonzero quadrature-mixing gain is rejected once ``noise_B`` has
-    parsed, before the stage checks its noise bound.
+    parsed, before the stage validates its noise.
     """
     where = "measurement"
     _check_keys(
@@ -161,9 +160,7 @@ def _measurement_from_dict(d: dict) -> MeasurementStage:
     )
     g_x, g_y = _number(d, "g_X", where), _number(d, "g_Y", where)
     mixing = (_number(d, "f_X", where, 0.0), _number(d, "f_Y", where, 0.0))
-    noise = gaussian_from_dict(
-        d["noise_B"], f"{where}.noise_B", MEASUREMENT_NOISE_LABELS
-    )
+    noise = gaussian_from_dict(d["noise_B"], f"{where}.noise_B", ("B_X", "B_Y"))
     if mixing != (0.0, 0.0):
         raise ValidityError("unity-gain budget needs f_X = f_Y = 0")
     return MeasurementStage(g_X=g_x, g_Y=g_y, noise_B=noise)
@@ -174,9 +171,7 @@ def _reconstruction_from_dict(d: dict) -> ReconstructionStage:
     return ReconstructionStage(
         h_X=_number(d, "h_X", "reconstruction"),
         h_Y=_number(d, "h_Y", "reconstruction"),
-        noise_C=gaussian_from_dict(
-            d["noise_C"], "reconstruction.noise_C", RECONSTRUCTION_NOISE_LABELS
-        ),
+        noise_C=gaussian_from_dict(d["noise_C"], "reconstruction.noise_C", ("C_X", "C_Y")),
     )
 
 

@@ -114,6 +114,7 @@ def _channel(b, c, cross=None, g=(1.0, 1.0), h=(1.0, 1.0)) -> dict:
 
 ZERO = [[0.0, 0.0], [0.0, 0.0]]
 UNIT = [[1.0, 0.0], [0.0, 1.0]]
+NOT_PSD = [[1.0, 2.0], [2.0, 1.0]]
 # Channels whose figures are known to be wrong or delicate: opposite-
 # quadrature noise behind a noiseless measurement (physical, and singular),
 # a correlation hidden in the 45-degree quadratures, a singular joint noise
@@ -139,18 +140,20 @@ HAND_CHANNELS = {
 EPR_TEXT = json.dumps({"type": "epr", "eta": 0.7, "s": 0.3})
 
 
-def _unit_with(path: tuple, value) -> str:
+def _unit_with(path: tuple, value, *more: tuple) -> str:
     """The unit channel's config text with the entry at ``path`` set to
-    ``value``, or removed when ``value`` is None."""
+    ``value``, or removed when ``value`` is None; ``more`` holds further
+    ``(path, value)`` edits, applied in turn."""
     config = _channel(UNIT, UNIT)
-    *outer, key = path
-    target = config
-    for part in outer:
-        target = target[part]
-    if value is None:
-        del target[key]
-    else:
-        target[key] = value
+    for path, value in ((path, value), *more):
+        *outer, key = path
+        target = config
+        for part in outer:
+            target = target[part]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
     return json.dumps(config)
 
 
@@ -179,6 +182,19 @@ REJECTED_CONFIGS = {
         ("reconstruction", "noise_C", "cov"), [[1.0, 2.0], [2.0, 1.0]]
     ),
     "joint-not-psd": _unit_with(("cross_cov_BC",), [[1.5, 0.0], [0.0, 0.0]]),
+    # two faults each: the rule read at parse is named, not the stage's
+    # covariance check or the other parse rule
+    "not-psd-noise-mean": _unit_with(
+        ("measurement", "noise_B", "cov"),
+        NOT_PSD,
+        (("measurement", "noise_B", "mean"), [0.5, 0.0]),
+    ),
+    "not-psd-mixing-gain": _unit_with(
+        ("measurement", "noise_B", "cov"), NOT_PSD, (("measurement", "f_X"), 0.5)
+    ),
+    "noise-mean-mixing-gain": _unit_with(
+        ("measurement", "noise_B", "mean"), [0.5, 0.0], (("measurement", "f_X"), 0.1)
+    ),
     "mc-sums-overflow": _unit_with(
         ("measurement", "noise_B", "cov"), [[1e305, 0.0], [0.0, 1.0]]
     ),

@@ -40,8 +40,8 @@ def compose(config: ChannelConfig) -> ComposedChannel:
     m, r = config.measurement, config.reconstruction
     cov = np.zeros((6, 6))
     cov[0, 0], cov[1, 1] = config.input.var_X, config.input.var_Y
-    cov[2:, 2:] = config.noise.cov
-    joint = GaussianVector(("X_in", "Y_in", *config.noise.labels), np.zeros(6), cov)
+    cov[2:, 2:] = config.noise
+    joint = GaussianVector(("X_in", "Y_in", "B_X", "B_Y", "C_X", "C_Y"), np.zeros(6), cov)
     out_x = LinearForm({"X_in": r.h_X * m.g_X, "B_X": r.h_X, "C_X": 1.0})
     out_y = LinearForm({"Y_in": r.h_Y * m.g_Y, "B_Y": r.h_Y, "C_Y": 1.0})
     return ComposedChannel(out_x, out_y, joint, r.h_X * m.g_X, r.h_Y * m.g_Y)
@@ -97,12 +97,9 @@ def rejection_budgets(count: int, seed) -> np.ndarray:
     return np.concatenate(parts)[:count]
 
 
-def gaussian_to_dict(state: GaussianVector) -> dict:
-    return {
-        "labels": list(state.labels),
-        "mean": state.mean.tolist(),
-        "cov": state.cov.tolist(),
-    }
+def gaussian_to_dict(cov: np.ndarray, labels: tuple[str, str]) -> dict:
+    """A stage noise's config entry: its labels, a zero mean and ``cov``."""
+    return {"labels": list(labels), "mean": [0.0, 0.0], "cov": np.asarray(cov).tolist()}
 
 
 def channel_to_dict(config: ChannelConfig) -> dict:
@@ -112,12 +109,12 @@ def channel_to_dict(config: ChannelConfig) -> dict:
         "measurement": {
             "g_X": m.g_X,
             "g_Y": m.g_Y,
-            "noise_B": gaussian_to_dict(m.noise_B),
+            "noise_B": gaussian_to_dict(m.noise_B, ("B_X", "B_Y")),
         },
         "reconstruction": {
             "h_X": r.h_X,
             "h_Y": r.h_Y,
-            "noise_C": gaussian_to_dict(r.noise_C),
+            "noise_C": gaussian_to_dict(r.noise_C, ("C_X", "C_Y")),
         },
         "input": {"var_X": inp.var_X, "var_Y": inp.var_Y},
         "cross_cov_BC": np.asarray(config.cross_cov_BC).tolist(),

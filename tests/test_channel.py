@@ -20,25 +20,20 @@ from cvteleport.channel import (
 )
 from cvteleport import cli
 from cvteleport.criteria import _draw_budgets, _transfer_fidelity, full_report
-from cvteleport.errors import ValidityError
-from cvteleport.gaussian import GaussianVector, variance_of
-from cvteleport.serialize import report_to_dict, to_json
+from cvteleport.errors import ConfigError, ValidityError
+from cvteleport.gaussian import variance_of
+from cvteleport.serialize import config_from_dict, report_to_dict, to_json
 from oracle import channel_to_dict, compose, term
 
 
-def noise_pair(v_x, v_y, c=0.0, labels=("B_X", "B_Y")):
-    cov = np.array([[v_x, c], [c, v_y]], dtype=float)
-    return GaussianVector(labels=labels, mean=np.zeros(2), cov=cov)
-
-
-def noise_c(v_x, v_y, c=0.0):
-    return noise_pair(v_x, v_y, c, labels=("C_X", "C_Y"))
+def noise_pair(v_x, v_y, c=0.0):
+    return np.array([[v_x, c], [c, v_y]], dtype=float)
 
 
 def make_channel(g=1.0, h=1.0, vb=1.0, vc=1.0, cross=None):
     return ChannelConfig(
         measurement=MeasurementStage(g_X=g, g_Y=g, noise_B=noise_pair(vb, vb)),
-        reconstruction=ReconstructionStage(h_X=h, h_Y=h, noise_C=noise_c(vc, vc)),
+        reconstruction=ReconstructionStage(h_X=h, h_Y=h, noise_C=noise_pair(vc, vc)),
         input=vacuum_input(),
         cross_cov_BC=np.zeros((2, 2)) if cross is None else cross,
     )
@@ -59,19 +54,36 @@ class TestStageValidation:
         with pytest.raises(ValidityError):
             MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=noise_pair(0.0, 1.0))
 
-    def test_wrong_noise_labels_rejected(self):
-        with pytest.raises(ValueError, match="labels"):
-            MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=noise_c(1.0, 1.0))
+    def test_wrong_noise_shape_rejected(self):
+        with pytest.raises(ConfigError, match=r"noise_B must be 2x2, got \(3, 3\)"):
+            MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=np.eye(3))
+        with pytest.raises(ConfigError, match=r"noise_C must be 2x2, got \(2,\)"):
+            ReconstructionStage(h_X=1.0, h_Y=1.0, noise_C=np.ones(2))
 
     def test_nonzero_mean_noise_rejected(self):
-        bad = GaussianVector(("B_X", "B_Y"), np.array([0.1, 0.0]), np.eye(2))
+        # a stage holds a covariance only: the mean is checked where it is read
+        config = channel_to_dict(make_channel())
+        config["measurement"]["noise_B"]["mean"] = [0.1, 0.0]
         with pytest.raises(ValidityError, match="zero-mean"):
-            MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=bad)
+            config_from_dict(config)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_noise_is_a_validity_error(self, bad):
+        with pytest.raises(ValidityError, match="covariance must be finite"):
+            MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=noise_pair(1.0, bad))
+        with pytest.raises(ValidityError, match="covariance must be finite"):
+            make_channel(cross=np.diag([0.0, bad]))
+
+    def test_stage_noise_is_a_read_only_copy(self):
+        cov = noise_pair(1.3, 1.1, 0.2)
+        stage = MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=cov)
+        assert np.array_equal(stage.noise_B, cov) and stage.noise_B is not cov
+        assert cov.flags.writeable and not stage.noise_B.flags.writeable
 
     def test_reconstruction_bound(self):
-        ReconstructionStage(h_X=1.0, h_Y=1.0, noise_C=noise_c(2.0, 0.5))
+        ReconstructionStage(h_X=1.0, h_Y=1.0, noise_C=noise_pair(2.0, 0.5))
         with pytest.raises(ValidityError, match="reconstruction noise bound"):
-            ReconstructionStage(h_X=1.0, h_Y=1.0, noise_C=noise_c(0.9, 0.9))
+            ReconstructionStage(h_X=1.0, h_Y=1.0, noise_C=noise_pair(0.9, 0.9))
 
     def test_gain_scales_measurement_bound(self):
         # larger gains demand proportionally larger noise
@@ -182,7 +194,7 @@ class TestCompose:
                 reconstruction=ReconstructionStage(
                     h_X=h_x,
                     h_Y=h_y,
-                    noise_C=noise_c(dc_x**2, dc_y**2, rho_c * dc_x * dc_y),
+                    noise_C=noise_pair(dc_x**2, dc_y**2, rho_c * dc_x * dc_y),
                 ),
                 input=vacuum_input(),
             )
@@ -210,7 +222,7 @@ class TestCompose:
                 g_X=1.0, g_Y=1.0, noise_B=noise_pair(2.0, 1.5, 0.3)
             ),
             reconstruction=ReconstructionStage(
-                h_X=1.0, h_Y=1.0, noise_C=noise_c(1.2, 1.1, -0.2)
+                h_X=1.0, h_Y=1.0, noise_C=noise_pair(1.2, 1.1, -0.2)
             ),
             input=vacuum_input(),
         )
@@ -219,7 +231,7 @@ class TestCompose:
                 g_X=2.0, g_Y=1.0, noise_B=noise_pair(8.0, 1.5, 0.6)
             ),
             reconstruction=ReconstructionStage(
-                h_X=0.5, h_Y=1.0, noise_C=noise_c(1.2, 1.1, -0.2)
+                h_X=0.5, h_Y=1.0, noise_C=noise_pair(1.2, 1.1, -0.2)
             ),
             input=vacuum_input(),
         )
@@ -242,7 +254,7 @@ class TestUnityGainBudget:
                 g_X=0.5, g_Y=2.0, noise_B=noise_pair(1.0, 4.0)
             ),
             reconstruction=ReconstructionStage(
-                h_X=2.0, h_Y=0.5, noise_C=noise_c(1.0, 1.0)
+                h_X=2.0, h_Y=0.5, noise_C=noise_pair(1.0, 1.0)
             ),
             input=vacuum_input(),
         )
@@ -285,7 +297,7 @@ class TestUnityGainBudget:
                     g_X=g_x, g_Y=g_y, noise_B=noise_pair(db_x**2, db_y**2)
                 ),
                 reconstruction=ReconstructionStage(
-                    h_X=h_x, h_Y=h_y, noise_C=noise_c(dc_x**2, dc_y**2)
+                    h_X=h_x, h_Y=h_y, noise_C=noise_pair(dc_x**2, dc_y**2)
                 ),
                 input=vacuum_input(),
                 cross_cov_BC=cross,
@@ -369,23 +381,22 @@ class TestChannelConfig:
             make_channel(cross=cross)
 
     def test_wrong_cross_shape_rejected(self):
-        with pytest.raises(ValueError, match="2x2"):
+        with pytest.raises(ConfigError, match="2x2"):
             make_channel(cross=np.zeros((2, 3)))
 
     def test_noise_layout(self):
         cross = np.array([[0.3, -0.2], [0.1, 0.4]])
         config = ChannelConfig(
             measurement=MeasurementStage(1.0, 1.0, noise_pair(1.3, 1.1, 0.2)),
-            reconstruction=ReconstructionStage(1.0, 1.0, noise_c(1.2, 1.4, -0.1)),
+            reconstruction=ReconstructionStage(1.0, 1.0, noise_pair(1.2, 1.4, -0.1)),
             input=InputState(2.0, 3.0),
             cross_cov_BC=cross,
         )
         s = config.noise
-        assert s.labels == ("B_X", "B_Y", "C_X", "C_Y")
-        assert np.all(s.mean == 0.0)
-        # the stage noises on the diagonal blocks, <B_i C_j> off them, and
-        # nothing of the input
-        assert np.array_equal(s.cov[:2, :2], config.measurement.noise_B.cov)
-        assert np.array_equal(s.cov[2:, 2:], config.reconstruction.noise_C.cov)
-        assert np.array_equal(s.cov[:2, 2:], cross)
-        assert np.array_equal(s.cov[2:, :2], cross.T)
+        assert s.shape == (4, 4) and not s.flags.writeable
+        # over (B_X, B_Y, C_X, C_Y): the stage noises on the diagonal blocks,
+        # <B_i C_j> off them, and nothing of the input
+        assert np.array_equal(s[:2, :2], config.measurement.noise_B)
+        assert np.array_equal(s[2:, 2:], config.reconstruction.noise_C)
+        assert np.array_equal(s[:2, 2:], cross)
+        assert np.array_equal(s[2:, :2], cross.T)

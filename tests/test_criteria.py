@@ -35,7 +35,7 @@ from cvteleport.criteria import (
 )
 from cvteleport.epr import EprScenario, scenario_report, to_noise_budget
 from cvteleport.errors import ConfigError, ValidityError
-from cvteleport.gaussian import GaussianVector, conditional_variance
+from cvteleport.gaussian import conditional_variance
 from oracle import fidelity_general, rejection_budgets, term
 
 GAUSS_HERMITE_NODES = 40
@@ -251,34 +251,31 @@ class TestInequalityChain:
         assert _chain_holds(trace)
         assert trace.n_product >= 1.0 - 1e-9
 
+    # The random-budget tests below evaluate random_budgets' draws (the
+    # same count and seed) as one moment block, through the kernels that
+    # inequality_trace and epr_criterion apply to one budget at a time.
+
     def test_identity_holds_on_random_budgets(self):
-        worst = 0.0
-        for b in random_budgets(10000, seed=420):
-            trace = inequality_trace(b)
-            worst = max(worst, trace.identity_rel_error)
-        assert worst <= 1e-9
+        rel_err = _chain_terms(_draw_budgets(10000, seed=420))[3]
+        assert rel_err.max() <= 1e-9
 
     def test_chain_on_random_nonviolating_budgets(self):
-        checked = 0
-        for b in random_budgets(10000, seed=77):
-            p1, p2 = epr_criterion(b)
-            if p1 < 1.0 - 1e-9 or p2 < 1.0 - 1e-9:
-                continue
-            assert _chain_holds(inequality_trace(b)), b
-            checked += 1
-        assert checked > 1000
+        block = _draw_budgets(10000, seed=77)
+        p1, p2 = _cv_products(block)
+        holds = (p1 >= 1.0 - 1e-9) & (p2 >= 1.0 - 1e-9)
+        fails = _chain_fails(*_chain_terms(block)[3:])
+        assert not (holds & fails).any(), block[:, holds & fails].T[:1]
+        assert holds.sum() > 1000
 
     def test_low_noise_product_implies_violation(self):
         # contrapositive search: every budget that beats the noise-product
         # bound must show up as a conditional-variance violation
-        found = 0
-        for b in random_budgets(100000, seed=2024):
-            trace = inequality_trace(b)
-            if trace.n_product < 1.0 - 1e-9:
-                p1, p2 = epr_criterion(b)
-                assert p1 < 1.0 - 1e-9 or p2 < 1.0 - 1e-9, b
-                found += 1
-        assert found > 100
+        block = _draw_budgets(100000, seed=2024)
+        low = _chain_terms(block)[5] < 1.0 - 1e-9
+        p1, p2 = _cv_products(block)
+        violated = (p1 < 1.0 - 1e-9) | (p2 < 1.0 - 1e-9)
+        assert violated[low].all(), block[:, low & ~violated].T[:1]
+        assert low.sum() > 100
 
     def test_slack_term_is_nonnegative(self):
         for b in random_budgets(2000, seed=5):
@@ -500,10 +497,11 @@ class TestFullReport:
         # stage cross moments (P M P), off-diagonal moments included: N and
         # T swap, the rest stays bit for bit
         def channel(g, noise_b, noise_c, cross, var):
-            b = GaussianVector(("B_X", "B_Y"), np.zeros(2), noise_b)
-            c = GaussianVector(("C_X", "C_Y"), np.zeros(2), noise_c)
             return ChannelConfig(
-                MeasurementStage(*g, b), ReconstructionStage(*(1.0 / g), c), InputState(*var), cross
+                MeasurementStage(*g, noise_b),
+                ReconstructionStage(*(1.0 / g), noise_c),
+                InputState(*var),
+                cross,
             )
 
         rng = np.random.default_rng(1616)

@@ -15,6 +15,8 @@ from cvteleport.gaussian import (
     conditional_variance,
     covariance_of,
     sample,
+    sampling_factor,
+    validated_cov,
     variance_of,
 )
 from oracle import term
@@ -171,8 +173,7 @@ class TestStateValidation:
 
     def test_small_asymmetry_symmetrized(self):
         s = state_2d([[1, 1e-11], [0.0, 1]])
-        assert s.cov[0, 1] == s.cov[1, 0]
-        assert s.asymmetry <= 1e-9
+        assert s.cov[0, 1] == s.cov[1, 0] == 0.5e-11
 
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(ValidityError):
@@ -223,8 +224,18 @@ class TestStateValidation:
             state_2d([[1e-320, 1e-11], [1e-11, 1e-320]])
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidityError, match="covariance must be finite"):
             state_2d([[np.nan, 0], [0, 1]])
+        with pytest.raises(ValueError, match="mean must be finite"):
+            state_2d([[1, 0], [0, 1]], mean=(np.inf, 0.0))
+
+    def test_one_function_validates_every_covariance(self):
+        # the state's covariance is validated_cov's array, bit for bit
+        cov = np.array([[2.0, 0.3 + 1e-12], [0.3, 1.0]])
+        checked = validated_cov(cov)
+        assert not checked.flags.writeable and cov.flags.writeable
+        assert np.array_equal(state_2d(cov).cov, checked)
+        assert checked[0, 1] == checked[1, 0]
 
     def test_state_is_immutable(self):
         s = state_2d([[1, 0], [0, 1]])
@@ -234,36 +245,31 @@ class TestStateValidation:
 
 class TestSampling:
     def test_unit_variances_land_in_three_sigma_window(self):
-        s = state_2d([[1, 0], [0, 1]])
-        draws = sample(s, 100000, seed=7)
+        draws = sample(sampling_factor(np.eye(2)), 100000, seed=7)
         assert draws.shape == (100000, 2)
         v = draws.var(axis=0)
         assert np.all(v > 0.97) and np.all(v < 1.03)
 
     def test_sample_mean_tracks_state_mean(self):
-        s = state_2d([[1, 0], [0, 1]], mean=(5.0, 0.0))
-        draws = sample(s, 100000, seed=3)
-        assert abs(draws[:, 0].mean() - 5.0) <= 3.0 * np.sqrt(1.0 / 100000)
+        # the rows are zero-mean
+        draws = sample(sampling_factor(np.diag([4.0, 1.0])), 100000, seed=3)
+        assert np.all(abs(draws.mean(axis=0)) <= 3.0 * np.sqrt(np.array([4.0, 1.0]) / 100000))
 
     def test_zero_variance_coordinate_is_exactly_constant(self):
-        cov = np.diag([1.0, 0.0])
-        s = state_2d(cov, mean=(0.0, 4.5))
-        draws = sample(s, 5000, seed=1)
-        assert np.all(draws[:, 1] == 4.5)
-        # a dead coordinate between two correlated live ones, nonzero means
+        draws = sample(sampling_factor(np.diag([1.0, 0.0])), 5000, seed=1)
+        assert np.all(draws[:, 1] == 0.0)
+        # a dead coordinate between two correlated live ones
         cov = np.array([[2.0, 0.0, 0.6], [0.0, 0.0, 0.0], [0.6, 0.0, 0.5]])
-        mid = GaussianVector(("U", "D", "W"), np.array([1.0, -3.25, 2.0]), cov)
-        draws = sample(mid, 5000, seed=1)
-        assert np.all(draws[:, 1] == -3.25)
+        draws = sample(sampling_factor(cov), 5000, seed=1)
+        assert np.all(draws[:, 1] == 0.0)
         assert draws[:, 0].std() > 1.0 and draws[:, 2].std() > 0.5
         # the live columns are the draws of the live block alone
-        live = GaussianVector(("U", "W"), np.array([1.0, 2.0]), cov[np.ix_([0, 2], [0, 2])])
+        live = sampling_factor(cov[np.ix_([0, 2], [0, 2])])
         assert np.allclose(draws[:, [0, 2]], sample(live, 5000, seed=1), rtol=1e-14, atol=0)
 
     def test_singular_but_correlated_covariance_samples(self):
         # perfectly correlated pair: Cholesky fails, the eigen factor is used
-        s = state_2d([[1, 1], [1, 1]])
-        draws = sample(s, 50000, seed=9)
+        draws = sample(sampling_factor(np.ones((2, 2))), 50000, seed=9)
         resid = draws[:, 0] - draws[:, 1]
         assert resid.std() < 1e-5
 
@@ -280,11 +286,10 @@ class TestSampling:
         ],
     )
     def test_null_directions_get_no_variance(self, cov, mean):
-        cov, mean = np.array(cov), np.array(mean)
-        s = GaussianVector(tuple(f"v{i}" for i in range(len(mean))), mean, cov)
-        factor = s.sampling_factor
+        cov, mean = validated_cov(np.array(cov)), np.array(mean)
+        factor = sampling_factor(cov)
         assert np.allclose(factor @ factor.T, cov, rtol=0, atol=1e-15)
-        draws = sample(s, 20000, seed=4)
+        draws = mean + sample(factor, 20000, seed=4)
         lam, vecs = np.linalg.eigh(cov)
         for v in vecs[:, lam < 1e-12].T:
             along = (draws - mean) @ v
@@ -294,24 +299,23 @@ class TestSampling:
         dead = np.diag(cov) == 0.0
         assert np.all(draws[:, dead] == mean[dead])
 
-    def test_factor_is_computed_once_and_read_only(self):
-        s = state_2d([[2, 0.5], [0.5, 1]])
-        factor = s.sampling_factor
-        assert s.sampling_factor is factor
-        assert np.array_equal(factor, np.linalg.cholesky(s.cov))
+    def test_factor_is_cholesky_and_read_only(self):
+        cov = validated_cov(np.array([[2, 0.5], [0.5, 1]]))
+        factor = sampling_factor(cov)
+        assert np.array_equal(factor, np.linalg.cholesky(cov))
         with pytest.raises(ValueError):
             factor[0, 0] = 1.0
 
     def test_fixed_seed_is_deterministic(self):
-        s = state_2d([[2, 0.5], [0.5, 1]])
-        a = sample(s, 1000, seed=11)
-        b = sample(s, 1000, seed=11)
+        factor = sampling_factor(np.array([[2, 0.5], [0.5, 1]]))
+        a = sample(factor, 1000, seed=11)
+        b = sample(factor, 1000, seed=11)
         assert np.array_equal(a, b)
+        assert np.array_equal(sample(factor, 1000, seed=11, out=np.empty((1000, 2))), a)
 
     def test_sample_covariance_matches_state_covariance(self):
         cov = np.array([[2.0, -0.8, 0.0], [-0.8, 1.0, 0.3], [0.0, 0.3, 0.5]])
-        s = GaussianVector(labels=("U", "V", "W"), mean=np.zeros(3), cov=cov)
-        draws = sample(s, 1000000, seed=5)
+        draws = sample(sampling_factor(cov), 1000000, seed=5)
         est = np.cov(draws.T, ddof=0)
         n = len(draws)
         for i in range(3):
@@ -322,7 +326,7 @@ class TestSampling:
 
     def test_apply_form_matches_manual_combination(self):
         s = state_2d([[2, 0.5], [0.5, 1]])
-        draws = sample(s, 100, seed=2)
+        draws = sample(sampling_factor(s.cov), 100, seed=2)
         f = 2.0 * term("X") - 1.0 * term("Y") + 0.25
         got = apply_form(f, s, draws)
         want = 2.0 * draws[:, 0] - draws[:, 1] + 0.25

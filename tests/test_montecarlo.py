@@ -16,7 +16,7 @@ from cvteleport.criteria import full_report
 from cvteleport.epr import EprScenario, to_noise_budget
 from cvteleport.errors import ConfigError
 from cvteleport import montecarlo
-from cvteleport.gaussian import GaussianVector, sample
+from cvteleport.gaussian import sample, sampling_factor
 from cvteleport.montecarlo import (
     MAX_SAMPLES,
     Comparison,
@@ -57,12 +57,12 @@ def reference_simulate(cfg: McRunConfig) -> McReport:
         channel = budget_to_channel(to_noise_budget(channel))
     report = full_report(channel)
     analytic = (report.N_X_out, report.N_Y_out, report.fidelity, *report.cv_products)
-    noise = channel.noise
+    factor = sampling_factor(channel.noise)
     h_x, h_y = channel.reconstruction.h_X, channel.reconstruction.h_Y
     block_n = cfg.samples // montecarlo.JACKKNIFE_BLOCKS
     block_stats = np.zeros((montecarlo.JACKKNIFE_BLOCKS, 11))
     for b in range(montecarlo.JACKKNIFE_BLOCKS):
-        rows = sample(noise, block_n, np.random.SeedSequence([cfg.seed, b]))
+        rows = sample(factor, block_n, np.random.SeedSequence([cfg.seed, b]))
         b_x, b_y, xr, yr = rows.T
         xm, ym = h_x * b_x, h_y * b_y
         # the added displacement against target 0
@@ -221,9 +221,9 @@ class TestSimulateProtocol:
     def test_input_is_not_drawn(self, monkeypatch):
         drawn = []
 
-        def recording_sample(state, n, seed, out=None):
-            drawn.append(state.labels)
-            return sample(state, n, seed, out=out)
+        def recording_sample(factor, n, seed, out=None):
+            drawn.append(factor.shape)
+            return sample(factor, n, seed, out=out)
 
         monkeypatch.setattr(montecarlo, "sample", recording_sample)
         # channels differing only in input variance see the same noise draws
@@ -241,7 +241,8 @@ class TestSimulateProtocol:
         for key in ("N_X", "N_Y", "cv_product_r_given_m", "cv_product_m_given_r"):
             assert a.comparisons[key] == b.comparisons[key], key
         assert a == b
-        assert set(drawn) == {("B_X", "B_Y", "C_X", "C_Y")}
+        # rows over (B_X, B_Y, C_X, C_Y) alone
+        assert set(drawn) == {(4, 4)}
 
 
 class TestSharedBlockBuffers:
@@ -282,9 +283,9 @@ class TestSharedBlockBuffers:
     def test_each_block_is_drawn_once(self, monkeypatch):
         drawn = []
 
-        def recording(state, n, seed, out=None):
+        def recording(factor, n, seed, out=None):
             drawn.append(seed.entropy[1])
-            return sample(state, n, seed, out=out)
+            return sample(factor, n, seed, out=out)
 
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "sample", recording)
@@ -294,10 +295,10 @@ class TestSharedBlockBuffers:
     @pytest.mark.parametrize("failing_block", [0, 1])
     def test_worker_error_reaches_the_caller(self, failing_block, monkeypatch):
         # with two workers block 0 runs on the calling thread, block 1 on the other
-        def failing(state, n, seed, out=None):
+        def failing(factor, n, seed, out=None):
             if seed.entropy[1] == failing_block:
                 raise MemoryError("no room for the block")
-            return sample(state, n, seed, out=out)
+            return sample(factor, n, seed, out=out)
 
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "sample", failing)
@@ -312,12 +313,12 @@ class TestSharedBlockBuffers:
         root = rng.normal(size=(4, 4))
         cov = root @ root.T
         cov[1, :] = cov[:, 1] = 0.0
-        state = GaussianVector(("A", "B", "C", "D"), np.array([0.5, -1.0, 0.0, 2.0]), cov)
+        factor = sampling_factor(cov)
         for n in (1, 7, 1000):
             buf = np.full((n, 4), np.nan)
-            got = sample(state, n, np.random.SeedSequence([9, n]), out=buf)
+            got = sample(factor, n, np.random.SeedSequence([9, n]), out=buf)
             assert got is buf
-            want = sample(state, n, np.random.SeedSequence([9, n]))
+            want = sample(factor, n, np.random.SeedSequence([9, n]))
             assert np.array_equal(buf.view(np.uint64), want.view(np.uint64))
 
     def test_noise_is_factored_once_per_run(self, monkeypatch):
@@ -330,8 +331,7 @@ class TestSharedBlockBuffers:
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
-        # a fresh channel: the factor is kept on the channel's noise state,
-        # so a channel that earlier tests sampled would factor nothing
+        # once per run, on the calling thread, however many workers draw
         for channel in (EprScenario(0.8, 0.25), config_from_json(GAIN_CHANNEL_JSON)):
             calls.clear()
             simulate_protocol(McRunConfig(channel=channel, samples=10000, seed=2))

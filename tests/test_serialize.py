@@ -22,7 +22,6 @@ from cvteleport.criteria import (
 )
 from cvteleport.epr import EprScenario, sweep
 from cvteleport.errors import ConfigError, ValidityError
-from cvteleport.gaussian import GaussianVector
 from cvteleport.montecarlo import McRunConfig, simulate_protocol
 from cvteleport.serialize import (
     config_from_dict,
@@ -92,25 +91,24 @@ class TestToJson:
 
 class TestGaussianRoundTrip:
     def test_round_trip_preserves_fields(self):
-        state = GaussianVector(
-            ("B_X", "B_Y"),
-            np.array([0.1, -0.2]),
-            np.array([[2.0, 0.5], [0.5, 1.5]]),
-        )
-        back = gaussian_from_dict(gaussian_to_dict(state), "noise", ("B_X", "B_Y"))
-        assert back.labels == state.labels
-        np.testing.assert_allclose(back.mean, state.mean)
-        np.testing.assert_allclose(back.cov, state.cov)
+        cov = np.array([[2.0, 0.5], [0.5, 1.5]])
+        back = gaussian_from_dict(gaussian_to_dict(cov, ("B_X", "B_Y")), "noise", ("B_X", "B_Y"))
+        assert back.shape == (2, 2)
+        np.testing.assert_array_equal(back, cov)
 
     def test_mean_defaults_to_zero(self):
+        # an omitted or zero mean is accepted; any other is rejected
         d = {"labels": ["A", "B"], "cov": [[1.0, 0.0], [0.0, 1.0]]}
-        state = gaussian_from_dict(d, "noise", ("A", "B"))
-        np.testing.assert_array_equal(state.mean, np.zeros(2))
+        np.testing.assert_array_equal(gaussian_from_dict(d, "noise", ("A", "B")), np.eye(2))
+        d["mean"] = [0.0, -0.0]
+        np.testing.assert_array_equal(gaussian_from_dict(d, "noise", ("A", "B")), np.eye(2))
+        d["mean"] = [0.0, 1e-300]
+        with pytest.raises(ValidityError, match="added noises must be zero-mean"):
+            gaussian_from_dict(d, "noise", ("A", "B"))
 
     def test_labels_optional_when_expected_given(self):
         d = {"cov": [[1.0, 0.0], [0.0, 1.0]]}
-        state = gaussian_from_dict(d, "noise", ("C_X", "C_Y"))
-        assert state.labels == ("C_X", "C_Y")
+        np.testing.assert_array_equal(gaussian_from_dict(d, "noise", ("C_X", "C_Y")), np.eye(2))
 
     def test_wrong_labels_rejected(self):
         d = {"labels": ["X", "Y"], "cov": [[1.0, 0.0], [0.0, 1.0]]}
@@ -134,18 +132,12 @@ class TestConfigParsing:
             measurement=MeasurementStage(
                 g_X=1.0,
                 g_Y=-1.0,
-                noise_B=GaussianVector(
-                    ("B_X", "B_Y"),
-                    np.zeros(2),
-                    np.array([[1.3, 0.2], [0.2, 1.1]]),
-                ),
+                noise_B=np.array([[1.3, 0.2], [0.2, 1.1]]),
             ),
             reconstruction=ReconstructionStage(
                 h_X=1.0,
                 h_Y=-1.0,
-                noise_C=GaussianVector(
-                    ("C_X", "C_Y"), np.zeros(2), np.diag([1.2, 1.4])
-                ),
+                noise_C=np.diag([1.2, 1.4]),
             ),
             input=InputState(var_X=1.5, var_Y=2.0),
         )
@@ -155,7 +147,7 @@ class TestConfigParsing:
         assert back.reconstruction.h_Y == config.reconstruction.h_Y
         assert back.input == config.input
         np.testing.assert_allclose(
-            back.measurement.noise_B.cov, config.measurement.noise_B.cov
+            back.measurement.noise_B, config.measurement.noise_B
         )
         np.testing.assert_allclose(back.cross_cov_BC, config.cross_cov_BC)
 
@@ -192,10 +184,18 @@ class TestConfigParsing:
         with pytest.raises(ValidityError, match="unity-gain budget needs f_X = f_Y = 0"):
             config_from_dict(d)
 
-    def test_non_psd_noise_named_before_mixing(self):
+    def test_mixing_named_before_non_psd_noise(self):
+        # rules read at parse come first: the stage validates its covariance
         d = channel_to_dict(_shot_noise_channel())
         d["measurement"]["f_Y"] = 0.2
         d["measurement"]["noise_B"]["cov"] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(ValidityError, match="unity-gain budget needs f_X = f_Y = 0"):
+            config_from_dict(d)
+        del d["measurement"]["f_Y"]
+        d["measurement"]["noise_B"]["mean"] = [0.5, 0.0]
+        with pytest.raises(ValidityError, match="added noises must be zero-mean"):
+            config_from_dict(d)
+        d["measurement"]["noise_B"]["mean"] = [0.0, 0.0]
         with pytest.raises(ValidityError, match="positive semidefinite"):
             config_from_dict(d)
 
