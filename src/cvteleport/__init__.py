@@ -57,7 +57,6 @@ from .gaussian import (
 from .montecarlo import (
     Comparison,
     McReport,
-    McRunConfig,
     simulate_protocol,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "InputState",
     "LinearForm",
     "McReport",
-    "McRunConfig",
     "MeasurementStage",
     "NoiseBudget",
     "ReconstructionStage",

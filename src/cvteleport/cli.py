@@ -3,8 +3,10 @@
 Four subcommands: ``report`` evaluates every criterion for one channel
 config, ``sweep`` tabulates the shared-entanglement scenario over an
 (eta, s) grid as CSV, ``verify`` stress-tests the inequality chain on
-random budgets, and ``mc`` runs the Monte Carlo cross-check.  Reports go
-to stdout unless ``--out`` is given.
+random budgets, and ``mc`` runs the Monte Carlo cross-check.  ``report``
+and ``mc`` render their result record field for field,
+``to_json(asdict(record))``.  Reports go to stdout unless ``--out`` is
+given.
 
 ``sweep`` streams: it evaluates and writes the grid one block of rows at
 a time, so its memory does not grow with the grid.  Only the two axes
@@ -26,19 +28,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .criteria import full_report, run_chain_verification
 from .epr import MAX_SWEEP_S, EprScenario, scenario_report, sweep
 from .errors import ConfigError, ValidityError
-from .montecarlo import McReport, McRunConfig, simulate_protocol
+from .montecarlo import McReport, simulate_protocol
 from .serialize import (
     SWEEP_CSV_HEADER,
     config_from_json,
-    mc_report_to_dict,
-    report_to_dict,
     sweep_csv_rows,
     to_json,
     verification_to_dict,
@@ -146,7 +148,7 @@ def _cmd_report(args) -> int:
         report = scenario_report(config)
     else:
         report = full_report(config)
-    _emit(to_json(report_to_dict(report)), args.out)
+    _emit(to_json(asdict(report)), args.out)
     return EXIT_OK
 
 
@@ -197,9 +199,10 @@ def _cmd_verify(args) -> int:
 
 def _mc_table(report: McReport) -> str:
     names = ("est_N_X", "est_N_Y", "est_F", "est_cv_product_r|m", "est_cv_product_m|r")
+    comparisons = (report.est_N_X, report.est_N_Y, report.est_F, *report.est_cv_products)
     rows = [("quantity", "estimate", "stderr", "analytic", "z")] + [
         (name, f"{c.estimate:.6g}", f"{c.stderr:.3g}", f"{c.analytic:.6g}", f"{c.z_score:+.2f}")
-        for name, c in zip(names, report.comparisons.values())
+        for name, c in zip(names, comparisons)
     ]
     widths = [max(len(r[i]) for r in rows) for i in range(5)]
     return "\n".join(
@@ -210,9 +213,8 @@ def _mc_table(report: McReport) -> str:
 
 def _cmd_mc(args) -> int:
     config = _load_config(args.config)
-    run = McRunConfig(channel=config, samples=args.samples, seed=args.seed)
-    report = simulate_protocol(run)
-    _emit(to_json(mc_report_to_dict(report)), args.out)
+    report = simulate_protocol(config, args.samples, args.seed)
+    _emit(to_json(asdict(report)), args.out)
     print(_mc_table(report), file=sys.stderr)
     if report.max_abs_z >= Z_THRESHOLD:
         print(
@@ -225,6 +227,14 @@ def _cmd_mc(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; ``argv`` defaults to the process's own arguments.
+
+    On the process's own arguments the objects the imports made are frozen
+    out of the collector first: they live until exit, and interpreter
+    shutdown would otherwise walk them all in its final collections.
+    """
+    if argv is None:
+        gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

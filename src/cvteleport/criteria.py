@@ -134,7 +134,10 @@ def _cv_products(fields):
             raise ValidityError(
                 "conditioning variable has zero variance but nonzero covariance"
             )
-        cond = v_b[::-1] - c * c / np.where(flat, 1.0, v_b)
+        den = np.where(flat, 1.0, v_b)
+        # c / den * c only where c * c overflows: every finite case keeps its bits
+        c_sq = c * c
+        cond = v_b[::-1] - np.where(np.isinf(c_sq), c / den * c, c_sq / den)
         cond = np.where(cond > 0.0, cond, 0.0)
         return cond[0, 0] * cond[0, 1], cond[1, 0] * cond[1, 1]
 

@@ -18,7 +18,9 @@ sample mean of the overlap kernel, never the closed form.  The five
 estimates are one array in :class:`McReport`'s comparison order, with
 jackknife standard errors over 100 equal blocks beside it, and each is
 compared to its analytic counterpart through a z-score.  A sum that
-overflows raises :class:`ValidityError` rather than reading as an estimate.
+overflows raises :class:`ValidityError` rather than reading as an
+estimate.  :func:`simulate_protocol` takes the channel, the sample count
+and the seed directly, and its report's fields are the ``mc`` JSON keys.
 
 Sampling is deterministic for a fixed seed: block ``b`` draws from a
 generator seeded with ``SeedSequence([seed, b])``, and blocks are reduced
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,37 +76,6 @@ _STDERR_FLOOR = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
-class McRunConfig:
-    """One simulation run: channel, sample count, seed.
-
-    ``seed`` must be a nonnegative integer, and ``samples`` must lie in
-    ``[MIN_SAMPLES, MAX_SAMPLES]`` and be divisible by the jackknife block
-    count.  An :class:`EprScenario` runs on its budget's channel with a
-    vacuum input.
-    """
-
-    channel: ChannelConfig | EprScenario
-    samples: int
-    seed: int
-
-    def __post_init__(self):
-        _check_seed(self.seed)
-        if not isinstance(self.samples, (int, np.integer)) or isinstance(
-            self.samples, bool
-        ):
-            raise ConfigError("samples must be an integer")
-        if self.samples < MIN_SAMPLES:
-            raise ConfigError(f"samples must be >= {MIN_SAMPLES}, got {self.samples}")
-        if self.samples > MAX_SAMPLES:
-            raise ConfigError(f"samples must be <= {MAX_SAMPLES}, got {self.samples}")
-        if self.samples % JACKKNIFE_BLOCKS != 0:
-            raise ConfigError(
-                f"samples must be a multiple of {JACKKNIFE_BLOCKS} "
-                "(jackknife block count)"
-            )
-
-
-@dataclass(frozen=True)
 class Comparison:
     """A sampled estimate against its analytic counterpart."""
 
@@ -116,25 +87,21 @@ class Comparison:
 
 @dataclass(frozen=True)
 class McReport:
-    """Estimates, standard errors and z-scores for one simulation run."""
+    """Estimates, standard errors and z-scores for one simulation run.
+
+    The fields are the ``mc`` JSON keys, in output order.
+    ``est_cv_products`` holds the r-given-m product, then m-given-r, as
+    :attr:`CriteriaReport.cv_products` does, and ``max_abs_z`` is the
+    largest ``|z_score|`` of the five comparisons.
+    """
 
     samples: int
     seed: int
-    N_X: Comparison
-    N_Y: Comparison
-    fidelity: Comparison
-    cv_product_r_given_m: Comparison
-    cv_product_m_given_r: Comparison
-
-    @property
-    def comparisons(self) -> dict[str, Comparison]:
-        """The five comparisons by field name, in field order."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v for k, v in values.items() if isinstance(v, Comparison)}
-
-    @property
-    def max_abs_z(self) -> float:
-        return max(abs(c.z_score) for c in self.comparisons.values())
+    est_N_X: Comparison
+    est_N_Y: Comparison
+    est_F: Comparison
+    est_cv_products: tuple[Comparison, Comparison]
+    max_abs_z: float
 
 
 # Products summed per block, as column pairs over (X_m, Y_m, X_r, Y_r): the
@@ -228,16 +195,30 @@ def _on_workers(work, workers: int) -> None:
         raise failed[0]
 
 
-def simulate_protocol(cfg: McRunConfig) -> McReport:
+def simulate_protocol(channel: ChannelConfig | EprScenario, samples: int, seed: int) -> McReport:
     """Simulate the channel sample by sample and compare against closed forms.
 
-    Requires unity gain.  The reconstructed amplitude for each sample is the
-    input amplitude displaced by that sample's added noise; the overlap
-    kernel of that displacement is averaged for the fidelity estimate, and
-    the added-noise samples feed the variance and regression estimates.
-    The analytic side is :func:`full_report` of the channel that is sampled.
+    Requires unity gain; an :class:`EprScenario` runs on its budget's
+    channel.  ``seed`` must be a nonnegative integer, and ``samples`` an
+    integer in ``[MIN_SAMPLES, MAX_SAMPLES]`` divisible by the jackknife
+    block count: each is checked, in that order, before any work.  The
+    reconstructed amplitude for each sample is the input amplitude
+    displaced by that sample's added noise; the overlap kernel of that
+    displacement is averaged for the fidelity estimate, and the added-noise
+    samples feed the variance and regression estimates.  The analytic side
+    is :func:`full_report` of the channel that is sampled.
     """
-    channel = cfg.channel
+    _check_seed(seed)
+    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool):
+        raise ConfigError("samples must be an integer")
+    if samples < MIN_SAMPLES:
+        raise ConfigError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ConfigError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
+    if samples % JACKKNIFE_BLOCKS != 0:
+        raise ConfigError(
+            f"samples must be a multiple of {JACKKNIFE_BLOCKS} (jackknife block count)"
+        )
     if isinstance(channel, EprScenario):
         channel = budget_to_channel(to_noise_budget(channel))
     report = full_report(channel)
@@ -246,7 +227,7 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
     factor = sampling_factor(channel.noise)
     h_x, h_y = channel.reconstruction.h_X, channel.reconstruction.h_Y
 
-    block_n = cfg.samples // JACKKNIFE_BLOCKS
+    block_n = samples // JACKKNIFE_BLOCKS
     block_stats = np.zeros((JACKKNIFE_BLOCKS, 4 + len(_PAIRS) + 1))
     workers = _worker_count()
 
@@ -260,7 +241,7 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
         for b in range(first, JACKKNIFE_BLOCKS, workers):
             if failed:
                 return
-            sample(factor, block_n, np.random.SeedSequence([cfg.seed, b]), out=rows)
+            sample(factor, block_n, np.random.SeedSequence([seed, b]), out=rows)
             # the columns X_m, Y_m, X_r, Y_r, scaled one at a time (a 4-wide
             # rows *= (h_x, h_y, 1, 1) gives the same bits ~4x slower)
             with np.errstate(all="ignore"):
@@ -275,10 +256,10 @@ def simulate_protocol(cfg: McRunConfig) -> McReport:
                     *(np.multiply(cols[i], cols[j], out=tmp).sum() for i, j in _PAIRS),
                     w.sum(),
                 )
-            _check_finite(block_stats[b], cfg.samples)
+            _check_finite(block_stats[b], samples)
 
     _on_workers(run_blocks, workers)
     est, se = _jackknife(block_stats, block_n)
     z = (est - ref) / np.maximum(se, _STDERR_FLOOR * np.maximum(1.0, abs(ref)))
-    comparisons = map(Comparison, est.tolist(), se.tolist(), ref.tolist(), z.tolist())
-    return McReport(cfg.samples, cfg.seed, *comparisons)
+    n_x, n_y, f, *cv = map(Comparison, est.tolist(), se.tolist(), ref.tolist(), z.tolist())
+    return McReport(samples, seed, n_x, n_y, f, tuple(cv), max(map(abs, z.tolist())))

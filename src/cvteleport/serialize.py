@@ -34,10 +34,9 @@ from .channel import (
     MeasurementStage,
     ReconstructionStage,
 )
-from .criteria import CriteriaReport, VerificationSummary
+from .criteria import VerificationSummary
 from .epr import SWEEP_CSV_COLUMNS, EprScenario, SweepTable
 from .errors import ConfigError, ValidityError
-from .montecarlo import McReport
 
 SIGNIFICANT_DIGITS = 12
 # Every emitted number goes through this template; adding 0.0 first turns
@@ -271,10 +270,6 @@ def config_from_json(text: str) -> ChannelConfig | EprScenario:
 # report rendering
 
 
-def report_to_dict(report: CriteriaReport) -> dict:
-    return asdict(report)
-
-
 SWEEP_CSV_HEADER = ",".join(SWEEP_CSV_COLUMNS) + "\n"
 _SWEEP_ROW = ",".join([NUMBER_FORMAT] * (len(SWEEP_CSV_COLUMNS) - 1) + ["%s"]) + "\n"
 
@@ -298,21 +293,6 @@ def sweep_csv_rows(table: SweepTable) -> str:
 def sweep_to_csv(table: SweepTable) -> str:
     """Render a sweep table as CSV text (header plus one row per grid point)."""
     return SWEEP_CSV_HEADER + sweep_csv_rows(table)
-
-
-def mc_report_to_dict(report: McReport) -> dict:
-    return {
-        "samples": report.samples,
-        "seed": report.seed,
-        "est_N_X": asdict(report.N_X),
-        "est_N_Y": asdict(report.N_Y),
-        "est_F": asdict(report.fidelity),
-        "est_cv_products": [
-            asdict(report.cv_product_r_given_m),
-            asdict(report.cv_product_m_given_r),
-        ],
-        "max_abs_z": report.max_abs_z,
-    }
 
 
 def verification_to_dict(summary: VerificationSummary) -> dict:

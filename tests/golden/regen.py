@@ -199,6 +199,9 @@ REJECTED_CONFIGS = {
         ("measurement", "noise_B", "cov"), [[1e305, 0.0], [0.0, 1.0]]
     ),
 }
+CV_OVERFLOW_TEXT = json.dumps(
+    _channel([[1e200, 0.0], [0.0, 1.0]], [[1e200, 0.0], [0.0, 1.0]], [[5e199, 0.0], [0.0, 0.0]])
+)
 # Usage, config, I/O and range errors, and sweep grids at their edges.
 HAND_ROWS = [
     ("usage-no-command", [], None),
@@ -224,6 +227,10 @@ HAND_ROWS = [
     # the jackknife deviations (~1e298) overflow when squared unscaled
     ("mc-large-variance", ["mc", "--config", CONFIG_NAME, "--samples", "1000", "--seed", "1"],
      _unit_with(("measurement", "noise_B", "cov"), [[1e300, 0.0], [0.0, 1.0]])),
+    # a same-quadrature correlation (5e199) whose square overflows a float
+    ("channel-cv-overflow-report", ["report", "--config", CONFIG_NAME], CV_OVERFLOW_TEXT),
+    ("channel-cv-overflow-mc",
+     ["mc", "--config", CONFIG_NAME, "--samples", "1000", "--seed", "1"], CV_OVERFLOW_TEXT),
     ("verify-zero-trials", ["verify", "--trials", "0"], None),
     ("verify-negative-seed", ["verify", "--seed", "-1"], None),
     ("verify-one-trial", ["verify", "--trials", "1"], None),

@@ -21,7 +21,7 @@ from cvteleport.criteria import (
     run_chain_verification,
 )
 from cvteleport.epr import EprScenario, sweep, to_noise_budget
-from cvteleport.montecarlo import McRunConfig, simulate_protocol
+from cvteleport.montecarlo import simulate_protocol
 
 MATRIX_SEED = 1234
 BUDGET_SEED = 20240817
@@ -176,9 +176,7 @@ def test_monte_carlo_concordance():
     ] + [budget_to_channel(b) for b in random_budgets(7, seed=BUDGET_SEED)]
     worst = 0.0
     for channel in channels:
-        report = simulate_protocol(
-            McRunConfig(channel=channel, samples=1000000, seed=MATRIX_SEED)
-        )
+        report = simulate_protocol(channel, 1000000, MATRIX_SEED)
         worst = max(worst, report.max_abs_z)
     elapsed = time.perf_counter() - t0
     ok = worst < 5.0 and elapsed < 60.0

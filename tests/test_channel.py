@@ -1,6 +1,7 @@
 """Channel stages, composition, and the unity-gain noise budget."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from cvteleport import cli
 from cvteleport.criteria import _draw_budgets, _transfer_fidelity, full_report
 from cvteleport.errors import ConfigError, ValidityError
 from cvteleport.gaussian import variance_of
-from cvteleport.serialize import config_from_dict, report_to_dict, to_json
+from cvteleport.serialize import config_from_dict, to_json
 from oracle import channel_to_dict, compose, term
 
 
@@ -370,7 +371,7 @@ class TestNoiseBudget:
             assert to_unity_gain_budget(channel) == b
             path.write_text(json.dumps(channel_to_dict(channel)))
             assert cli.main(["report", "--config", str(path)]) == 0
-            assert capsys.readouterr().out == to_json(report_to_dict(full_report(channel))), b
+            assert capsys.readouterr().out == to_json(asdict(full_report(channel))), b
 
 
 class TestChannelConfig:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import gc
 import hashlib
 import json
 import os
@@ -388,13 +389,13 @@ class TestMcCommand:
         rigged = McReport(
             samples=1000,
             seed=1,
-            N_X=bad,
-            N_Y=ok,
-            fidelity=ok,
-            cv_product_r_given_m=ok,
-            cv_product_m_given_r=ok,
+            est_N_X=bad,
+            est_N_Y=ok,
+            est_F=ok,
+            est_cv_products=(ok, ok),
+            max_abs_z=10.0,
         )
-        monkeypatch.setattr(cli, "simulate_protocol", lambda run: rigged)
+        monkeypatch.setattr(cli, "simulate_protocol", lambda *run: rigged)
         args = ["mc", "--config", epr_config, "--samples", "1000"]
         assert cli.main(args) == 5
         assert "Monte Carlo disagreement" in capsys.readouterr().err
@@ -809,6 +810,29 @@ class TestStartup:
         assert "cvteleport.cli" in loaded
         for name in ("concurrent.futures", "multiprocessing", "logging"):
             assert name not in loaded
+
+    def test_given_argv_never_freezes_the_collector(self, epr_config, capsys):
+        before = gc.get_freeze_count()
+        assert cli.main(["report", "--config", epr_config]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_own_command_line_freezes_the_import_heap(self, epr_config, tmp_path):
+        # main() with no argv reads sys.argv, as the console script does
+        out = tmp_path / "report.json"
+        code = (
+            "import gc, sys; from cvteleport import cli; "
+            f"sys.argv = ['cvteleport', 'report', '--config', {epr_config!r}, '--out', {str(out)!r}]; "
+            "code = cli.main(); print(code, gc.get_freeze_count())"
+        )
+        src = os.path.dirname(os.path.dirname(cvteleport.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        exit_code, frozen = map(int, done.stdout.split())
+        assert exit_code == 0 and frozen > 0
+        assert json.loads(out.read_text())["fidelity"] == pytest.approx(1 / 1.51)
 
 
 class TestStdoutHashes:

@@ -1,5 +1,6 @@
 """Fidelity, verdicts, the entanglement test, and the chain verifier."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -215,6 +216,19 @@ class TestEprCriterion:
         block = np.array([[0.0, 2.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
         assert [p.tolist() for p in _cv_products(block)] == [[2.0, 1.5], [0.0, 1.5]]
 
+    def test_correlation_whose_square_overflows(self):
+        # c * c overflows at c = 5e199; both products are 7.5e199, and a
+        # finite column beside it in a block keeps its own bits
+        b = NoiseBudget(1e200, 1.0, 1e200, 1.0, 5e199, 0.0)
+        assert epr_criterion(b) == (7.5e199, 7.5e199)
+        assert not full_report(budget_to_channel(b)).verdicts["epr_violation"]
+        block = np.array([[1e200, 1.0, 1e200, 1.0, 5e199, 0.0], [1.2, 1.5, 1.1, 1.3, -0.4, 0.3]]).T
+        products = _cv_products(block)
+        assert [p.tolist() for p in products] == [
+            [7.5e199, epr_criterion(NoiseBudget(*block[:, 1]))[0]],
+            [7.5e199, epr_criterion(NoiseBudget(*block[:, 1]))[1]],
+        ]
+
     def test_boundary_products_need_margin_to_violate(self):
         # products exactly 1: inside the verdict margin, not a violation
         v = 2.0
@@ -280,6 +294,51 @@ class TestInequalityChain:
     def test_slack_term_is_nonnegative(self):
         for b in random_budgets(2000, seed=5):
             assert inequality_trace(b).n_value >= 0.0
+
+
+def _identity_sides(v_xm, v_ym, v_xr, v_yr, c_x, c_y):
+    """Both sides of the chain's factorization identity,
+    ``v_Cx v_Cy = t1 - t2 - t3 - t4``, expanded as :func:`_chain_terms` does."""
+    v_cx = v_xm * v_xr - c_x * c_x
+    v_cy = v_ym * v_yr - c_y * c_y
+    p, d = v_xr + v_xm, v_xr - v_xm
+    q, e = v_yr + v_ym, v_yr - v_ym
+    t1 = (p + 2 * c_x) * (p - 2 * c_x) * (q + 2 * c_y) * (q - 2 * c_y) / 16
+    t2 = d * d * v_cy / 4
+    t3 = e * e * v_cx / 4
+    t4 = d * d * e * e / 16
+    return v_cx * v_cy, t1 - t2 - t3 - t4
+
+
+class TestChainIdentity:
+    """The factorization identity, proved exactly and checked in floats.
+
+    Both sides are polynomials of degree at most 2 in each of the six budget
+    scalars, so their difference vanishes everywhere once it vanishes on a
+    grid of 3 distinct values per scalar.
+    """
+
+    GRID = list(
+        itertools.product(
+            (Fraction(1, 3), Fraction(2), Fraction(7, 5)),
+            (Fraction(5, 6), Fraction(1, 10), Fraction(3)),
+            (Fraction(2, 7), Fraction(9, 4), Fraction(11, 3)),
+            (Fraction(1, 9), Fraction(4), Fraction(13, 6)),
+            (Fraction(-1, 2), Fraction(1, 7), Fraction(3)),
+            (Fraction(-5, 3), Fraction(0), Fraction(2, 11)),
+        )
+    )
+
+    def test_identity_is_exact_on_a_degree_two_grid(self):
+        assert len(self.GRID) == 3**6
+        for point in self.GRID:
+            lhs, rhs = _identity_sides(*point)
+            assert lhs == rhs, point
+
+    def test_float_identity_error_is_a_few_ulp(self):
+        rows = np.array(self.GRID, dtype=float).T
+        rel_err = _chain_terms(rows)[3]
+        assert rel_err.max() <= 8 * np.finfo(float).eps
 
 
 def _exact_noises(row):

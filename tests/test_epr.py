@@ -1,6 +1,7 @@
 """Closed forms and budget mapping for the shared-EPR scenario."""
 
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,6 @@ from cvteleport.epr import (
 from cvteleport.errors import ConfigError
 from cvteleport.serialize import (
     format_number,
-    report_to_dict,
     sweep_to_csv,
     to_json,
 )
@@ -288,7 +288,7 @@ class TestExactFigures:
                 for key, value in got.items():
                     err = abs(Fraction(value) - exact[key])
                     assert err <= Fraction(1e-15) * exact[key], (eta, s, key)
-                text = to_json(report_to_dict(report))
+                text = to_json(asdict(report))
                 if eta * 8 == int(eta * 8):  # the CLI prints the same bytes
                     path.write_text(json.dumps({"type": "epr", "eta": eta, "s": s}))
                     assert cli.main(["report", "--config", str(path)]) == 0

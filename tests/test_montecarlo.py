@@ -21,7 +21,6 @@ from cvteleport.montecarlo import (
     MAX_SAMPLES,
     Comparison,
     McReport,
-    McRunConfig,
     _estimates_from_sums,
     _jackknife,
     simulate_protocol,
@@ -47,22 +46,21 @@ def displaced_config(budget: NoiseBudget, mean_x: float, mean_y: float) -> Chann
     return config_from_dict(config)
 
 
-def reference_simulate(cfg: McRunConfig) -> McReport:
+def reference_simulate(channel, samples: int, seed: int) -> McReport:
     """The block loop with fresh arrays in every block, as it was written
     before the blocks shared their buffers: one draw per block, every
     derived column and product a new array, and the kernel as one
     expression.  A stderr of exactly 0 gives z = 0 on an exact match."""
-    channel = cfg.channel
     if isinstance(channel, EprScenario):
         channel = budget_to_channel(to_noise_budget(channel))
     report = full_report(channel)
     analytic = (report.N_X_out, report.N_Y_out, report.fidelity, *report.cv_products)
     factor = sampling_factor(channel.noise)
     h_x, h_y = channel.reconstruction.h_X, channel.reconstruction.h_Y
-    block_n = cfg.samples // montecarlo.JACKKNIFE_BLOCKS
+    block_n = samples // montecarlo.JACKKNIFE_BLOCKS
     block_stats = np.zeros((montecarlo.JACKKNIFE_BLOCKS, 11))
     for b in range(montecarlo.JACKKNIFE_BLOCKS):
-        rows = sample(factor, block_n, np.random.SeedSequence([cfg.seed, b]))
+        rows = sample(factor, block_n, np.random.SeedSequence([seed, b]))
         b_x, b_y, xr, yr = rows.T
         xm, ym = h_x * b_x, h_y * b_y
         # the added displacement against target 0
@@ -86,88 +84,80 @@ def reference_simulate(cfg: McRunConfig) -> McReport:
                 estimate=float(est), stderr=float(se), analytic=float(ref), z_score=float(z)
             )
         )
-    return McReport(cfg.samples, cfg.seed, *comparisons)
+    n_x, n_y, f, *cv = comparisons
+    max_abs_z = max(abs(c.z_score) for c in comparisons)
+    return McReport(samples, seed, n_x, n_y, f, tuple(cv), max_abs_z)
 
 
 class TestRunConfig:
     def test_minimum_sample_count(self):
         with pytest.raises(ConfigError, match=">= 1000"):
-            McRunConfig(channel=EprScenario(0.7, 0.3), samples=10, seed=1)
+            simulate_protocol(EprScenario(0.7, 0.3), 10, 1)
 
     def test_samples_must_split_into_blocks(self):
         with pytest.raises(ConfigError, match="multiple"):
-            McRunConfig(channel=EprScenario(0.7, 0.3), samples=1050, seed=1)
+            simulate_protocol(EprScenario(0.7, 0.3), 1050, 1)
 
     def test_samples_must_be_integer(self):
         with pytest.raises(ConfigError):
-            McRunConfig(channel=EprScenario(0.7, 0.3), samples=1e5, seed=1)
+            simulate_protocol(EprScenario(0.7, 0.3), 1e5, 1)
 
     @pytest.mark.parametrize("seed", [-1, True, 1.0, "1"])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         # checked before the samples, which are bad here too
         with pytest.raises(ConfigError, match="^seed must be a nonnegative integer$"):
-            McRunConfig(channel=EprScenario(0.7, 0.3), samples=10, seed=seed)
+            simulate_protocol(EprScenario(0.7, 0.3), 10, seed)
 
     def test_numpy_integer_seed_is_accepted(self):
-        run = McRunConfig(channel=EprScenario(0.7, 0.3), samples=1000, seed=np.int64(0))
-        assert run.seed == 0
+        assert simulate_protocol(EprScenario(0.7, 0.3), 1000, np.int64(0)).seed == 0
 
-    def test_sample_count_is_capped(self):
-        McRunConfig(channel=EprScenario(0.7, 0.3), samples=MAX_SAMPLES, seed=1)
+    def test_sample_count_is_capped(self, monkeypatch):
+        # the checks come before any work: the analytic report is the first
+        def checked(channel):
+            raise LookupError("checks passed")
+
+        monkeypatch.setattr(montecarlo, "full_report", checked)
+        with pytest.raises(LookupError, match="checks passed"):
+            simulate_protocol(EprScenario(0.7, 0.3), MAX_SAMPLES, 1)
         for samples in (MAX_SAMPLES + 100, 10**15):
             with pytest.raises(ConfigError, match=f"<= {MAX_SAMPLES}"):
-                McRunConfig(channel=EprScenario(0.7, 0.3), samples=samples, seed=1)
+                simulate_protocol(EprScenario(0.7, 0.3), samples, 1)
 
 
 class TestSimulateProtocol:
     def test_ideal_channel_estimates_exactly(self):
-        run = McRunConfig(
-            channel=budget_to_channel(NoiseBudget(0.0, 0.0, 0.0, 0.0)),
-            samples=100000,
-            seed=4,
-        )
-        report = simulate_protocol(run)
-        assert report.fidelity.estimate == 1.0
-        assert report.fidelity.z_score == 0.0
-        assert report.N_X.estimate == 0.0
-        assert report.N_X.z_score == 0.0
+        report = simulate_protocol(budget_to_channel(NoiseBudget(0.0, 0.0, 0.0, 0.0)), 100000, 4)
+        assert report.est_F.estimate == 1.0
+        assert report.est_F.z_score == 0.0
+        assert report.est_N_X.estimate == 0.0
+        assert report.est_N_X.z_score == 0.0
         assert report.max_abs_z == 0.0
 
     def test_shot_noise_channel(self):
-        run = McRunConfig(
-            channel=budget_to_channel(shot_noise_budget()), samples=1000000, seed=21
-        )
-        report = simulate_protocol(run)
-        assert abs(report.N_X.estimate - 2.0) <= 3.0 * report.N_X.stderr
-        assert abs(report.fidelity.estimate - 0.5) <= 3.0 * report.fidelity.stderr
-        assert report.fidelity.analytic == 0.5
+        report = simulate_protocol(budget_to_channel(shot_noise_budget()), 1000000, 21)
+        assert abs(report.est_N_X.estimate - 2.0) <= 3.0 * report.est_N_X.stderr
+        assert abs(report.est_F.estimate - 0.5) <= 3.0 * report.est_F.stderr
+        assert report.est_F.analytic == 0.5
 
     def test_epr_scenario_fidelity(self):
-        run = McRunConfig(channel=EprScenario(0.7, 0.3), samples=1000000, seed=35)
-        report = simulate_protocol(run)
-        assert report.fidelity.analytic == pytest.approx(1.0 / 1.51, abs=1e-12)
-        assert abs(report.fidelity.estimate - 1.0 / 1.51) <= 3.0 * report.fidelity.stderr
-        assert report.cv_product_r_given_m.analytic < 1.0
+        report = simulate_protocol(EprScenario(0.7, 0.3), 1000000, 35)
+        assert report.est_F.analytic == pytest.approx(1.0 / 1.51, abs=1e-12)
+        assert abs(report.est_F.estimate - 1.0 / 1.51) <= 3.0 * report.est_F.stderr
+        assert report.est_cv_products[0].analytic < 1.0
 
     def test_reports_are_bit_identical_for_fixed_seed(self):
-        run = McRunConfig(channel=EprScenario(0.9, 0.5), samples=10000, seed=123)
-        assert simulate_protocol(run) == simulate_protocol(run)
+        run = (EprScenario(0.9, 0.5), 10000, 123)
+        assert simulate_protocol(*run) == simulate_protocol(*run)
 
     def test_different_seeds_differ(self):
-        a = McRunConfig(channel=EprScenario(0.9, 0.5), samples=10000, seed=1)
-        b = McRunConfig(channel=EprScenario(0.9, 0.5), samples=10000, seed=2)
-        assert simulate_protocol(a) != simulate_protocol(b)
+        a = simulate_protocol(EprScenario(0.9, 0.5), 10000, 1)
+        assert a != simulate_protocol(EprScenario(0.9, 0.5), 10000, 2)
 
     def test_amplitude_does_not_bias_fidelity(self):
         # unity gain: the overlap depends only on the added noise
-        base = McRunConfig(channel=EprScenario(0.7, 0.3), samples=50000, seed=9)
-        moved = McRunConfig(
-            channel=displaced_config(to_noise_budget(EprScenario(0.7, 0.3)), 4.0, 4.0),
-            samples=50000,
-            seed=9,
-        )
-        f0 = simulate_protocol(base).fidelity.estimate
-        f1 = simulate_protocol(moved).fidelity.estimate
+        moved = displaced_config(to_noise_budget(EprScenario(0.7, 0.3)), 4.0, 4.0)
+        f0 = simulate_protocol(EprScenario(0.7, 0.3), 50000, 9).est_F.estimate
+        f1 = simulate_protocol(moved, 50000, 9).est_F.estimate
         assert f0 == pytest.approx(f1, abs=1e-9)
 
     def test_large_input_mean_does_not_round_the_noise_away(self):
@@ -175,13 +165,7 @@ class TestSimulateProtocol:
         # plus noise would lose the noise's low bits
         budget = NoiseBudget(1.2, 1.5, 1.1, 1.3, -0.4, 0.3)
         at_origin, displaced = (
-            simulate_protocol(
-                McRunConfig(
-                    channel=displaced_config(budget, *mean),
-                    samples=10000,
-                    seed=1,
-                )
-            )
+            simulate_protocol(displaced_config(budget, *mean), 10000, 1)
             for mean in ((0.0, 0.0), (1e16, -3.0))
         )
         assert displaced == at_origin
@@ -189,18 +173,15 @@ class TestSimulateProtocol:
 
     def test_estimates_within_gate_across_seeds(self):
         for seed in (1, 2, 3):
-            run = McRunConfig(channel=EprScenario(0.8, 0.4), samples=100000, seed=seed)
-            assert simulate_protocol(run).max_abs_z < 5.0
+            assert simulate_protocol(EprScenario(0.8, 0.4), 100000, seed).max_abs_z < 5.0
 
     def test_fidelity_estimate_bounded(self):
-        run = McRunConfig(channel=EprScenario(0.3, 0.9), samples=20000, seed=2)
-        report = simulate_protocol(run)
-        assert 0.0 < report.fidelity.estimate <= 1.0
+        report = simulate_protocol(EprScenario(0.3, 0.9), 20000, 2)
+        assert 0.0 < report.est_F.estimate <= 1.0
 
     def test_stderr_positive_for_noisy_channels(self):
-        run = McRunConfig(channel=EprScenario(0.7, 0.3), samples=10000, seed=6)
-        report = simulate_protocol(run)
-        for comparison in report.comparisons.values():
+        report = simulate_protocol(EprScenario(0.7, 0.3), 10000, 6)
+        for comparison in (report.est_N_X, report.est_N_Y, report.est_F, *report.est_cv_products):
             assert comparison.stderr > 0.0
 
     def test_rounding_level_estimate_does_not_flag(self, monkeypatch):
@@ -212,10 +193,9 @@ class TestSimulateProtocol:
 
         monkeypatch.setattr(montecarlo, "sample", constant)
         ideal = budget_to_channel(NoiseBudget(0.0, 0.0, 0.0, 0.0))
-        run = McRunConfig(channel=ideal, samples=10000, seed=3)
-        report = simulate_protocol(run)
-        assert report.N_X.estimate > 0.0 and report.N_X.stderr == 0.0
-        assert report.N_X.analytic == 0.0
+        report = simulate_protocol(ideal, 10000, 3)
+        assert report.est_N_X.estimate > 0.0 and report.est_N_X.stderr == 0.0
+        assert report.est_N_X.analytic == 0.0
         assert report.max_abs_z < 1e-20
 
     def test_input_is_not_drawn(self, monkeypatch):
@@ -235,11 +215,11 @@ class TestSimulateProtocol:
             cross_cov_BC=base.cross_cov_BC,
         )
         a, b = (
-            simulate_protocol(McRunConfig(channel=c, samples=20000, seed=8))
+            simulate_protocol(c, 20000, 8)
             for c in (base, thermal)
         )
-        for key in ("N_X", "N_Y", "cv_product_r_given_m", "cv_product_m_given_r"):
-            assert a.comparisons[key] == b.comparisons[key], key
+        for key in ("est_N_X", "est_N_Y", "est_cv_products"):
+            assert getattr(a, key) == getattr(b, key), key
         assert a == b
         # rows over (B_X, B_Y, C_X, C_Y) alone
         assert set(drawn) == {(4, 4)}
@@ -260,22 +240,22 @@ class TestSharedBlockBuffers:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     @pytest.mark.parametrize("samples, seed", [(1000, 3), (20000, 41)])
     def test_report_equals_the_fresh_array_loop(self, name, samples, seed, monkeypatch):
-        run = McRunConfig(channel=self.CONFIGS[name], samples=samples, seed=seed)
-        want = reference_simulate(run)
+        run = (self.CONFIGS[name], samples, seed)
+        want = reference_simulate(*run)
         # the threaded split runs even where the host has a single CPU
         for workers in (1, 2):
             monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-            assert simulate_protocol(run) == want, workers
+            assert simulate_protocol(*run) == want, workers
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         # a lost or misplaced block row would change the report
-        run = McRunConfig(channel=self.CONFIGS["gain-channel"], samples=20000, seed=13)
-        want = reference_simulate(run)
+        run = (self.CONFIGS["gain-channel"], 20000, 13)
+        want = reference_simulate(*run)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = [simulate_protocol(run) for _ in range(5)]
+            got = [simulate_protocol(*run) for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)
         assert got == [want] * 5
@@ -289,7 +269,7 @@ class TestSharedBlockBuffers:
 
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "sample", recording)
-        simulate_protocol(McRunConfig(channel=EprScenario(0.8, 0.25), samples=10000, seed=7))
+        simulate_protocol(EprScenario(0.8, 0.25), 10000, 7)
         assert sorted(drawn) == list(range(montecarlo.JACKKNIFE_BLOCKS))
 
     @pytest.mark.parametrize("failing_block", [0, 1])
@@ -303,9 +283,8 @@ class TestSharedBlockBuffers:
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "sample", failing)
         before = set(threading.enumerate())
-        run = McRunConfig(channel=self.CONFIGS["gain-channel"], samples=20000, seed=5)
         with pytest.raises(MemoryError, match="no room"):
-            simulate_protocol(run)
+            simulate_protocol(self.CONFIGS["gain-channel"], 20000, 5)
         assert set(threading.enumerate()) <= before
 
     def test_sample_into_a_buffer_is_bitwise_the_fresh_draw(self):
@@ -334,7 +313,7 @@ class TestSharedBlockBuffers:
         # once per run, on the calling thread, however many workers draw
         for channel in (EprScenario(0.8, 0.25), config_from_json(GAIN_CHANNEL_JSON)):
             calls.clear()
-            simulate_protocol(McRunConfig(channel=channel, samples=10000, seed=2))
+            simulate_protocol(channel, 10000, 2)
             assert calls == [(4, 4)]
 
 

@@ -1,6 +1,7 @@
 """Config parsing and report rendering round trips."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,14 +23,12 @@ from cvteleport.criteria import (
 )
 from cvteleport.epr import EprScenario, sweep
 from cvteleport.errors import ConfigError, ValidityError
-from cvteleport.montecarlo import McRunConfig, simulate_protocol
+from cvteleport.montecarlo import simulate_protocol
 from cvteleport.serialize import (
     config_from_dict,
     config_from_json,
     format_number,
     gaussian_from_dict,
-    mc_report_to_dict,
-    report_to_dict,
     sweep_to_csv,
     to_json,
     verification_to_dict,
@@ -256,7 +255,7 @@ class TestReportRendering:
             v_Xm=1.2, v_Ym=1.2, v_Xr=1.1, v_Yr=1.1, c_XmXr=-0.9, c_YmYr=-0.9
         )
         report = full_report(budget_to_channel(budget))
-        d = report_to_dict(report)
+        d = asdict(report)
         assert d["N_X_out"] == report.N_X_out
         assert d["fidelity"] == report.fidelity
         assert d["cv_products"] == report.cv_products
@@ -275,18 +274,18 @@ class TestReportRendering:
 
 class TestMcReportRendering:
     def test_nested_comparison_objects(self):
-        run = McRunConfig(
-            channel=budget_to_channel(shot_noise_budget()),
-            samples=2000,
-            seed=7,
-        )
-        d = mc_report_to_dict(simulate_protocol(run))
+        d = asdict(simulate_protocol(budget_to_channel(shot_noise_budget()), 2000, 7))
+        # the record's fields are the mc JSON keys, in output order
+        assert list(d) == [
+            "samples", "seed", "est_N_X", "est_N_Y", "est_F", "est_cv_products", "max_abs_z"
+        ]
         assert d["samples"] == 2000
         assert d["seed"] == 7
         for key in ("est_N_X", "est_N_Y", "est_F"):
             assert set(d[key]) == {"estimate", "stderr", "analytic", "z_score"}
         assert len(d["est_cv_products"]) == 2
-        assert d["max_abs_z"] >= 0.0
+        comparisons = [d["est_N_X"], d["est_N_Y"], d["est_F"], *d["est_cv_products"]]
+        assert d["max_abs_z"] == max(abs(c["z_score"]) for c in comparisons)
 
 
 class TestVerificationRendering:
