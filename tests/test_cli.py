@@ -14,6 +14,7 @@ import pytest
 
 import cvteleport
 import cvteleport.cli as cli
+import cvteleport.criteria as criteria
 import cvteleport.epr as epr
 from cvteleport.channel import NoiseBudget, budget_to_channel, shot_noise_budget
 from cvteleport.criteria import VerificationSummary, inequality_trace
@@ -252,6 +253,37 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["bound_violations"] == 1
         assert "verification failed" in captured.err
+
+    def test_failing_run_prints_its_first_failure(self, monkeypatch, capsys):
+        # an identity tolerance below rounding fails most trials; the bytes
+        # of a failing run, first failure included, are pinned
+        monkeypatch.setattr(criteria, "IDENTITY_RTOL", 1e-17)
+        assert cli.main(["verify", "--trials", "50", "--seed", "9"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "verification failed: 46 bound violation(s) in 50 trials\n"
+        assert captured.out == (
+            "{\n"
+            '  "trials": 50,\n'
+            '  "seed": 9,\n'
+            '  "identity_max_rel_error": 5.7337931452e-16,\n'
+            '  "bound_violations": 46,\n'
+            '  "worst_margin": 3.0,\n'
+            '  "budgets_drawn": 72,\n'
+            '  "first_failure": {\n'
+            '    "budget": {\n'
+            '      "v_Xm": 13.3593504669,\n'
+            '      "v_Ym": 7.1241189741,\n'
+            '      "v_Xr": 49.8804592415,\n'
+            '      "v_Yr": 20.349069355,\n'
+            '      "c_XmXr": 15.5480046525,\n'
+            '      "c_YmYr": -6.98625370182\n'
+            "    },\n"
+            '    "identity_rel_error": 1.37224350577e-16,\n'
+            '    "n_value": 1448.9695542,\n'
+            '    "n_product": 1273.59779235\n'
+            "  }\n"
+            "}\n"
+        )
 
 
 class TestMcCommand:
