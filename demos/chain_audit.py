@@ -7,9 +7,8 @@ The audit draws random budgets, re-derives the chain on each, and prints
 the worst margins seen, plus a full trace for one sample budget.
 """
 
-import numpy as np
-
 from cvteleport import (
+    epr_criterion,
     inequality_trace,
     run_chain_verification,
     shot_noise_budget,
@@ -30,14 +29,14 @@ def main():
 
     # one fully worked example: the shot-noise-limited budget
     trace = inequality_trace(shot_noise_budget())
+    b = trace.budget
+    r_given_m, m_given_r = epr_criterion(b)
     print()
     print("trace for the shot-noise-limited budget:")
-    print(f"  conditional-variance product (outputs given measurements): "
-          f"{trace.cv_product:.6f}")
-    print(f"  measurement-stage product bound   : "
-          f"{trace.measurement_product:.6f}")
-    print(f"  reconstruction-stage product bound: "
-          f"{trace.reconstruction_product:.6f}")
+    print(f"  conditional-variance product r|m  : {r_given_m:.6f}")
+    print(f"  conditional-variance product m|r  : {m_given_r:.6f}")
+    print(f"  measurement-stage product bound   : {b.v_Xm * b.v_Ym:.6f}")
+    print(f"  reconstruction-stage product bound: {b.v_Xr * b.v_Yr:.6f}")
     print(f"  resulting added-noise product     : {trace.n_product:.6f}")
     print(f"  identity residual (relative)      : "
           f"{trace.identity_rel_error:.3e}")

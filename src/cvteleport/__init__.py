@@ -16,7 +16,6 @@ from .channel import (
     NoiseBudget,
     ReconstructionStage,
     budget_to_channel,
-    equivalent_output_noise,
     shot_noise_budget,
     to_unity_gain_budget,
     vacuum_input,
@@ -87,7 +86,6 @@ __all__ = [
     "conditional_variance",
     "covariance_of",
     "epr_criterion",
-    "equivalent_output_noise",
     "fidelity_mc_integrand",
     "full_report",
     "inequality_trace",

@@ -282,20 +282,13 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
     )
 
 
-def equivalent_output_noise(b: NoiseBudget) -> tuple[float, float]:
-    """Total added output noise per quadrature: v_m + v_r + 2c.
+def _output_noise(v_m, v_r, c):
+    """Total added output noise per quadrature, ``v_m + v_r + 2c`` floored at 0.
 
     The correlation term is what an entangled resource exploits; with
-    perfect anticorrelation the total can reach zero.
+    perfect anticorrelation the total can reach zero.  Scalars or
+    equal-length arrays.
     """
-    return (
-        float(_output_noise(b.v_Xm, b.v_Xr, b.c_XmXr)),
-        float(_output_noise(b.v_Ym, b.v_Yr, b.c_YmYr)),
-    )
-
-
-def _output_noise(v_m, v_r, c):
-    """``v_m + v_r + 2c`` floored at 0; scalars or equal-length arrays."""
     return np.maximum(v_m + v_r + 2.0 * c, 0.0)
 
 

@@ -3,8 +3,8 @@
 Four subcommands: ``report`` evaluates every criterion for one channel
 config, ``sweep`` tabulates the shared-entanglement scenario over an
 (eta, s) grid as CSV, ``verify`` stress-tests the inequality chain on
-random budgets, and ``mc`` runs the Monte Carlo cross-check.  ``report``
-and ``mc`` render their result record field for field,
+random budgets, and ``mc`` runs the Monte Carlo cross-check.  ``report``,
+``verify`` and ``mc`` render their result record field for field,
 ``to_json(asdict(record))``.  Reports go to stdout unless ``--out`` is
 given.
 
@@ -43,7 +43,6 @@ from .serialize import (
     config_from_json,
     sweep_csv_rows,
     to_json,
-    verification_to_dict,
 )
 
 EXIT_OK = 0
@@ -186,7 +185,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     summary = run_chain_verification(args.trials, args.seed)
-    _emit(to_json(verification_to_dict(summary)), args.out)
+    _emit(to_json(asdict(summary)), args.out)
     if summary.bound_violations > 0:
         print(
             f"verification failed: {summary.bound_violations} bound violation(s) "

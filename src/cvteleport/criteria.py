@@ -30,7 +30,10 @@ transfer sum and fidelity, on whole batches of random budgets at a time.
 T, F and the four noise verdicts come from one pair of kernels
 (:func:`_transfer_fidelity`, :func:`_noise_verdicts`), so the verifier
 checks the very values and inequalities a report prints.  Reports do not
-run the chain.
+run the chain.  The verifier's records are what ``verify`` prints: a
+:class:`VerificationSummary`, whose first failure, if any, is an
+:class:`InequalityTrace` of the failing budget and the terms the chain
+checks.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .channel import (
     NoiseBudget,
     _clamp_edge,
     _output_noise,
-    equivalent_output_noise,
     shot_noise_budget,
     to_unity_gain_budget,
 )
@@ -148,13 +150,14 @@ def _violates(p_r_given_m, p_m_given_r):
 
 
 def _chain_terms(fields):
-    """The chain's terms from a ``(6,)`` or ``(6, n)`` moment block.
+    """The chain's checked terms from a ``(6,)`` or ``(6, n)`` moment block.
 
-    Returns ``(v_Cx, v_Cy, cv_product, identity_rel_error, n_value,
-    n_product, t_sum, fidelity)``.  The factorization identity is checked in
-    floating point; its relative error is measured against the largest term
-    of the expansion, since the expansion cancels almost completely for
-    near-singular budgets.
+    Returns :func:`_chain_fails`'s arguments, ``(identity_rel_error,
+    n_value, n_product, t_sum, fidelity)``.  The factorization identity
+    ``v_Cx v_Cy = t1 - t2 - t3 - t4`` is checked in floating point; its
+    relative error is measured against the largest term of the expansion,
+    since the expansion cancels almost completely for near-singular
+    budgets.
 
     ``t_sum`` and ``fidelity`` are a coherent input's transfer sum and
     fidelity, from the report's own kernel.  Two exact links tie
@@ -181,7 +184,7 @@ def _chain_terms(fields):
         de = (v_xm - v_xr) * (v_ym - v_yr)
         n_x, n_y = _output_noise(v_xm, v_xr, c_x), _output_noise(v_ym, v_yr, c_y)
         t_x, t_y, fidelity = _transfer_fidelity(n_x, n_y)
-    return v_cx, v_cy, lhs, rel_err, de + 2.0 * abs(de), n_x * n_y, t_x + t_y, fidelity
+    return rel_err, de + 2.0 * abs(de), n_x * n_y, t_x + t_y, fidelity
 
 
 def _chain_fails(rel_err, n_value, n_product, t_sum, fidelity):
@@ -205,48 +208,25 @@ def _fields(b: NoiseBudget) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InequalityTrace:
-    """Intermediate quantities of the criterion chain for one budget.
+    """The chain's checked terms for one budget, as ``verify`` prints a failure.
 
-    ``cv_product`` is the shared left side of both no-violation conditions:
-    ``cv_product >= measurement_product`` is the r-given-m condition and
-    ``cv_product >= reconstruction_product`` the m-given-r one.  ``n_value``
-    is the minimized slack term of the chain (nonnegative by construction)
-    and ``n_product`` the noise product the chain bounds below by 1;
-    ``t_sum`` and ``fidelity``, a coherent input's transfer sum and
-    fidelity, follow from it and are bounded by 1 and 2/3.
+    The fields are the ``first_failure`` JSON keys, in output order.
+    ``identity_rel_error`` is the factorization identity's relative error,
+    ``n_value`` the minimized slack term of the chain (nonnegative by
+    construction) and ``n_product`` the noise product the chain bounds
+    below by 1.
     """
 
     budget: NoiseBudget
-    v_Cx: float
-    v_Cy: float
-    cv_product: float
-    measurement_product: float
-    reconstruction_product: float
     identity_rel_error: float
     n_value: float
     n_product: float
-    t_sum: float
-    fidelity: float
 
 
 def inequality_trace(b: NoiseBudget) -> InequalityTrace:
-    """Evaluate the chain's intermediate quantities from the budget scalars."""
-    v_cx, v_cy, lhs, rel_err, n_value, n_product, t_sum, fidelity = map(
-        float, _chain_terms(_fields(b))
-    )
-    return InequalityTrace(
-        budget=b,
-        v_Cx=v_cx,
-        v_Cy=v_cy,
-        cv_product=lhs,
-        measurement_product=b.v_Xm * b.v_Ym,
-        reconstruction_product=b.v_Xr * b.v_Yr,
-        identity_rel_error=rel_err,
-        n_value=n_value,
-        n_product=n_product,
-        t_sum=t_sum,
-        fidelity=fidelity,
-    )
+    """The chain's checked terms for one budget, from the budget scalars."""
+    rel_err, n_value, n_product, _, _ = map(float, _chain_terms(_fields(b)))
+    return InequalityTrace(b, rel_err, n_value, n_product)
 
 
 def epr_criterion(b: NoiseBudget) -> tuple[float, float]:
@@ -315,7 +295,8 @@ def _criteria_report(n_x, n_y, cv_products, inp: InputState) -> CriteriaReport:
 def full_report(config: ChannelConfig) -> CriteriaReport:
     """Evaluate every criterion for a unity-gain channel configuration."""
     budget = to_unity_gain_budget(config)
-    n_x, n_y = equivalent_output_noise(budget)
+    fields = _fields(budget)
+    n_x, n_y = map(float, _output_noise(fields[:2], fields[2:4], fields[4:]))
     return _criteria_report(n_x, n_y, epr_criterion(budget), config.input)
 
 
@@ -361,7 +342,11 @@ def random_budgets(count: int, seed) -> list[NoiseBudget]:
 
 @dataclass(frozen=True)
 class VerificationSummary:
-    """Outcome of a randomized verification run of the criterion chain."""
+    """Outcome of a randomized verification run of the criterion chain.
+
+    The fields are the ``verify`` JSON keys, in output order; a failing
+    run carries its first failing budget's :class:`InequalityTrace`.
+    """
 
     trials: int
     seed: int
@@ -404,10 +389,11 @@ def run_chain_verification(trials: int, seed: int) -> VerificationSummary:
     # field-major: one contiguous row per budget field
     rows = _fields(shot_noise_budget())[:, None]
     while True:
-        _, _, _, rel_err, n_value, n_product, t_sum, fidelity = _chain_terms(rows)
+        terms = _chain_terms(rows)
+        rel_err, _, n_product, _, _ = terms
         max_rel = float(rel_err.max(initial=max_rel))
         worst_margin = float((n_product - 1.0).min(initial=worst_margin))
-        bad = np.flatnonzero(_chain_fails(rel_err, n_value, n_product, t_sum, fidelity))
+        bad = np.flatnonzero(_chain_fails(*terms))
         violations += len(bad)
         if first_failure is None and len(bad):
             first_failure = inequality_trace(NoiseBudget(*rows[:, bad[0]]))

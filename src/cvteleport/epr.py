@@ -49,8 +49,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .channel import NoiseBudget, equivalent_output_noise, vacuum_input
-from .criteria import CriteriaReport, _criteria_report, _transfer_fidelity, _violates
+from .channel import NoiseBudget, _output_noise, vacuum_input
+from .criteria import CriteriaReport, _criteria_report, _fields, _transfer_fidelity, _violates
 from .errors import ConfigError
 
 # Largest budget variance ``v`` whose conditional variances keep at least
@@ -208,7 +208,8 @@ def to_noise_budget(sc: EprScenario) -> NoiseBudget:
     v = _budget_variance(sc)
     c = sc.eta * (sc.s - 1.0 / sc.s) / 2.0
     budget = NoiseBudget(v_Xm=v, v_Ym=v, v_Xr=v, v_Yr=v, c_XmXr=c, c_YmYr=c)
-    n_budget = equivalent_output_noise(budget)
+    fields = _fields(budget)
+    n_budget = tuple(map(float, _output_noise(fields[:2], fields[2:4], fields[4:])))
     n_closed = float(_figures(sc.eta, sc.s)[0])
     tol = 1e-12 * max(1.0, v)
     if abs(n_budget[0] - n_closed) > tol or abs(n_budget[1] - n_closed) > tol:

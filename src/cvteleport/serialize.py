@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import asdict
 from typing import Any
 
 import numpy as np
@@ -34,7 +33,6 @@ from .channel import (
     MeasurementStage,
     ReconstructionStage,
 )
-from .criteria import VerificationSummary
 from .epr import SWEEP_CSV_COLUMNS, EprScenario, SweepTable
 from .errors import ConfigError, ValidityError
 
@@ -293,12 +291,3 @@ def sweep_csv_rows(table: SweepTable) -> str:
 def sweep_to_csv(table: SweepTable) -> str:
     """Render a sweep table as CSV text (header plus one row per grid point)."""
     return SWEEP_CSV_HEADER + sweep_csv_rows(table)
-
-
-def verification_to_dict(summary: VerificationSummary) -> dict:
-    payload = asdict(summary)
-    trace = payload["first_failure"]
-    if trace is not None:
-        keys = ("budget", "identity_rel_error", "n_value", "n_product")
-        payload["first_failure"] = {key: trace[key] for key in keys}
-    return payload

@@ -13,14 +13,14 @@ from cvteleport.channel import (
     MeasurementStage,
     NoiseBudget,
     ReconstructionStage,
+    _output_noise,
     budget_to_channel,
-    equivalent_output_noise,
     shot_noise_budget,
     to_unity_gain_budget,
     vacuum_input,
 )
 from cvteleport import cli
-from cvteleport.criteria import _draw_budgets, _transfer_fidelity, full_report
+from cvteleport.criteria import _draw_budgets, _fields, _transfer_fidelity, full_report
 from cvteleport.errors import ConfigError, ValidityError
 from cvteleport.gaussian import variance_of
 from cvteleport.serialize import config_from_dict, to_json
@@ -304,7 +304,7 @@ class TestUnityGainBudget:
                 cross_cov_BC=cross,
             )
             budget = to_unity_gain_budget(config)
-            n_x, n_y = equivalent_output_noise(budget)
+            n_x, n_y = _output_noise(*_fields(budget).reshape(3, 2))
             composed = compose(config)
             d_x = composed.out_X - term("X_in", composed.g_T_X)
             d_y = composed.out_Y - term("Y_in", composed.g_T_Y)
@@ -316,15 +316,15 @@ class TestUnityGainBudget:
 
 class TestNoiseBudget:
     def test_shot_noise_output_is_two_vacuum_units(self):
-        assert equivalent_output_noise(shot_noise_budget()) == (2.0, 2.0)
+        assert _output_noise(*_fields(shot_noise_budget()).reshape(3, 2)).tolist() == [2.0, 2.0]
 
     def test_anticorrelated_noises_cancel(self):
         b = NoiseBudget(1.0, 1.0, 1.0, 1.0, -1.0, -1.0)
-        assert equivalent_output_noise(b) == (0.0, 0.0)
+        assert _output_noise(*_fields(b).reshape(3, 2)).tolist() == [0.0, 0.0]
 
     def test_correlation_adds_to_output_noise(self):
         b = NoiseBudget(2.0, 2.0, 1.0, 1.0, 0.5, 0.5)
-        assert equivalent_output_noise(b) == (4.0, 4.0)
+        assert _output_noise(*_fields(b).reshape(3, 2)).tolist() == [4.0, 4.0]
 
     def test_measurement_product_bound(self):
         with pytest.raises(ValidityError, match="v_Xm"):
@@ -351,7 +351,7 @@ class TestNoiseBudget:
 
     def test_ideal_budget_is_admitted(self):
         b = NoiseBudget(0.0, 0.0, 0.0, 0.0)
-        assert equivalent_output_noise(b) == (0.0, 0.0)
+        assert _output_noise(*_fields(b).reshape(3, 2)).tolist() == [0.0, 0.0]
 
     def test_budget_state_carries_block_structure(self):
         b = NoiseBudget(2.0, 1.0, 1.0, 2.0, -1.0, -1.0)

@@ -22,10 +22,12 @@ from cvteleport import criteria
 from cvteleport.criteria import (
     FIDELITY_CV_BOUND,
     VERDICT_MARGIN,
+    InequalityTrace,
     _chain_fails,
     _chain_terms,
     _cv_products,
     _draw_budgets,
+    _fields,
     _violates,
     epr_criterion,
     fidelity_mc_integrand,
@@ -195,12 +197,11 @@ class TestEprCriterion:
         terms = _chain_terms(columns)
         for i, b in enumerate(budgets):
             assert epr_criterion(b) == tuple(p[i] for p in products), b
+            column = tuple(term[i] for term in terms)
+            assert _chain_terms(_fields(b)) == column, b
             t = inequality_trace(b)
-            got = (
-                t.v_Cx, t.v_Cy, t.cv_product, t.identity_rel_error, t.n_value, t.n_product,
-                t.t_sum, t.fidelity,
-            )
-            assert got == tuple(term[i] for term in terms), b
+            assert (t.budget, t.identity_rel_error, t.n_value, t.n_product) == (
+                b, *column[:3]), b
 
     def test_zero_variance_conditioner_with_covariance_rejected(self):
         # the Cauchy-Schwarz clamp sets a finite correlation beside a zero
@@ -239,15 +240,15 @@ class TestEprCriterion:
         assert not _violates(*products)
 
 
-def _chain_holds(t):
-    """Whether a trace passes every link of the verifier's chain."""
-    return not _chain_fails(t.identity_rel_error, t.n_value, t.n_product, t.t_sum, t.fidelity)
+def _chain_holds(b):
+    """Whether a budget passes every link of the verifier's chain."""
+    return not _chain_fails(*_chain_terms(_fields(b)))
 
 
 class TestInequalityChain:
     def test_shot_noise_has_margin_three(self):
         trace = inequality_trace(shot_noise_budget())
-        assert _chain_holds(trace)
+        assert _chain_holds(trace.budget)
         assert trace.n_product == 4.0
         assert trace.identity_rel_error <= 1e-9
 
@@ -262,7 +263,7 @@ class TestInequalityChain:
         assert p1 == pytest.approx(1.0, abs=1e-9)
         assert p2 == pytest.approx(1.0, abs=1e-9)
         trace = inequality_trace(b)
-        assert _chain_holds(trace)
+        assert _chain_holds(b)
         assert trace.n_product >= 1.0 - 1e-9
 
     # The random-budget tests below evaluate random_budgets' draws (the
@@ -270,14 +271,14 @@ class TestInequalityChain:
     # inequality_trace and epr_criterion apply to one budget at a time.
 
     def test_identity_holds_on_random_budgets(self):
-        rel_err = _chain_terms(_draw_budgets(10000, seed=420))[3]
+        rel_err = _chain_terms(_draw_budgets(10000, seed=420))[0]
         assert rel_err.max() <= 1e-9
 
     def test_chain_on_random_nonviolating_budgets(self):
         block = _draw_budgets(10000, seed=77)
         p1, p2 = _cv_products(block)
         holds = (p1 >= 1.0 - 1e-9) & (p2 >= 1.0 - 1e-9)
-        fails = _chain_fails(*_chain_terms(block)[3:])
+        fails = _chain_fails(*_chain_terms(block))
         assert not (holds & fails).any(), block[:, holds & fails].T[:1]
         assert holds.sum() > 1000
 
@@ -285,15 +286,15 @@ class TestInequalityChain:
         # contrapositive search: every budget that beats the noise-product
         # bound must show up as a conditional-variance violation
         block = _draw_budgets(100000, seed=2024)
-        low = _chain_terms(block)[5] < 1.0 - 1e-9
+        low = _chain_terms(block)[2] < 1.0 - 1e-9
         p1, p2 = _cv_products(block)
         violated = (p1 < 1.0 - 1e-9) | (p2 < 1.0 - 1e-9)
         assert violated[low].all(), block[:, low & ~violated].T[:1]
         assert low.sum() > 100
 
     def test_slack_term_is_nonnegative(self):
-        for b in random_budgets(2000, seed=5):
-            assert inequality_trace(b).n_value >= 0.0
+        n_value = _chain_terms(_draw_budgets(2000, seed=5))[1]
+        assert (n_value >= 0.0).all()
 
 
 def _identity_sides(v_xm, v_ym, v_xr, v_yr, c_x, c_y):
@@ -337,7 +338,7 @@ class TestChainIdentity:
 
     def test_float_identity_error_is_a_few_ulp(self):
         rows = np.array(self.GRID, dtype=float).T
-        rel_err = _chain_terms(rows)[3]
+        rel_err = _chain_terms(rows)[0]
         assert rel_err.max() <= 8 * np.finfo(float).eps
 
 
@@ -365,7 +366,7 @@ class TestChainLinks:
 
     def test_transfer_sum_link_against_fractions(self):
         rows = self.rows()
-        t_sum = _chain_terms(rows.T)[6]
+        t_sum = _chain_terms(rows.T)[3]
         for row, got in zip(rows, t_sum):
             n_x, n_y = _exact_noises(row)
             want = 1 / (1 + n_x) + 1 / (1 + n_y)
@@ -379,7 +380,7 @@ class TestChainLinks:
 
     def test_fidelity_link_against_fractions(self):
         rows = self.rows()
-        fidelity = _chain_terms(rows.T)[7]
+        fidelity = _chain_terms(rows.T)[4]
         for row, got in zip(rows, fidelity):
             n_x, n_y = _exact_noises(row)
             d = (2 + n_x) * (2 + n_y)
@@ -395,11 +396,11 @@ class TestChainLinks:
         # violating budgets included: the chain's terms are the report's,
         # bit for bit
         for b in random_budgets(2000, seed=61):
-            t = inequality_trace(b)
+            _, _, n_product, t_sum, fidelity = _chain_terms(_fields(b))
             report = full_report(budget_to_channel(b))
-            assert t.fidelity == report.fidelity, b
-            assert t.t_sum == report.T_X_out + report.T_Y_out, b
-            assert t.n_product == report.N_X_out * report.N_Y_out, b
+            assert fidelity == report.fidelity, b
+            assert t_sum == report.T_X_out + report.T_Y_out, b
+            assert n_product == report.N_X_out * report.N_Y_out, b
 
     def test_each_link_fails_alone(self):
         # (rel_err, n_value, n_product, t_sum, fidelity): every bound met
@@ -416,7 +417,7 @@ class TestChainLinks:
         rows = _draw_budgets(100000, seed=2000).T
         rows = rows[~_violates(*_cv_products(rows.T))]
         assert len(rows) > 10000
-        _, _, _, _, _, n_product, t_sum, fidelity = _chain_terms(rows.T)
+        _, _, n_product, t_sum, fidelity = _chain_terms(rows.T)
         assert t_sum.max() <= 1.0 + VERDICT_MARGIN
         assert fidelity.max() <= FIDELITY_CV_BOUND + VERDICT_MARGIN
         # the fidelity link is one-way: the bound is reached only at N_X N_Y = 1
@@ -428,13 +429,14 @@ class TestChainLinks:
 
         def rigged(*fields):
             *terms, fidelity = chain_terms(*fields)
-            return (*terms, np.where(terms[5] == 4.0, 0.7, fidelity))
+            return (*terms, np.where(terms[2] == 4.0, 0.7, fidelity))
 
         monkeypatch.setattr(criteria, "_chain_terms", rigged)
         summary = run_chain_verification(trials=200, seed=9)
         assert summary.bound_violations == 1
-        assert summary.first_failure.budget == shot_noise_budget()
-        assert summary.first_failure.fidelity == 0.7
+        assert summary.first_failure == InequalityTrace(
+            budget=shot_noise_budget(), identity_rel_error=0.0, n_value=0.0, n_product=4.0
+        )
 
 
 class TestRunChainVerification:

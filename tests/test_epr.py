@@ -9,11 +9,12 @@ import pytest
 
 import cvteleport.cli as cli
 
-from cvteleport.channel import equivalent_output_noise
+from cvteleport.channel import _output_noise
 from cvteleport.criteria import (
     FIDELITY_CLASSICAL_BOUND,
     FIDELITY_CV_BOUND,
     VERDICT_MARGIN,
+    _fields,
     _transfer_fidelity,
     _violates,
     epr_criterion,
@@ -124,7 +125,7 @@ class TestNoiseBudgetMapping:
     def test_no_squeezing_gives_uncorrelated_vacua(self):
         b = to_noise_budget(EprScenario(1.0, 1.0))
         assert (b.v_Xm, b.v_Xr, b.c_XmXr) == (1.0, 1.0, 0.0)
-        assert equivalent_output_noise(b) == (2.0, 2.0)
+        assert _output_noise(*_fields(b).reshape(3, 2)).tolist() == [2.0, 2.0]
 
     def test_pure_state_budget_values(self):
         sc = EprScenario(1.0, 0.25)
@@ -136,7 +137,7 @@ class TestNoiseBudgetMapping:
         for eta in np.linspace(0.0, 1.0, 11):
             for s in (1e-4, 0.1, 0.5, 1.0, 2.0):
                 sc = EprScenario(float(eta), s)
-                n_x, n_y = equivalent_output_noise(to_noise_budget(sc))
+                n_x, n_y = _output_noise(*_fields(to_noise_budget(sc)).reshape(3, 2))
                 want = closed_form(sc).N_out
                 v = eta * (s + 1.0 / s) / 2.0 + (1.0 - eta)
                 assert abs(n_x - want) <= 1e-12 * max(1.0, v)
@@ -157,7 +158,7 @@ class TestNoiseBudgetMapping:
     def test_boundary_noise_product_approaches_one(self):
         # the s = 0 boundary point is reachable as a limit of finite budgets
         for s in (1e-4, 1e-6, 1e-8):
-            n_x, n_y = equivalent_output_noise(to_noise_budget(EprScenario(0.5, s)))
+            n_x, n_y = _output_noise(*_fields(to_noise_budget(EprScenario(0.5, s))).reshape(3, 2))
             assert abs(n_x * n_y - 1.0) <= 3.0 * s
 
 

@@ -31,7 +31,6 @@ from cvteleport.serialize import (
     gaussian_from_dict,
     sweep_to_csv,
     to_json,
-    verification_to_dict,
 )
 from oracle import channel_to_dict, gaussian_to_dict
 
@@ -291,7 +290,7 @@ class TestMcReportRendering:
 class TestVerificationRendering:
     def test_clean_summary_has_no_failure(self):
         summary = run_chain_verification(trials=5, seed=3)
-        d = verification_to_dict(summary)
+        d = asdict(summary)
         assert d["trials"] == 5
         assert d["bound_violations"] == 0
         assert d["first_failure"] is None
@@ -309,7 +308,8 @@ class TestVerificationRendering:
             budgets_drawn=summary.budgets_drawn,
             first_failure=trace,
         )
-        d = verification_to_dict(rigged)
+        d = asdict(rigged)
+        # the records' fields are the verify JSON keys, in output order
         assert list(d) == [
             "trials", "seed", "identity_max_rel_error", "bound_violations",
             "worst_margin", "budgets_drawn", "first_failure",
