@@ -7,6 +7,13 @@ covariances are drawn asymmetric, indefinite, singular or correlated
 across quadratures, with entries from 1e-300 to 1e300, behind gains
 whose products are 1.
 
+Config text is fuzzed at the parser's and the scenario's edges too, through
+``report`` and ``mc``: EPR configs with eta at 0, 1 and their neighbouring
+floats, s at 0 and 1 and on both sides of each s where the budget
+variance crosses ``MAX_RESOLVED_VARIANCE``; input variances at and just
+below the uncertainty product; duplicate and unknown nested keys; and
+files that are not UTF-8.
+
 ``sweep`` and ``verify`` argv are drawn at their edges: eta and s bounds
 at 0, 1, ``MAX_SWEEP_S`` and just above it, negative or not finite; step
 counts of 0, 1 and a few; trials and seeds negative, 0, non-integer or
@@ -19,12 +26,16 @@ import contextlib
 import io
 import json
 import math
+import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvteleport.cli as cli
-from cvteleport.epr import MAX_SWEEP_S, SWEEP_CSV_COLUMNS
+from cvteleport.channel import VALIDITY_TOL, NoiseBudget, budget_to_channel
+from cvteleport.epr import MAX_SWEEP_S, SWEEP_CSV_COLUMNS, EprScenario, _budget_variance
+from cvteleport.errors import ConfigError
+from oracle import channel_to_dict
 
 ALLOWED_EXITS = {0, 1, 2, 5}
 MC_ARGS = ["--samples", "1000", "--seed", "3"]
@@ -108,6 +119,157 @@ def test_channel_configs_end_in_a_result_or_a_named_error(text, tmp_path_factory
             assert isinstance(payload, dict)
         if code == 0 and argv[0] == "report":
             assert math.isfinite(payload["fidelity"])
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _unresolved(eta: float, s: float) -> bool:
+    """Whether the scenario's budget variance is past the resolved cap."""
+    try:
+        _budget_variance(EprScenario(eta, s))
+    except ConfigError:
+        return True
+    return False
+
+
+def _variance_edges(eta: float) -> list[float]:
+    """The first float past each s where the budget variance crosses
+    ``MAX_RESOLVED_VARIANCE``: below 1 and above it, where they exist."""
+    edges = []
+    for lo, hi in ((5e-324, 1.0), (1.0, MAX_SWEEP_S)):
+        a, b = _bits(lo), _bits(hi)
+        side = _unresolved(eta, lo)
+        if side == _unresolved(eta, hi):
+            continue
+        while b - a > 1:
+            mid = (a + b) // 2
+            if _unresolved(eta, _float(mid)) == side:
+                a = mid
+            else:
+                b = mid
+        edges.append(_float(b))
+    return edges
+
+
+EDGE_ETAS = [0.0, -0.0, 5e-324, -5e-324, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]
+EDGE_S = [0.0, -0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]
+
+
+@st.composite
+def epr_texts(draw):
+    eta = draw(st.one_of(st.sampled_from(EDGE_ETAS), st.floats(0.0, 1.0)))
+    edges = _variance_edges(eta) if 0.0 <= eta <= 1.0 else []
+    if edges and draw(st.booleans()):
+        # within two floats of the edge, on either side
+        s = _float(_bits(draw(st.sampled_from(edges))) + draw(st.integers(-2, 2)))
+    else:
+        s = draw(st.one_of(st.sampled_from(EDGE_S), st.floats(0.0, 4.0)))
+    return json.dumps({"type": "epr", "eta": eta, "s": s}), ALLOWED_EXITS
+
+
+def _base_channel() -> dict:
+    # every nested object present: stages, noises with labels and mean, input
+    return channel_to_dict(budget_to_channel(NoiseBudget(1.2, 1.5, 1.1, 1.3, -0.4, 0.3)))
+
+
+@st.composite
+def input_texts(draw):
+    """A valid channel whose input variance product sits at 1 or just below,
+    around the tolerance cut: accepted (exit 0, or 5 from ``mc``) above the
+    cut, a validity error below it."""
+    var_x = 10.0 ** draw(st.floats(-3.0, 3.0))
+    product = draw(st.sampled_from([1.0, 1.0 - VALIDITY_TOL, 1.0 - 2.0 * VALIDITY_TOL]))
+    var_y = _float(_bits(product / var_x) + draw(st.integers(-2, 1)))
+    config = _base_channel()
+    config["input"] = {"var_X": var_x, "var_Y": var_y}
+    accepted = var_x * var_y >= 1.0 - VALIDITY_TOL
+    return json.dumps(config), {0, 5} if accepted else {2}
+
+
+def _objects(node: dict, path=()):
+    """The path to every object in a config tree, the root included."""
+    yield path
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _objects(value, path + (key,))
+
+
+def _render(node, extra, path=()) -> str:
+    """JSON text of ``node`` with the ``(path, key, value)`` member ``extra``
+    appended to the object at ``path``, repeated key or not."""
+    if not isinstance(node, dict):
+        return json.dumps(node)
+    members = [f"{json.dumps(k)}: {_render(v, extra, path + (k,))}" for k, v in node.items()]
+    if path == extra[0]:
+        members.append(f"{json.dumps(extra[1])}: {json.dumps(extra[2])}")
+    return "{" + ", ".join(members) + "}"
+
+
+@st.composite
+def key_texts(draw):
+    """A valid EPR or channel config with one key repeated or unknown, at
+    any depth: a config error."""
+    config = draw(st.sampled_from([{"type": "epr", "eta": 0.7, "s": 0.3}, _base_channel()]))
+    path = draw(st.sampled_from(list(_objects(config))))
+    obj = config
+    for key in path:
+        obj = obj[key]
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(obj)))
+        value = draw(st.sampled_from([obj[key], 0.5, "x", None, [1.0]]))
+    else:
+        key, value = draw(st.sampled_from(["extra", "g_x", "Cov", "", "noise", "\u00e9"])), 1.0
+    return _render(config, (path, key, value)), {1}
+
+
+# byte sequences that no UTF-8 text contains: a stray continuation byte, an
+# overlong '/', an encoded surrogate, a truncated sequence and 0xff
+NOT_UTF8 = [b"\x80", b"\xc0\xaf", b"\xed\xa0\x80", b"\xe2\x82", b"\xff"]
+
+
+@st.composite
+def non_utf8_texts(draw):
+    """A valid config's bytes made invalid UTF-8: a bad sequence spliced in
+    anywhere, or the text in UTF-16, UTF-32 or Latin-1 with an accent; a
+    UTF-8 byte-order mark is valid UTF-8 but not JSON.  A config error."""
+    text = json.dumps(draw(st.sampled_from([{"type": "epr", "eta": 0.7, "s": 0.3}, _base_channel()])))
+    how = draw(st.sampled_from(["splice", "utf-16", "utf-32", "latin-1", "bom"]))
+    if how == "splice":
+        data = text.encode()
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:], {1}
+    if how == "latin-1":
+        return text.replace('"type"', '"t\u00e9pe"').encode("latin-1"), {1}
+    if how == "bom":
+        return b"\xef\xbb\xbf" + text.encode(), {1}
+    return text.encode(how), {1}
+
+
+def _as_bytes(case):
+    data, expected = case
+    return (data.encode() if isinstance(data, str) else data), expected
+
+
+@given(case=st.one_of(epr_texts(), input_texts(), key_texts(), non_utf8_texts()).map(_as_bytes))
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+def test_config_text_ends_in_a_result_or_a_named_error(case, tmp_path_factory):
+    data, expected = case
+    path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
+    path.write_bytes(data)
+    for argv in (["report", "--config", str(path)], ["mc", "--config", str(path), *MC_ARGS]):
+        code, out, err = _run(argv)
+        assert code in expected & ALLOWED_EXITS, (argv[0], code, err, data)
+        assert "Traceback" not in err and "Warning" not in err, (argv[0], err)
+        if code in (0, 5):
+            assert isinstance(_strict_json(out), dict)
+        else:
+            assert out == "", (argv[0], out)
 
 
 # Bound texts for the sweep axes: the domain edges, MAX_SWEEP_S and the
