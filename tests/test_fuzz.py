@@ -170,7 +170,10 @@ def epr_texts(draw):
         s = _float(_bits(draw(st.sampled_from(edges))) + draw(st.integers(-2, 2)))
     else:
         s = draw(st.one_of(st.sampled_from(EDGE_S), st.floats(0.0, 4.0)))
-    return json.dumps({"type": "epr", "eta": eta, "s": s}), ALLOWED_EXITS
+    return json.dumps({"type": "epr", "eta": eta, "s": s}).encode(), ALLOWED_EXITS
+
+
+EPR_CONFIG = {"type": "epr", "eta": 0.7, "s": 0.3}
 
 
 def _base_channel() -> dict:
@@ -189,7 +192,7 @@ def input_texts(draw):
     config = _base_channel()
     config["input"] = {"var_X": var_x, "var_Y": var_y}
     accepted = var_x * var_y >= 1.0 - VALIDITY_TOL
-    return json.dumps(config), {0, 5} if accepted else {2}
+    return json.dumps(config).encode(), {0, 5} if accepted else {2}
 
 
 def _objects(node: dict, path=()):
@@ -215,7 +218,7 @@ def _render(node, extra, path=()) -> str:
 def key_texts(draw):
     """A valid EPR or channel config with one key repeated or unknown, at
     any depth: a config error."""
-    config = draw(st.sampled_from([{"type": "epr", "eta": 0.7, "s": 0.3}, _base_channel()]))
+    config = draw(st.sampled_from([EPR_CONFIG, _base_channel()]))
     path = draw(st.sampled_from(list(_objects(config))))
     obj = config
     for key in path:
@@ -225,7 +228,7 @@ def key_texts(draw):
         value = draw(st.sampled_from([obj[key], 0.5, "x", None, [1.0]]))
     else:
         key, value = draw(st.sampled_from(["extra", "g_x", "Cov", "", "noise", "\u00e9"])), 1.0
-    return _render(config, (path, key, value)), {1}
+    return _render(config, (path, key, value)).encode(), {1}
 
 
 # byte sequences that no UTF-8 text contains: a stray continuation byte, an
@@ -238,7 +241,7 @@ def non_utf8_texts(draw):
     """A valid config's bytes made invalid UTF-8: a bad sequence spliced in
     anywhere, or the text in UTF-16, UTF-32 or Latin-1 with an accent; a
     UTF-8 byte-order mark is valid UTF-8 but not JSON.  A config error."""
-    text = json.dumps(draw(st.sampled_from([{"type": "epr", "eta": 0.7, "s": 0.3}, _base_channel()])))
+    text = json.dumps(draw(st.sampled_from([EPR_CONFIG, _base_channel()])))
     how = draw(st.sampled_from(["splice", "utf-16", "utf-32", "latin-1", "bom"]))
     if how == "splice":
         data = text.encode()
@@ -251,12 +254,7 @@ def non_utf8_texts(draw):
     return text.encode(how), {1}
 
 
-def _as_bytes(case):
-    data, expected = case
-    return (data.encode() if isinstance(data, str) else data), expected
-
-
-@given(case=st.one_of(epr_texts(), input_texts(), key_texts(), non_utf8_texts()).map(_as_bytes))
+@given(case=st.one_of(epr_texts(), input_texts(), key_texts(), non_utf8_texts()))
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 def test_config_text_ends_in_a_result_or_a_named_error(case, tmp_path_factory):
     data, expected = case
