@@ -4,10 +4,14 @@ A channel is a dual-quadrature measurement stage followed by a reconstruction
 stage.  The measurement produces ``M_X = g_X*X_in + B_X`` (and the Y analog),
 the reconstruction emits ``X_out = h_X*M_X + C_X``.  All noises are
 zero-mean Gaussians specified by second moments, in vacuum units (vacuum
-variance 1), so the validity bounds read:
+variance 1), so the validity bounds, on the determinant of each stage's
+noise covariance (Arthurs-Kelly), read:
 
-* measurement noise: ``dB_X * dB_Y >= |g_X * g_Y|``
-* reconstruction noise: ``dC_X * dC_Y >= 1``
+* measurement noise: ``sqrt(det noise_B) >= |g_X * g_Y|``
+* reconstruction noise: ``sqrt(det noise_C) >= 1``
+
+For uncorrelated quadratures these are ``dB_X * dB_Y >= |g_X * g_Y|`` and
+``dC_X * dC_Y >= 1``.
 
 Every lower bound (these two, the budget's noise pairs and correlations,
 and the input's uncertainty product) holds to a tolerance relative to the
@@ -41,18 +45,23 @@ def _check_bound(value: float, bound: float, what: str) -> None:
         raise ValidityError(f"{what} violated: {value:.12g} < {bound:.12g}")
 
 
-def _check_noise_pair(var_0: float, var_1: float, bound: float, what: str) -> None:
-    """The uncertainty rule for one stage's noise pair, stage or budget.
+def _check_noise_pair(cov, bound: float, what: str) -> None:
+    """The uncertainty rule for one noise pair's 2x2 covariance, stage or budget.
 
-    The bound applies to the geometric mean, ``sqrt(var_0 * var_1) >=
-    bound``, with a variance within PSD rounding below 0 taken as 0.  A
-    pair that is exactly zero in both entries is exempt.
+    The bound applies to the square root of the determinant,
+    ``sqrt(v_0 * v_1 - c**2) >= bound`` (Arthurs-Kelly): the geometric mean
+    of the variances when the pair is uncorrelated.  The determinant is
+    factored as ``(g - |c|) * (g + |c|)`` with ``g = sqrt(v_0) * sqrt(v_1)``,
+    so no product overflows, and a variance or a factor within PSD rounding
+    below 0 is taken as 0.  A pair whose variances are both exactly zero is
+    exempt.
     """
-    if var_0 == 0.0 and var_1 == 0.0:
+    (v_0, c), (_, v_1) = cov
+    if v_0 == 0.0 and v_1 == 0.0:
         return
-    # Python floats: an overflowing product is inf, which passes the bound
-    product = max(float(var_0), 0.0) * max(float(var_1), 0.0)
-    _check_bound(math.sqrt(product), bound, what)
+    g = math.sqrt(max(v_0, 0.0)) * math.sqrt(max(v_1, 0.0))
+    root_det = math.sqrt(max(g - abs(c), 0.0)) * math.sqrt(g + abs(c))
+    _check_bound(root_det, bound, what)
 
 
 def _pair_array(value, name: str) -> np.ndarray:
@@ -66,7 +75,7 @@ def _pair_array(value, name: str) -> np.ndarray:
 def _hold_stage_noise(stage, name: str, bound: float, what: str) -> None:
     """Replace a stage's noise by its validated covariance, held to its bound."""
     cov = validated_cov(_pair_array(getattr(stage, name), name))
-    _check_noise_pair(cov[0, 0], cov[1, 1], bound, what)
+    _check_noise_pair(cov, bound, what)
     object.__setattr__(stage, name, cov)
 
 
@@ -77,8 +86,8 @@ class MeasurementStage:
     ``noise_B`` is the ``(2, 2)`` covariance of the added noises (B_X,
     B_Y), held as a validated read-only array, as is the reconstruction
     stage's ``noise_C``.  It must satisfy the measurement uncertainty
-    product ``dB_X*dB_Y >= |g_X*g_Y|``, unless it is exactly zero
-    (idealized reference stage).
+    bound ``sqrt(det noise_B) >= |g_X*g_Y|``, unless its variances are
+    exactly zero (idealized reference stage).
     """
 
     g_X: float
@@ -168,13 +177,14 @@ class NoiseBudget:
             if name.startswith("v_") and value < 0.0:
                 raise ValidityError(f"budget variance {name} must be >= 0, got {value}")
         _check_noise_pair(
-            self.v_Xm,
-            self.v_Ym,
+            ((self.v_Xm, 0.0), (0.0, self.v_Ym)),
             measurement_bound,
             f"measurement noise product v_Xm*v_Ym >= {measurement_bound:.12g}",
         )
         _check_noise_pair(
-            self.v_Xr, self.v_Yr, 1.0, "reconstruction noise product v_Xr*v_Yr >= 1"
+            ((self.v_Xr, 0.0), (0.0, self.v_Yr)),
+            1.0,
+            "reconstruction noise product v_Xr*v_Yr >= 1",
         )
         _check_bound(
             self.v_Xm * self.v_Xr,

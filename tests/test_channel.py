@@ -85,6 +85,14 @@ class TestStageValidation:
         ReconstructionStage(h_X=1.0, h_Y=1.0, noise_C=noise_pair(2.0, 0.5))
         with pytest.raises(ValidityError, match="reconstruction noise bound"):
             ReconstructionStage(h_X=1.0, h_Y=1.0, noise_C=noise_pair(0.9, 0.9))
+        # the rule is on the determinant: 1.44 - 0.64 < 1 though 1.2 * 1.2 > 1
+        with pytest.raises(ValidityError, match="reconstruction noise bound"):
+            ReconstructionStage(h_X=1.0, h_Y=1.0, noise_C=noise_pair(1.2, 1.2, 0.8))
+
+    def test_determinant_of_huge_noise_does_not_overflow(self):
+        # v_0 * v_1 and c * c both overflow, so a plain determinant is inf - inf
+        stage = ReconstructionStage(1.0, 1.0, [[1e300, 5e299], [5e299, 1e300]])
+        assert stage.noise_C[0, 1] == 5e299
 
     def test_gain_scales_measurement_bound(self):
         # larger gains demand proportionally larger noise
@@ -186,6 +194,9 @@ class TestCompose:
             rho_b, rho_c = rng.uniform(-0.99, 0.99, 2)
             dc_x = 10.0 ** rng.uniform(0, 0.7)
             dc_y = 10.0 ** rng.uniform(0, 0.7) / min(dc_x, 1.0)
+            # each pair's determinant, not only its diagonal, meets the bound
+            db_x, db_y = np.array([db_x, db_y]) / (1.0 - rho_b**2) ** 0.25
+            dc_x, dc_y = np.array([dc_x, dc_y]) / (1.0 - rho_c**2) ** 0.25
             config = ChannelConfig(
                 measurement=MeasurementStage(
                     g_X=g_x,

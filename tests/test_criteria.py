@@ -572,7 +572,10 @@ class TestFullReport:
             gram = root @ root.T
             gram = (gram + gram.T) / 2.0
             sd = 10.0 ** rng.uniform(0, 0.5, 4) * np.sqrt([abs(g[0] * g[1])] * 2 + [1, 1])
-            joint = gram * np.outer(sd, sd) / np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
+            corr = gram / np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
+            # each stage's determinant, not only its diagonal, meets its bound
+            sd /= np.repeat(1.0 - np.array([corr[0, 1], corr[2, 3]]) ** 2, 2) ** 0.25
+            joint = corr * np.outer(sd, sd)
             var_x = 10.0 ** rng.uniform(-1.0, 1.0)
             var = (var_x, 10.0 ** rng.uniform(0.0, 1.0) / var_x)
             blocks = (joint[:2, :2], joint[2:, 2:], joint[:2, 2:])
