@@ -4,18 +4,17 @@ A channel is a dual-quadrature measurement stage followed by a reconstruction
 stage.  The measurement produces ``M_X = g_X*X_in + B_X`` (and the Y analog),
 the reconstruction emits ``X_out = h_X*M_X + C_X``.  All noises are
 zero-mean Gaussians specified by second moments, in vacuum units (vacuum
-variance 1), so the validity bounds, on the determinant of each stage's
-noise covariance (Arthurs-Kelly), read:
+variance 1), so the validity bounds on each stage's noise covariance
+(Arthurs-Kelly) read:
 
 * measurement noise: ``sqrt(det noise_B) >= |g_X * g_Y|``
 * reconstruction noise: ``sqrt(det noise_C) >= 1``
 
-For uncorrelated quadratures these are ``dB_X * dB_Y >= |g_X * g_Y|`` and
-``dC_X * dC_Y >= 1``.
-
-Every lower bound (these two, the budget's noise pairs and correlations,
-and the input's uncertainty product) holds to a tolerance relative to the
-bound: a value (or a NaN) is rejected below ``bound * (1 - VALIDITY_TOL)``.
+Every lower bound (these two, the budget's noise pairs, and the input's
+uncertainty product) holds to a tolerance relative to the bound: a value
+(or a NaN) is rejected below ``bound * (1 - VALIDITY_TOL)``.  Correlations,
+a stage's, the channel's or a budget's, are held to the PSD slack of
+:func:`~cvteleport.gaussian.validated_cov` instead.
 A noise pair that is exactly zero in both quadratures is admitted as the
 idealized noiseless reference even though it sits below its bound; any
 other sub-bound noise is rejected.  At unity total gain the channel
@@ -48,13 +47,10 @@ def _check_bound(value: float, bound: float, what: str) -> None:
 def _check_noise_pair(cov, bound: float, what: str) -> None:
     """The uncertainty rule for one noise pair's 2x2 covariance, stage or budget.
 
-    The bound applies to the square root of the determinant,
-    ``sqrt(v_0 * v_1 - c**2) >= bound`` (Arthurs-Kelly): the geometric mean
-    of the variances when the pair is uncorrelated.  The determinant is
-    factored as ``(g - |c|) * (g + |c|)`` with ``g = sqrt(v_0) * sqrt(v_1)``,
-    so no product overflows, and a variance or a factor within PSD rounding
-    below 0 is taken as 0.  A pair whose variances are both exactly zero is
-    exempt.
+    ``sqrt(det) >= bound``, with the determinant factored as ``(g - |c|) *
+    (g + |c|)``, ``g = sqrt(v_0) * sqrt(v_1)``, so that no product overflows;
+    a variance or factor within PSD rounding below 0 is taken as 0.  A pair
+    whose variances are both exactly zero is exempt.
     """
     (v_0, c), (_, v_1) = cov
     if v_0 == 0.0 and v_1 == 0.0:
@@ -156,6 +152,8 @@ class NoiseBudget:
     the fidelity ignores them even though a correlated output noise changes
     it.
 
+    Each quadrature's ``(m, r)`` block goes through :func:`validated_cov`,
+    as the channel's covariance does; an error names the block's fields.
     ``measurement_bound`` is the bound on ``v_Xm*v_Ym``, the output-referred
     measurement bound ``|h_X g_X h_Y g_Y|``: 1 at exact unity gain, and
     within the gain tolerance of 1 for a budget reduced from a channel.  It
@@ -174,33 +172,21 @@ class NoiseBudget:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValidityError(f"budget entry {name} must be finite, got {value}")
-            if name.startswith("v_") and value < 0.0:
-                raise ValidityError(f"budget variance {name} must be >= 0, got {value}")
-        _check_noise_pair(
-            ((self.v_Xm, 0.0), (0.0, self.v_Ym)),
-            measurement_bound,
-            f"measurement noise product v_Xm*v_Ym >= {measurement_bound:.12g}",
-        )
-        _check_noise_pair(
-            ((self.v_Xr, 0.0), (0.0, self.v_Yr)),
-            1.0,
-            "reconstruction noise product v_Xr*v_Yr >= 1",
-        )
-        _check_bound(
-            self.v_Xm * self.v_Xr,
-            self.c_XmXr * self.c_XmXr,
-            "correlation bound c_XmXr^2 <= v_Xm*v_Xr",
-        )
-        _check_bound(
-            self.v_Ym * self.v_Yr,
-            self.c_YmYr * self.c_YmYr,
-            "correlation bound c_YmYr^2 <= v_Ym*v_Yr",
-        )
+        for names in (("v_Xm", "v_Xr", "c_XmXr"), ("v_Ym", "v_Yr", "c_YmYr")):
+            v_m, v_r, c = (getattr(self, name) for name in names)
+            try:
+                validated_cov(np.array([[v_m, c], [c, v_r]]))
+            except ValidityError as exc:
+                raise ValidityError(f"{', '.join(names)}: {exc}") from exc
+        what = f"measurement noise product v_Xm*v_Ym >= {measurement_bound:.12g}"
+        _check_noise_pair(((self.v_Xm, 0.0), (0.0, self.v_Ym)), measurement_bound, what)
+        what = "reconstruction noise product v_Xr*v_Yr >= 1"
+        _check_noise_pair(((self.v_Xr, 0.0), (0.0, self.v_Yr)), 1.0, what)
 
     def state(self) -> GaussianVector:
         """The implied Gaussian over (X_m, X_r, Y_m, Y_r).
 
-        Correlations that sit within tolerance beyond the Cauchy-Schwarz
+        Correlations that sit within the PSD slack beyond the Cauchy-Schwarz
         edge are clamped to the edge so the covariance stays PSD.
         """
         cx = _clamp_edge(self.c_XmXr, self.v_Xm * self.v_Xr)

@@ -1,5 +1,6 @@
 """Channel stages, composition, and the unity-gain noise budget."""
 
+import itertools
 import json
 from dataclasses import asdict
 
@@ -359,6 +360,28 @@ class TestNoiseBudget:
             NoiseBudget(-1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValidityError, match="v_Yr must be finite"):
             NoiseBudget(1.0, 1.0, 1.0, np.nan)
+
+    def test_correlation_beyond_the_edge_names_its_field(self):
+        with pytest.raises(ValidityError, match="c_XmXr"):
+            NoiseBudget(1.0, 1.0, 1.0, 1.0, -1.0 - 4e-10, 0.0)
+
+    def test_every_admitted_edge_budget_round_trips(self):
+        # correlations within a few 1e-10 of the Cauchy-Schwarz edge, at
+        # scales where the covariance slack is absolute and where it is
+        # relative: every budget admitted gives itself back through a channel
+        admitted = 0
+        scales = (1e-6, 1e-3, 1.0, 3.0, 1e4, 1e6, 1e12)
+        for v, k in itertools.product(scales, range(-5, 6)):
+            c = -v * (1.0 + k * 1e-10)
+            for fields in ((v, 1.0 / v, v, 1.0 / v, c, 0.0), (1.0 / v, v, 1.0 / v, v, 0.0, c)):
+                try:
+                    b = NoiseBudget(*fields)
+                except ValidityError:
+                    continue
+                admitted += 1
+                assert to_unity_gain_budget(budget_to_channel(b)) == b, fields
+        # at least every k <= 0, which sits on or inside the edge
+        assert admitted >= len(scales) * 6 * 2
 
     def test_ideal_budget_is_admitted(self):
         b = NoiseBudget(0.0, 0.0, 0.0, 0.0)

@@ -188,7 +188,7 @@ class TestEprCriterion:
             shot_noise_budget(),
             NoiseBudget(0.0, 0.0, 1.0, 1.0, 0.0, 0.0),
             NoiseBudget(1.0, 1.0, 0.0, 0.0, 0.0, 0.0),
-            NoiseBudget(1.0, 1.0, 1.0, 1.0, 1.0 + 1e-10, -1.0 - 1e-10),
+            NoiseBudget(1.0, 1.0, 1.0, 1.0, 1.0 + 5e-11, -1.0 - 5e-11),
         ] + random_budgets(1000, seed=31)
         columns = np.array(
             [[b.v_Xm, b.v_Ym, b.v_Xr, b.v_Yr, b.c_XmXr, b.c_YmYr] for b in budgets]
@@ -585,6 +585,28 @@ class TestFullReport:
                 a.N_Y_out, a.N_X_out, a.T_Y_out, a.T_X_out)
             assert (b.fidelity, b.cv_products, b.verdicts, b.t_sum_applicable) == (
                 a.fidelity, a.cv_products, a.verdicts, a.t_sum_applicable)
+
+    def test_independent_stages_never_beat_the_classical_bound(self):
+        # the paper's classical limit: stages that share no correlation
+        # (cross_cov_BC = 0) cannot carry F above 1/2, whatever their
+        # opposite-quadrature moments and the signs of their gains
+        rng = np.random.default_rng(2000)
+        for _ in range(1000):
+            g = rng.uniform(0.2, 3.0, 2) * rng.choice([-1.0, 1.0], 2)
+            noises = []
+            for bound in (abs(g[0] * g[1]), 1.0):
+                # uncorrelated, and at the bound on the determinant, half the time each
+                rho = rng.uniform(-0.99, 0.99) * rng.integers(0, 2)
+                sd = np.sqrt(bound) * 10.0 ** (rng.uniform(0.0, 0.5, 2) * rng.integers(0, 2))
+                sd /= (1.0 - rho**2) ** 0.25
+                noises.append(np.array([[1.0, rho], [rho, 1.0]]) * np.outer(sd, sd))
+            config = ChannelConfig(
+                MeasurementStage(*g, noises[0]),
+                ReconstructionStage(*(1.0 / g), noises[1]),
+                InputState(1.0, 1.0),
+            )
+            report = full_report(config)
+            assert not report.verdicts["fidelity_above_half"], (g, noises)
 
     def test_reports_do_not_run_the_chain(self, monkeypatch):
         def unreachable(*fields):
