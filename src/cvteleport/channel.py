@@ -4,8 +4,7 @@ A channel is a dual-quadrature measurement stage followed by a reconstruction
 stage.  The measurement produces ``M_X = g_X*X_in + B_X`` (and the Y analog),
 the reconstruction emits ``X_out = h_X*M_X + C_X``.  All noises are
 zero-mean Gaussians specified by second moments, in vacuum units (vacuum
-variance 1), so the validity bounds on each stage's noise covariance
-(Arthurs-Kelly) read:
+variance 1), so the stage noise bounds (Arthurs-Kelly) read:
 
 * measurement noise: ``sqrt(det noise_B) >= |g_X * g_Y|``
 * reconstruction noise: ``sqrt(det noise_C) >= 1``
@@ -44,20 +43,19 @@ def _check_bound(value: float, bound: float, what: str) -> None:
         raise ValidityError(f"{what} violated: {value:.12g} < {bound:.12g}")
 
 
-def _check_noise_pair(cov, bound: float, what: str) -> None:
-    """The uncertainty rule for one noise pair's 2x2 covariance, stage or budget.
+def _check_noise_pair(v_0: float, v_1: float, c: float, bound: float, what: str) -> None:
+    """The uncertainty rule ``sqrt(det) >= bound`` for ``[[v_0, c], [c, v_1]]``.
 
-    ``sqrt(det) >= bound``, with the determinant factored as ``(g - |c|) *
-    (g + |c|)``, ``g = sqrt(v_0) * sqrt(v_1)``, so that no product overflows;
-    a variance or factor within PSD rounding below 0 is taken as 0.  A pair
-    whose variances are both exactly zero is exempt.
+    The determinant is factored as ``(g - |c|) * (g + |c|)``, ``g = sqrt(v_0)
+    * sqrt(v_1)``, so that no product overflows; a variance or factor within
+    PSD rounding below 0 is taken as 0.  Two exactly zero variances are exempt.
     """
-    (v_0, c), (_, v_1) = cov
     if v_0 == 0.0 and v_1 == 0.0:
         return
+    # Python floats: an overflowing g + |c| is inf, without numpy's warning
     g = math.sqrt(max(v_0, 0.0)) * math.sqrt(max(v_1, 0.0))
-    root_det = math.sqrt(max(g - abs(c), 0.0)) * math.sqrt(g + abs(c))
-    _check_bound(root_det, bound, what)
+    c = abs(float(c))
+    _check_bound(math.sqrt(max(g - c, 0.0)) * math.sqrt(g + c), bound, what)
 
 
 def _pair_array(value, name: str) -> np.ndarray:
@@ -71,7 +69,7 @@ def _pair_array(value, name: str) -> np.ndarray:
 def _hold_stage_noise(stage, name: str, bound: float, what: str) -> None:
     """Replace a stage's noise by its validated covariance, held to its bound."""
     cov = validated_cov(_pair_array(getattr(stage, name), name))
-    _check_noise_pair(cov, bound, what)
+    _check_noise_pair(cov[0, 0], cov[1, 1], cov[0, 1], bound, what)
     object.__setattr__(stage, name, cov)
 
 
@@ -179,9 +177,9 @@ class NoiseBudget:
             except ValidityError as exc:
                 raise ValidityError(f"{', '.join(names)}: {exc}") from exc
         what = f"measurement noise product v_Xm*v_Ym >= {measurement_bound:.12g}"
-        _check_noise_pair(((self.v_Xm, 0.0), (0.0, self.v_Ym)), measurement_bound, what)
+        _check_noise_pair(self.v_Xm, self.v_Ym, 0.0, measurement_bound, what)
         what = "reconstruction noise product v_Xr*v_Yr >= 1"
-        _check_noise_pair(((self.v_Xr, 0.0), (0.0, self.v_Yr)), 1.0, what)
+        _check_noise_pair(self.v_Xr, self.v_Yr, 0.0, 1.0, what)
 
     def state(self) -> GaussianVector:
         """The implied Gaussian over (X_m, X_r, Y_m, Y_r).
@@ -257,6 +255,11 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
     correlations (and the off-diagonal stage cross terms) are validated for
     positivity and then dropped, so the reported fidelity ignores them
     although they add to the output noise covariance.
+
+    A correlation the channel admits past its Cauchy-Schwarz edge can fall
+    outside the budget's PSD slack, which is narrower on a ``(2, 2)`` block
+    and rescaled by ``h``; it is then clipped onto the edge.  A budget that
+    :class:`NoiseBudget` admits is returned unchanged.
     """
     m, r = config.measurement, config.reconstruction
     gains = r.h_X * m.g_X, r.h_Y * m.g_Y
@@ -267,15 +270,15 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
             )
     # (B_X, B_Y, C_X, C_Y): the same-quadrature entries of config.noise
     cov = config.noise
-    return NoiseBudget(
-        v_Xm=r.h_X * r.h_X * float(cov[0, 0]),
-        v_Ym=r.h_Y * r.h_Y * float(cov[1, 1]),
-        v_Xr=float(cov[2, 2]),
-        v_Yr=float(cov[3, 3]),
-        c_XmXr=r.h_X * float(cov[0, 2]),
-        c_YmYr=r.h_Y * float(cov[1, 3]),
-        measurement_bound=abs(gains[0] * gains[1]),
-    )
+    v_m = r.h_X * r.h_X * float(cov[0, 0]), r.h_Y * r.h_Y * float(cov[1, 1])
+    v_r = float(cov[2, 2]), float(cov[3, 3])
+    c = r.h_X * float(cov[0, 2]), r.h_Y * float(cov[1, 3])
+    bound = abs(gains[0] * gains[1])
+    try:
+        return NoiseBudget(*v_m, *v_r, *c, bound)
+    except ValidityError:
+        c = map(float, _clamp_edge(c, (v_m[0] * v_r[0], v_m[1] * v_r[1])))
+        return NoiseBudget(*v_m, *v_r, *c, bound)
 
 
 def _output_noise(v_m, v_r, c):

@@ -94,6 +94,10 @@ class TestStageValidation:
         # v_0 * v_1 and c * c both overflow, so a plain determinant is inf - inf
         stage = ReconstructionStage(1.0, 1.0, [[1e300, 5e299], [5e299, 1e300]])
         assert stage.noise_C[0, 1] == 5e299
+        # g + |c| overflows: inf passes the bound, with no numpy overflow
+        # warning (warnings are errors under this suite)
+        stage = ReconstructionStage(1.0, 1.0, [[1.7e308, 1e308], [1e308, 1.7e308]])
+        assert stage.noise_C[0, 1] == 1e308
 
     def test_gain_scales_measurement_bound(self):
         # larger gains demand proportionally larger noise
@@ -288,6 +292,32 @@ class TestUnityGainBudget:
         # a budget built directly is held to the unit bound
         with pytest.raises(ValidityError, match=r"v_Xm\*v_Ym >= 1 violated"):
             NoiseBudget(1.0 - 1e-8, 1.0 - 1e-8, 1.0, 1.0)
+
+    @pytest.mark.parametrize("h, vb, vc, c", [
+        # h = -2 doubles the measurement row: 1e-10 past the edge here is
+        # 1.09e-10 past it at the output, beyond the budget's slack
+        (-2.0, 0.5, 0.75, np.sqrt(0.375) * (1.0 + 1e-10)),
+        # unity stages at 1e6: the channel's 4x4 eigensolver slack is twice
+        # its 2x2 blocks', so a block 1e-8 past the edge passes only the 4x4
+        (1.0, 1e6, 1e6, -1e6 * (1.0 + 1e-14)),
+    ])
+    def test_admitted_edge_channel_gives_a_budget(self, h, vb, vc, c, tmp_path, capsys):
+        config = ChannelConfig(
+            measurement=MeasurementStage(g_X=1.0 / h, g_Y=1.0 / h, noise_B=noise_pair(vb, vb)),
+            reconstruction=ReconstructionStage(h_X=h, h_Y=h, noise_C=noise_pair(vc, 2 * vc)),
+            input=vacuum_input(),
+            cross_cov_BC=np.diag([c, 0.0]),
+        )
+        with pytest.raises(ValidityError, match="c_XmXr"):
+            NoiseBudget(h * h * vb, h * h * vb, vc, 2 * vc, h * c, 0.0)
+        b = to_unity_gain_budget(config)
+        # the correlation the budget rejects is clipped onto its edge
+        assert abs(b.c_XmXr) == np.sqrt(b.v_Xm * b.v_Xr)
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps(channel_to_dict(config)))
+        assert cli.main(["report", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == to_json(asdict(full_report(config)))
+        assert cli.main(["mc", "--config", str(path), "--samples", "1000"]) == 0
 
     def test_non_unity_gain_rejected_naming_quadrature(self):
         config = make_channel(g=1.0, h=1.1)
