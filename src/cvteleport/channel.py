@@ -12,8 +12,8 @@ variance 1), so the stage noise bounds (Arthurs-Kelly) read:
 Every lower bound (these two, the budget's noise pairs, and the input's
 uncertainty product) holds to a tolerance relative to the bound: a value
 (or a NaN) is rejected below ``bound * (1 - VALIDITY_TOL)``.  Correlations,
-a stage's, the channel's or a budget's, are held to the PSD slack of
-:func:`~cvteleport.gaussian.validated_cov` instead.
+a stage's, the channel's or a budget built directly, are held to the PSD
+slack of :func:`~cvteleport.gaussian.validated_cov` instead.
 A noise pair that is exactly zero in both quadratures is admitted as the
 idealized noiseless reference even though it sits below its bound; any
 other sub-bound noise is rejected.  At unity total gain the channel
@@ -24,7 +24,7 @@ to the output, plus the same-quadrature correlations between the two stages.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -150,12 +150,11 @@ class NoiseBudget:
     the fidelity ignores them even though a correlated output noise changes
     it.
 
-    Each quadrature's ``(m, r)`` block goes through :func:`validated_cov`,
-    as the channel's covariance does; an error names the block's fields.
-    ``measurement_bound`` is the bound on ``v_Xm*v_Ym``, the output-referred
-    measurement bound ``|h_X g_X h_Y g_Y|``: 1 at exact unity gain, and
-    within the gain tolerance of 1 for a budget reduced from a channel.  It
-    is checked on construction and not stored.
+    A budget built directly passes each quadrature's ``(m, r)`` block
+    through :func:`validated_cov`, as the channel's covariance does (an
+    error names the block's fields), and holds both noise pairs to the unit
+    bound.  :func:`to_unity_gain_budget` derives a budget from a channel
+    already validated and checks only that its fields are finite.
     """
 
     v_Xm: float
@@ -164,20 +163,17 @@ class NoiseBudget:
     v_Yr: float
     c_XmXr: float = 0.0
     c_YmYr: float = 0.0
-    measurement_bound: InitVar[float] = 1.0
 
-    def __post_init__(self, measurement_bound):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValidityError(f"budget entry {name} must be finite, got {value}")
+    def __post_init__(self):
+        _check_finite(self)
         for names in (("v_Xm", "v_Xr", "c_XmXr"), ("v_Ym", "v_Yr", "c_YmYr")):
             v_m, v_r, c = (getattr(self, name) for name in names)
             try:
                 validated_cov(np.array([[v_m, c], [c, v_r]]))
             except ValidityError as exc:
                 raise ValidityError(f"{', '.join(names)}: {exc}") from exc
-        what = f"measurement noise product v_Xm*v_Ym >= {measurement_bound:.12g}"
-        _check_noise_pair(self.v_Xm, self.v_Ym, 0.0, measurement_bound, what)
+        what = "measurement noise product v_Xm*v_Ym >= 1"
+        _check_noise_pair(self.v_Xm, self.v_Ym, 0.0, 1.0, what)
         what = "reconstruction noise product v_Xr*v_Yr >= 1"
         _check_noise_pair(self.v_Xr, self.v_Yr, 0.0, 1.0, what)
 
@@ -198,6 +194,13 @@ class NoiseBudget:
             ]
         )
         return GaussianVector(BUDGET_LABELS, np.zeros(4), cov)
+
+
+def _check_finite(budget: NoiseBudget) -> None:
+    """Reject a budget field that is infinite or NaN, naming the field."""
+    for name, value in vars(budget).items():
+        if not math.isfinite(value):
+            raise ValidityError(f"budget entry {name} must be finite, got {value}")
 
 
 def _clamp_edge(c, bound_sq):
@@ -248,18 +251,14 @@ class ChannelConfig:
 def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
     """Reduce a unity-gain channel to its output-referred noise budget.
 
-    Requires ``h_X*g_X`` and ``h_Y*g_Y`` equal to 1 within tolerance; the
-    budget's measurement pair is held to the bound those gains imply,
-    ``|h_X g_X h_Y g_Y|``, the stage's own bound referred to the output.  Only
-    same-quadrature second moments enter the budget.  Opposite-quadrature
-    correlations (and the off-diagonal stage cross terms) are validated for
-    positivity and then dropped, so the reported fidelity ignores them
-    although they add to the output noise covariance.
-
-    A correlation the channel admits past its Cauchy-Schwarz edge can fall
-    outside the budget's PSD slack, which is narrower on a ``(2, 2)`` block
-    and rescaled by ``h``; it is then clipped onto the edge.  A budget that
-    :class:`NoiseBudget` admits is returned unchanged.
+    Requires ``h_X*g_X`` and ``h_Y*g_Y`` equal to 1 within tolerance.  The
+    budget is the validated channel noise referred to the output, the
+    congruence ``D noise D^T`` with ``D = diag(h_X, h_Y, 1, 1)``, so it is
+    not validated again: only a field that overflows to infinity is
+    rejected.  Only same-quadrature second moments enter the budget.
+    Opposite-quadrature correlations (and the off-diagonal stage cross
+    terms) are validated with the channel and then dropped, so the reported
+    fidelity ignores them although they add to the output noise covariance.
     """
     m, r = config.measurement, config.reconstruction
     gains = r.h_X * m.g_X, r.h_Y * m.g_Y
@@ -273,12 +272,11 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
     v_m = r.h_X * r.h_X * float(cov[0, 0]), r.h_Y * r.h_Y * float(cov[1, 1])
     v_r = float(cov[2, 2]), float(cov[3, 3])
     c = r.h_X * float(cov[0, 2]), r.h_Y * float(cov[1, 3])
-    bound = abs(gains[0] * gains[1])
-    try:
-        return NoiseBudget(*v_m, *v_r, *c, bound)
-    except ValidityError:
-        c = map(float, _clamp_edge(c, (v_m[0] * v_r[0], v_m[1] * v_r[1])))
-        return NoiseBudget(*v_m, *v_r, *c, bound)
+    budget = object.__new__(NoiseBudget)
+    for f, value in zip(fields(NoiseBudget), (*v_m, *v_r, *c)):
+        object.__setattr__(budget, f.name, value)
+    _check_finite(budget)
+    return budget
 
 
 def _output_noise(v_m, v_r, c):

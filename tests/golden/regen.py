@@ -198,6 +198,11 @@ REJECTED_CONFIGS = {
     "mc-sums-overflow": _unit_with(
         ("measurement", "noise_B", "cov"), [[1e305, 0.0], [0.0, 1.0]]
     ),
+    # valid stages whose measurement noise, referred to the output by h,
+    # overflows a float
+    "budget-overflow": json.dumps(
+        _channel([[1e200, 0.0], [0.0, 1e200]], UNIT, g=(1e-200, 1e-200), h=(1e200, 1e200))
+    ),
 }
 CV_OVERFLOW_TEXT = json.dumps(
     _channel([[1e200, 0.0], [0.0, 1.0]], [[1e200, 0.0], [0.0, 1.0]], [[5e199, 0.0], [0.0, 0.0]])

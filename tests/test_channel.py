@@ -2,7 +2,7 @@
 
 import itertools
 import json
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -38,6 +38,28 @@ def make_channel(g=1.0, h=1.0, vb=1.0, vc=1.0, cross=None):
         reconstruction=ReconstructionStage(h_X=h, h_Y=h, noise_C=noise_pair(vc, vc)),
         input=vacuum_input(),
         cross_cov_BC=np.zeros((2, 2)) if cross is None else cross,
+    )
+
+
+# Unity-gain channels with a same-quadrature correlation a hair past its
+# Cauchy-Schwarz edge, as (h, vb, vc, c): the channel admits each one, and
+# a NoiseBudget built directly from its referred entries does not.
+EDGE_CHANNELS = [
+    # h = -2 doubles the measurement row: 1e-10 past the edge here is
+    # 1.09e-10 past it at the output, beyond the budget's slack
+    (-2.0, 0.5, 0.75, np.sqrt(0.375) * (1.0 + 1e-10)),
+    # unity stages at 1e6: the channel's 4x4 eigensolver slack is twice
+    # its 2x2 blocks', so a block 1e-8 past the edge passes only the 4x4
+    (1.0, 1e6, 1e6, -1e6 * (1.0 + 1e-14)),
+]
+
+
+def edge_channel(h, vb, vc, c):
+    return ChannelConfig(
+        measurement=MeasurementStage(g_X=1.0 / h, g_Y=1.0 / h, noise_B=noise_pair(vb, vb)),
+        reconstruction=ReconstructionStage(h_X=h, h_Y=h, noise_C=noise_pair(vc, 2 * vc)),
+        input=vacuum_input(),
+        cross_cov_BC=np.diag([c, 0.0]),
     )
 
 
@@ -293,31 +315,34 @@ class TestUnityGainBudget:
         with pytest.raises(ValidityError, match=r"v_Xm\*v_Ym >= 1 violated"):
             NoiseBudget(1.0 - 1e-8, 1.0 - 1e-8, 1.0, 1.0)
 
-    @pytest.mark.parametrize("h, vb, vc, c", [
-        # h = -2 doubles the measurement row: 1e-10 past the edge here is
-        # 1.09e-10 past it at the output, beyond the budget's slack
-        (-2.0, 0.5, 0.75, np.sqrt(0.375) * (1.0 + 1e-10)),
-        # unity stages at 1e6: the channel's 4x4 eigensolver slack is twice
-        # its 2x2 blocks', so a block 1e-8 past the edge passes only the 4x4
-        (1.0, 1e6, 1e6, -1e6 * (1.0 + 1e-14)),
-    ])
+    @pytest.mark.parametrize("h, vb, vc, c", EDGE_CHANNELS)
     def test_admitted_edge_channel_gives_a_budget(self, h, vb, vc, c, tmp_path, capsys):
-        config = ChannelConfig(
-            measurement=MeasurementStage(g_X=1.0 / h, g_Y=1.0 / h, noise_B=noise_pair(vb, vb)),
-            reconstruction=ReconstructionStage(h_X=h, h_Y=h, noise_C=noise_pair(vc, 2 * vc)),
-            input=vacuum_input(),
-            cross_cov_BC=np.diag([c, 0.0]),
-        )
+        config = edge_channel(h, vb, vc, c)
         with pytest.raises(ValidityError, match="c_XmXr"):
             NoiseBudget(h * h * vb, h * h * vb, vc, 2 * vc, h * c, 0.0)
         b = to_unity_gain_budget(config)
-        # the correlation the budget rejects is clipped onto its edge
-        assert abs(b.c_XmXr) == np.sqrt(b.v_Xm * b.v_Xr)
+        # the channel's budget keeps the correlation the direct budget rejects
+        assert (b.v_Xm, b.c_XmXr) == (h * h * vb, h * c)
         path = tmp_path / "channel.json"
         path.write_text(json.dumps(channel_to_dict(config)))
         assert cli.main(["report", "--config", str(path)]) == 0
         assert capsys.readouterr().out == to_json(asdict(full_report(config)))
         assert cli.main(["mc", "--config", str(path), "--samples", "1000"]) == 0
+
+    @pytest.mark.parametrize("h, vb, vc, c", EDGE_CHANNELS)
+    def test_derived_budget_is_not_validated_again(self, h, vb, vc, c, monkeypatch):
+        config = edge_channel(h, vb, vc, c)
+
+        def fail(*args):
+            raise AssertionError("derived budget re-validated")
+
+        monkeypatch.setattr("cvteleport.channel.validated_cov", fail)
+        monkeypatch.setattr("cvteleport.channel._check_noise_pair", fail)
+        b = to_unity_gain_budget(config)
+        expected = (h * h * vb, h * h * vb, vc, 2 * vc, h * c, h * 0.0)
+        assert [np.float64(x).tobytes() for x in astuple(b)] == [
+            np.float64(x).tobytes() for x in expected
+        ]
 
     def test_non_unity_gain_rejected_naming_quadrature(self):
         config = make_channel(g=1.0, h=1.1)
