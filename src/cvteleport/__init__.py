@@ -44,15 +44,7 @@ from .errors import (
     CvTeleportError,
     ValidityError,
 )
-from .gaussian import (
-    GaussianVector,
-    LinearForm,
-    apply_form,
-    conditional_variance,
-    covariance_of,
-    sample,
-    variance_of,
-)
+from .gaussian import sample
 from .montecarlo import (
     Comparison,
     McReport,
@@ -68,10 +60,8 @@ __all__ = [
     "CriteriaReport",
     "CvTeleportError",
     "EprScenario",
-    "GaussianVector",
     "InequalityTrace",
     "InputState",
-    "LinearForm",
     "McReport",
     "MeasurementStage",
     "NoiseBudget",
@@ -80,11 +70,8 @@ __all__ = [
     "SweepTable",
     "ValidityError",
     "VerificationSummary",
-    "apply_form",
     "budget_to_channel",
     "closed_form",
-    "conditional_variance",
-    "covariance_of",
     "epr_criterion",
     "fidelity_mc_integrand",
     "full_report",
@@ -98,5 +85,4 @@ __all__ = [
     "to_noise_budget",
     "to_unity_gain_budget",
     "vacuum_input",
-    "variance_of",
 ]

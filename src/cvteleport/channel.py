@@ -124,6 +124,8 @@ class InputState:
     def __post_init__(self):
         if not (self.var_X > 0.0 and self.var_Y > 0.0):
             raise ValidityError("input variances must be positive")
+        if not (math.isfinite(self.var_X) and math.isfinite(self.var_Y)):
+            raise ValidityError("input variances must be finite")
         _check_bound(
             self.var_X * self.var_Y, 1.0, "input uncertainty product var_X*var_Y >= 1"
         )
@@ -193,7 +195,7 @@ class NoiseBudget:
                 [0.0, 0.0, cy, self.v_Yr],
             ]
         )
-        return GaussianVector(BUDGET_LABELS, np.zeros(4), cov)
+        return GaussianVector(BUDGET_LABELS, cov)
 
 
 def _check_finite(budget: NoiseBudget) -> None:
@@ -263,7 +265,7 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
     m, r = config.measurement, config.reconstruction
     gains = r.h_X * m.g_X, r.h_Y * m.g_Y
     for quad, gain in zip("XY", gains):
-        if abs(gain - 1.0) > GAIN_TOL:
+        if not abs(gain - 1.0) <= GAIN_TOL:  # a NaN gain too
             raise ValidityError(
                 f"total gain on {quad} is {gain:.12g}, unity gain required"
             )

@@ -123,8 +123,6 @@ class SweepPoint:
     F: float
     epr_violated: bool
 
-    squeezing_db = EprScenario.squeezing_db
-
 
 @dataclass(frozen=True, eq=False)
 class SweepTable:

@@ -3,9 +3,11 @@
 Every covariance goes through :func:`validated_cov`, which returns it as a
 read-only symmetric array, as the channel holds its noises.
 :func:`sampling_factor` factors one and :func:`sample` draws zero-mean rows
-from the factor.  A :class:`GaussianVector` (labels, mean, covariance) and
-the linear forms over its labels give variances, covariances and
-conditional variances, the state algebra the tests check the kernels with.
+from the factor.  A :class:`GaussianVector` (labels and a covariance) and
+linear forms over its labels give variances, covariances and conditional
+variances: the state algebra the tests check the kernels with, kept here
+for the names the benchmark traces.  A form is any object with ``terms``
+(label -> coefficient) and a ``constant``; the tests build them.
 
 Units follow the vacuum convention used throughout: a vacuum mode has
 variance 1 in each quadrature, so conjugate-pair uncertainty products are
@@ -15,7 +17,6 @@ bounded below by 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -29,53 +30,6 @@ from .errors import ValidityError
 SYMMETRY_TOL = 1e-9
 PSD_TOL = -1e-10
 PSD_ROUNDING = 8.0
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """A linear observable ``sum_i coeff_i * var_i + constant``.
-
-    ``terms`` maps variable labels to coefficients.  Forms are immutable and
-    support addition, subtraction and scalar multiplication, which keeps
-    channel composition (``compose`` in ``tests/oracle.py``) close to the
-    algebra it implements.
-    """
-
-    terms: Mapping[str, float]
-    constant: float = 0.0
-
-    def __post_init__(self):
-        clean = {str(k): float(v) for k, v in dict(self.terms).items()}
-        if not all(np.isfinite(v) for v in clean.values()) or not np.isfinite(self.constant):
-            raise ValueError("linear form coefficients must be finite")
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "constant", float(self.constant))
-
-    def __add__(self, other: "LinearForm | float") -> "LinearForm":
-        if isinstance(other, (int, float)):
-            return LinearForm(dict(self.terms), self.constant + other)
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        merged = dict(self.terms)
-        for k, v in other.terms.items():
-            merged[k] = merged.get(k, 0.0) + v
-        return LinearForm(merged, self.constant + other.constant)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "LinearForm | float") -> "LinearForm":
-        if isinstance(other, (int, float)):
-            return self + (-other)
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar: float) -> "LinearForm":
-        if not isinstance(scalar, (int, float)):
-            return NotImplemented
-        return LinearForm({k: scalar * v for k, v in self.terms.items()}, scalar * self.constant)
-
-    __rmul__ = __mul__
 
 
 def validated_cov(cov: np.ndarray) -> np.ndarray:
@@ -127,13 +81,12 @@ def _check_psd(sym: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class GaussianVector:
-    """An immutable labeled Gaussian: unique labels, mean vector, covariance.
+    """An immutable zero-mean labeled Gaussian: unique labels and a covariance.
 
     The covariance is checked and symmetrized by :func:`validated_cov`.
     """
 
     labels: tuple[str, ...]
-    mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
@@ -142,23 +95,12 @@ class GaussianVector:
             raise ValueError("state needs at least one variable")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate labels in {labels}")
-        mean = np.asarray(self.mean, dtype=float).reshape(-1).copy()
         cov = np.asarray(self.cov, dtype=float)
         d = len(labels)
-        if mean.shape != (d,) or cov.shape != (d, d):
-            raise ValueError(
-                f"shape mismatch: {d} labels, mean {mean.shape}, cov {cov.shape}"
-            )
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("mean must be finite")
-        mean.setflags(write=False)
+        if cov.shape != (d, d):
+            raise ValueError(f"shape mismatch: {d} labels, cov {cov.shape}")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", validated_cov(cov))
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
 
     def index(self, label: str) -> int:
         try:
@@ -192,28 +134,29 @@ def sampling_factor(cov: np.ndarray) -> np.ndarray:
     return factor
 
 
-def _coefficients(form: LinearForm, state: GaussianVector) -> np.ndarray:
-    a = np.zeros(state.dim)
+def _coefficients(form, state: GaussianVector) -> np.ndarray:
+    """``form.terms`` (label -> coefficient) as a vector over the state's labels."""
+    a = np.zeros(len(state.labels))
     for label, coeff in form.terms.items():
         a[state.index(label)] = coeff
     return a
 
 
-def variance_of(form: LinearForm, state: GaussianVector) -> float:
+def variance_of(form, state: GaussianVector) -> float:
     """Variance of a linear form; tiny negative rounding is clamped to 0."""
     a = _coefficients(form, state)
     v = float(a @ state.cov @ a)
     return v if v > 0.0 else 0.0
 
 
-def covariance_of(a: LinearForm, b: LinearForm, state: GaussianVector) -> float:
+def covariance_of(a, b, state: GaussianVector) -> float:
     """Covariance between two linear forms (bilinear in the state covariance)."""
     va = _coefficients(a, state)
     vb = _coefficients(b, state)
     return float(va @ state.cov @ vb)
 
 
-def conditional_variance(a: LinearForm, b: LinearForm, state: GaussianVector) -> float:
+def conditional_variance(a, b, state: GaussianVector) -> float:
     """Variance of ``a`` remaining after the optimal linear estimate from ``b``.
 
     Computes ``var(a) - cov(a, b)^2 / var(b)``.  Conditioning on a
@@ -250,7 +193,7 @@ def sample(factor: np.ndarray, n: int, seed, out: np.ndarray | None = None) -> n
     return np.matmul(normals, factor.T, out=out)
 
 
-def apply_form(form: LinearForm, state: GaussianVector, samples: np.ndarray) -> np.ndarray:
+def apply_form(form, state: GaussianVector, samples: np.ndarray) -> np.ndarray:
     """Evaluate a linear form on an array of samples (rows match state labels)."""
     return np.asarray(samples) @ _coefficients(form, state) + form.constant
 

@@ -99,9 +99,8 @@ def _as_number(value: Any, where: str) -> float:
 
 
 def _number(obj: dict, key: str, where: str, default: float | None = None) -> float:
+    """``obj[key]`` as a number, or ``default`` when absent (required keys: ``_check_keys``)."""
     if key not in obj:
-        if default is None:
-            raise ConfigError(f"{where}: missing required key '{key}'")
         return default
     return _as_number(obj[key], f"{where}.{key}")
 

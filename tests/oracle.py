@@ -5,13 +5,61 @@ No command, demo or benchmark reaches them, so they live with the tests.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from cvteleport.channel import ChannelConfig
 from cvteleport.criteria import _transfer_fidelity
-from cvteleport.gaussian import GaussianVector, LinearForm
+from cvteleport.gaussian import GaussianVector
+
+
+@dataclass(frozen=True)
+class LinearForm:
+    """A linear observable ``sum_i coeff_i * var_i + constant``.
+
+    ``terms`` maps variable labels to coefficients.  Forms are immutable and
+    support addition, subtraction and scalar multiplication, which keeps
+    channel composition (``compose`` below) close to the algebra it
+    implements.
+    """
+
+    terms: Mapping[str, float]
+    constant: float = 0.0
+
+    def __post_init__(self):
+        clean = {str(k): float(v) for k, v in dict(self.terms).items()}
+        if not all(np.isfinite(v) for v in clean.values()) or not np.isfinite(self.constant):
+            raise ValueError("linear form coefficients must be finite")
+        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "constant", float(self.constant))
+
+    def __add__(self, other: "LinearForm | float") -> "LinearForm":
+        if isinstance(other, (int, float)):
+            return LinearForm(dict(self.terms), self.constant + other)
+        if not isinstance(other, LinearForm):
+            return NotImplemented
+        merged = dict(self.terms)
+        for k, v in other.terms.items():
+            merged[k] = merged.get(k, 0.0) + v
+        return LinearForm(merged, self.constant + other.constant)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "LinearForm | float") -> "LinearForm":
+        if isinstance(other, (int, float)):
+            return self + (-other)
+        if not isinstance(other, LinearForm):
+            return NotImplemented
+        return self + (-1.0) * other
+
+    def __mul__(self, scalar: float) -> "LinearForm":
+        if not isinstance(scalar, (int, float)):
+            return NotImplemented
+        return LinearForm({k: scalar * v for k, v in self.terms.items()}, scalar * self.constant)
+
+    __rmul__ = __mul__
 
 
 def term(label: str, coeff: float = 1.0) -> LinearForm:
@@ -41,7 +89,7 @@ def compose(config: ChannelConfig) -> ComposedChannel:
     cov = np.zeros((6, 6))
     cov[0, 0], cov[1, 1] = config.input.var_X, config.input.var_Y
     cov[2:, 2:] = config.noise
-    joint = GaussianVector(("X_in", "Y_in", "B_X", "B_Y", "C_X", "C_Y"), np.zeros(6), cov)
+    joint = GaussianVector(("X_in", "Y_in", "B_X", "B_Y", "C_X", "C_Y"), cov)
     out_x = LinearForm({"X_in": r.h_X * m.g_X, "B_X": r.h_X, "C_X": 1.0})
     out_y = LinearForm({"Y_in": r.h_Y * m.g_Y, "B_Y": r.h_Y, "C_Y": 1.0})
     return ComposedChannel(out_x, out_y, joint, r.h_X * m.g_X, r.h_Y * m.g_Y)

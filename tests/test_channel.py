@@ -157,6 +157,14 @@ class TestInputState:
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValidityError):
             InputState(var_X=0.0, var_Y=1.0)
+        for bad in (-1.0, -np.inf, np.nan):
+            with pytest.raises(ValidityError, match="input variances must be positive"):
+                InputState(var_X=1.0, var_Y=bad)
+
+    def test_infinite_variance_rejected(self):
+        for var_x, var_y in ((np.inf, 1.0), (1.0, np.inf)):
+            with pytest.raises(ValidityError, match="input variances must be finite"):
+                InputState(var_X=var_x, var_Y=var_y)
 
 
 class TestTransferCoefficients:
@@ -348,6 +356,18 @@ class TestUnityGainBudget:
         config = make_channel(g=1.0, h=1.1)
         with pytest.raises(ValidityError, match="total gain on X is 1.1, unity gain"):
             to_unity_gain_budget(config)
+        # a NaN total gain, given or as 0 * inf, fails the gate too; the
+        # noiseless measurement stage is exempt from its own bound
+        for g, h in ((np.nan, 1.0), (0.0, np.inf)):
+            config = ChannelConfig(
+                measurement=MeasurementStage(g_X=g, g_Y=g, noise_B=np.zeros((2, 2))),
+                reconstruction=ReconstructionStage(h_X=h, h_Y=h, noise_C=np.eye(2)),
+                input=vacuum_input(),
+            )
+            with pytest.raises(ValidityError, match="total gain on X is nan, unity gain"):
+                to_unity_gain_budget(config)
+            with pytest.raises(ValidityError, match="total gain on X is nan"):
+                full_report(config)
 
     def test_round_trip_output_noise_matches_composed_variance(self):
         rng = np.random.default_rng(31415)

@@ -1,6 +1,7 @@
 """Closed forms and budget mapping for the shared-EPR scenario."""
 
 import json
+import math
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -349,7 +350,8 @@ def reference_csv(points) -> str:
     """The sweep CSV rendered one point and one cell at a time."""
     lines = [",".join(SWEEP_CSV_COLUMNS)]
     for p in points:
-        cells = [p.eta, p.s, p.squeezing_db, p.N_out, p.N_out * p.N_out, p.T_sum, p.F]
+        db = math.inf if p.s == 0.0 else -10.0 * math.log10(p.s)
+        cells = [p.eta, p.s, db, p.N_out, p.N_out * p.N_out, p.T_sum, p.F]
         verdict = "true" if p.epr_violated else "false"
         lines.append(",".join([*map(format_number, cells), verdict]))
     return "\n".join(lines) + "\n"

@@ -10,7 +10,6 @@ from cvteleport.gaussian import (
     PSD_ROUNDING,
     PSD_TOL,
     GaussianVector,
-    LinearForm,
     apply_form,
     conditional_variance,
     covariance_of,
@@ -19,11 +18,11 @@ from cvteleport.gaussian import (
     validated_cov,
     variance_of,
 )
-from oracle import term
+from oracle import LinearForm, term
 
 
-def state_2d(cov, mean=(0.0, 0.0), labels=("X", "Y")):
-    return GaussianVector(labels=labels, mean=np.array(mean), cov=np.array(cov, float))
+def state_2d(cov, labels=("X", "Y")):
+    return GaussianVector(labels=labels, cov=np.array(cov, float))
 
 
 class TestLinearForm:
@@ -90,9 +89,7 @@ def random_state_and_forms(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     root = rng.normal(size=(3, 3))
     cov = root @ root.T
-    state = GaussianVector(
-        labels=("U", "V", "W"), mean=np.zeros(3), cov=cov
-    )
+    state = GaussianVector(labels=("U", "V", "W"), cov=cov)
     coeffs = draw(
         st.lists(
             st.floats(-10, 10, allow_nan=False),
@@ -165,7 +162,7 @@ class TestStateValidation:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            GaussianVector(labels=("X",), mean=np.zeros(2), cov=np.eye(2))
+            GaussianVector(labels=("X",), cov=np.eye(2))
 
     def test_large_asymmetry_rejected(self):
         with pytest.raises(ValidityError):
@@ -190,7 +187,7 @@ class TestStateValidation:
         v = np.array([1.0, -1.0, 1.0, -1.0])
         cov = 1e8 * np.outer(v, v)
         assert np.linalg.eigvalsh(cov)[0] < PSD_TOL
-        GaussianVector(labels=tuple("abcd"), mean=np.zeros(4), cov=cov)
+        GaussianVector(labels=tuple("abcd"), cov=cov)
         # a large variance lends no slack to the other coordinates: a
         # negative unit-scale variance, or a correlation coefficient of 10
         # or of 1 + 1e-6 with a unit-variance coordinate, is rejected
@@ -214,10 +211,10 @@ class TestStateValidation:
         cov[0, 3] = cov[3, 0] = 1.005e-6
         assert np.linalg.eigvalsh(cov)[0] > -PSD_ROUNDING * 4 * np.finfo(float).eps * 1e6
         with pytest.raises(ValidityError, match="correlation matrix is not positive"):
-            GaussianVector(labels=tuple("abcd"), mean=np.zeros(4), cov=cov)
+            GaussianVector(labels=tuple("abcd"), cov=cov)
         # at the edge, and at unit scale within PSD_TOL of it, admitted
         cov[0, 3] = cov[3, 0] = 1e-6
-        GaussianVector(labels=tuple("abcd"), mean=np.zeros(4), cov=cov)
+        GaussianVector(labels=tuple("abcd"), cov=cov)
         state_2d([[1.0, 1.0 + 5e-11], [1.0 + 5e-11, 1.0]])
         # an overflowing coefficient beside a subnormal variance is rejected
         with pytest.raises(ValidityError, match="correlation matrix"):
@@ -226,8 +223,6 @@ class TestStateValidation:
     def test_nan_rejected(self):
         with pytest.raises(ValidityError, match="covariance must be finite"):
             state_2d([[np.nan, 0], [0, 1]])
-        with pytest.raises(ValueError, match="mean must be finite"):
-            state_2d([[1, 0], [0, 1]], mean=(np.inf, 0.0))
 
     def test_one_function_validates_every_covariance(self):
         # the state's covariance is validated_cov's array, bit for bit
