@@ -9,16 +9,16 @@ variance 1), so the stage noise bounds (Arthurs-Kelly) read:
 * measurement noise: ``sqrt(det noise_B) >= |g_X * g_Y|``
 * reconstruction noise: ``sqrt(det noise_C) >= 1``
 
-Every lower bound (these two, the budget's noise pairs, and the input's
-uncertainty product) holds to a tolerance relative to the bound: a value
-(or a NaN) is rejected below ``bound * (1 - VALIDITY_TOL)``.  Correlations,
-a stage's, the channel's or a budget built directly, are held to the PSD
-slack of :func:`~cvteleport.gaussian.validated_cov` instead.
-A noise pair that is exactly zero in both quadratures is admitted as the
-idealized noiseless reference even though it sits below its bound; any
-other sub-bound noise is rejected.  At unity total gain the channel
-reduces to a :class:`NoiseBudget`: the four added-noise variances referred
-to the output, plus the same-quadrature correlations between the two stages.
+A channel is validated once, by :class:`ChannelConfig`: the joint covariance
+of both stage noises passes :func:`~cvteleport.gaussian.validated_cov`, and
+its stage blocks are held to these bounds, as the input is to its
+uncertainty product, each to a tolerance relative to the bound: a value (or
+a NaN) is rejected below ``bound * (1 - VALIDITY_TOL)``.  A noise pair that
+is exactly zero in both quadratures is admitted as the idealized noiseless
+reference.  At unity total gain the channel reduces to a
+:class:`NoiseBudget`: the four added-noise variances referred to the output,
+plus the same-quadrature correlations between the two stages.  A budget
+built directly is valid exactly when the channel it builds is.
 """
 
 from __future__ import annotations
@@ -59,18 +59,12 @@ def _check_noise_pair(v_0: float, v_1: float, c: float, bound: float, what: str)
 
 
 def _pair_array(value, name: str) -> np.ndarray:
-    """``value`` as a float array; a shape other than ``(2, 2)`` is a ConfigError."""
-    array = np.asarray(value, dtype=float)
+    """A read-only float copy of a ``(2, 2)`` ``value``; another shape is a ConfigError."""
+    array = np.array(value, dtype=float)
     if array.shape != (2, 2):
         raise ConfigError(f"{name} must be 2x2, got {array.shape}")
+    array.setflags(write=False)
     return array
-
-
-def _hold_stage_noise(stage, name: str, bound: float, what: str) -> None:
-    """Replace a stage's noise by its validated covariance, held to its bound."""
-    cov = validated_cov(_pair_array(getattr(stage, name), name))
-    _check_noise_pair(cov[0, 0], cov[1, 1], cov[0, 1], bound, what)
-    object.__setattr__(stage, name, cov)
 
 
 @dataclass(frozen=True)
@@ -78,10 +72,11 @@ class MeasurementStage:
     """Dual-quadrature measurement: gains and added noise.
 
     ``noise_B`` is the ``(2, 2)`` covariance of the added noises (B_X,
-    B_Y), held as a validated read-only array, as is the reconstruction
-    stage's ``noise_C``.  It must satisfy the measurement uncertainty
-    bound ``sqrt(det noise_B) >= |g_X*g_Y|``, unless its variances are
-    exactly zero (idealized reference stage).
+    B_Y), held unchecked as a read-only float copy, as is the
+    reconstruction stage's ``noise_C``.  :class:`ChannelConfig` validates
+    both, and holds ``noise_B`` to ``sqrt(det noise_B) >= |g_X*g_Y|`` and
+    ``noise_C`` to ``sqrt(det noise_C) >= 1``, unless a pair's variances
+    are exactly zero (idealized reference stage).
     """
 
     g_X: float
@@ -89,9 +84,7 @@ class MeasurementStage:
     noise_B: np.ndarray
 
     def __post_init__(self):
-        bound = abs(self.g_X * self.g_Y)
-        what = "measurement noise bound dB_X*dB_Y >= |g_X*g_Y|"
-        _hold_stage_noise(self, "noise_B", bound, what)
+        object.__setattr__(self, "noise_B", _pair_array(self.noise_B, "noise_B"))
 
 
 @dataclass(frozen=True)
@@ -103,8 +96,7 @@ class ReconstructionStage:
     noise_C: np.ndarray
 
     def __post_init__(self):
-        what = "reconstruction noise bound dC_X*dC_Y >= 1"
-        _hold_stage_noise(self, "noise_C", 1.0, what)
+        object.__setattr__(self, "noise_C", _pair_array(self.noise_C, "noise_C"))
 
 
 @dataclass(frozen=True)
@@ -152,11 +144,11 @@ class NoiseBudget:
     the fidelity ignores them even though a correlated output noise changes
     it.
 
-    A budget built directly passes each quadrature's ``(m, r)`` block
-    through :func:`validated_cov`, as the channel's covariance does (an
-    error names the block's fields), and holds both noise pairs to the unit
-    bound.  :func:`to_unity_gain_budget` derives a budget from a channel
-    already validated and checks only that its fields are finite.
+    A budget built directly must have finite fields, and is otherwise valid
+    exactly when the unity-gain channel :func:`budget_to_channel` builds
+    from it is: that channel's :class:`ValidityError` is raised with the
+    budget named.  :func:`to_unity_gain_budget` derives a budget from a
+    channel already validated and checks only that its fields are finite.
     """
 
     v_Xm: float
@@ -168,16 +160,11 @@ class NoiseBudget:
 
     def __post_init__(self):
         _check_finite(self)
-        for names in (("v_Xm", "v_Xr", "c_XmXr"), ("v_Ym", "v_Yr", "c_YmYr")):
-            v_m, v_r, c = (getattr(self, name) for name in names)
-            try:
-                validated_cov(np.array([[v_m, c], [c, v_r]]))
-            except ValidityError as exc:
-                raise ValidityError(f"{', '.join(names)}: {exc}") from exc
-        what = "measurement noise product v_Xm*v_Ym >= 1"
-        _check_noise_pair(self.v_Xm, self.v_Ym, 0.0, 1.0, what)
-        what = "reconstruction noise product v_Xr*v_Yr >= 1"
-        _check_noise_pair(self.v_Xr, self.v_Yr, 0.0, 1.0, what)
+        try:
+            budget_to_channel(self)
+        except ValidityError as exc:
+            named = ", ".join(f"{name}={value:.12g}" for name, value in vars(self).items())
+            raise ValidityError(f"budget ({named}) has no valid channel: {exc}") from exc
 
     def state(self) -> GaussianVector:
         """The implied Gaussian over (X_m, X_r, Y_m, Y_r).
@@ -221,10 +208,11 @@ class ChannelConfig:
     """Full channel: both stages, their cross correlations, and the input.
 
     ``cross_cov_BC`` is the 2x2 matrix of <B_i C_j> moments with rows
-    (B_X, B_Y) and columns (C_X, C_Y).  ``noise`` is the joint ``(4, 4)``
-    covariance over (B_X, B_Y, C_X, C_Y), a read-only array validated once
-    on construction: the budget reduces it and the Monte Carlo samples it.
-    The input is independent of both noises and validated by
+    (B_X, B_Y) and columns (C_X, C_Y), held as a read-only float copy.
+    ``noise`` is the joint ``(4, 4)`` covariance over (B_X, B_Y, C_X, C_Y),
+    the channel's one :func:`validated_cov` call; its stage blocks are then
+    held to the stage bounds.  The budget reduces it and the Monte Carlo
+    samples it.  The input is independent of both noises and validated by
     :class:`InputState` alone.
     """
 
@@ -235,11 +223,11 @@ class ChannelConfig:
     noise: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        cross = _pair_array(self.cross_cov_BC, "cross_cov_BC").copy()
-        cross.setflags(write=False)
+        m = self.measurement
+        cross = _pair_array(self.cross_cov_BC, "cross_cov_BC")
         object.__setattr__(self, "cross_cov_BC", cross)
         cov = np.empty((4, 4))
-        cov[:2, :2] = self.measurement.noise_B
+        cov[:2, :2] = m.noise_B
         cov[2:, 2:] = self.reconstruction.noise_C
         cov[:2, 2:] = cross
         cov[2:, :2] = cross.T
@@ -247,6 +235,10 @@ class ChannelConfig:
             noise = validated_cov(cov)
         except ValidityError as exc:
             raise ValidityError(f"joint stage covariance invalid: {exc}") from exc
+        what = "measurement noise bound dB_X*dB_Y >= |g_X*g_Y|"
+        _check_noise_pair(noise[0, 0], noise[1, 1], noise[0, 1], abs(m.g_X * m.g_Y), what)
+        what = "reconstruction noise bound dC_X*dC_Y >= 1"
+        _check_noise_pair(noise[2, 2], noise[3, 3], noise[2, 3], 1.0, what)
         object.__setattr__(self, "noise", noise)
 
 
@@ -285,10 +277,15 @@ def _output_noise(v_m, v_r, c):
     """Total added output noise per quadrature, ``v_m + v_r + 2c`` floored at 0.
 
     The correlation term is what an entangled resource exploits; with
-    perfect anticorrelation the total can reach zero.  Scalars or
+    perfect anticorrelation the total can reach zero.  A total that
+    overflows is summed again as ``(v_m + c) + (v_r + c)``.  Scalars or
     equal-length arrays.
     """
-    return np.maximum(v_m + v_r + 2.0 * c, 0.0)
+    with np.errstate(all="ignore"):
+        total = v_m + v_r + 2.0 * c
+        if not np.isfinite(total).all():
+            total = np.where(np.isfinite(total), total, (v_m + c) + (v_r + c))
+    return np.maximum(total, 0.0)
 
 
 def budget_to_channel(b: NoiseBudget) -> ChannelConfig:

@@ -132,7 +132,7 @@ def gaussian_from_dict(d: dict, where: str, expected_labels: tuple[str, str]) ->
     The ``labels`` key may be omitted and must match exactly if present.
     ``mean`` may be omitted and must be zero if present: a nonzero mean
     raises :class:`ValidityError`.  The covariance is returned as parsed;
-    the stage validates it.
+    the channel validates it.
     """
     _check_keys(d, where, ("labels", "mean", "cov"), ["cov"])
     labels = list(expected_labels)
@@ -148,7 +148,7 @@ def _measurement_from_dict(d: dict) -> MeasurementStage:
     """Parse the measurement stage; ``f_X``/``f_Y`` are accepted only as 0.
 
     A nonzero quadrature-mixing gain is rejected once ``noise_B`` has
-    parsed, before the stage validates its noise.
+    parsed; the channel validates the noise once the whole config has.
     """
     where = "measurement"
     _check_keys(

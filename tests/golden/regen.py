@@ -207,6 +207,13 @@ REJECTED_CONFIGS = {
 CV_OVERFLOW_TEXT = json.dumps(
     _channel([[1e200, 0.0], [0.0, 1.0]], [[1e200, 0.0], [0.0, 1.0]], [[5e199, 0.0], [0.0, 0.0]])
 )
+# Stage noises at 1e308 whose sum v_m + v_r overflows: anticorrelated at
+# -1e308 the output noise cancels to 0; at -0.9e308 it is finite, and only
+# the conditional-variance products overflow.
+HUGE = [[1e308, 0.0], [0.0, 1e308]]
+CANCEL_TEXT = json.dumps(_channel(HUGE, HUGE, [[-1e308, 0.0], [0.0, -1e308]]))
+NEAR_CANCEL_TEXT = json.dumps(_channel(HUGE, HUGE, [[-0.9e308, 0.0], [0.0, -0.9e308]]))
+MC_ARGV = ["mc", "--config", CONFIG_NAME, "--samples", "1000", "--seed", "1"]
 # Usage, config, I/O and range errors, and sweep grids at their edges.
 HAND_ROWS = [
     ("usage-no-command", [], None),
@@ -236,6 +243,11 @@ HAND_ROWS = [
     ("channel-cv-overflow-report", ["report", "--config", CONFIG_NAME], CV_OVERFLOW_TEXT),
     ("channel-cv-overflow-mc",
      ["mc", "--config", CONFIG_NAME, "--samples", "1000", "--seed", "1"], CV_OVERFLOW_TEXT),
+    ("channel-output-noise-cancels-report", ["report", "--config", CONFIG_NAME], CANCEL_TEXT),
+    ("channel-output-noise-cancels-mc", MC_ARGV, CANCEL_TEXT),
+    ("channel-output-noise-near-cancel-report", ["report", "--config", CONFIG_NAME],
+     NEAR_CANCEL_TEXT),
+    ("channel-output-noise-near-cancel-mc", MC_ARGV, NEAR_CANCEL_TEXT),
     ("verify-zero-trials", ["verify", "--trials", "0"], None),
     ("verify-negative-seed", ["verify", "--seed", "-1"], None),
     ("verify-one-trial", ["verify", "--trials", "1"], None),

@@ -2,10 +2,12 @@
 
 import itertools
 import json
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvteleport.channel import (
     VALIDITY_TOL,
@@ -24,7 +26,7 @@ from cvteleport import cli
 from cvteleport.criteria import _draw_budgets, _fields, _transfer_fidelity, full_report
 from cvteleport.errors import ConfigError, ValidityError
 from cvteleport.gaussian import variance_of
-from cvteleport.serialize import config_from_dict, to_json
+from cvteleport.serialize import config_from_dict, config_from_json, to_json
 from oracle import channel_to_dict, compose, term
 
 
@@ -42,14 +44,17 @@ def make_channel(g=1.0, h=1.0, vb=1.0, vc=1.0, cross=None):
 
 
 # Unity-gain channels with a same-quadrature correlation a hair past its
-# Cauchy-Schwarz edge, as (h, vb, vc, c): the channel admits each one, and
-# a NoiseBudget built directly from its referred entries does not.
+# Cauchy-Schwarz edge, as (h, vb, vc, c): the channel admits each one.  A
+# NoiseBudget built directly from its referred entries is held to the
+# channel budget_to_channel builds from them instead.
 EDGE_CHANNELS = [
-    # h = -2 doubles the measurement row: 1e-10 past the edge here is
-    # 1.09e-10 past it at the output, beyond the budget's slack
+    # h = -2 doubles the measurement row: 1e-10 past the edge here is an
+    # eigenvalue of -1.09e-10 at the output, beyond the absolute PSD
+    # slack, so the budget's own channel rejects it
     (-2.0, 0.5, 0.75, np.sqrt(0.375) * (1.0 + 1e-10)),
-    # unity stages at 1e6: the channel's 4x4 eigensolver slack is twice
-    # its 2x2 blocks', so a block 1e-8 past the edge passes only the 4x4
+    # unity stages at 1e6: the budget's channel is this channel, so the
+    # direct budget is admitted too (the 4x4 eigensolver slack is twice
+    # a 2x2 block's, so a block 1e-8 past the edge passes)
     (1.0, 1e6, 1e6, -1e6 * (1.0 + 1e-14)),
 ]
 
@@ -63,20 +68,33 @@ def edge_channel(h, vb, vc, c):
     )
 
 
+def channel_of(noise_b, noise_c=None, g=1.0):
+    """A unity-gain channel, ``g`` on the measurement, with the given stage noises."""
+    return ChannelConfig(
+        measurement=MeasurementStage(g_X=g, g_Y=g, noise_B=noise_b),
+        reconstruction=ReconstructionStage(
+            h_X=1.0 / g, h_Y=1.0 / g, noise_C=np.eye(2) if noise_c is None else noise_c
+        ),
+        input=vacuum_input(),
+    )
+
+
 class TestStageValidation:
+    # a stage holds its noise unchecked: the channel validates both
+    # stages' noises and holds each to its bound
     def test_shot_noise_measurement_saturates_bound(self):
-        MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=noise_pair(1.0, 1.0))
+        channel_of(noise_pair(1.0, 1.0))
 
     def test_sub_bound_measurement_noise_rejected(self):
         with pytest.raises(ValidityError, match="measurement noise bound"):
-            MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=noise_pair(0.5, 0.5))
+            channel_of(noise_pair(0.5, 0.5))
 
     def test_noiseless_measurement_admitted_as_ideal_reference(self):
-        MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=noise_pair(0.0, 0.0))
+        channel_of(noise_pair(0.0, 0.0))
 
     def test_single_zero_variance_is_not_exempt(self):
-        with pytest.raises(ValidityError):
-            MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=noise_pair(0.0, 1.0))
+        with pytest.raises(ValidityError, match="measurement noise bound"):
+            channel_of(noise_pair(0.0, 1.0))
 
     def test_wrong_noise_shape_rejected(self):
         with pytest.raises(ConfigError, match=r"noise_B must be 2x2, got \(3, 3\)"):
@@ -93,50 +111,55 @@ class TestStageValidation:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_noise_is_a_validity_error(self, bad):
-        with pytest.raises(ValidityError, match="covariance must be finite"):
-            MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=noise_pair(1.0, bad))
-        with pytest.raises(ValidityError, match="covariance must be finite"):
+        finite = "joint stage covariance invalid: covariance must be finite"
+        with pytest.raises(ValidityError, match=finite):
+            channel_of(noise_pair(1.0, bad))
+        with pytest.raises(ValidityError, match=finite):
+            channel_of(np.eye(2), noise_pair(bad, 1.0))
+        with pytest.raises(ValidityError, match=finite):
             make_channel(cross=np.diag([0.0, bad]))
 
     def test_stage_noise_is_a_read_only_copy(self):
         cov = noise_pair(1.3, 1.1, 0.2)
-        stage = MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=cov)
-        assert np.array_equal(stage.noise_B, cov) and stage.noise_B is not cov
-        assert cov.flags.writeable and not stage.noise_B.flags.writeable
+        config = channel_of(cov, cov)
+        for held in (config.measurement.noise_B, config.reconstruction.noise_C):
+            assert np.array_equal(held, cov) and held is not cov
+            assert not held.flags.writeable
+        assert cov.flags.writeable and not config.noise.flags.writeable
 
     def test_reconstruction_bound(self):
-        ReconstructionStage(h_X=1.0, h_Y=1.0, noise_C=noise_pair(2.0, 0.5))
+        channel_of(np.eye(2), noise_pair(2.0, 0.5))
         with pytest.raises(ValidityError, match="reconstruction noise bound"):
-            ReconstructionStage(h_X=1.0, h_Y=1.0, noise_C=noise_pair(0.9, 0.9))
+            channel_of(np.eye(2), noise_pair(0.9, 0.9))
         # the rule is on the determinant: 1.44 - 0.64 < 1 though 1.2 * 1.2 > 1
         with pytest.raises(ValidityError, match="reconstruction noise bound"):
-            ReconstructionStage(h_X=1.0, h_Y=1.0, noise_C=noise_pair(1.2, 1.2, 0.8))
+            channel_of(np.eye(2), noise_pair(1.2, 1.2, 0.8))
 
     def test_determinant_of_huge_noise_does_not_overflow(self):
         # v_0 * v_1 and c * c both overflow, so a plain determinant is inf - inf
-        stage = ReconstructionStage(1.0, 1.0, [[1e300, 5e299], [5e299, 1e300]])
-        assert stage.noise_C[0, 1] == 5e299
+        config = channel_of(np.eye(2), [[1e300, 5e299], [5e299, 1e300]])
+        assert config.noise[2, 3] == 5e299
         # g + |c| overflows: inf passes the bound, with no numpy overflow
         # warning (warnings are errors under this suite)
-        stage = ReconstructionStage(1.0, 1.0, [[1.7e308, 1e308], [1e308, 1.7e308]])
-        assert stage.noise_C[0, 1] == 1e308
+        config = channel_of(np.eye(2), [[1.7e308, 1e308], [1e308, 1.7e308]])
+        assert config.noise[2, 3] == 1e308
 
     def test_gain_scales_measurement_bound(self):
         # larger gains demand proportionally larger noise
-        MeasurementStage(g_X=2.0, g_Y=2.0, noise_B=noise_pair(4.0, 4.0))
-        with pytest.raises(ValidityError):
-            MeasurementStage(g_X=2.0, g_Y=2.0, noise_B=noise_pair(1.0, 1.0))
+        channel_of(noise_pair(4.0, 4.0), g=2.0)
+        with pytest.raises(ValidityError, match="measurement noise bound"):
+            channel_of(noise_pair(1.0, 1.0), g=2.0)
 
     @pytest.mark.parametrize("gain, noise", [(1e-3, 9.99e-7), (1e-5, 1e-30)])
     def test_small_gain_bound_is_relative(self, gain, noise):
         # 0.1% and 20 decades below |g_X*g_Y|: far beyond the 1e-9 tolerance
         # relative to the bound, though within 1e-9 of it in absolute terms
         with pytest.raises(ValidityError, match="measurement noise bound"):
-            MeasurementStage(g_X=gain, g_Y=gain, noise_B=noise_pair(noise, noise))
+            channel_of(noise_pair(noise, noise), g=gain)
 
     def test_small_gain_stage_at_its_bound_admitted(self):
-        MeasurementStage(g_X=1e-3, g_Y=1e-3, noise_B=noise_pair(1e-6, 1e-6))
-        MeasurementStage(g_X=1e-3, g_Y=1e-3, noise_B=noise_pair(1e-6 * (1 - 5e-10), 1e-6))
+        channel_of(noise_pair(1e-6, 1e-6), g=1e-3)
+        channel_of(noise_pair(1e-6 * (1 - 5e-10), 1e-6), g=1e-3)
 
 
 class TestInputState:
@@ -319,18 +342,24 @@ class TestUnityGainBudget:
         assert b.v_Xm < 1.0 - VALIDITY_TOL
         with pytest.raises(ValidityError, match="measurement noise bound"):
             make_channel(h=h, vb=1.0 - 1e-6)
-        # a budget built directly is held to the unit bound
-        with pytest.raises(ValidityError, match=r"v_Xm\*v_Ym >= 1 violated"):
+        # a budget built directly is held to the unit bound of its channel
+        with pytest.raises(ValidityError, match=r"v_Xm=0.99999999, .*measurement noise bound"):
             NoiseBudget(1.0 - 1e-8, 1.0 - 1e-8, 1.0, 1.0)
 
     @pytest.mark.parametrize("h, vb, vc, c", EDGE_CHANNELS)
     def test_admitted_edge_channel_gives_a_budget(self, h, vb, vc, c, tmp_path, capsys):
         config = edge_channel(h, vb, vc, c)
-        with pytest.raises(ValidityError, match="c_XmXr"):
-            NoiseBudget(h * h * vb, h * h * vb, vc, 2 * vc, h * c, 0.0)
         b = to_unity_gain_budget(config)
-        # the channel's budget keeps the correlation the direct budget rejects
         assert (b.v_Xm, b.c_XmXr) == (h * h * vb, h * c)
+        # the channel's budget keeps its correlation; the same fields built
+        # directly stand or fall with the channel they build
+        if h == 1.0:
+            assert NoiseBudget(*astuple(b)) == b
+        else:
+            with pytest.raises(ValidityError, match="c_XmXr=.*joint stage covariance"):
+                NoiseBudget(*astuple(b))
+            with pytest.raises(ValidityError, match="joint stage covariance"):
+                budget_to_channel(b)
         path = tmp_path / "channel.json"
         path.write_text(json.dumps(channel_to_dict(config)))
         assert cli.main(["report", "--config", str(path)]) == 0
@@ -414,16 +443,16 @@ class TestNoiseBudget:
         assert _output_noise(*_fields(b).reshape(3, 2)).tolist() == [4.0, 4.0]
 
     def test_measurement_product_bound(self):
-        with pytest.raises(ValidityError, match="v_Xm"):
+        with pytest.raises(ValidityError, match="v_Xm=0.5, .*measurement noise bound"):
             NoiseBudget(0.5, 0.5, 1.0, 1.0)
 
     def test_reconstruction_product_bound(self):
-        with pytest.raises(ValidityError, match="v_Xr"):
+        with pytest.raises(ValidityError, match="v_Xr=0.5, .*reconstruction noise bound"):
             NoiseBudget(1.0, 1.0, 0.5, 0.5)
 
     def test_correlation_bound(self):
         for c in (1.5, -1.0 - 4e-10):
-            with pytest.raises(ValidityError, match="c_XmXr"):
+            with pytest.raises(ValidityError, match="c_XmXr=.*joint stage covariance"):
                 NoiseBudget(1.0, 1.0, 1.0, 1.0, c, 0.0)
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValidityError, match="c_XmXr"):
@@ -480,12 +509,82 @@ class TestNoiseBudget:
             assert capsys.readouterr().out == to_json(asdict(full_report(channel))), b
 
 
+# Offsets from a unit edge, each taken on both sides of it: at it, within
+# the validity slack, past it, and far from it.
+EDGE_OFFSETS = (0.0, 1e-14, 3e-14, 1e-12, 1e-10, 3e-10, 1e-9, 2e-9, 1e-6, 0.25)
+
+
+def near_one():
+    return st.tuples(st.sampled_from(EDGE_OFFSETS), st.sampled_from((-1.0, 1.0))).map(
+        lambda t: 1.0 + t[0] * t[1]
+    )
+
+
+@st.composite
+def budget_fields(draw):
+    """Six budget fields near the unit product bound of each noise pair and
+    near the PSD edge of each same-quadrature correlation, over scales where
+    the eigensolver's slack is absolute and where it is relative; either
+    pair may be the exactly-zero idealized one."""
+    v_xm = 10.0 ** draw(st.floats(-7.0, 7.0))
+    v_xr = v_xm * draw(st.one_of(st.just(1.0), st.floats(0.01, 100.0)))
+    v_ym, v_yr = draw(near_one()) / v_xm, draw(near_one()) / v_xr
+    if draw(st.integers(0, 5)) == 0:
+        v_xm = v_ym = 0.0
+    if draw(st.integers(0, 5)) == 0:
+        v_xr = v_yr = 0.0
+    c = [
+        draw(st.sampled_from((-1.0, 1.0)))
+        * draw(st.one_of(near_one(), st.floats(0.0, 1.0)))
+        * np.sqrt(v_m * v_r)
+        for v_m, v_r in ((v_xm, v_xr), (v_ym, v_yr))
+    ]
+    return v_xm, v_ym, v_xr, v_yr, float(c[0]), float(c[1])
+
+
+def admitted(build, *args) -> bool:
+    try:
+        build(*args)
+    except ValidityError:
+        return False
+    return True
+
+
+@given(f=budget_fields())
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+def test_direct_budget_is_valid_exactly_when_its_channel_is(f):
+    # the same six fields, unvalidated, as to_unity_gain_budget builds them
+    unvalidated = object.__new__(NoiseBudget)
+    for field, value in zip(fields(NoiseBudget), f):
+        object.__setattr__(unvalidated, field.name, value)
+    assert admitted(NoiseBudget, *f) == admitted(budget_to_channel, unvalidated), f
+
+
 class TestChannelConfig:
     def test_cross_covariance_must_keep_joint_psd(self):
         # correlation magnitude beyond the stage amplitudes is unphysical
         cross = np.diag([1.5, 0.0])
         with pytest.raises(ValidityError, match="joint stage covariance"):
             make_channel(cross=cross)
+
+    def test_channel_is_validated_with_one_covariance_check(self, monkeypatch):
+        # validated_cov on the joint 4x4: one eigensolve for the covariance
+        # and one for its correlation matrix, for a parsed channel and for
+        # a budget built directly
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        text = json.dumps(channel_to_dict(make_channel(vb=1.5, vc=2.0, cross=np.eye(2) * 0.5)))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        config_from_json(text)
+        assert calls == [(4, 4), (4, 4)]
+        calls.clear()
+        NoiseBudget(1.5, 1.5, 2.0, 2.0, 0.5, 0.5)
+        assert calls == [(4, 4), (4, 4)]
 
     def test_wrong_cross_shape_rejected(self):
         with pytest.raises(ConfigError, match="2x2"):

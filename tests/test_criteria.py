@@ -608,6 +608,49 @@ class TestFullReport:
             report = full_report(config)
             assert not report.verdicts["fidelity_above_half"], (g, noises)
 
+    def test_shared_classical_noise_never_beats_the_classical_bound(self):
+        # stages that share a classical noise, B = B0 + x and C = C0 + y with
+        # B0 and C0 at or above their bounds and (x, y) jointly Gaussian,
+        # independent of both: then N_X >= h_X^2 b_X + c_X (and the Y
+        # analog), so N_X N_Y >= 4 and F <= 1/2 whatever the cross moments.
+        # Exact at rational points, with gains whose inverses are exact.
+        rng = np.random.default_rng(2001)
+
+        def rational(lo, hi, den=8):
+            return Fraction(int(rng.integers(lo * den, hi * den + 1)), den)
+
+        def pair(bound):
+            """A 2x2 covariance with determinant at or above ``bound``."""
+            v, r = rational(1, 4), rational(-2, 2)
+            det = bound * (1 + rational(0, 1) * int(rng.integers(0, 2)))
+            return [[v, r], [r, (det + r * r) / v]]
+
+        for _ in range(300):
+            g = [Fraction(int(rng.choice([-2, -1, 1, 2])), int(rng.choice([1, 2, 4])))
+                 for _ in "XY"]
+            h = [1 / x for x in g]
+            b0, c0 = pair((g[0] * g[1]) ** 2), pair(Fraction(1))
+            # K = L L^T over (x_X, x_Y, y_X, y_Y); a column (1, 0, -h_X, 0)
+            # makes y_X cancel h_X x_X at the output
+            cols = [[rational(-2, 2) for _ in range(4)] for _ in range(2)]
+            cols.append([Fraction(1), Fraction(0), -h[0], Fraction(0)])
+            k = [[sum(col[i] * col[j] for col in cols) for j in range(4)] for i in range(4)]
+            noise_b = [[b0[i][j] + k[i][j] for j in range(2)] for i in range(2)]
+            noise_c = [[c0[i][j] + k[i + 2][j + 2] for j in range(2)] for i in range(2)]
+            cross = [[k[i][j + 2] for j in range(2)] for i in range(2)]
+            assert any(x != 0 for row in cross for x in row)
+            n = [h[q] ** 2 * noise_b[q][q] + noise_c[q][q] + 2 * h[q] * cross[q][q]
+                 for q in (0, 1)]
+            assert n[0] * n[1] >= 4, (g, noise_b, noise_c, cross)
+            config = ChannelConfig(
+                MeasurementStage(*map(float, g), np.array(noise_b, dtype=float)),
+                ReconstructionStage(*map(float, h), np.array(noise_c, dtype=float)),
+                InputState(1.0, 1.0),
+                np.array(cross, dtype=float),
+            )
+            report = full_report(config)
+            assert not report.verdicts["fidelity_above_half"], (g, noise_b, noise_c, cross)
+
     def test_reports_do_not_run_the_chain(self, monkeypatch):
         def unreachable(*fields):
             raise AssertionError("a report ran the inequality chain")

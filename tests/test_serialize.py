@@ -183,7 +183,8 @@ class TestConfigParsing:
             config_from_dict(d)
 
     def test_mixing_named_before_non_psd_noise(self):
-        # rules read at parse come first: the stage validates its covariance
+        # rules read at parse come first: the channel validates the
+        # covariance once the whole config has parsed
         d = channel_to_dict(_shot_noise_channel())
         d["measurement"]["f_Y"] = 0.2
         d["measurement"]["noise_B"]["cov"] = [[1.0, 2.0], [2.0, 1.0]]
@@ -195,6 +196,13 @@ class TestConfigParsing:
             config_from_dict(d)
         d["measurement"]["noise_B"]["mean"] = [0.0, 0.0]
         with pytest.raises(ValidityError, match="positive semidefinite"):
+            config_from_dict(d)
+
+    def test_reconstruction_parse_error_named_before_invalid_measurement_noise(self):
+        d = channel_to_dict(_shot_noise_channel())
+        d["measurement"]["noise_B"]["cov"] = [[1.0, 2.0], [2.0, 1.0]]
+        d["reconstruction"]["h_X"] = "1"
+        with pytest.raises(ConfigError, match="reconstruction.h_X: expected a number"):
             config_from_dict(d)
 
     def test_type_discriminator_required(self):
