@@ -72,11 +72,12 @@ class MeasurementStage:
     """Dual-quadrature measurement: gains and added noise.
 
     ``noise_B`` is the ``(2, 2)`` covariance of the added noises (B_X,
-    B_Y), held unchecked as a read-only float copy, as is the
+    B_Y), held unchecked as a read-only float copy of the input, as is the
     reconstruction stage's ``noise_C``.  :class:`ChannelConfig` validates
     both, and holds ``noise_B`` to ``sqrt(det noise_B) >= |g_X*g_Y|`` and
     ``noise_C`` to ``sqrt(det noise_C) >= 1``, unless a pair's variances
-    are exactly zero (idealized reference stage).
+    are exactly zero (idealized reference stage).  The channel's ``noise``
+    holds the validated, symmetrized copy, the one every figure reads.
     """
 
     g_X: float
@@ -210,10 +211,10 @@ class ChannelConfig:
     ``cross_cov_BC`` is the 2x2 matrix of <B_i C_j> moments with rows
     (B_X, B_Y) and columns (C_X, C_Y), held as a read-only float copy.
     ``noise`` is the joint ``(4, 4)`` covariance over (B_X, B_Y, C_X, C_Y),
-    the channel's one :func:`validated_cov` call; its stage blocks are then
-    held to the stage bounds.  The budget reduces it and the Monte Carlo
-    samples it.  The input is independent of both noises and validated by
-    :class:`InputState` alone.
+    the channel's one :func:`validated_cov` call and its only validated
+    copy of the noises; its stage blocks are then held to the stage bounds.
+    The budget reduces it and the Monte Carlo samples it.  The input is
+    independent of both noises and validated by :class:`InputState` alone.
     """
 
     measurement: MeasurementStage
@@ -277,15 +278,11 @@ def _output_noise(v_m, v_r, c):
     """Total added output noise per quadrature, ``v_m + v_r + 2c`` floored at 0.
 
     The correlation term is what an entangled resource exploits; with
-    perfect anticorrelation the total can reach zero.  A total that
-    overflows is summed again as ``(v_m + c) + (v_r + c)``.  Scalars or
-    equal-length arrays.
+    perfect anticorrelation the total can reach zero.  It is summed at half
+    scale and doubled, which is exact for normal floats, so a partial sum
+    overflows only when the total does.  Scalars or equal-length arrays.
     """
-    with np.errstate(all="ignore"):
-        total = v_m + v_r + 2.0 * c
-        if not np.isfinite(total).all():
-            total = np.where(np.isfinite(total), total, (v_m + c) + (v_r + c))
-    return np.maximum(total, 0.0)
+    return 2.0 * np.maximum(0.5 * v_m + 0.5 * v_r + c, 0.0)
 
 
 def budget_to_channel(b: NoiseBudget) -> ChannelConfig:

@@ -296,7 +296,8 @@ def full_report(config: ChannelConfig) -> CriteriaReport:
     """Evaluate every criterion for a unity-gain channel configuration."""
     budget = to_unity_gain_budget(config)
     fields = _fields(budget)
-    n_x, n_y = map(float, _output_noise(fields[:2], fields[2:4], fields[4:]))
+    with np.errstate(over="ignore"):  # an infinite total is rejected as a figure
+        n_x, n_y = map(float, _output_noise(fields[:2], fields[2:4], fields[4:]))
     return _criteria_report(n_x, n_y, epr_criterion(budget), config.input)
 
 

@@ -41,11 +41,13 @@ def validated_cov(cov: np.ndarray) -> np.ndarray:
     eigenvalue magnitude.  The second term is the size of the eigensolver's
     rounding, so a large-variance state is not rejected for it, while a
     correlation or a variance off by more than that, on any coordinate,
-    still is.  The correlation matrix of the positive-variance coordinates
-    (the covariance scaled by their standard deviations) is held to the same
-    test, so the slack is relative to each pair's own scale: a tiny variance
-    beside a large one cannot carry a correlation coefficient above 1 by
-    more than ``-PSD_TOL``.
+    still is.  The covariance with each positive-variance coordinate scaled
+    by its standard deviation (the correlation matrix, where a zero
+    variance, or one negative within rounding, stays unscaled) is held to
+    the same test, so the slack is relative to each pair's own scale: a tiny
+    variance beside a large one cannot carry a correlation coefficient above
+    1 by more than ``-PSD_TOL``, nor a zero variance a covariance above about
+    ``sqrt(-PSD_TOL * v)`` with a coordinate of variance ``v``.
     """
     if not np.all(np.isfinite(cov)):
         raise ValidityError("covariance must be finite")
@@ -57,15 +59,15 @@ def validated_cov(cov: np.ndarray) -> np.ndarray:
     # entries, halved before the sum so that it cannot overflow.
     sym = np.where(cov == cov.T, cov, cov / 2.0 + cov.T / 2.0)
     _check_psd(sym, "covariance")
-    # the same check on the correlation matrix of the positive-variance
-    # coordinates, so that small variances beside large ones cannot carry
-    # a correlation coefficient beyond 1.  A coefficient beyond 1 is
-    # invalid at any size, so an overflowing one is clipped to 2.
-    live = np.flatnonzero(np.diag(sym) > 0.0)
-    if live.size > 1:
-        scale = np.sqrt(np.diag(sym)[live])
+    # the same check on the correlation matrix, so that small or zero
+    # variances beside large ones cannot carry a correlation beyond their
+    # own scale.  A coefficient beyond 1 is invalid at any size, so an
+    # overflowing one is clipped to 2.
+    if len(sym) > 1:
+        var = np.diag(sym)
+        scale = np.sqrt(np.where(var > 0.0, var, 1.0))
         with np.errstate(over="ignore"):
-            corr = sym[np.ix_(live, live)] / scale[:, None] / scale
+            corr = sym / scale[:, None] / scale
         _check_psd(np.clip(corr, -2.0, 2.0), "correlation matrix")
     sym.setflags(write=False)
     return sym

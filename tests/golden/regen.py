@@ -182,6 +182,15 @@ REJECTED_CONFIGS = {
         ("reconstruction", "noise_C", "cov"), [[1.0, 2.0], [2.0, 1.0]]
     ),
     "joint-not-psd": _unit_with(("cross_cov_BC",), [[1.5, 0.0], [0.0, 0.0]]),
+    # a covariance on a zero variance, which a large variance elsewhere in
+    # the joint covariance must not excuse: between the two zero variances
+    # of a noiseless measurement, and across the stages
+    "zero-pair-correlated": json.dumps(
+        _channel([[0.0, 1e-7], [1e-7, 0.0]], [[1e8, 0.0], [0.0, 1e8]])
+    ),
+    "zero-variance-cross": json.dumps(
+        _channel(ZERO, [[1.0, 0.0], [0.0, 1e300]], [[1e100, 0.0], [0.0, 0.0]])
+    ),
     # two faults each: the rule read at parse is named, not the stage's
     # covariance check or the other parse rule
     "not-psd-noise-mean": _unit_with(
@@ -209,10 +218,12 @@ CV_OVERFLOW_TEXT = json.dumps(
 )
 # Stage noises at 1e308 whose sum v_m + v_r overflows: anticorrelated at
 # -1e308 the output noise cancels to 0; at -0.9e308 it is finite, and only
-# the conditional-variance products overflow.
+# the conditional-variance products overflow; correlated at +1e308 the
+# output noise itself overflows.
 HUGE = [[1e308, 0.0], [0.0, 1e308]]
 CANCEL_TEXT = json.dumps(_channel(HUGE, HUGE, [[-1e308, 0.0], [0.0, -1e308]]))
 NEAR_CANCEL_TEXT = json.dumps(_channel(HUGE, HUGE, [[-0.9e308, 0.0], [0.0, -0.9e308]]))
+OVERFLOW_TEXT = json.dumps(_channel(HUGE, HUGE, HUGE))
 MC_ARGV = ["mc", "--config", CONFIG_NAME, "--samples", "1000", "--seed", "1"]
 # Usage, config, I/O and range errors, and sweep grids at their edges.
 HAND_ROWS = [
@@ -248,6 +259,9 @@ HAND_ROWS = [
     ("channel-output-noise-near-cancel-report", ["report", "--config", CONFIG_NAME],
      NEAR_CANCEL_TEXT),
     ("channel-output-noise-near-cancel-mc", MC_ARGV, NEAR_CANCEL_TEXT),
+    ("channel-output-noise-overflows-report", ["report", "--config", CONFIG_NAME],
+     OVERFLOW_TEXT),
+    ("channel-output-noise-overflows-mc", MC_ARGV, OVERFLOW_TEXT),
     ("verify-zero-trials", ["verify", "--trials", "0"], None),
     ("verify-negative-seed", ["verify", "--seed", "-1"], None),
     ("verify-one-trial", ["verify", "--trials", "1"], None),

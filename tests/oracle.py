@@ -151,19 +151,21 @@ def gaussian_to_dict(cov: np.ndarray, labels: tuple[str, str]) -> dict:
 
 
 def channel_to_dict(config: ChannelConfig) -> dict:
-    m, r, inp = config.measurement, config.reconstruction, config.input
+    """The config's JSON form, with every noise read from its validated
+    joint covariance ``config.noise``."""
+    m, r, inp, noise = config.measurement, config.reconstruction, config.input, config.noise
     return {
         "type": "channel",
         "measurement": {
             "g_X": m.g_X,
             "g_Y": m.g_Y,
-            "noise_B": gaussian_to_dict(m.noise_B, ("B_X", "B_Y")),
+            "noise_B": gaussian_to_dict(noise[:2, :2], ("B_X", "B_Y")),
         },
         "reconstruction": {
             "h_X": r.h_X,
             "h_Y": r.h_Y,
-            "noise_C": gaussian_to_dict(r.noise_C, ("C_X", "C_Y")),
+            "noise_C": gaussian_to_dict(noise[2:, 2:], ("C_X", "C_Y")),
         },
         "input": {"var_X": inp.var_X, "var_Y": inp.var_Y},
-        "cross_cov_BC": np.asarray(config.cross_cov_BC).tolist(),
+        "cross_cov_BC": noise[:2, 2:].tolist(),
     }

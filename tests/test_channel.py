@@ -463,6 +463,16 @@ class TestNoiseBudget:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValidityError):
             NoiseBudget(-1.0, 1.0, 1.0, 1.0)
+
+    def test_zero_variance_carries_no_correlation(self):
+        # a noiseless measurement correlated with a reconstruction noise,
+        # beside a huge one: the 1e300 variance lends the pair no slack
+        with pytest.raises(ValidityError, match="c_XmXr=1e\\+100, .*correlation matrix"):
+            NoiseBudget(0.0, 0.0, 1.0, 1e300, 1e100, 0.0)
+        with pytest.raises(ValidityError, match="min eigenvalue -1.000e-08"):
+            NoiseBudget(0.0, 0.0, 1.0, 1.0, 1e-4, 0.0)
+        # a correlation within rounding of zero is admitted, as in a 2x2
+        NoiseBudget(0.0, 0.0, 1.0, 1e300, 1e-6, 0.0)
         with pytest.raises(ValidityError, match="v_Yr must be finite"):
             NoiseBudget(1.0, 1.0, 1.0, np.nan)
 
@@ -566,6 +576,24 @@ class TestChannelConfig:
         cross = np.diag([1.5, 0.0])
         with pytest.raises(ValidityError, match="joint stage covariance"):
             make_channel(cross=cross)
+
+    def test_large_stage_excuses_no_correlation_on_zero_variances(self):
+        # the joint covariance's eigensolver slack grows with its largest
+        # variance; a covariance on a zero variance is held to its own scale
+        big = 1e8 * np.eye(2)
+        with pytest.raises(ValidityError, match="min eigenvalue -1.000e-07"):
+            channel_of([[0.0, 1e-7], [1e-7, 0.0]], big)
+        with pytest.raises(ValidityError, match="joint stage covariance"):
+            channel_of([[0.0, 1e280], [1e280, 0.0]], 1e300 * np.eye(2))
+        with pytest.raises(ValidityError, match="joint stage covariance"):
+            ChannelConfig(
+                MeasurementStage(1.0, 1.0, np.zeros((2, 2))),
+                ReconstructionStage(1.0, 1.0, np.diag([1.0, 1e300])),
+                vacuum_input(),
+                cross_cov_BC=np.diag([1e100, 0.0]),
+            )
+        # within rounding of zero, the idealized pair is still admitted
+        channel_of([[0.0, 1e-11], [1e-11, 0.0]], big)
 
     def test_channel_is_validated_with_one_covariance_check(self, monkeypatch):
         # validated_cov on the joint 4x4: one eigensolve for the covariance

@@ -220,6 +220,28 @@ class TestStateValidation:
         with pytest.raises(ValidityError, match="correlation matrix"):
             state_2d([[1e-320, 1e-11], [1e-11, 1e-320]])
 
+    def test_zero_variances_beside_large_ones_keep_their_covariance_bound(self):
+        # a zero variance may carry a covariance of about 1e-5 * sqrt(v) with
+        # a coordinate of variance v, rounding as in a 2x2 of its own; a
+        # large variance elsewhere lends it no slack
+        for far in (1.0, 1e8, 1e300):
+            cov = np.diag([0.0, 1.0, far])
+            cov[0, 1] = cov[1, 0] = 1e-6
+            GaussianVector(labels=tuple("abc"), cov=cov)
+            for i, j, c in ((0, 1, 1e-4), (0, 1, 1e100), (0, 2, 1e-4 * np.sqrt(far))):
+                bad = np.diag([0.0, 1.0, far])
+                bad[i, j] = bad[j, i] = c
+                with pytest.raises(ValidityError, match="not positive semidefinite"):
+                    GaussianVector(labels=tuple("abc"), cov=bad)
+        # and so may two zero variances, up to PSD_TOL between them
+        for far in (1.0, 1e8):
+            cov = np.diag([0.0, 0.0, far])
+            cov[0, 1] = cov[1, 0] = 1e-11
+            GaussianVector(labels=tuple("abc"), cov=cov)
+            cov[0, 1] = cov[1, 0] = 1e-7
+            with pytest.raises(ValidityError, match="min eigenvalue -1.000e-07"):
+                GaussianVector(labels=tuple("abc"), cov=cov)
+
     def test_nan_rejected(self):
         with pytest.raises(ValidityError, match="covariance must be finite"):
             state_2d([[np.nan, 0], [0, 1]])
