@@ -1,7 +1,8 @@
 """Quality criteria for continuous-variable quantum teleportation.
 
 The package models a teleportation link as a linearized Gaussian channel
-(a joint measurement stage plus a displacement reconstruction stage),
+(a joint measurement stage plus a displacement reconstruction stage, held
+as their four gains and the joint covariance of their added noises),
 reduces it at unity gain to a four-variance noise budget, and evaluates
 the standard quality criteria: equivalent output noises, signal-transfer
 coefficients, coherent-state fidelity, and the conditional-variance
@@ -12,9 +13,7 @@ of merit from samples as an independent check.
 from .channel import (
     ChannelConfig,
     InputState,
-    MeasurementStage,
     NoiseBudget,
-    ReconstructionStage,
     budget_to_channel,
     shot_noise_budget,
     to_unity_gain_budget,
@@ -63,9 +62,7 @@ __all__ = [
     "InequalityTrace",
     "InputState",
     "McReport",
-    "MeasurementStage",
     "NoiseBudget",
-    "ReconstructionStage",
     "SweepPoint",
     "SweepTable",
     "ValidityError",

@@ -9,9 +9,11 @@ variance 1), so the stage noise bounds (Arthurs-Kelly) read:
 * measurement noise: ``sqrt(det noise_B) >= |g_X * g_Y|``
 * reconstruction noise: ``sqrt(det noise_C) >= 1``
 
-A channel is validated once, by :class:`ChannelConfig`: the joint covariance
-of both stage noises passes :func:`~cvteleport.gaussian.validated_cov`, and
-its stage blocks are held to these bounds, as the input is to its
+Every criterion depends only on the four gains and on the joint second
+moments of ``(B_X, B_Y, C_X, C_Y)``, so a :class:`ChannelConfig` holds
+exactly those, and its input.  It is validated once, on construction: the
+joint covariance passes :func:`~cvteleport.gaussian.validated_cov`, and its
+stage blocks are held to these bounds, as the input is to its
 uncertainty product, each to a tolerance relative to the bound: a value (or
 a NaN) is rejected below ``bound * (1 - VALIDITY_TOL)``.  A noise pair that
 is exactly zero in both quadratures is admitted as the idealized noiseless
@@ -24,7 +26,7 @@ built directly is valid exactly when the channel it builds is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,48 +58,6 @@ def _check_noise_pair(v_0: float, v_1: float, c: float, bound: float, what: str)
     g = math.sqrt(max(v_0, 0.0)) * math.sqrt(max(v_1, 0.0))
     c = abs(float(c))
     _check_bound(math.sqrt(max(g - c, 0.0)) * math.sqrt(g + c), bound, what)
-
-
-def _pair_array(value, name: str) -> np.ndarray:
-    """A read-only float copy of a ``(2, 2)`` ``value``; another shape is a ConfigError."""
-    array = np.array(value, dtype=float)
-    if array.shape != (2, 2):
-        raise ConfigError(f"{name} must be 2x2, got {array.shape}")
-    array.setflags(write=False)
-    return array
-
-
-@dataclass(frozen=True)
-class MeasurementStage:
-    """Dual-quadrature measurement: gains and added noise.
-
-    ``noise_B`` is the ``(2, 2)`` covariance of the added noises (B_X,
-    B_Y), held unchecked as a read-only float copy of the input, as is the
-    reconstruction stage's ``noise_C``.  :class:`ChannelConfig` validates
-    both, and holds ``noise_B`` to ``sqrt(det noise_B) >= |g_X*g_Y|`` and
-    ``noise_C`` to ``sqrt(det noise_C) >= 1``, unless a pair's variances
-    are exactly zero (idealized reference stage).  The channel's ``noise``
-    holds the validated, symmetrized copy, the one every figure reads.
-    """
-
-    g_X: float
-    g_Y: float
-    noise_B: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "noise_B", _pair_array(self.noise_B, "noise_B"))
-
-
-@dataclass(frozen=True)
-class ReconstructionStage:
-    """Output stage: rescales the measurement record and adds noise (C_X, C_Y)."""
-
-    h_X: float
-    h_Y: float
-    noise_C: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "noise_C", _pair_array(self.noise_C, "noise_C"))
 
 
 @dataclass(frozen=True)
@@ -204,40 +164,40 @@ def shot_noise_budget() -> NoiseBudget:
     return NoiseBudget(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelConfig:
-    """Full channel: both stages, their cross correlations, and the input.
+    """Full channel: the four gains, the joint stage noise, and the input.
 
-    ``cross_cov_BC`` is the 2x2 matrix of <B_i C_j> moments with rows
-    (B_X, B_Y) and columns (C_X, C_Y), held as a read-only float copy.
-    ``noise`` is the joint ``(4, 4)`` covariance over (B_X, B_Y, C_X, C_Y),
-    the channel's one :func:`validated_cov` call and its only validated
-    copy of the noises; its stage blocks are then held to the stage bounds.
-    The budget reduces it and the Monte Carlo samples it.  The input is
-    independent of both noises and validated by :class:`InputState` alone.
+    The measurement gains are ``g_X``/``g_Y`` and the reconstruction gains
+    ``h_X``/``h_Y``.  ``noise`` is the ``(4, 4)`` covariance over (B_X,
+    B_Y, C_X, C_Y): its diagonal blocks are the stage noises and its upper
+    right block the <B_i C_j> moments.  It is held as the read-only,
+    symmetrized copy that passed the channel's one :func:`validated_cov`
+    call, and its stage blocks are then held to the stage bounds.  It is
+    the channel's only copy of its noise: the budget reduces it and the
+    Monte Carlo samples it.  The input is independent of the noise and
+    validated by :class:`InputState` alone.  Two configs compare by
+    identity, as their arrays have no single truth value.
     """
 
-    measurement: MeasurementStage
-    reconstruction: ReconstructionStage
+    g_X: float
+    g_Y: float
+    h_X: float
+    h_Y: float
+    noise: np.ndarray
     input: InputState
-    cross_cov_BC: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
-    noise: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        m = self.measurement
-        cross = _pair_array(self.cross_cov_BC, "cross_cov_BC")
-        object.__setattr__(self, "cross_cov_BC", cross)
-        cov = np.empty((4, 4))
-        cov[:2, :2] = m.noise_B
-        cov[2:, 2:] = self.reconstruction.noise_C
-        cov[:2, 2:] = cross
-        cov[2:, :2] = cross.T
+        cov = np.asarray(self.noise, dtype=float)
+        if cov.shape != (4, 4):
+            raise ConfigError(f"noise must be 4x4, got {cov.shape}")
         try:
             noise = validated_cov(cov)
         except ValidityError as exc:
             raise ValidityError(f"joint stage covariance invalid: {exc}") from exc
         what = "measurement noise bound dB_X*dB_Y >= |g_X*g_Y|"
-        _check_noise_pair(noise[0, 0], noise[1, 1], noise[0, 1], abs(m.g_X * m.g_Y), what)
+        bound = abs(self.g_X * self.g_Y)
+        _check_noise_pair(noise[0, 0], noise[1, 1], noise[0, 1], bound, what)
         what = "reconstruction noise bound dC_X*dC_Y >= 1"
         _check_noise_pair(noise[2, 2], noise[3, 3], noise[2, 3], 1.0, what)
         object.__setattr__(self, "noise", noise)
@@ -255,8 +215,8 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
     terms) are validated with the channel and then dropped, so the reported
     fidelity ignores them although they add to the output noise covariance.
     """
-    m, r = config.measurement, config.reconstruction
-    gains = r.h_X * m.g_X, r.h_Y * m.g_Y
+    h_x, h_y = config.h_X, config.h_Y
+    gains = h_x * config.g_X, h_y * config.g_Y
     for quad, gain in zip("XY", gains):
         if not abs(gain - 1.0) <= GAIN_TOL:  # a NaN gain too
             raise ValidityError(
@@ -264,9 +224,9 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
             )
     # (B_X, B_Y, C_X, C_Y): the same-quadrature entries of config.noise
     cov = config.noise
-    v_m = r.h_X * r.h_X * float(cov[0, 0]), r.h_Y * r.h_Y * float(cov[1, 1])
+    v_m = h_x * h_x * float(cov[0, 0]), h_y * h_y * float(cov[1, 1])
     v_r = float(cov[2, 2]), float(cov[3, 3])
-    c = r.h_X * float(cov[0, 2]), r.h_Y * float(cov[1, 3])
+    c = h_x * float(cov[0, 2]), h_y * float(cov[1, 3])
     budget = object.__new__(NoiseBudget)
     for f, value in zip(fields(NoiseBudget), (*v_m, *v_r, *c)):
         object.__setattr__(budget, f.name, value)
@@ -291,10 +251,15 @@ def budget_to_channel(b: NoiseBudget) -> ChannelConfig:
     Round trip: ``to_unity_gain_budget(budget_to_channel(b)) == b``.
     """
     return ChannelConfig(
-        measurement=MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=np.diag([b.v_Xm, b.v_Ym])),
-        reconstruction=ReconstructionStage(
-            h_X=1.0, h_Y=1.0, noise_C=np.diag([b.v_Xr, b.v_Yr])
-        ),
+        g_X=1.0,
+        g_Y=1.0,
+        h_X=1.0,
+        h_Y=1.0,
+        noise=[
+            [b.v_Xm, 0.0, b.c_XmXr, 0.0],
+            [0.0, b.v_Ym, 0.0, b.c_YmYr],
+            [b.c_XmXr, 0.0, b.v_Xr, 0.0],
+            [0.0, b.c_YmYr, 0.0, b.v_Yr],
+        ],
         input=vacuum_input(),
-        cross_cov_BC=np.diag([b.c_XmXr, b.c_YmYr]),
     )

@@ -3,13 +3,14 @@
 The simulator draws the four zero-mean stage noises ``(B_X, B_Y, C_X,
 C_Y)`` from the channel's validated ``(4, 4)`` covariance
 ``ChannelConfig.noise``, and rebuilds every figure of merit from samples
-alone.  The input is not drawn and does not enter
-at all: at unity gain the reconstructed amplitude minus the input
-amplitude is the added noise, so the overlap kernel is evaluated on that
-added displacement, and a large input mean cannot round the noise away.
-Per sample the measured noise is ``h*B`` and the reconstruction noise
-``C``, per quadrature: the drawn rows are scaled in place to the columns
-``(X_m, Y_m, X_r, Y_r)``.  Each block is reduced to their four sums and
+alone.  The input is not drawn and does not enter at all: at unity gain
+the reconstructed amplitude minus the input amplitude is the added noise,
+so the overlap kernel is evaluated on that added displacement, and a
+large input mean cannot round the noise away.  Per sample the measured
+noise is ``h*B``, with the channel's reconstruction gains
+``ChannelConfig.h_X``/``h_Y``, and the reconstruction noise ``C``, per
+quadrature: the drawn rows are scaled in place to the columns ``(X_m,
+Y_m, X_r, Y_r)``.  Each block is reduced to their four sums and
 the sums of the products in :data:`_PAIRS`, which centre into one moment
 block in ``NoiseBudget`` field order; the report's own kernels reduce it
 to the output noises and the conditional-variance products, so this
@@ -225,7 +226,7 @@ def simulate_protocol(channel: ChannelConfig | EprScenario, samples: int, seed: 
     ref = np.array((report.N_X_out, report.N_Y_out, report.fidelity, *report.cv_products))
 
     factor = sampling_factor(channel.noise)
-    h_x, h_y = channel.reconstruction.h_X, channel.reconstruction.h_Y
+    h_x, h_y = channel.h_X, channel.h_Y
 
     block_n = samples // JACKKNIFE_BLOCKS
     block_stats = np.zeros((JACKKNIFE_BLOCKS, 4 + len(_PAIRS) + 1))

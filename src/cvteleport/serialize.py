@@ -2,9 +2,11 @@
 
 Config files carry a ``type`` discriminator: ``"channel"`` for an explicit
 two-stage channel and ``"epr"`` for the shared-entanglement scenario.
-Field names mirror the library dataclasses one to one, covariance matrices
-are row-major nested lists, and unknown keys are rejected so typos fail
-loudly instead of silently using a default.
+Field names mirror the library's: a channel's gains and input keep their
+names, and its ``noise_B``, ``noise_C`` and ``cross_cov_BC`` are the
+blocks of :attr:`ChannelConfig.noise`.  Covariance matrices are row-major
+nested lists, and unknown keys are rejected so typos fail loudly instead
+of silently using a default.
 
 All emitted numbers carry 12 significant digits ('.' decimal separator),
 booleans render as ``true``/``false``, and lines end with ``'\n'``, so
@@ -27,12 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from .channel import (
-    ChannelConfig,
-    InputState,
-    MeasurementStage,
-    ReconstructionStage,
-)
+from .channel import ChannelConfig, InputState
 from .epr import SWEEP_CSV_COLUMNS, EprScenario, SweepTable
 from .errors import ConfigError, ValidityError
 
@@ -144,11 +141,12 @@ def gaussian_from_dict(d: dict, where: str, expected_labels: tuple[str, str]) ->
     return cov
 
 
-def _measurement_from_dict(d: dict) -> MeasurementStage:
-    """Parse the measurement stage; ``f_X``/``f_Y`` are accepted only as 0.
+def _measurement_from_dict(d: dict) -> tuple[float, float, np.ndarray]:
+    """The measurement stage's ``(g_X, g_Y, noise_B)``.
 
-    A nonzero quadrature-mixing gain is rejected once ``noise_B`` has
-    parsed; the channel validates the noise once the whole config has.
+    The quadrature-mixing gains ``f_X``/``f_Y`` are accepted only as 0: a
+    nonzero one is rejected once ``noise_B`` has parsed.  The channel
+    validates the noise once the whole config has.
     """
     where = "measurement"
     _check_keys(
@@ -159,15 +157,16 @@ def _measurement_from_dict(d: dict) -> MeasurementStage:
     noise = gaussian_from_dict(d["noise_B"], f"{where}.noise_B", ("B_X", "B_Y"))
     if mixing != (0.0, 0.0):
         raise ValidityError("unity-gain budget needs f_X = f_Y = 0")
-    return MeasurementStage(g_X=g_x, g_Y=g_y, noise_B=noise)
+    return g_x, g_y, noise
 
 
-def _reconstruction_from_dict(d: dict) -> ReconstructionStage:
+def _reconstruction_from_dict(d: dict) -> tuple[float, float, np.ndarray]:
+    """The reconstruction stage's ``(h_X, h_Y, noise_C)``."""
     _check_keys(d, "reconstruction", ("h_X", "h_Y", "noise_C"), ("h_X", "h_Y", "noise_C"))
-    return ReconstructionStage(
-        h_X=_number(d, "h_X", "reconstruction"),
-        h_Y=_number(d, "h_Y", "reconstruction"),
-        noise_C=gaussian_from_dict(d["noise_C"], "reconstruction.noise_C", ("C_X", "C_Y")),
+    return (
+        _number(d, "h_X", "reconstruction"),
+        _number(d, "h_Y", "reconstruction"),
+        gaussian_from_dict(d["noise_C"], "reconstruction.noise_C", ("C_X", "C_Y")),
     )
 
 
@@ -210,12 +209,10 @@ def config_from_dict(d: dict) -> ChannelConfig | EprScenario:
             if "cross_cov_BC" in d
             else np.zeros((2, 2))
         )
-        return ChannelConfig(
-            measurement=_measurement_from_dict(d["measurement"]),
-            reconstruction=_reconstruction_from_dict(d["reconstruction"]),
-            input=input_state,
-            cross_cov_BC=cross,
-        )
+        g_x, g_y, noise_b = _measurement_from_dict(d["measurement"])
+        h_x, h_y, noise_c = _reconstruction_from_dict(d["reconstruction"])
+        noise = np.block([[noise_b, cross], [cross.T, noise_c]])
+        return ChannelConfig(g_x, g_y, h_x, h_y, noise, input_state)
     raise ConfigError(
         f"config.type: expected 'channel' or 'epr', got {kind!r}"
     )

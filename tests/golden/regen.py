@@ -16,8 +16,9 @@ hand-written list of channels and error cases.  Regenerate with::
     PYTHONPATH=src python tests/golden/regen.py            # print changed rows
     PYTHONPATH=src python tests/golden/regen.py --accept   # and rewrite cli.tsv
 
-A change that moves any output lists its changed rows; ``--accept``
-writes them.  Replaying needs only this module and ``cli.tsv``.
+A change that moves any output, or adds or drops an invocation, lists its
+changed rows and exits 1; ``--accept`` writes them and exits 0.  Replaying
+needs only this module and ``cli.tsv``.
 """
 
 from __future__ import annotations
@@ -373,7 +374,7 @@ def main() -> int:
         lines = ["\t".join(COLUMNS)] + [_format(row) for row in new]
         CORPUS.write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {CORPUS}")
-    return 0
+    return 1 if changed and not accept else 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from cvteleport.channel import ChannelConfig
+from cvteleport.channel import ChannelConfig, InputState, vacuum_input
 from cvteleport.criteria import _transfer_fidelity
 from cvteleport.gaussian import GaussianVector
 
@@ -85,14 +85,14 @@ def compose(config: ChannelConfig) -> ComposedChannel:
     of the channel's noise state.  The total gains h*g are reported
     alongside so callers can check the unity-gain condition.
     """
-    m, r = config.measurement, config.reconstruction
+    c = config
     cov = np.zeros((6, 6))
-    cov[0, 0], cov[1, 1] = config.input.var_X, config.input.var_Y
-    cov[2:, 2:] = config.noise
+    cov[0, 0], cov[1, 1] = c.input.var_X, c.input.var_Y
+    cov[2:, 2:] = c.noise
     joint = GaussianVector(("X_in", "Y_in", "B_X", "B_Y", "C_X", "C_Y"), cov)
-    out_x = LinearForm({"X_in": r.h_X * m.g_X, "B_X": r.h_X, "C_X": 1.0})
-    out_y = LinearForm({"Y_in": r.h_Y * m.g_Y, "B_Y": r.h_Y, "C_Y": 1.0})
-    return ComposedChannel(out_x, out_y, joint, r.h_X * m.g_X, r.h_Y * m.g_Y)
+    out_x = LinearForm({"X_in": c.h_X * c.g_X, "B_X": c.h_X, "C_X": 1.0})
+    out_y = LinearForm({"Y_in": c.h_Y * c.g_Y, "B_Y": c.h_Y, "C_Y": 1.0})
+    return ComposedChannel(out_x, out_y, joint, c.h_X * c.g_X, c.h_Y * c.g_Y)
 
 
 def fidelity_general(
@@ -150,22 +150,45 @@ def gaussian_to_dict(cov: np.ndarray, labels: tuple[str, str]) -> dict:
     return {"labels": list(labels), "mean": [0.0, 0.0], "cov": np.asarray(cov).tolist()}
 
 
+def channel_from_stages(
+    g_X: float,
+    g_Y: float,
+    noise_B,
+    h_X: float,
+    h_Y: float,
+    noise_C,
+    input: InputState | None = None,
+    cross_cov_BC=None,
+) -> ChannelConfig:
+    """A channel from its stages as a config file gives them.
+
+    The ``(2, 2)`` stage noises and ``<B_i C_j>`` moments are placed in the
+    joint covariance over (B_X, B_Y, C_X, C_Y); the input defaults to the
+    vacuum and the cross moments to zero.
+    """
+    noise_B, noise_C = np.asarray(noise_B, dtype=float), np.asarray(noise_C, dtype=float)
+    cross = np.zeros((2, 2)) if cross_cov_BC is None else np.asarray(cross_cov_BC, dtype=float)
+    noise = np.block([[noise_B, cross], [cross.T, noise_C]])
+    input = vacuum_input() if input is None else input
+    return ChannelConfig(g_X, g_Y, h_X, h_Y, noise, input)
+
+
 def channel_to_dict(config: ChannelConfig) -> dict:
     """The config's JSON form, with every noise read from its validated
     joint covariance ``config.noise``."""
-    m, r, inp, noise = config.measurement, config.reconstruction, config.input, config.noise
+    c, noise = config, config.noise
     return {
         "type": "channel",
         "measurement": {
-            "g_X": m.g_X,
-            "g_Y": m.g_Y,
+            "g_X": c.g_X,
+            "g_Y": c.g_Y,
             "noise_B": gaussian_to_dict(noise[:2, :2], ("B_X", "B_Y")),
         },
         "reconstruction": {
-            "h_X": r.h_X,
-            "h_Y": r.h_Y,
+            "h_X": c.h_X,
+            "h_Y": c.h_Y,
             "noise_C": gaussian_to_dict(noise[2:, 2:], ("C_X", "C_Y")),
         },
-        "input": {"var_X": inp.var_X, "var_Y": inp.var_Y},
+        "input": {"var_X": c.input.var_X, "var_Y": c.input.var_Y},
         "cross_cov_BC": noise[:2, 2:].tolist(),
     }

@@ -13,9 +13,7 @@ from cvteleport.channel import (
     VALIDITY_TOL,
     ChannelConfig,
     InputState,
-    MeasurementStage,
     NoiseBudget,
-    ReconstructionStage,
     _output_noise,
     budget_to_channel,
     shot_noise_budget,
@@ -27,7 +25,7 @@ from cvteleport.criteria import _draw_budgets, _fields, _transfer_fidelity, full
 from cvteleport.errors import ConfigError, ValidityError
 from cvteleport.gaussian import variance_of
 from cvteleport.serialize import config_from_dict, config_from_json, to_json
-from oracle import channel_to_dict, compose, term
+from oracle import channel_from_stages, channel_to_dict, compose, term
 
 
 def noise_pair(v_x, v_y, c=0.0):
@@ -35,11 +33,8 @@ def noise_pair(v_x, v_y, c=0.0):
 
 
 def make_channel(g=1.0, h=1.0, vb=1.0, vc=1.0, cross=None):
-    return ChannelConfig(
-        measurement=MeasurementStage(g_X=g, g_Y=g, noise_B=noise_pair(vb, vb)),
-        reconstruction=ReconstructionStage(h_X=h, h_Y=h, noise_C=noise_pair(vc, vc)),
-        input=vacuum_input(),
-        cross_cov_BC=np.zeros((2, 2)) if cross is None else cross,
+    return channel_from_stages(
+        g, g, noise_pair(vb, vb), h, h, noise_pair(vc, vc), cross_cov_BC=cross
     )
 
 
@@ -60,28 +55,26 @@ EDGE_CHANNELS = [
 
 
 def edge_channel(h, vb, vc, c):
-    return ChannelConfig(
-        measurement=MeasurementStage(g_X=1.0 / h, g_Y=1.0 / h, noise_B=noise_pair(vb, vb)),
-        reconstruction=ReconstructionStage(h_X=h, h_Y=h, noise_C=noise_pair(vc, 2 * vc)),
-        input=vacuum_input(),
+    return channel_from_stages(
+        1.0 / h,
+        1.0 / h,
+        noise_pair(vb, vb),
+        h,
+        h,
+        noise_pair(vc, 2 * vc),
         cross_cov_BC=np.diag([c, 0.0]),
     )
 
 
 def channel_of(noise_b, noise_c=None, g=1.0):
     """A unity-gain channel, ``g`` on the measurement, with the given stage noises."""
-    return ChannelConfig(
-        measurement=MeasurementStage(g_X=g, g_Y=g, noise_B=noise_b),
-        reconstruction=ReconstructionStage(
-            h_X=1.0 / g, h_Y=1.0 / g, noise_C=np.eye(2) if noise_c is None else noise_c
-        ),
-        input=vacuum_input(),
-    )
+    noise_c = np.eye(2) if noise_c is None else noise_c
+    return channel_from_stages(g, g, noise_b, 1.0 / g, 1.0 / g, noise_c)
 
 
 class TestStageValidation:
-    # a stage holds its noise unchecked: the channel validates both
-    # stages' noises and holds each to its bound
+    # the channel validates its joint noise and holds each stage block
+    # to its bound
     def test_shot_noise_measurement_saturates_bound(self):
         channel_of(noise_pair(1.0, 1.0))
 
@@ -97,13 +90,13 @@ class TestStageValidation:
             channel_of(noise_pair(0.0, 1.0))
 
     def test_wrong_noise_shape_rejected(self):
-        with pytest.raises(ConfigError, match=r"noise_B must be 2x2, got \(3, 3\)"):
-            MeasurementStage(g_X=1.0, g_Y=1.0, noise_B=np.eye(3))
-        with pytest.raises(ConfigError, match=r"noise_C must be 2x2, got \(2,\)"):
-            ReconstructionStage(h_X=1.0, h_Y=1.0, noise_C=np.ones(2))
+        with pytest.raises(ConfigError, match=r"noise must be 4x4, got \(3, 3\)"):
+            ChannelConfig(1.0, 1.0, 1.0, 1.0, np.eye(3), vacuum_input())
+        with pytest.raises(ConfigError, match=r"noise must be 4x4, got \(4,\)"):
+            ChannelConfig(1.0, 1.0, 1.0, 1.0, np.ones(4), vacuum_input())
 
     def test_nonzero_mean_noise_rejected(self):
-        # a stage holds a covariance only: the mean is checked where it is read
+        # a channel holds a covariance only: the mean is checked where it is read
         config = channel_to_dict(make_channel())
         config["measurement"]["noise_B"]["mean"] = [0.1, 0.0]
         with pytest.raises(ValidityError, match="zero-mean"):
@@ -120,12 +113,11 @@ class TestStageValidation:
             make_channel(cross=np.diag([0.0, bad]))
 
     def test_stage_noise_is_a_read_only_copy(self):
-        cov = noise_pair(1.3, 1.1, 0.2)
-        config = channel_of(cov, cov)
-        for held in (config.measurement.noise_B, config.reconstruction.noise_C):
-            assert np.array_equal(held, cov) and held is not cov
-            assert not held.flags.writeable
-        assert cov.flags.writeable and not config.noise.flags.writeable
+        cov = np.kron(np.eye(2), noise_pair(1.3, 1.1, 0.2))
+        config = ChannelConfig(1.0, 1.0, 1.0, 1.0, cov, vacuum_input())
+        held = config.noise
+        assert np.array_equal(held, cov) and held is not cov
+        assert cov.flags.writeable and not held.flags.writeable
 
     def test_reconstruction_bound(self):
         channel_of(np.eye(2), noise_pair(2.0, 0.5))
@@ -255,18 +247,13 @@ class TestCompose:
             # each pair's determinant, not only its diagonal, meets the bound
             db_x, db_y = np.array([db_x, db_y]) / (1.0 - rho_b**2) ** 0.25
             dc_x, dc_y = np.array([dc_x, dc_y]) / (1.0 - rho_c**2) ** 0.25
-            config = ChannelConfig(
-                measurement=MeasurementStage(
-                    g_X=g_x,
-                    g_Y=g_y,
-                    noise_B=noise_pair(db_x**2, db_y**2, rho_b * db_x * db_y),
-                ),
-                reconstruction=ReconstructionStage(
-                    h_X=h_x,
-                    h_Y=h_y,
-                    noise_C=noise_pair(dc_x**2, dc_y**2, rho_c * dc_x * dc_y),
-                ),
-                input=vacuum_input(),
+            config = channel_from_stages(
+                g_x,
+                g_y,
+                noise_pair(db_x**2, db_y**2, rho_b * db_x * db_y),
+                h_x,
+                h_y,
+                noise_pair(dc_x**2, dc_y**2, rho_c * dc_x * dc_y),
             )
             composed = compose(config)
             d_x = composed.out_X - term("X_in", composed.g_T_X)
@@ -287,24 +274,9 @@ class TestCompose:
     def test_rescaling_stages_preserves_output_statistics(self):
         # push gain from the reconstruction into the measurement: doubling
         # (g_X, B_X amplitude) and halving h_X is invisible at the output
-        base = ChannelConfig(
-            measurement=MeasurementStage(
-                g_X=1.0, g_Y=1.0, noise_B=noise_pair(2.0, 1.5, 0.3)
-            ),
-            reconstruction=ReconstructionStage(
-                h_X=1.0, h_Y=1.0, noise_C=noise_pair(1.2, 1.1, -0.2)
-            ),
-            input=vacuum_input(),
-        )
-        scaled = ChannelConfig(
-            measurement=MeasurementStage(
-                g_X=2.0, g_Y=1.0, noise_B=noise_pair(8.0, 1.5, 0.6)
-            ),
-            reconstruction=ReconstructionStage(
-                h_X=0.5, h_Y=1.0, noise_C=noise_pair(1.2, 1.1, -0.2)
-            ),
-            input=vacuum_input(),
-        )
+        noise_c = noise_pair(1.2, 1.1, -0.2)
+        base = channel_from_stages(1.0, 1.0, noise_pair(2.0, 1.5, 0.3), 1.0, 1.0, noise_c)
+        scaled = channel_from_stages(2.0, 1.0, noise_pair(8.0, 1.5, 0.6), 0.5, 1.0, noise_c)
         a, b = compose(base), compose(scaled)
         for fa, fb in ((a.out_X, b.out_X), (a.out_Y, b.out_Y)):
             va = variance_of(fa, a.state)
@@ -319,14 +291,8 @@ class TestUnityGainBudget:
         assert to_unity_gain_budget(make_channel(vb=0.0, vc=0.0)) == want
 
     def test_measurement_noise_referred_through_h_squared(self):
-        config = ChannelConfig(
-            measurement=MeasurementStage(
-                g_X=0.5, g_Y=2.0, noise_B=noise_pair(1.0, 4.0)
-            ),
-            reconstruction=ReconstructionStage(
-                h_X=2.0, h_Y=0.5, noise_C=noise_pair(1.0, 1.0)
-            ),
-            input=vacuum_input(),
+        config = channel_from_stages(
+            0.5, 2.0, noise_pair(1.0, 4.0), 2.0, 0.5, noise_pair(1.0, 1.0)
         )
         b = to_unity_gain_budget(config)
         assert b.v_Xm == 4.0
@@ -388,11 +354,7 @@ class TestUnityGainBudget:
         # a NaN total gain, given or as 0 * inf, fails the gate too; the
         # noiseless measurement stage is exempt from its own bound
         for g, h in ((np.nan, 1.0), (0.0, np.inf)):
-            config = ChannelConfig(
-                measurement=MeasurementStage(g_X=g, g_Y=g, noise_B=np.zeros((2, 2))),
-                reconstruction=ReconstructionStage(h_X=h, h_Y=h, noise_C=np.eye(2)),
-                input=vacuum_input(),
-            )
+            config = channel_from_stages(g, g, np.zeros((2, 2)), h, h, np.eye(2))
             with pytest.raises(ValidityError, match="total gain on X is nan, unity gain"):
                 to_unity_gain_budget(config)
             with pytest.raises(ValidityError, match="total gain on X is nan"):
@@ -409,14 +371,13 @@ class TestUnityGainBudget:
             dc_y = 10.0 ** rng.uniform(0, 0.5) / min(dc_x, 1.0)
             rho = rng.uniform(-0.95, 0.95, 2)
             cross = np.diag([rho[0] * db_x * dc_x, rho[1] * db_y * dc_y])
-            config = ChannelConfig(
-                measurement=MeasurementStage(
-                    g_X=g_x, g_Y=g_y, noise_B=noise_pair(db_x**2, db_y**2)
-                ),
-                reconstruction=ReconstructionStage(
-                    h_X=h_x, h_Y=h_y, noise_C=noise_pair(dc_x**2, dc_y**2)
-                ),
-                input=vacuum_input(),
+            config = channel_from_stages(
+                g_x,
+                g_y,
+                noise_pair(db_x**2, db_y**2),
+                h_x,
+                h_y,
+                noise_pair(dc_x**2, dc_y**2),
                 cross_cov_BC=cross,
             )
             budget = to_unity_gain_budget(config)
@@ -586,10 +547,13 @@ class TestChannelConfig:
         with pytest.raises(ValidityError, match="joint stage covariance"):
             channel_of([[0.0, 1e280], [1e280, 0.0]], 1e300 * np.eye(2))
         with pytest.raises(ValidityError, match="joint stage covariance"):
-            ChannelConfig(
-                MeasurementStage(1.0, 1.0, np.zeros((2, 2))),
-                ReconstructionStage(1.0, 1.0, np.diag([1.0, 1e300])),
-                vacuum_input(),
+            channel_from_stages(
+                1.0,
+                1.0,
+                np.zeros((2, 2)),
+                1.0,
+                1.0,
+                np.diag([1.0, 1e300]),
                 cross_cov_BC=np.diag([1e100, 0.0]),
             )
         # within rounding of zero, the idealized pair is still admitted
@@ -614,23 +578,34 @@ class TestChannelConfig:
         NoiseBudget(1.5, 1.5, 2.0, 2.0, 0.5, 0.5)
         assert calls == [(4, 4), (4, 4)]
 
+    def test_configs_compare_and_hash_by_identity(self):
+        # the arrays have no single truth value, so a config equals only itself
+        config = make_channel()
+        assert config == config
+        assert (make_channel() == config) is False
+        assert hash(config) == hash(config)
+        assert len({config, make_channel()}) == 2
+
     def test_wrong_cross_shape_rejected(self):
-        with pytest.raises(ConfigError, match="2x2"):
-            make_channel(cross=np.zeros((2, 3)))
+        config = channel_to_dict(make_channel())
+        config["cross_cov_BC"] = np.zeros((2, 3)).tolist()
+        with pytest.raises(ConfigError, match=r"cross_cov_BC\[0\].*shape \(2, 2\)"):
+            config_from_dict(config)
 
     def test_noise_layout(self):
+        # the parser places each block: the stage noises on the diagonal,
+        # <B_i C_j> above it with rows (B_X, B_Y), its transpose below, and
+        # nothing of the input
+        noise_b, noise_c = noise_pair(1.3, 1.1, 0.2), noise_pair(1.2, 1.4, -0.1)
         cross = np.array([[0.3, -0.2], [0.1, 0.4]])
-        config = ChannelConfig(
-            measurement=MeasurementStage(1.0, 1.0, noise_pair(1.3, 1.1, 0.2)),
-            reconstruction=ReconstructionStage(1.0, 1.0, noise_pair(1.2, 1.4, -0.1)),
-            input=InputState(2.0, 3.0),
-            cross_cov_BC=cross,
-        )
-        s = config.noise
+        config = channel_to_dict(make_channel())
+        config["measurement"]["noise_B"]["cov"] = noise_b.tolist()
+        config["reconstruction"]["noise_C"]["cov"] = noise_c.tolist()
+        config["cross_cov_BC"] = cross.tolist()
+        config["input"] = {"var_X": 2.0, "var_Y": 3.0}
+        s = config_from_json(json.dumps(config)).noise
         assert s.shape == (4, 4) and not s.flags.writeable
-        # over (B_X, B_Y, C_X, C_Y): the stage noises on the diagonal blocks,
-        # <B_i C_j> off them, and nothing of the input
-        assert np.array_equal(s[:2, :2], config.measurement.noise_B)
-        assert np.array_equal(s[2:, 2:], config.reconstruction.noise_C)
+        assert np.array_equal(s[:2, :2], noise_b)
+        assert np.array_equal(s[2:, 2:], noise_c)
         assert np.array_equal(s[:2, 2:], cross)
         assert np.array_equal(s[2:, :2], cross.T)

@@ -15,7 +15,6 @@ import pytest
 import cvteleport
 import cvteleport.cli as cli
 import cvteleport.criteria as criteria
-import cvteleport.epr as epr
 from cvteleport.channel import NoiseBudget, budget_to_channel, shot_noise_budget
 from cvteleport.criteria import VerificationSummary, inequality_trace
 from cvteleport.epr import sweep
@@ -519,18 +518,6 @@ class TestErrorChannels:
             assert cli.main(["sweep", *grid]) == 0
             row = capsys.readouterr().out.splitlines()[1]
             assert row.startswith("0.3,") and row.endswith(",false")
-
-    def test_budget_that_misses_the_closed_form_is_a_config_error(
-        self, epr_config, monkeypatch, capsys
-    ):
-        # to_noise_budget's self-check fails as a named error, not a traceback
-        figures = epr._figures
-        monkeypatch.setattr(epr, "_figures", lambda eta, s: (figures(eta, s)[0] + 0.1, 1.0))
-        assert cli.main(["mc", "--samples", "1000", "--config", epr_config]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "Traceback" not in captured.err
-        assert "no noise budget that resolves the criteria" in captured.err
 
     def test_deep_nesting_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

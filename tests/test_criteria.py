@@ -10,11 +10,8 @@ import pytest
 
 from cvteleport.channel import (
     VALIDITY_TOL,
-    ChannelConfig,
     InputState,
-    MeasurementStage,
     NoiseBudget,
-    ReconstructionStage,
     budget_to_channel,
     shot_noise_budget,
 )
@@ -39,7 +36,7 @@ from cvteleport.criteria import (
 from cvteleport.epr import EprScenario, scenario_report, to_noise_budget
 from cvteleport.errors import ConfigError, ValidityError
 from cvteleport.gaussian import conditional_variance
-from oracle import fidelity_general, rejection_budgets, term
+from oracle import channel_from_stages, fidelity_general, rejection_budgets, term
 
 GAUSS_HERMITE_NODES = 40
 
@@ -558,11 +555,8 @@ class TestFullReport:
         # stage cross moments (P M P), off-diagonal moments included: N and
         # T swap, the rest stays bit for bit
         def channel(g, noise_b, noise_c, cross, var):
-            return ChannelConfig(
-                MeasurementStage(*g, noise_b),
-                ReconstructionStage(*(1.0 / g), noise_c),
-                InputState(*var),
-                cross,
+            return channel_from_stages(
+                *g, noise_b, *(1.0 / g), noise_c, InputState(*var), cross
             )
 
         rng = np.random.default_rng(1616)
@@ -600,11 +594,7 @@ class TestFullReport:
                 sd = np.sqrt(bound) * 10.0 ** (rng.uniform(0.0, 0.5, 2) * rng.integers(0, 2))
                 sd /= (1.0 - rho**2) ** 0.25
                 noises.append(np.array([[1.0, rho], [rho, 1.0]]) * np.outer(sd, sd))
-            config = ChannelConfig(
-                MeasurementStage(*g, noises[0]),
-                ReconstructionStage(*(1.0 / g), noises[1]),
-                InputState(1.0, 1.0),
-            )
+            config = channel_from_stages(*g, noises[0], *(1.0 / g), noises[1])
             report = full_report(config)
             assert not report.verdicts["fidelity_above_half"], (g, noises)
 
@@ -642,11 +632,8 @@ class TestFullReport:
             n = [h[q] ** 2 * noise_b[q][q] + noise_c[q][q] + 2 * h[q] * cross[q][q]
                  for q in (0, 1)]
             assert n[0] * n[1] >= 4, (g, noise_b, noise_c, cross)
-            config = ChannelConfig(
-                MeasurementStage(*map(float, g), np.array(noise_b, dtype=float)),
-                ReconstructionStage(*map(float, h), np.array(noise_c, dtype=float)),
-                InputState(1.0, 1.0),
-                np.array(cross, dtype=float),
+            config = channel_from_stages(
+                *map(float, g), noise_b, *map(float, h), noise_c, cross_cov_BC=cross
             )
             report = full_report(config)
             assert not report.verdicts["fidelity_above_half"], (g, noise_b, noise_c, cross)

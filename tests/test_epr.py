@@ -135,8 +135,14 @@ class TestNoiseBudgetMapping:
         assert b.c_XmXr == pytest.approx((0.25 - 4.0) / 2.0, abs=1e-15)
 
     def test_budget_reproduces_closed_form_noise(self):
+        # 2**-27 and 2**27 are the first s accepted on either side of the
+        # MAX_RESOLVED_VARIANCE edge at eta = 1, and so at every eta: the
+        # next float outward has no budget
+        for s, outward in ((2.0**-27, 0.0), (2.0**27, np.inf)):
+            with pytest.raises(ConfigError, match="resolves the criteria"):
+                to_noise_budget(EprScenario(1.0, float(np.nextafter(s, outward))))
         for eta in np.linspace(0.0, 1.0, 11):
-            for s in (1e-4, 0.1, 0.5, 1.0, 2.0):
+            for s in (2.0**-27, 1e-4, 0.1, 0.5, 1.0, 2.0, 2.0**27):
                 sc = EprScenario(float(eta), s)
                 n_x, n_y = _output_noise(*_fields(to_noise_budget(sc)).reshape(3, 2))
                 want = closed_form(sc).N_out

@@ -2,6 +2,8 @@
 
 import sys
 import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,7 @@ def reference_simulate(channel, samples: int, seed: int) -> McReport:
     report = full_report(channel)
     analytic = (report.N_X_out, report.N_Y_out, report.fidelity, *report.cv_products)
     factor = sampling_factor(channel.noise)
-    h_x, h_y = channel.reconstruction.h_X, channel.reconstruction.h_Y
+    h_x, h_y = channel.h_X, channel.h_Y
     block_n = samples // montecarlo.JACKKNIFE_BLOCKS
     block_stats = np.zeros((montecarlo.JACKKNIFE_BLOCKS, 11))
     for b in range(montecarlo.JACKKNIFE_BLOCKS):
@@ -208,12 +210,7 @@ class TestSimulateProtocol:
         monkeypatch.setattr(montecarlo, "sample", recording_sample)
         # channels differing only in input variance see the same noise draws
         base = budget_to_channel(NoiseBudget(1.2, 1.3, 1.1, 1.4, -0.9, -0.8))
-        thermal = ChannelConfig(
-            measurement=base.measurement,
-            reconstruction=base.reconstruction,
-            input=InputState(3.0, 2.5),
-            cross_cov_BC=base.cross_cov_BC,
-        )
+        thermal = replace(base, input=InputState(3.0, 2.5))
         a, b = (
             simulate_protocol(c, 20000, 8)
             for c in (base, thermal)

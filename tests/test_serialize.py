@@ -9,9 +9,7 @@ import pytest
 from cvteleport.channel import (
     ChannelConfig,
     InputState,
-    MeasurementStage,
     NoiseBudget,
-    ReconstructionStage,
     budget_to_channel,
     shot_noise_budget,
 )
@@ -126,28 +124,27 @@ class TestGaussianRoundTrip:
 
 class TestConfigParsing:
     def test_channel_round_trip(self):
+        noise = np.array(
+            [
+                [1.3, 0.2, 0.1, 0.0],
+                [0.2, 1.1, 0.0, -0.2],
+                [0.1, 0.0, 1.2, 0.0],
+                [0.0, -0.2, 0.0, 1.4],
+            ]
+        )
         config = ChannelConfig(
-            measurement=MeasurementStage(
-                g_X=1.0,
-                g_Y=-1.0,
-                noise_B=np.array([[1.3, 0.2], [0.2, 1.1]]),
-            ),
-            reconstruction=ReconstructionStage(
-                h_X=1.0,
-                h_Y=-1.0,
-                noise_C=np.diag([1.2, 1.4]),
-            ),
+            g_X=1.0,
+            g_Y=-1.0,
+            h_X=1.0,
+            h_Y=-1.0,
+            noise=noise,
             input=InputState(var_X=1.5, var_Y=2.0),
         )
         back = config_from_dict(channel_to_dict(config))
         assert isinstance(back, ChannelConfig)
-        assert back.measurement.g_X == config.measurement.g_X
-        assert back.reconstruction.h_Y == config.reconstruction.h_Y
+        assert (back.g_X, back.g_Y, back.h_X, back.h_Y) == (1.0, -1.0, 1.0, -1.0)
         assert back.input == config.input
-        np.testing.assert_allclose(
-            back.measurement.noise_B, config.measurement.noise_B
-        )
-        np.testing.assert_allclose(back.cross_cov_BC, config.cross_cov_BC)
+        np.testing.assert_array_equal(back.noise, noise)
 
     def test_epr_round_trip(self):
         back = config_from_dict({"type": "epr", "eta": 0.7, "s": 0.3})
@@ -160,7 +157,8 @@ class TestConfigParsing:
         del d["cross_cov_BC"]
         config = config_from_dict(d)
         assert config.input.var_X == 1.0
-        np.testing.assert_array_equal(config.cross_cov_BC, np.zeros((2, 2)))
+        np.testing.assert_array_equal(config.noise[:2, 2:], np.zeros((2, 2)))
+        np.testing.assert_array_equal(config.noise[2:, :2], np.zeros((2, 2)))
 
     def test_nonzero_quadrature_mixing_rejected(self):
         d = channel_to_dict(_shot_noise_channel())
