@@ -26,6 +26,7 @@ built directly is valid exactly when the channel it builds is.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -49,8 +50,9 @@ def _check_noise_pair(v_0: float, v_1: float, c: float, bound: float, what: str)
     """The uncertainty rule ``sqrt(det) >= bound`` for ``[[v_0, c], [c, v_1]]``.
 
     The determinant is factored as ``(g - |c|) * (g + |c|)``, ``g = sqrt(v_0)
-    * sqrt(v_1)``, so that no product overflows; a variance or factor within
-    PSD rounding below 0 is taken as 0.  Two exactly zero variances are exempt.
+    * sqrt(v_1)``, so that no product overflows; a variance or factor that
+    the covariance check lets fall just below 0 is taken as 0.  Two exactly
+    zero variances are exempt.
     """
     if v_0 == 0.0 and v_1 == 0.0:
         return
@@ -130,8 +132,9 @@ class NoiseBudget:
     def state(self) -> GaussianVector:
         """The implied Gaussian over (X_m, X_r, Y_m, Y_r).
 
-        Correlations that sit within the PSD slack beyond the Cauchy-Schwarz
-        edge are clamped to the edge so the covariance stays PSD.
+        Correlations that the covariance check admits just beyond the
+        Cauchy-Schwarz edge are clamped to the edge so the covariance stays
+        PSD.
         """
         cx = _clamp_edge(self.c_XmXr, self.v_Xm * self.v_Xr)
         cy = _clamp_edge(self.c_YmYr, self.v_Ym * self.v_Yr)
@@ -188,11 +191,19 @@ class ChannelConfig:
     input: InputState
 
     def __post_init__(self):
-        cov = np.asarray(self.noise, dtype=float)
+        gains = self.g_X, self.g_Y, self.h_X, self.h_Y
+        if any(isinstance(g, bool) or not isinstance(g, numbers.Real) for g in gains):
+            raise ConfigError(f"gains must be real numbers, got {gains!r}")
+        try:
+            cov = np.asarray(self.noise)
+        except ValueError:  # a ragged nested sequence
+            raise ConfigError("noise must be 4x4, got a ragged sequence") from None
+        if cov.dtype.kind not in "iuf":
+            raise ConfigError(f"noise must hold real numbers, got dtype {cov.dtype}")
         if cov.shape != (4, 4):
             raise ConfigError(f"noise must be 4x4, got {cov.shape}")
         try:
-            noise = validated_cov(cov)
+            noise = validated_cov(cov.astype(float))
         except ValidityError as exc:
             raise ValidityError(f"joint stage covariance invalid: {exc}") from exc
         what = "measurement noise bound dB_X*dB_Y >= |g_X*g_Y|"

@@ -1,7 +1,8 @@
 """Second moments: covariance validation and sampling, and labeled Gaussians.
 
-Every covariance goes through :func:`validated_cov`, which returns it as a
-read-only symmetric array, as the channel holds its noises.
+Every covariance goes through :func:`validated_cov`, which checks it with one
+eigensolve of its correlation matrix and returns it read-only and
+symmetric, as the channel holds its noises.
 :func:`sampling_factor` factors one and :func:`sample` draws zero-mean rows
 from the factor.  A :class:`GaussianVector` (labels and a covariance) and
 linear forms over its labels give variances, covariances and conditional
@@ -22,32 +23,27 @@ import numpy as np
 
 from .errors import ValidityError
 
-# Tolerances for second-moment validation.  Asymmetry beyond SYMMETRY_TOL is
-# treated as caller error rather than rounding.  Eigenvalues slightly below
-# zero are accepted as rounding of a PSD matrix: down to PSD_TOL, or down to
-# the eigensolver's own error, PSD_ROUNDING * dim * eps * ||cov||, when that
-# is wider (norms above about 1e4).
+# Tolerances for second-moment validation (see validated_cov): asymmetry
+# beyond SYMMETRY_TOL is caller error, not rounding.
 SYMMETRY_TOL = 1e-9
 PSD_TOL = -1e-10
-PSD_ROUNDING = 8.0
 
 
 def validated_cov(cov: np.ndarray) -> np.ndarray:
     """The read-only symmetrized form of a square covariance, once it is valid.
 
     A non-finite entry raises :class:`ValidityError`, and so does asymmetry
-    beyond ``SYMMETRY_TOL`` or an eigenvalue below ``min(PSD_TOL,
-    -PSD_ROUNDING * dim * eps * ||cov||)``, with ``||cov||`` the largest
-    eigenvalue magnitude.  The second term is the size of the eigensolver's
-    rounding, so a large-variance state is not rejected for it, while a
-    correlation or a variance off by more than that, on any coordinate,
-    still is.  The covariance with each positive-variance coordinate scaled
-    by its standard deviation (the correlation matrix, where a zero
-    variance, or one negative within rounding, stays unscaled) is held to
-    the same test, so the slack is relative to each pair's own scale: a tiny
-    variance beside a large one cannot carry a correlation coefficient above
-    1 by more than ``-PSD_TOL``, nor a zero variance a covariance above about
-    ``sqrt(-PSD_TOL * v)`` with a coordinate of variance ``v``.
+    beyond ``SYMMETRY_TOL`` or an eigenvalue below ``PSD_TOL`` of the
+    correlation matrix: the covariance with each positive variance's
+    coordinate scaled by its standard deviation, and a zero variance (or
+    one negative within rounding) unscaled.  So no correlation coefficient
+    exceeds 1, nor a variance falls below 0, by more than ``-PSD_TOL``, and
+    a zero variance carries no covariance above about ``sqrt(-PSD_TOL * v)``
+    with a coordinate of variance ``v``; a gain on a positive-variance
+    coordinate, as in referring a stage noise to the output, changes the
+    check only by rounding.  A coefficient beyond 1 is invalid at any size,
+    so an overflowing one is clipped to 2; the norm is then at most ``2 *
+    dim``, where the eigensolver's rounding stays far inside ``PSD_TOL``.
     """
     if not np.all(np.isfinite(cov)):
         raise ValidityError("covariance must be finite")
@@ -58,27 +54,17 @@ def validated_cov(cov: np.ndarray) -> np.ndarray:
     # Exactly cov where cov is symmetric; elsewhere the mean of the two
     # entries, halved before the sum so that it cannot overflow.
     sym = np.where(cov == cov.T, cov, cov / 2.0 + cov.T / 2.0)
-    _check_psd(sym, "covariance")
-    # the same check on the correlation matrix, so that small or zero
-    # variances beside large ones cannot carry a correlation beyond their
-    # own scale.  A coefficient beyond 1 is invalid at any size, so an
-    # overflowing one is clipped to 2.
-    if len(sym) > 1:
-        var = np.diag(sym)
-        scale = np.sqrt(np.where(var > 0.0, var, 1.0))
-        with np.errstate(over="ignore"):
-            corr = sym / scale[:, None] / scale
-        _check_psd(np.clip(corr, -2.0, 2.0), "correlation matrix")
+    var = np.diag(sym)
+    scale = np.sqrt(np.where(var > 0.0, var, 1.0))
+    with np.errstate(over="ignore"):
+        corr = sym / scale[:, None] / scale
+    lo = float(np.linalg.eigvalsh(np.clip(corr, -2.0, 2.0))[0])
+    if lo < PSD_TOL:
+        raise ValidityError(
+            f"correlation matrix is not positive semidefinite: min eigenvalue {lo:.3e}"
+        )
     sym.setflags(write=False)
     return sym
-
-
-def _check_psd(sym: np.ndarray, what: str) -> None:
-    """Reject a symmetric matrix whose least eigenvalue is below the slack."""
-    lam = np.linalg.eigvalsh(sym)
-    lo, norm = float(lam[0]), float(max(-lam[0], lam[-1]))
-    if lo < min(PSD_TOL, -PSD_ROUNDING * len(sym) * np.finfo(float).eps * norm):
-        raise ValidityError(f"{what} is not positive semidefinite: min eigenvalue {lo:.3e}")
 
 
 @dataclass(frozen=True)

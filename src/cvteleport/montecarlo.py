@@ -26,19 +26,19 @@ and the seed directly, and its report's fields are the ``mc`` JSON keys.
 Sampling is deterministic for a fixed seed: block ``b`` draws from a
 generator seeded with ``SeedSequence([seed, b])``, and blocks are reduced
 in index order, so reports are bit-identical across runs and machines.
-The blocks are independent, so they are split over up to
-:data:`MAX_WORKERS` threads (numpy's draws, ``matmul`` and ufuncs release
-the interpreter lock); each block writes only its own row of statistics,
-so the report does not depend on how many threads ran.  The noise
-covariance is factored once per run, before any thread starts, by
-:func:`~cvteleport.gaussian.sampling_factor` (Cholesky, or an
-eigendecomposition that leaves null directions noiseless when the
-covariance is singular), and each worker draws its blocks into one rows buffer and reduces them
-through two column buffers, so a run's memory is one block per
-worker, about one byte per sample per worker, and :data:`MAX_SAMPLES`
-bounds it.  A z-score divides by at least ``sqrt(eps) * max(1,
-|analytic|)``, so an estimate within rounding of its closed form never
-reads as a disagreement.
+The blocks are independent, so blocks of at least :data:`MIN_THREAD_ROWS`
+rows are split over up to :data:`MAX_WORKERS` threads (numpy's draws,
+``matmul`` and ufuncs release the interpreter lock); each block writes
+only its own row of statistics, so the report does not depend on how many
+threads ran.  The noise covariance is factored once per run, before any
+thread starts, by :func:`~cvteleport.gaussian.sampling_factor` (Cholesky,
+or an eigendecomposition that leaves null directions noiseless when the
+covariance is singular), and each worker draws its blocks into one rows
+buffer and reduces them through two column buffers, so a run's memory is
+one block per worker, about one byte per sample per worker, and
+:data:`MAX_SAMPLES` bounds it.  A z-score divides by at least
+``sqrt(eps) * max(1, |analytic|)``, so an estimate within rounding of its
+closed form never reads as a disagreement.
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ MAX_SAMPLES = 100_000_000
 # buffers (about 1 byte per sample, see MAX_SAMPLES), and two is what was
 # measured: on a 2-CPU host they halve the sampling time of a run.
 MAX_WORKERS = 2
+# Blocks of fewer rows run on the calling thread alone: below this a second
+# thread saved nothing measurable on a 2-CPU host.
+MIN_THREAD_ROWS = 2000
 # z-scores divide by at least this much times max(1, |analytic|): a
 # jackknife stderr below it measures the rounding of the sums, not
 # sampling noise, and an estimate within rounding of its closed form
@@ -158,9 +161,12 @@ def _jackknife(block_stats: np.ndarray, block_n: int) -> tuple[np.ndarray, np.nd
     return estimates, stderrs
 
 
-def _worker_count() -> int:
-    """Threads for the block loop: :data:`MAX_WORKERS`, or fewer if the
-    process may run on fewer CPUs."""
+def _worker_count(block_n: int) -> int:
+    """Threads for a loop over ``block_n``-row blocks: :data:`MAX_WORKERS`,
+    or fewer if the process may run on fewer CPUs, and one below
+    :data:`MIN_THREAD_ROWS`."""
+    if block_n < MIN_THREAD_ROWS:
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -230,7 +236,7 @@ def simulate_protocol(channel: ChannelConfig | EprScenario, samples: int, seed: 
 
     block_n = samples // JACKKNIFE_BLOCKS
     block_stats = np.zeros((JACKKNIFE_BLOCKS, 4 + len(_PAIRS) + 1))
-    workers = _worker_count()
+    workers = _worker_count(block_n)
 
     def run_blocks(first, failed):
         # Every block of this worker is drawn into and reduced from the

@@ -29,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from .channel import ChannelConfig, InputState
+from .channel import ChannelConfig, InputState, vacuum_input
 from .epr import SWEEP_CSV_COLUMNS, EprScenario, SweepTable
 from .errors import ConfigError, ValidityError
 
@@ -199,11 +199,7 @@ def config_from_dict(d: dict) -> ChannelConfig | EprScenario:
             ("type", "measurement", "reconstruction", "input", "cross_cov_BC"),
             ("type", "measurement", "reconstruction"),
         )
-        input_state = (
-            _input_from_dict(d["input"])
-            if "input" in d
-            else InputState(var_X=1.0, var_Y=1.0)
-        )
+        input_state = _input_from_dict(d["input"]) if "input" in d else vacuum_input()
         cross = (
             _array(d["cross_cov_BC"], "cross_cov_BC", (2, 2))
             if "cross_cov_BC" in d

@@ -41,15 +41,15 @@ def make_channel(g=1.0, h=1.0, vb=1.0, vc=1.0, cross=None):
 # Unity-gain channels with a same-quadrature correlation a hair past its
 # Cauchy-Schwarz edge, as (h, vb, vc, c): the channel admits each one.  A
 # NoiseBudget built directly from its referred entries is held to the
-# channel budget_to_channel builds from them instead.
+# channel budget_to_channel builds from them instead, which is the same
+# noise with the measurement rows scaled by h.
 EDGE_CHANNELS = [
     # h = -2 doubles the measurement row: 1e-10 past the edge here is an
-    # eigenvalue of -1.09e-10 at the output, beyond the absolute PSD
-    # slack, so the budget's own channel rejects it
+    # eigenvalue of -1.09e-10 of the referred covariance, but the
+    # correlation coefficient stays 1 + 1e-10 whatever h is
     (-2.0, 0.5, 0.75, np.sqrt(0.375) * (1.0 + 1e-10)),
-    # unity stages at 1e6: the budget's channel is this channel, so the
-    # direct budget is admitted too (the 4x4 eigensolver slack is twice
-    # a 2x2 block's, so a block 1e-8 past the edge passes)
+    # unity stages at 1e6: a block 1e-8 past the edge on the covariance
+    # scale is a coefficient 1e-14 past it
     (1.0, 1e6, 1e6, -1e6 * (1.0 + 1e-14)),
 ]
 
@@ -318,19 +318,19 @@ class TestUnityGainBudget:
         b = to_unity_gain_budget(config)
         assert (b.v_Xm, b.c_XmXr) == (h * h * vb, h * c)
         # the channel's budget keeps its correlation; the same fields built
-        # directly stand or fall with the channel they build
-        if h == 1.0:
-            assert NoiseBudget(*astuple(b)) == b
-        else:
-            with pytest.raises(ValidityError, match="c_XmXr=.*joint stage covariance"):
-                NoiseBudget(*astuple(b))
-            with pytest.raises(ValidityError, match="joint stage covariance"):
-                budget_to_channel(b)
+        # directly stand or fall with the channel they build, which stands
+        assert NoiseBudget(*astuple(b)) == b
         path = tmp_path / "channel.json"
         path.write_text(json.dumps(channel_to_dict(config)))
         assert cli.main(["report", "--config", str(path)]) == 0
         assert capsys.readouterr().out == to_json(asdict(full_report(config)))
         assert cli.main(["mc", "--config", str(path), "--samples", "1000"]) == 0
+
+    @pytest.mark.parametrize("h, vb, vc, c", EDGE_CHANNELS)
+    def test_edge_channel_budget_round_trips(self, h, vb, vc, c):
+        # the budget's own channel is valid, and reduces to the budget again
+        b = to_unity_gain_budget(edge_channel(h, vb, vc, c))
+        assert to_unity_gain_budget(budget_to_channel(b)) == b
 
     @pytest.mark.parametrize("h, vb, vc, c", EDGE_CHANNELS)
     def test_derived_budget_is_not_validated_again(self, h, vb, vc, c, monkeypatch):
@@ -560,9 +560,8 @@ class TestChannelConfig:
         channel_of([[0.0, 1e-11], [1e-11, 0.0]], big)
 
     def test_channel_is_validated_with_one_covariance_check(self, monkeypatch):
-        # validated_cov on the joint 4x4: one eigensolve for the covariance
-        # and one for its correlation matrix, for a parsed channel and for
-        # a budget built directly
+        # validated_cov on the joint 4x4: one eigensolve, of its correlation
+        # matrix, for a parsed channel and for a budget built directly
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -573,10 +572,10 @@ class TestChannelConfig:
         text = json.dumps(channel_to_dict(make_channel(vb=1.5, vc=2.0, cross=np.eye(2) * 0.5)))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         config_from_json(text)
-        assert calls == [(4, 4), (4, 4)]
+        assert calls == [(4, 4)]
         calls.clear()
         NoiseBudget(1.5, 1.5, 2.0, 2.0, 0.5, 0.5)
-        assert calls == [(4, 4), (4, 4)]
+        assert calls == [(4, 4)]
 
     def test_configs_compare_and_hash_by_identity(self):
         # the arrays have no single truth value, so a config equals only itself
@@ -585,6 +584,28 @@ class TestChannelConfig:
         assert (make_channel() == config) is False
         assert hash(config) == hash(config)
         assert len({config, make_channel()}) == 2
+
+    def test_string_noise_rejected(self):
+        # numpy would read '1' as 1.0: the identity, admitted
+        noise = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+        with pytest.raises(ConfigError, match="noise must hold real numbers, got dtype <U1"):
+            ChannelConfig(1.0, 1.0, 1.0, 1.0, noise, vacuum_input())
+
+    def test_ragged_noise_rejected(self):
+        noise = np.eye(4).tolist()
+        del noise[2][3]
+        with pytest.raises(ConfigError, match="noise must be 4x4, got a ragged sequence"):
+            ChannelConfig(1.0, 1.0, 1.0, 1.0, noise, vacuum_input())
+
+    @pytest.mark.parametrize("gain", ["1", 1 + 0j, None])
+    def test_non_real_gain_rejected(self, gain):
+        with pytest.raises(ConfigError, match=r"gains must be real numbers, got \(1.0, "):
+            ChannelConfig(1.0, gain, 1.0, 1.0, np.eye(4), vacuum_input())
+
+    def test_bool_gain_rejected(self):
+        # True would multiply as 1
+        with pytest.raises(ConfigError, match=r"gains must be real numbers, got \(True, "):
+            ChannelConfig(True, 1.0, 1.0, 1.0, np.eye(4), vacuum_input())
 
     def test_wrong_cross_shape_rejected(self):
         config = channel_to_dict(make_channel())

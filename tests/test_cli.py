@@ -708,7 +708,7 @@ class TestErrorChannels:
                 "cross_cov_BC": [[0.0, -1.001], [0.0, 0.0]],
             },
             2,
-            "joint stage covariance invalid: covariance is not positive semidefinite",
+            "joint stage covariance invalid: correlation matrix is not positive semidefinite",
         ),
         # a variance within PSD rounding below 0 counts as 0, not as NaN
         "negative-rounding-variance": (

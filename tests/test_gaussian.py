@@ -2,12 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cvteleport.errors import ValidityError
 from cvteleport.gaussian import (
-    PSD_ROUNDING,
     PSD_TOL,
     GaussianVector,
     apply_form,
@@ -104,7 +103,7 @@ def random_state_and_forms(draw):
 
 
 @given(random_state_and_forms())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
 def test_covariance_is_bilinear(data):
     state, a, b, alpha = data
     lhs = covariance_of(alpha * a + b, b, state)
@@ -114,7 +113,7 @@ def test_covariance_is_bilinear(data):
 
 
 @given(random_state_and_forms())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
 def test_conditioning_never_increases_variance(data):
     state, a, b, _ = data
     v_b = variance_of(b, state)
@@ -177,13 +176,15 @@ class TestStateValidation:
             state_2d([[1, 2], [2, 1]])
 
     def test_psd_slack_is_eigenvalue_rounding(self):
-        # at or below unit scale the slack is PSD_TOL itself
-        for top in (1.0, 0.5, 0.0):
+        # the slack is PSD_TOL on the correlation scale, where a negative
+        # variance stays unscaled
+        for top in (1.0, 0.5, 0.0, 1e8):
             state_2d(np.diag([top, -0.5e-10]))
             with pytest.raises(ValidityError, match="min eigenvalue -2.000e-10"):
                 state_2d(np.diag([top, -2e-10]))
         # a rank-1 1e8-scale covariance: eigvalsh puts its zero eigenvalues
-        # near -1e-7, beyond PSD_TOL but within the solver's rounding
+        # near -1e-7, beyond PSD_TOL, but its correlation matrix's are unit
+        # scale rounding
         v = np.array([1.0, -1.0, 1.0, -1.0])
         cov = 1e8 * np.outer(v, v)
         assert np.linalg.eigvalsh(cov)[0] < PSD_TOL
@@ -205,11 +206,11 @@ class TestStateValidation:
 
     def test_small_variances_beside_large_ones_keep_their_correlation_bound(self):
         # B_X and C_Y at 1e-6 with coefficient 1.005, beside 1e6 variances:
-        # the eigenvalue -5e-9 is within the covariance's slack, not the
-        # correlation matrix's
+        # the covariance's least eigenvalue is only -5e-9, its correlation
+        # matrix's -5e-3
         cov = np.diag([1e-6, 1e6, 1e6, 1e-6])
         cov[0, 3] = cov[3, 0] = 1.005e-6
-        assert np.linalg.eigvalsh(cov)[0] > -PSD_ROUNDING * 4 * np.finfo(float).eps * 1e6
+        assert np.linalg.eigvalsh(cov)[0] > -1e-8
         with pytest.raises(ValidityError, match="correlation matrix is not positive"):
             GaussianVector(labels=tuple("abcd"), cov=cov)
         # at the edge, and at unit scale within PSD_TOL of it, admitted
@@ -258,6 +259,58 @@ class TestStateValidation:
         s = state_2d([[1, 0], [0, 1]])
         with pytest.raises(ValueError):
             s.cov[0, 0] = 2.0
+
+
+# Least eigenvalues of a drawn correlation matrix, as multiples of PSD_TOL:
+# far inside, at 0, on both sides of the edge and far past it.
+EDGE_MULTIPLES = (-1e9, -1.0, 0.0, 0.5, 0.99, 1.01, 2.0, 1e9)
+
+
+@st.composite
+def referred_covariances(draw):
+    """A 4x4 covariance over (B_X, B_Y, C_X, C_Y) whose correlation matrix
+    has a least eigenvalue near PSD_TOL, either side, with variances from
+    1e-6 to 1e6 and some coordinates exactly zero, and the gains ``(h_X,
+    h_Y)`` of ``D = diag(h_X, h_Y, 1, 1)``, each in +-[1e-3, 1e3]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    root = rng.normal(size=(4, 4))
+    corr = root @ root.T
+    corr /= np.sqrt(np.outer(np.diag(corr), np.diag(corr)))
+    # shift the spectrum onto the target and rescale to a unit diagonal
+    target = draw(st.sampled_from(EDGE_MULTIPLES)) * PSD_TOL
+    shift = (target - np.linalg.eigvalsh(corr)[0]) / (1.0 - target)
+    corr = (corr + shift * np.eye(4)) / (1.0 + shift)
+    std = 10.0 ** np.array([draw(st.floats(-3.0, 3.0)) for _ in range(4)])
+    std *= [draw(st.integers(0, 5)) > 0 for _ in range(4)]
+    gains = [draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-3.0, 3.0)) for _ in "XY"]
+    return corr * np.outer(std, std), np.array([*gains, 1.0, 1.0])
+
+
+def least_correlation_eigenvalue(cov):
+    scale = np.sqrt(np.where(np.diag(cov) > 0.0, np.diag(cov), 1.0))
+    return np.linalg.eigvalsh(cov / np.outer(scale, scale))[0]
+
+
+def admitted(cov) -> bool:
+    try:
+        validated_cov(cov)
+    except ValidityError:
+        return False
+    return True
+
+
+@given(referred_covariances())
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+def test_a_gain_does_not_move_the_covariance_check(drawn):
+    # referring a stage noise to the output, D cov D^T, scales a
+    # coordinate's standard deviation and flips its sign: the correlation
+    # matrix sees neither, so the check admits both or neither (the
+    # product is taken entrywise, so that it stays exactly symmetric)
+    cov, d = drawn
+    lam = least_correlation_eigenvalue(cov)
+    assume(abs(lam - PSD_TOL) > 1e-13)
+    assert admitted(cov) == (lam >= PSD_TOL), lam
+    assert admitted(np.outer(d, d) * cov) == admitted(cov), (lam, d)
 
 
 class TestSampling:

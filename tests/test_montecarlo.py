@@ -1,5 +1,7 @@
 """Sample-based estimates against the closed forms."""
 
+import json
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -17,7 +19,7 @@ from cvteleport.channel import (
 from cvteleport.criteria import full_report
 from cvteleport.epr import EprScenario, to_noise_budget
 from cvteleport.errors import ConfigError
-from cvteleport import montecarlo
+from cvteleport import cli, montecarlo
 from cvteleport.gaussian import sample, sampling_factor
 from cvteleport.montecarlo import (
     MAX_SAMPLES,
@@ -241,14 +243,14 @@ class TestSharedBlockBuffers:
         want = reference_simulate(*run)
         # the threaded split runs even where the host has a single CPU
         for workers in (1, 2):
-            monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+            monkeypatch.setattr(montecarlo, "_worker_count", lambda _: workers)
             assert simulate_protocol(*run) == want, workers
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         # a lost or misplaced block row would change the report
         run = (self.CONFIGS["gain-channel"], 20000, 13)
         want = reference_simulate(*run)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 8)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda _: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -264,7 +266,7 @@ class TestSharedBlockBuffers:
             drawn.append(seed.entropy[1])
             return sample(factor, n, seed, out=out)
 
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda _: 2)
         monkeypatch.setattr(montecarlo, "sample", recording)
         simulate_protocol(EprScenario(0.8, 0.25), 10000, 7)
         assert sorted(drawn) == list(range(montecarlo.JACKKNIFE_BLOCKS))
@@ -277,12 +279,31 @@ class TestSharedBlockBuffers:
                 raise MemoryError("no room for the block")
             return sample(factor, n, seed, out=out)
 
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda _: 2)
         monkeypatch.setattr(montecarlo, "sample", failing)
         before = set(threading.enumerate())
         with pytest.raises(MemoryError, match="no room"):
             simulate_protocol(self.CONFIGS["gain-channel"], 20000, 5)
         assert set(threading.enumerate()) <= before
+
+    def test_a_small_run_starts_no_thread(self, tmp_path, monkeypatch, capsys):
+        # 10-row blocks run on the calling thread even where two CPUs are
+        # free; the 10,000-row blocks of 1e6 samples still get two workers
+        started = []
+
+        class Recording(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(threading, "Thread", Recording)
+        path = tmp_path / "epr.json"
+        path.write_text(json.dumps({"type": "epr", "eta": 0.8, "s": 0.25}))
+        assert cli.main(["mc", "--config", str(path), "--samples", "1000"]) == 0
+        assert capsys.readouterr().out
+        assert started == []
+        assert montecarlo._worker_count(1_000_000 // montecarlo.JACKKNIFE_BLOCKS) == 2
 
     def test_sample_into_a_buffer_is_bitwise_the_fresh_draw(self):
         rng = np.random.default_rng(5)
@@ -306,7 +327,7 @@ class TestSharedBlockBuffers:
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda _: 2)
         # once per run, on the calling thread, however many workers draw
         for channel in (EprScenario(0.8, 0.25), config_from_json(GAIN_CHANNEL_JSON)):
             calls.clear()
