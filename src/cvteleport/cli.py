@@ -12,9 +12,8 @@ given.
 a time, so its memory does not grow with the grid.  Only the two axes
 do, at 8 bytes per step, and :data:`MAX_GRID_STEPS` caps each of them.
 :data:`cvteleport.epr.MAX_SWEEP_S` caps s so every CSV column stays finite.
-``mc`` holds one of its 100 jackknife blocks per worker thread at a
-time, about one byte per sample per worker, and
-``montecarlo.MAX_SAMPLES`` caps ``--samples``.
+``mc`` holds one of its 100 jackknife blocks at a time, about one byte
+per sample, and ``montecarlo.MAX_SAMPLES`` caps ``--samples``.
 ``--trials`` needs no memory cap: ``verify`` draws and checks budgets in
 batches of at most 4096 rows, so only its running time grows with it.
 

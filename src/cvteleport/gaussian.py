@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import ValidityError
 
-# Tolerances for second-moment validation (see validated_cov): asymmetry
-# beyond SYMMETRY_TOL is caller error, not rounding.
+# Tolerances for second-moment validation, both on the correlation scale
+# (see validated_cov): asymmetry beyond SYMMETRY_TOL is caller error, not
+# rounding.
 SYMMETRY_TOL = 1e-9
 PSD_TOL = -1e-10
 
@@ -32,30 +33,33 @@ PSD_TOL = -1e-10
 def validated_cov(cov: np.ndarray) -> np.ndarray:
     """The read-only symmetrized form of a square covariance, once it is valid.
 
-    A non-finite entry raises :class:`ValidityError`, and so does asymmetry
-    beyond ``SYMMETRY_TOL`` or an eigenvalue below ``PSD_TOL`` of the
-    correlation matrix: the covariance with each positive variance's
-    coordinate scaled by its standard deviation, and a zero variance (or
-    one negative within rounding) unscaled.  So no correlation coefficient
+    A non-finite entry raises :class:`ValidityError`, and so do an
+    asymmetry beyond ``SYMMETRY_TOL`` and an eigenvalue below ``PSD_TOL``,
+    both of the correlation matrix: the covariance with each positive
+    variance's coordinate scaled by its standard deviation, and a zero
+    variance (or one negative within rounding) unscaled.  So no two
+    covariances that should be equal differ by more than ``SYMMETRY_TOL``
+    times their variances' geometric mean (a zero variance counting as
+    1), no correlation coefficient
     exceeds 1, nor a variance falls below 0, by more than ``-PSD_TOL``, and
     a zero variance carries no covariance above about ``sqrt(-PSD_TOL * v)``
     with a coordinate of variance ``v``; a gain on a positive-variance
-    coordinate, as in referring a stage noise to the output, changes the
+    coordinate, as in referring a stage noise to the output, changes either
     check only by rounding.  A coefficient beyond 1 is invalid at any size,
     so an overflowing one is clipped to 2; the norm is then at most ``2 *
     dim``, where the eigensolver's rounding stays far inside ``PSD_TOL``.
     """
     if not np.all(np.isfinite(cov)):
         raise ValidityError("covariance must be finite")
+    var = np.diag(cov)
+    scale = np.sqrt(np.where(var > 0.0, var, 1.0))
     with np.errstate(over="ignore"):  # an infinite asymmetry is rejected
-        asym = float(np.max(np.abs(cov - cov.T)))
+        asym = float(np.max(np.abs(cov - cov.T) / scale[:, None] / scale))
     if asym > SYMMETRY_TOL:
         raise ValidityError(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
     # Exactly cov where cov is symmetric; elsewhere the mean of the two
     # entries, halved before the sum so that it cannot overflow.
     sym = np.where(cov == cov.T, cov, cov / 2.0 + cov.T / 2.0)
-    var = np.diag(sym)
-    scale = np.sqrt(np.where(var > 0.0, var, 1.0))
     with np.errstate(over="ignore"):
         corr = sym / scale[:, None] / scale
     lo = float(np.linalg.eigvalsh(np.clip(corr, -2.0, 2.0))[0])

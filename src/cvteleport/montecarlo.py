@@ -26,25 +26,19 @@ and the seed directly, and its report's fields are the ``mc`` JSON keys.
 Sampling is deterministic for a fixed seed: block ``b`` draws from a
 generator seeded with ``SeedSequence([seed, b])``, and blocks are reduced
 in index order, so reports are bit-identical across runs and machines.
-The blocks are independent, so blocks of at least :data:`MIN_THREAD_ROWS`
-rows are split over up to :data:`MAX_WORKERS` threads (numpy's draws,
-``matmul`` and ufuncs release the interpreter lock); each block writes
-only its own row of statistics, so the report does not depend on how many
-threads ran.  The noise covariance is factored once per run, before any
-thread starts, by :func:`~cvteleport.gaussian.sampling_factor` (Cholesky,
-or an eigendecomposition that leaves null directions noiseless when the
-covariance is singular), and each worker draws its blocks into one rows
-buffer and reduces them through two column buffers, so a run's memory is
-one block per worker, about one byte per sample per worker, and
-:data:`MAX_SAMPLES` bounds it.  A z-score divides by at least
-``sqrt(eps) * max(1, |analytic|)``, so an estimate within rounding of its
-closed form never reads as a disagreement.
+The noise covariance is factored once per run by
+:func:`~cvteleport.gaussian.sampling_factor` (Cholesky, or an
+eigendecomposition that leaves null directions noiseless when the
+covariance is singular), and the blocks are drawn one after another into
+one rows buffer and reduced through two column buffers, so a run's memory
+is one block, about one byte per sample, and :data:`MAX_SAMPLES` bounds
+it.  A z-score divides by at least ``sqrt(eps) * max(1, |analytic|)``, so
+an estimate within rounding of its closed form never reads as a
+disagreement.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,21 +51,13 @@ from .gaussian import sample, sampling_factor
 
 JACKKNIFE_BLOCKS = 100
 MIN_SAMPLES = 1000
-# Each worker holds one block of samples / JACKKNIFE_BLOCKS rows at a time:
-# the (rows, 4) draws and the normals behind them at 32 bytes a row each,
-# and two float columns at 8 bytes a row each, about 1 byte per sample in
-# all.  At this cap that is ~80 MB per worker, a few times what the
-# interpreter and numpy take by themselves: on a 2-CPU host a run peaks
-# near 190 MB RSS and takes ~14 s with two workers (~113 MB and ~17 s with
-# one).
+# A run holds one block of samples / JACKKNIFE_BLOCKS rows at a time: the
+# (rows, 4) draws and the normals behind them at 32 bytes a row each, and
+# two float columns at 8 bytes a row each, about 1 byte per sample in all.
+# At this cap that is ~80 MB, a few times what the interpreter and numpy
+# take by themselves: on a 2-CPU x86-64 host a run peaks near 112 MB RSS
+# and takes ~9 s.
 MAX_SAMPLES = 100_000_000
-# Threads the block loop runs on, at most.  Each one holds a block's
-# buffers (about 1 byte per sample, see MAX_SAMPLES), and two is what was
-# measured: on a 2-CPU host they halve the sampling time of a run.
-MAX_WORKERS = 2
-# Blocks of fewer rows run on the calling thread alone: below this a second
-# thread saved nothing measurable on a 2-CPU host.
-MIN_THREAD_ROWS = 2000
 # z-scores divide by at least this much times max(1, |analytic|): a
 # jackknife stderr below it measures the rounding of the sums, not
 # sampling noise, and an estimate within rounding of its closed form
@@ -161,47 +147,6 @@ def _jackknife(block_stats: np.ndarray, block_n: int) -> tuple[np.ndarray, np.nd
     return estimates, stderrs
 
 
-def _worker_count(block_n: int) -> int:
-    """Threads for a loop over ``block_n``-row blocks: :data:`MAX_WORKERS`,
-    or fewer if the process may run on fewer CPUs, and one below
-    :data:`MIN_THREAD_ROWS`."""
-    if block_n < MIN_THREAD_ROWS:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(MAX_WORKERS, cpus)
-
-
-def _on_workers(work, workers: int) -> None:
-    """Call ``work(k, failed)`` for ``k`` in ``range(workers)``.
-
-    ``k = 0`` runs on the calling thread and every other ``k`` on a thread
-    of its own.  ``failed`` is a list that holds an exception once a call
-    has raised, so the others can stop early.  Returns only after every
-    thread has ended, and then raises the first exception, if any.
-    """
-    failed = []
-
-    def guarded(k):
-        try:
-            work(k, failed)
-        except BaseException as exc:  # handed to the calling thread below
-            failed.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(k,)) for k in range(1, workers)]
-    for t in threads:
-        t.start()
-    try:
-        guarded(0)
-    finally:
-        for t in threads:
-            t.join()
-    if failed:
-        raise failed[0]
-
-
 def simulate_protocol(channel: ChannelConfig | EprScenario, samples: int, seed: int) -> McReport:
     """Simulate the channel sample by sample and compare against closed forms.
 
@@ -236,36 +181,29 @@ def simulate_protocol(channel: ChannelConfig | EprScenario, samples: int, seed: 
 
     block_n = samples // JACKKNIFE_BLOCKS
     block_stats = np.zeros((JACKKNIFE_BLOCKS, 4 + len(_PAIRS) + 1))
-    workers = _worker_count(block_n)
+    # Every block is drawn into and reduced from the same buffers.
+    rows = np.empty((block_n, len(factor)))
+    cols = rows.T
+    w, tmp = np.empty((2, block_n))
+    for b in range(JACKKNIFE_BLOCKS):
+        sample(factor, block_n, np.random.SeedSequence([seed, b]), out=rows)
+        # the columns X_m, Y_m, X_r, Y_r, scaled one at a time (a 4-wide
+        # rows *= (h_x, h_y, 1, 1) gives the same bits ~4x slower); an
+        # overflow raises below
+        with np.errstate(all="ignore"):
+            cols[0] *= h_x
+            cols[1] *= h_y
+            # the added displacement, both noises
+            np.add(cols[0], cols[2], out=w)
+            np.add(cols[1], cols[3], out=tmp)
+            fidelity_mc_integrand(w, tmp, out=w, scratch=tmp)
+            block_stats[b] = (
+                *(c.sum() for c in cols),
+                *(np.multiply(cols[i], cols[j], out=tmp).sum() for i, j in _PAIRS),
+                w.sum(),
+            )
+        _check_finite(block_stats[b], samples)
 
-    def run_blocks(first, failed):
-        # Every block of this worker is drawn into and reduced from the
-        # same buffers.  An overflow raises below; numpy's error state, which
-        # silences its warning, is per thread.
-        rows = np.empty((block_n, len(factor)))
-        cols = rows.T
-        w, tmp = np.empty((2, block_n))
-        for b in range(first, JACKKNIFE_BLOCKS, workers):
-            if failed:
-                return
-            sample(factor, block_n, np.random.SeedSequence([seed, b]), out=rows)
-            # the columns X_m, Y_m, X_r, Y_r, scaled one at a time (a 4-wide
-            # rows *= (h_x, h_y, 1, 1) gives the same bits ~4x slower)
-            with np.errstate(all="ignore"):
-                cols[0] *= h_x
-                cols[1] *= h_y
-                # the added displacement, both noises
-                np.add(cols[0], cols[2], out=w)
-                np.add(cols[1], cols[3], out=tmp)
-                fidelity_mc_integrand(w, tmp, out=w, scratch=tmp)
-                block_stats[b] = (
-                    *(c.sum() for c in cols),
-                    *(np.multiply(cols[i], cols[j], out=tmp).sum() for i, j in _PAIRS),
-                    w.sum(),
-                )
-            _check_finite(block_stats[b], samples)
-
-    _on_workers(run_blocks, workers)
     est, se = _jackknife(block_stats, block_n)
     z = (est - ref) / np.maximum(se, _STDERR_FLOOR * np.maximum(1.0, abs(ref)))
     n_x, n_y, f, *cv = map(Comparison, est.tolist(), se.tolist(), ref.tolist(), z.tolist())

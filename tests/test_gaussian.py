@@ -167,6 +167,31 @@ class TestStateValidation:
         with pytest.raises(ValidityError):
             state_2d([[1, 0.1], [0.0, 1]])
 
+    @pytest.mark.parametrize(
+        "cov, asym",
+        [
+            # 1e-13 apart is rounding at unit scale but a tenth of these
+            # variances
+            ([[1e-12, 1e-13], [2e-13, 1e-12]], "1.000e-01"),
+            # past the float range, on any scale
+            ([[1e308, 1e308], [-1e308, 1e308]], "inf"),
+        ],
+    )
+    def test_asymmetry_is_measured_on_the_correlation_scale(self, cov, asym):
+        with pytest.raises(ValidityError, match=f"covariance asymmetry {asym} exceeds"):
+            state_2d(cov)
+
+    def test_rounding_asymmetry_of_a_congruence_is_admitted(self):
+        # D cov D^T computed rows, then columns, rounds each entry pair
+        # apart by up to eps of the entry, here up to ~1e-4
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            root = rng.normal(size=(4, 4))
+            std = 10.0 ** rng.uniform(-3.0, 3.0, 4)
+            cov = validated_cov(root @ root.T * np.outer(std, std))
+            d = np.array([*rng.choice((-1.0, 1.0), 2) * rng.uniform(50.0, 120.0, 2), 1.0, 1.0])
+            validated_cov(d[:, None] * cov * d)
+
     def test_small_asymmetry_symmetrized(self):
         s = state_2d([[1, 1e-11], [0.0, 1]])
         assert s.cov[0, 1] == s.cov[1, 0] == 0.5e-11

@@ -2,7 +2,6 @@
 
 import json
 import os
-import sys
 import threading
 from dataclasses import replace
 
@@ -225,8 +224,8 @@ class TestSimulateProtocol:
 
 
 class TestSharedBlockBuffers:
-    """The block loop reuses one factor per run and one set of buffers per
-    worker, and its report does not depend on the worker count."""
+    """The block loop reuses one factor and one set of buffers per run, on
+    the calling thread."""
 
     CONFIGS = {
         "squeezed-epr": EprScenario(0.8, 0.25),
@@ -238,26 +237,9 @@ class TestSharedBlockBuffers:
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     @pytest.mark.parametrize("samples, seed", [(1000, 3), (20000, 41)])
-    def test_report_equals_the_fresh_array_loop(self, name, samples, seed, monkeypatch):
+    def test_report_equals_the_fresh_array_loop(self, name, samples, seed):
         run = (self.CONFIGS[name], samples, seed)
-        want = reference_simulate(*run)
-        # the threaded split runs even where the host has a single CPU
-        for workers in (1, 2):
-            monkeypatch.setattr(montecarlo, "_worker_count", lambda _: workers)
-            assert simulate_protocol(*run) == want, workers
-
-    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
-        # a lost or misplaced block row would change the report
-        run = (self.CONFIGS["gain-channel"], 20000, 13)
-        want = reference_simulate(*run)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda _: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = [simulate_protocol(*run) for _ in range(5)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == [want] * 5
+        assert simulate_protocol(*run) == reference_simulate(*run)
 
     def test_each_block_is_drawn_once(self, monkeypatch):
         drawn = []
@@ -266,29 +248,25 @@ class TestSharedBlockBuffers:
             drawn.append(seed.entropy[1])
             return sample(factor, n, seed, out=out)
 
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda _: 2)
         monkeypatch.setattr(montecarlo, "sample", recording)
         simulate_protocol(EprScenario(0.8, 0.25), 10000, 7)
-        assert sorted(drawn) == list(range(montecarlo.JACKKNIFE_BLOCKS))
+        assert drawn == list(range(montecarlo.JACKKNIFE_BLOCKS))
 
     @pytest.mark.parametrize("failing_block", [0, 1])
     def test_worker_error_reaches_the_caller(self, failing_block, monkeypatch):
-        # with two workers block 0 runs on the calling thread, block 1 on the other
+        # an error in the first or a later block's draw reaches the caller
         def failing(factor, n, seed, out=None):
             if seed.entropy[1] == failing_block:
                 raise MemoryError("no room for the block")
             return sample(factor, n, seed, out=out)
 
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda _: 2)
         monkeypatch.setattr(montecarlo, "sample", failing)
-        before = set(threading.enumerate())
         with pytest.raises(MemoryError, match="no room"):
             simulate_protocol(self.CONFIGS["gain-channel"], 20000, 5)
-        assert set(threading.enumerate()) <= before
 
     def test_a_small_run_starts_no_thread(self, tmp_path, monkeypatch, capsys):
-        # 10-row blocks run on the calling thread even where two CPUs are
-        # free; the 10,000-row blocks of 1e6 samples still get two workers
+        # 2,000-row blocks run on the calling thread even where two CPUs
+        # are free
         started = []
 
         class Recording(threading.Thread):
@@ -300,10 +278,9 @@ class TestSharedBlockBuffers:
         monkeypatch.setattr(threading, "Thread", Recording)
         path = tmp_path / "epr.json"
         path.write_text(json.dumps({"type": "epr", "eta": 0.8, "s": 0.25}))
-        assert cli.main(["mc", "--config", str(path), "--samples", "1000"]) == 0
+        assert cli.main(["mc", "--config", str(path), "--samples", "200000"]) == 0
         assert capsys.readouterr().out
         assert started == []
-        assert montecarlo._worker_count(1_000_000 // montecarlo.JACKKNIFE_BLOCKS) == 2
 
     def test_sample_into_a_buffer_is_bitwise_the_fresh_draw(self):
         rng = np.random.default_rng(5)
@@ -327,8 +304,7 @@ class TestSharedBlockBuffers:
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda _: 2)
-        # once per run, on the calling thread, however many workers draw
+        # once per run, not once per block
         for channel in (EprScenario(0.8, 0.25), config_from_json(GAIN_CHANNEL_JSON)):
             calls.clear()
             simulate_protocol(channel, 10000, 2)
