@@ -17,10 +17,16 @@ stage blocks are held to these bounds, as the input is to its
 uncertainty product, each to a tolerance relative to the bound: a value (or
 a NaN) is rejected below ``bound * (1 - VALIDITY_TOL)``.  A noise pair that
 is exactly zero in both quadratures is admitted as the idealized noiseless
-reference.  At unity total gain the channel reduces to a
-:class:`NoiseBudget`: the four added-noise variances referred to the output,
-plus the same-quadrature correlations between the two stages.  A budget
-built directly is valid exactly when the channel it builds is.
+reference.
+
+At unity total gain the stage noise is referred to the output once, by
+:func:`_output_referred`: ``Σ = D noise D^T`` over (X_m, Y_m, X_r, Y_r),
+``D = diag(h_X, h_Y, 1, 1)``.  A :class:`NoiseBudget` holds the six
+same-quadrature entries of Σ that :data:`_MOMENTS` names, in field order,
+and every conversion and the Monte Carlo read or write them through that
+table.  A budget built directly is valid exactly when the channel it
+builds is.  This module holds the records and the conversions; the
+formulas on them live in :mod:`cvteleport.criteria`.
 """
 
 from __future__ import annotations
@@ -37,7 +43,9 @@ from .gaussian import GaussianVector, validated_cov
 VALIDITY_TOL = 1e-9
 GAIN_TOL = 1e-9
 
-BUDGET_LABELS = ("X_m", "X_r", "Y_m", "Y_r")
+BUDGET_LABELS = ("X_m", "Y_m", "X_r", "Y_r")
+# The entries of Σ over BUDGET_LABELS that NoiseBudget's fields hold, in order.
+_MOMENTS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (1, 3))
 
 
 def _check_bound(value: float, bound: float, what: str) -> None:
@@ -130,23 +138,8 @@ class NoiseBudget:
             raise ValidityError(f"budget ({named}) has no valid channel: {exc}") from exc
 
     def state(self) -> GaussianVector:
-        """The implied Gaussian over (X_m, X_r, Y_m, Y_r).
-
-        Correlations that the covariance check admits just beyond the
-        Cauchy-Schwarz edge are clamped to the edge so the covariance stays
-        PSD.
-        """
-        cx = _clamp_edge(self.c_XmXr, self.v_Xm * self.v_Xr)
-        cy = _clamp_edge(self.c_YmYr, self.v_Ym * self.v_Yr)
-        cov = np.array(
-            [
-                [self.v_Xm, cx, 0.0, 0.0],
-                [cx, self.v_Xr, 0.0, 0.0],
-                [0.0, 0.0, self.v_Ym, cy],
-                [0.0, 0.0, cy, self.v_Yr],
-            ]
-        )
-        return GaussianVector(BUDGET_LABELS, cov)
+        """The implied Gaussian over :data:`BUDGET_LABELS`: its channel's noise."""
+        return GaussianVector(BUDGET_LABELS, budget_to_channel(self).noise)
 
 
 def _check_finite(budget: NoiseBudget) -> None:
@@ -154,12 +147,6 @@ def _check_finite(budget: NoiseBudget) -> None:
     for name, value in vars(budget).items():
         if not math.isfinite(value):
             raise ValidityError(f"budget entry {name} must be finite, got {value}")
-
-
-def _clamp_edge(c, bound_sq):
-    """Clip a correlation onto its Cauchy-Schwarz edge; scalars or arrays."""
-    edge = np.sqrt(np.maximum(bound_sq, 0.0))
-    return np.minimum(np.maximum(c, -edge), edge)
 
 
 def shot_noise_budget() -> NoiseBudget:
@@ -218,13 +205,11 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
     """Reduce a unity-gain channel to its output-referred noise budget.
 
     Requires ``h_X*g_X`` and ``h_Y*g_Y`` equal to 1 within tolerance.  The
-    budget is the validated channel noise referred to the output, the
-    congruence ``D noise D^T`` with ``D = diag(h_X, h_Y, 1, 1)``, so it is
-    not validated again: only a field that overflows to infinity is
-    rejected.  Only same-quadrature second moments enter the budget.
-    Opposite-quadrature correlations (and the off-diagonal stage cross
-    terms) are validated with the channel and then dropped, so the reported
-    fidelity ignores them although they add to the output noise covariance.
+    fields are Σ's entries at :data:`_MOMENTS`, so the budget is not
+    validated again: only a field that overflows to infinity is rejected.
+    Opposite-quadrature moments are validated with the channel and then
+    dropped, so the reported fidelity ignores them although they add to the
+    output noise covariance.
     """
     h_x, h_y = config.h_X, config.h_Y
     gains = h_x * config.g_X, h_y * config.g_Y
@@ -233,27 +218,21 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
             raise ValidityError(
                 f"total gain on {quad} is {gain:.12g}, unity gain required"
             )
-    # (B_X, B_Y, C_X, C_Y): the same-quadrature entries of config.noise
-    cov = config.noise
-    v_m = h_x * h_x * float(cov[0, 0]), h_y * h_y * float(cov[1, 1])
-    v_r = float(cov[2, 2]), float(cov[3, 3])
-    c = h_x * float(cov[0, 2]), h_y * float(cov[1, 3])
+    sigma = _output_referred(config)
     budget = object.__new__(NoiseBudget)
-    for f, value in zip(fields(NoiseBudget), (*v_m, *v_r, *c)):
+    for f, value in zip(fields(NoiseBudget), sigma[tuple(zip(*_MOMENTS))].tolist()):
         object.__setattr__(budget, f.name, value)
     _check_finite(budget)
     return budget
 
 
-def _output_noise(v_m, v_r, c):
-    """Total added output noise per quadrature, ``v_m + v_r + 2c`` floored at 0.
-
-    The correlation term is what an entangled resource exploits; with
-    perfect anticorrelation the total can reach zero.  It is summed at half
-    scale and doubled, which is exact for normal floats, so a partial sum
-    overflows only when the total does.  Scalars or equal-length arrays.
-    """
-    return 2.0 * np.maximum(0.5 * v_m + 0.5 * v_r + c, 0.0)
+def _output_referred(config: ChannelConfig) -> np.ndarray:
+    """Σ, as ``np.outer(d, d) * noise``, ``d = (h_X, h_Y, 1, 1)``: entries ``h*h*v``
+    and ``h*c``.  An entry may overflow, or be ``inf * 0 = NaN``; callers
+    check the entries they read."""
+    d = np.array((config.h_X, config.h_Y, 1.0, 1.0))
+    with np.errstate(all="ignore"):
+        return np.outer(d, d) * config.noise
 
 
 def budget_to_channel(b: NoiseBudget) -> ChannelConfig:
@@ -261,16 +240,7 @@ def budget_to_channel(b: NoiseBudget) -> ChannelConfig:
 
     Round trip: ``to_unity_gain_budget(budget_to_channel(b)) == b``.
     """
-    return ChannelConfig(
-        g_X=1.0,
-        g_Y=1.0,
-        h_X=1.0,
-        h_Y=1.0,
-        noise=[
-            [b.v_Xm, 0.0, b.c_XmXr, 0.0],
-            [0.0, b.v_Ym, 0.0, b.c_YmYr],
-            [b.c_XmXr, 0.0, b.v_Xr, 0.0],
-            [0.0, b.c_YmYr, 0.0, b.v_Yr],
-        ],
-        input=vacuum_input(),
-    )
+    noise = np.zeros((4, 4))
+    rows, cols = zip(*_MOMENTS)
+    noise[rows, cols] = noise[cols, rows] = tuple(vars(b).values())
+    return ChannelConfig(1.0, 1.0, 1.0, 1.0, noise, vacuum_input())

@@ -47,8 +47,6 @@ from .channel import (
     ChannelConfig,
     InputState,
     NoiseBudget,
-    _clamp_edge,
-    _output_noise,
     shot_noise_budget,
     to_unity_gain_budget,
 )
@@ -71,6 +69,23 @@ VERDICT_KEYS = (
     "t_sum_above_one",
     "epr_violation",
 )
+
+
+def _output_noise(v_m, v_r, c):
+    """Total added output noise per quadrature, ``v_m + v_r + 2c`` floored at 0.
+
+    The correlation term is what an entangled resource exploits; with
+    perfect anticorrelation the total can reach zero.  It is summed at half
+    scale and doubled, which is exact for normal floats, so a partial sum
+    overflows only when the total does.  Scalars or equal-length arrays.
+    """
+    return 2.0 * np.maximum(0.5 * v_m + 0.5 * v_r + c, 0.0)
+
+
+def _clamp_edge(c, bound_sq):
+    """Clip a correlation onto its Cauchy-Schwarz edge; scalars or arrays."""
+    edge = np.sqrt(np.maximum(bound_sq, 0.0))
+    return np.minimum(np.maximum(c, -edge), edge)
 
 
 def _transfer_fidelity(n_x, n_y, var_x=1.0, var_y=1.0):

@@ -11,7 +11,7 @@ noise is ``h*B``, with the channel's reconstruction gains
 ``ChannelConfig.h_X``/``h_Y``, and the reconstruction noise ``C``, per
 quadrature: the drawn rows are scaled in place to the columns ``(X_m,
 Y_m, X_r, Y_r)``.  Each block is reduced to their four sums and
-the sums of the products in :data:`_PAIRS`, which centre into one moment
+the sums of the products in :data:`_MOMENTS`, which centre into one moment
 block in ``NoiseBudget`` field order; the report's own kernels reduce it
 to the output noises and the conditional-variance products, so this
 module holds no formula of its own for either.  The fidelity is the
@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, _output_noise, budget_to_channel
-from .criteria import _check_seed, _cv_products, fidelity_mc_integrand, full_report
+from .channel import _MOMENTS, ChannelConfig, budget_to_channel
+from .criteria import _check_seed, _cv_products, _output_noise, fidelity_mc_integrand, full_report
 from .epr import EprScenario, to_noise_budget
 from .errors import ConfigError, ValidityError
 from .gaussian import sample, sampling_factor
@@ -94,13 +94,6 @@ class McReport:
     max_abs_z: float
 
 
-# Products summed per block, as column pairs over (X_m, Y_m, X_r, Y_r): the
-# moment block in NoiseBudget field order (v_Xm, v_Ym, v_Xr, v_Yr, c_XmXr,
-# c_YmYr).  A block's statistics are the four column sums, these product
-# sums, then the kernel sum.
-_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (1, 3))
-
-
 def _estimates_from_sums(sums: np.ndarray, n) -> np.ndarray:
     """The five estimates from summed block statistics, in comparison order.
 
@@ -108,7 +101,7 @@ def _estimates_from_sums(sums: np.ndarray, n) -> np.ndarray:
     ``(11, k)`` for ``k`` samples at once, with ``n`` a float or length ``k``.
     Returns ``(N_X, N_Y, F, r|m, m|r)`` as shape ``(5,)`` or ``(k, 5)``.
     """
-    left, right = np.transpose(_PAIRS)
+    left, right = np.transpose(_MOMENTS)
     mean = sums[:4] / n
     moments = sums[4:10] / n - mean[left] * mean[right]
     # a variance at or below 0 is rounding: an overflowed sum never gets here
@@ -180,7 +173,7 @@ def simulate_protocol(channel: ChannelConfig | EprScenario, samples: int, seed: 
     h_x, h_y = channel.h_X, channel.h_Y
 
     block_n = samples // JACKKNIFE_BLOCKS
-    block_stats = np.zeros((JACKKNIFE_BLOCKS, 4 + len(_PAIRS) + 1))
+    block_stats = np.zeros((JACKKNIFE_BLOCKS, 4 + len(_MOMENTS) + 1))
     # Every block is drawn into and reduced from the same buffers.
     rows = np.empty((block_n, len(factor)))
     cols = rows.T
@@ -199,7 +192,7 @@ def simulate_protocol(channel: ChannelConfig | EprScenario, samples: int, seed: 
             fidelity_mc_integrand(w, tmp, out=w, scratch=tmp)
             block_stats[b] = (
                 *(c.sum() for c in cols),
-                *(np.multiply(cols[i], cols[j], out=tmp).sum() for i, j in _PAIRS),
+                *(np.multiply(cols[i], cols[j], out=tmp).sum() for i, j in _MOMENTS),
                 w.sum(),
             )
         _check_finite(block_stats[b], samples)

@@ -14,14 +14,19 @@ from cvteleport.channel import (
     ChannelConfig,
     InputState,
     NoiseBudget,
-    _output_noise,
     budget_to_channel,
     shot_noise_budget,
     to_unity_gain_budget,
     vacuum_input,
 )
 from cvteleport import cli
-from cvteleport.criteria import _draw_budgets, _fields, _transfer_fidelity, full_report
+from cvteleport.criteria import (
+    _draw_budgets,
+    _fields,
+    _output_noise,
+    _transfer_fidelity,
+    full_report,
+)
 from cvteleport.errors import ConfigError, ValidityError
 from cvteleport.gaussian import variance_of
 from cvteleport.serialize import config_from_dict, config_from_json, to_json
@@ -462,9 +467,9 @@ class TestNoiseBudget:
     def test_budget_state_carries_block_structure(self):
         b = NoiseBudget(2.0, 1.0, 1.0, 2.0, -1.0, -1.0)
         s = b.state()
-        assert s.labels == ("X_m", "X_r", "Y_m", "Y_r")
-        assert s.cov[0, 1] == -1.0
-        assert s.cov[0, 2] == 0.0 and s.cov[1, 3] == 0.0
+        assert s.labels == ("X_m", "Y_m", "X_r", "Y_r")
+        assert s.cov[0, 2] == -1.0 and s.cov[1, 3] == -1.0
+        assert s.cov[0, 1] == 0.0 and s.cov[2, 3] == 0.0
 
     def test_budget_to_channel_round_trip(self, tmp_path, capsys):
         # budget -> channel -> budget is the identity, and the channel's

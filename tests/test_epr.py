@@ -10,12 +10,12 @@ import pytest
 
 import cvteleport.cli as cli
 
-from cvteleport.channel import _output_noise
 from cvteleport.criteria import (
     FIDELITY_CLASSICAL_BOUND,
     FIDELITY_CV_BOUND,
     VERDICT_MARGIN,
     _fields,
+    _output_noise,
     _transfer_fidelity,
     _violates,
     epr_criterion,
