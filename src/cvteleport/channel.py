@@ -111,9 +111,7 @@ class NoiseBudget:
     the reconstruction contributions, ``c_XmXr``/``c_YmYr`` the
     same-quadrature cross correlations (the resource that lets the total
     output noise beat either contribution alone).  Opposite-quadrature
-    moments are not carried: :func:`to_unity_gain_budget` drops them, so
-    the fidelity ignores them even though a correlated output noise changes
-    it.
+    moments are not fields: a channel's fidelity reads them from Σ.
 
     A budget built directly must have finite fields, and is otherwise valid
     exactly when the unity-gain channel :func:`budget_to_channel` builds
@@ -207,17 +205,13 @@ def to_unity_gain_budget(config: ChannelConfig) -> NoiseBudget:
     Requires ``h_X*g_X`` and ``h_Y*g_Y`` equal to 1 within tolerance.  The
     fields are Σ's entries at :data:`_MOMENTS`, so the budget is not
     validated again: only a field that overflows to infinity is rejected.
-    Opposite-quadrature moments are validated with the channel and then
-    dropped, so the reported fidelity ignores them although they add to the
-    output noise covariance.
+    Σ's opposite-quadrature entries are not fields;
+    :func:`~cvteleport.criteria.full_report` reads them for the fidelity.
     """
-    h_x, h_y = config.h_X, config.h_Y
-    gains = h_x * config.g_X, h_y * config.g_Y
+    gains = config.h_X * config.g_X, config.h_Y * config.g_Y
     for quad, gain in zip("XY", gains):
         if not abs(gain - 1.0) <= GAIN_TOL:  # a NaN gain too
-            raise ValidityError(
-                f"total gain on {quad} is {gain:.12g}, unity gain required"
-            )
+            raise ValidityError(f"total gain on {quad} is {gain:.12g}, unity gain required")
     sigma = _output_referred(config)
     budget = object.__new__(NoiseBudget)
     for f, value in zip(fields(NoiseBudget), sigma[tuple(zip(*_MOMENTS))].tolist()):

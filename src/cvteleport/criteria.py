@@ -15,13 +15,16 @@ conditioning directions) are bounded below by 1 for any separable noise
 model.  A product below 1 is the entanglement signature.
 
 Both products and the chain terms below are closed expressions in the six
-budget scalars ``(v_Xm, v_Ym, v_Xr, v_Yr, c_XmXr, c_YmYr)``; the private
-kernels take them as one ``(6,)`` or ``(6, n)`` moment block in that
-order, and every caller goes through them: single budgets, the
+budget scalars ``(v_Xm, v_Ym, v_Xr, v_Yr, c_XmXr, c_YmYr)``, the entries of
+the output-referred noise Σ at :data:`~cvteleport.channel._MOMENTS`; the
+private kernels here take them as one ``(6,)`` or ``(6, n)`` moment block
+in that order, and every caller goes through them: single budgets, the
 verifier's batches, and the Monte Carlo estimates, whose sample moments
-form such a block.  The EPR scenario's output noise and conditional
-variances have exact closed forms of their own in :mod:`cvteleport.epr`;
-:func:`_criteria_report` assembles a report from either source.
+form such a block.  A channel's fidelity also reads Σ's opposite-quadrature
+moments (:func:`full_report`).  The EPR scenario's output noise and
+conditional variances have exact closed forms of their own in
+:mod:`cvteleport.epr`; :func:`_criteria_report` assembles a report from
+either source.
 
 The verifier rechecks the algebraic chain that links the no-violation
 condition to the noise-product bound, including the exact factorization
@@ -47,6 +50,7 @@ from .channel import (
     ChannelConfig,
     InputState,
     NoiseBudget,
+    _output_referred,
     shot_noise_budget,
     to_unity_gain_budget,
 )
@@ -74,10 +78,9 @@ VERDICT_KEYS = (
 def _output_noise(v_m, v_r, c):
     """Total added output noise per quadrature, ``v_m + v_r + 2c`` floored at 0.
 
-    The correlation term is what an entangled resource exploits; with
-    perfect anticorrelation the total can reach zero.  It is summed at half
-    scale and doubled, which is exact for normal floats, so a partial sum
-    overflows only when the total does.  Scalars or equal-length arrays.
+    It is summed at half scale and doubled, which is exact for normal
+    floats, so a partial sum overflows only when the total does.  Scalars
+    or equal-length arrays.
     """
     return 2.0 * np.maximum(0.5 * v_m + 0.5 * v_r + c, 0.0)
 
@@ -88,14 +91,17 @@ def _clamp_edge(c, bound_sq):
     return np.minimum(np.maximum(c, -edge), edge)
 
 
-def _transfer_fidelity(n_x, n_y, var_x=1.0, var_y=1.0):
-    """``(T_X, T_Y, F)`` for added output noises ``n_x``, ``n_y``.
+def _transfer_fidelity(n_x, n_y, var_x=1.0, var_y=1.0, n_xy=0.0):
+    """``(T_X, T_Y, F)`` for the added output noise ``[[n_x, n_xy], [n_xy, n_y]]``.
 
     ``T`` is each quadrature's transfer coefficient for an input of
-    variance ``var``, ``F`` a coherent input's fidelity at zero offset.
-    Floats or equal-length arrays.
+    variance ``var``, ``F = 2/sqrt(det(2I + N))`` a coherent input's
+    fidelity at zero offset, with ``det = a*b*(1 - n_xy/a * n_xy/b)``, ``a =
+    2 + n_x``, ``b = 2 + n_y``: an overflowing ``a*b`` is inf, not ``inf -
+    inf``, and ``n_xy = 0`` keeps every bit.  Floats or equal-length arrays.
     """
-    fidelity = 2.0 / np.sqrt((2.0 + n_x) * (2.0 + n_y))
+    a, b = 2.0 + n_x, 2.0 + n_y
+    fidelity = 2.0 / np.sqrt(a * b * (1.0 - n_xy / a * (n_xy / b)))
     return var_x / (var_x + n_x), var_y / (var_y + n_y), fidelity
 
 
@@ -277,8 +283,8 @@ class CriteriaReport:
     t_sum_applicable: bool
 
 
-def _criteria_report(n_x, n_y, cv_products, inp: InputState) -> CriteriaReport:
-    """The report from both output noises, both cv products and the input.
+def _criteria_report(n_x, n_y, cv_products, inp: InputState, n_xy=0.0) -> CriteriaReport:
+    """The report from the output noise, both cv products and the input.
 
     Transfer coefficients, fidelity and verdicts come from the kernels the
     chain verifier checks.  A noise or product that overflowed to a
@@ -287,13 +293,15 @@ def _criteria_report(n_x, n_y, cv_products, inp: InputState) -> CriteriaReport:
     figures = {
         "N_X_out": n_x,
         "N_Y_out": n_y,
+        "N_XY_out": n_xy,
         "cv_products[0]": cv_products[0],
         "cv_products[1]": cv_products[1],
     }
     for name, value in figures.items():
         if not math.isfinite(value):
             raise ValidityError(f"criterion figure {name} is not finite: {value}")
-    t_x, t_y, fid = map(float, _transfer_fidelity(n_x, n_y, inp.var_X, inp.var_Y))
+    n_xy = _clamp_edge(n_xy, n_x * n_y)  # validation admits N a little past PSD
+    t_x, t_y, fid = map(float, _transfer_fidelity(n_x, n_y, inp.var_X, inp.var_Y, n_xy))
     verdicts = (*_noise_verdicts(n_x * n_y, t_x + t_y, fid), _violates(*cv_products))
     return CriteriaReport(
         N_X_out=n_x,
@@ -308,12 +316,16 @@ def _criteria_report(n_x, n_y, cv_products, inp: InputState) -> CriteriaReport:
 
 
 def full_report(config: ChannelConfig) -> CriteriaReport:
-    """Evaluate every criterion for a unity-gain channel configuration."""
+    """Evaluate every criterion for a unity-gain channel configuration; the
+    fidelity also reads the output noise's opposite-quadrature covariance
+    ``N_XY`` from Σ, once the budget's fields have passed their check."""
     budget = to_unity_gain_budget(config)
     fields = _fields(budget)
     with np.errstate(over="ignore"):  # an infinite total is rejected as a figure
         n_x, n_y = map(float, _output_noise(fields[:2], fields[2:4], fields[4:]))
-    return _criteria_report(n_x, n_y, epr_criterion(budget), config.input)
+    s = _output_referred(config).tolist()  # Python floats: an overflow is inf, silently
+    n_xy = (s[0][1] + s[2][3]) + (s[0][3] + s[1][2])
+    return _criteria_report(n_x, n_y, epr_criterion(budget), config.input, n_xy)
 
 
 def _draw_budgets(count: int, seed) -> np.ndarray:

@@ -10,18 +10,19 @@ large input mean cannot round the noise away.  Per sample the measured
 noise is ``h*B``, with the channel's reconstruction gains
 ``ChannelConfig.h_X``/``h_Y``, and the reconstruction noise ``C``, per
 quadrature: the drawn rows are scaled in place to the columns ``(X_m,
-Y_m, X_r, Y_r)``.  Each block is reduced to their four sums and
-the sums of the products in :data:`_MOMENTS`, which centre into one moment
-block in ``NoiseBudget`` field order; the report's own kernels reduce it
-to the output noises and the conditional-variance products, so this
-module holds no formula of its own for either.  The fidelity is the
-sample mean of the overlap kernel, never the closed form.  The five
-estimates are one array in :class:`McReport`'s comparison order, with
-jackknife standard errors over 100 equal blocks beside it, and each is
-compared to its analytic counterpart through a z-score.  A sum that
-overflows raises :class:`ValidityError` rather than reading as an
-estimate.  :func:`simulate_protocol` takes the channel, the sample count
-and the seed directly, and its report's fields are the ``mc`` JSON keys.
+Y_m, X_r, Y_r)``.  Each block is reduced to their four sums and the sums
+of the products at the entries :data:`~cvteleport.channel._MOMENTS` names,
+which centre into one moment block in ``NoiseBudget`` field order; the
+kernels in :mod:`cvteleport.criteria` reduce it to the output noises and
+the conditional-variance products, so this module holds no formula of its
+own for either.  The fidelity is the sample mean of the overlap kernel,
+never the closed form.  The five estimates are one array in
+:class:`McReport`'s comparison order, with jackknife standard errors over
+100 equal blocks beside it, and each is compared to its analytic
+counterpart through a z-score.  A sum that overflows raises
+:class:`ValidityError` rather than reading as an estimate.
+:func:`simulate_protocol` takes the channel, the sample count and the seed
+directly, and its report's fields are the ``mc`` JSON keys.
 
 Sampling is deterministic for a fixed seed: block ``b`` draws from a
 generator seeded with ``SeedSequence([seed, b])``, and blocks are reduced

@@ -251,6 +251,11 @@ HAND_ROWS = [
     # the jackknife deviations (~1e298) overflow when squared unscaled
     ("mc-large-variance", ["mc", "--config", CONFIG_NAME, "--samples", "1000", "--seed", "1"],
      _unit_with(("measurement", "noise_B", "cov"), [[1e300, 0.0], [0.0, 1.0]])),
+    # a correct closed form that mc calls a disagreement: at F = 2e-4 the
+    # overlap kernel's mass sits in displacements rarer than 1 in 1000
+    # samples, so the sample mean and its jackknife stderr both miss it
+    ("mc-rare-overlap", MC_ARGV,
+     _unit_with(("measurement", "noise_B", "cov"), [[1e4, 0.0], [0.0, 1e4]])),
     # a same-quadrature correlation (5e199) whose square overflows a float
     ("channel-cv-overflow-report", ["report", "--config", CONFIG_NAME], CV_OVERFLOW_TEXT),
     ("channel-cv-overflow-mc",
