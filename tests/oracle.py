@@ -12,7 +12,7 @@ import numpy as np
 
 from cvteleport.channel import ChannelConfig, InputState, vacuum_input
 from cvteleport.criteria import _transfer_fidelity
-from cvteleport.gaussian import GaussianVector
+from cvteleport.gaussian import GaussianVector, covariance_of
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,14 @@ def compose(config: ChannelConfig) -> ComposedChannel:
     out_x = LinearForm({"X_in": c.h_X * c.g_X, "B_X": c.h_X, "C_X": 1.0})
     out_y = LinearForm({"Y_in": c.h_Y * c.g_Y, "B_Y": c.h_Y, "C_Y": 1.0})
     return ComposedChannel(out_x, out_y, joint, c.h_X * c.g_X, c.h_Y * c.g_Y)
+
+
+def added_noise(config: ChannelConfig) -> np.ndarray:
+    """The full ``(2, 2)`` covariance of the added output noise ``out - G*in``,
+    from the composed linear forms over the joint state."""
+    c = compose(config)
+    d = (c.out_X - term("X_in", c.g_T_X), c.out_Y - term("Y_in", c.g_T_Y))
+    return np.array([[covariance_of(a, b, c.state) for b in d] for a in d])
 
 
 def fidelity_general(

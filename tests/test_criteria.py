@@ -10,10 +10,12 @@ import pytest
 
 from cvteleport.channel import (
     VALIDITY_TOL,
+    ChannelConfig,
     InputState,
     NoiseBudget,
     budget_to_channel,
     shot_noise_budget,
+    vacuum_input,
 )
 from cvteleport import criteria
 from cvteleport.criteria import (
@@ -36,7 +38,13 @@ from cvteleport.criteria import (
 from cvteleport.epr import EprScenario, scenario_report, to_noise_budget
 from cvteleport.errors import ConfigError, ValidityError
 from cvteleport.gaussian import conditional_variance
-from oracle import channel_from_stages, fidelity_general, rejection_budgets, term
+from oracle import (
+    added_noise,
+    channel_from_stages,
+    fidelity_general,
+    rejection_budgets,
+    term,
+)
 
 GAUSS_HERMITE_NODES = 40
 
@@ -579,6 +587,82 @@ class TestFullReport:
                 a.N_Y_out, a.N_X_out, a.T_Y_out, a.T_X_out)
             assert (b.fidelity, b.cv_products, b.verdicts, b.t_sum_applicable) == (
                 a.fidelity, a.cv_products, a.verdicts, a.t_sum_applicable)
+
+    @pytest.mark.parametrize(
+        "g,noise_b,noise_c,cross",
+        [
+            # noiseless measurement, opposite-quadrature reconstruction noise
+            ((1.0, 1.0), np.zeros((2, 2)), [[2.0, 1.0], [1.0, 2.0]], None),
+            # a correlation hidden in the 45-degree quadratures
+            ((1.0, 1.0), 100.0 * np.eye(2), [[101.02, 1.0], [1.0, 101.02]], -100.0 * np.eye(2)),
+            # gains h = (0.5, -2) and opposite-quadrature stage cross moments
+            ((2.0, -0.5), [[4.0, 0.5], [0.5, 1.0]], [[1.5, 0.2], [0.2, 1.2]],
+             [[0.3, 0.4], [-0.2, 0.1]]),
+        ],
+    )
+    def test_fidelity_matches_the_overlap_of_correlated_noise(self, g, noise_b, noise_c, cross):
+        # the overlap kernel averaged over the added displacement, drawn from
+        # the full 2x2 output noise N that the oracle composes, by a tensor
+        # Gauss-Hermite rule with the nodes mapped through sqrt(2) chol(N)
+        config = channel_from_stages(*g, noise_b, *(1.0 / np.array(g)), noise_c, None, cross)
+        n = added_noise(config)
+        assert n[0, 1] != 0.0
+        t, w = np.polynomial.hermite.hermgauss(GAUSS_HERMITE_NODES)
+        nodes = np.array(np.meshgrid(t, t, indexing="ij")).reshape(2, -1)
+        x, y = np.sqrt(2.0) * np.linalg.cholesky(n) @ nodes
+        kernel = fidelity_mc_integrand(x, y).reshape(len(t), len(t))
+        want = w @ kernel @ w / np.pi
+        assert abs(full_report(config).fidelity - want) <= 1e-10
+
+    def test_fidelity_above_half_rules_out_entanglement_breaking(self):
+        # at unity gain a channel is entanglement-breaking exactly when
+        # det N >= 4, and det(2I + N) >= (2 + sqrt(det N))**2, so F > 1/2
+        # needs det N < 4; checked on physical channels with full N, whose
+        # reconstruction noise leans against the referred measurement noise
+        rng = np.random.default_rng(2020)
+        above = 0
+        for _ in range(500):
+            g = rng.uniform(0.3, 3.0, 2) * rng.choice([-1.0, 1.0], 2)
+            root = rng.normal(size=(4, 4))
+            root[2:] = -np.sign(g)[:, None] * root[:2] + rng.uniform(0.05, 2.0) * root[2:]
+            gram = root @ root.T
+            sd = 10.0 ** rng.uniform(0, 0.5, 4) * np.sqrt([abs(g[0] * g[1])] * 2 + [1, 1])
+            corr = gram / np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
+            sd /= np.repeat(1.0 - np.array([corr[0, 1], corr[2, 3]]) ** 2, 2) ** 0.25
+            joint = corr * np.outer(sd, sd)
+            config = channel_from_stages(
+                *g, joint[:2, :2], *(1.0 / g), joint[2:, 2:], None, joint[:2, 2:]
+            )
+            report = full_report(config)
+            det_n = np.linalg.det(added_noise(config))
+            assert 4.0 / report.fidelity**2 >= (2.0 + np.sqrt(det_n)) ** 2 * (1.0 - 1e-12)
+            if report.verdicts["fidelity_above_half"]:
+                above += 1
+                assert det_n < 4.0, (g, joint)
+        assert above >= 100
+
+    def test_fidelity_misses_a_channel_that_is_not_entanglement_breaking(self):
+        # the converse fails, which is the paper's drawback in one number:
+        # a noiseless measurement and noise_C = diag(0.1, 30) give det N = 3,
+        # so the channel is not entanglement-breaking, yet F = 2/sqrt(67.2)
+        config = channel_from_stages(1.0, 1.0, np.zeros((2, 2)), 1.0, 1.0, np.diag([0.1, 30.0]))
+        report = full_report(config)
+        assert np.linalg.det(added_noise(config)) == pytest.approx(3.0, rel=1e-15)
+        assert report.fidelity == pytest.approx(2.0 / np.sqrt(67.2), rel=1e-15)
+        assert report.fidelity < 0.25
+        assert not report.verdicts["fidelity_above_half"]
+
+    def test_output_noise_past_its_edge_keeps_a_finite_fidelity(self):
+        # a joint correlation 4e-11 below PSD along (1, -1, 1, -1) is
+        # admitted; at variance 1e12 its output noise then has N_XY**2 >
+        # (2 + N_X)(2 + N_Y), and N_XY is read on its edge sqrt(N_X N_Y)
+        r = 0.5 + 2e-11
+        corr = np.array([[1.0, r, 0.0, r], [r, 1.0, r, 0.0], [0.0, r, 1.0, r], [r, 0.0, r, 1.0]])
+        report = full_report(ChannelConfig(1.0, 1.0, 1.0, 1.0, 1e12 * corr, vacuum_input()))
+        n = report.N_X_out
+        assert n == report.N_Y_out == 2e12
+        # det(2I + N) = 4 + 4n on the edge, which its product form rounds
+        assert report.fidelity == pytest.approx(1.0 / np.sqrt(1.0 + n), rel=1e-4)
 
     def test_independent_stages_never_beat_the_classical_bound(self):
         # the paper's classical limit: stages that share no correlation
