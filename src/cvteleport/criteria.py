@@ -293,7 +293,6 @@ def _criteria_report(n_x, n_y, cv_products, inp: InputState, n_xy=0.0) -> Criter
     figures = {
         "N_X_out": n_x,
         "N_Y_out": n_y,
-        "N_XY_out": n_xy,
         "cv_products[0]": cv_products[0],
         "cv_products[1]": cv_products[1],
     }
@@ -323,8 +322,9 @@ def full_report(config: ChannelConfig) -> CriteriaReport:
     fields = _fields(budget)
     with np.errstate(over="ignore"):  # an infinite total is rejected as a figure
         n_x, n_y = map(float, _output_noise(fields[:2], fields[2:4], fields[4:]))
-    s = _output_referred(config).tolist()  # Python floats: an overflow is inf, silently
-    n_xy = (s[0][1] + s[2][3]) + (s[0][3] + s[1][2])
+    # Python floats at half scale, as in _output_noise: no partial sum overflows alone
+    s = _output_referred(config).tolist()
+    n_xy = 2.0 * ((0.5 * s[0][1] + 0.5 * s[2][3]) + (0.5 * s[0][3] + 0.5 * s[1][2]))
     return _criteria_report(n_x, n_y, epr_criterion(budget), config.input, n_xy)
 
 

@@ -664,6 +664,15 @@ class TestFullReport:
         # det(2I + N) = 4 + 4n on the edge, which its product form rounds
         assert report.fidelity == pytest.approx(1.0 / np.sqrt(1.0 + n), rel=1e-4)
 
+    def test_opposite_moments_that_cancel_at_the_float_limit(self):
+        # stages at 1e308 with opposite-quadrature moments of 0.9e308 that
+        # the cross block cancels: two of the four N_XY terms sum past the
+        # largest float, N_XY itself is 0, and the channel is perfect
+        stage = 1e308 * np.array([[1.0, 0.9], [0.9, 1.0]])
+        config = channel_from_stages(1.0, 1.0, stage, 1.0, 1.0, stage, None, -stage)
+        report = full_report(config)
+        assert (report.N_X_out, report.N_Y_out, report.fidelity) == (0.0, 0.0, 1.0)
+
     def test_independent_stages_never_beat_the_classical_bound(self):
         # the paper's classical limit: stages that share no correlation
         # (cross_cov_BC = 0) cannot carry F above 1/2, whatever their
